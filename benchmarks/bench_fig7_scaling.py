@@ -17,8 +17,8 @@ records wall time + peak RSS in a bench JSON (see
         --max-rss-mb 4096 --output scale.json --trace scale_trace.json
 """
 
-from repro.algorithms.sequences import run_sequence
 from repro.benchgen.arith import adder
+from repro.engine import run_script
 from repro.experiments.metrics import safe_ratio
 from repro.experiments.tables import run_fig7
 from repro.parallel.machine import ParallelMachine, SeqMeter
@@ -45,8 +45,8 @@ def test_fig7_small_aigs_below_crossover(benchmark):
         tiny = adder(2)  # a handful of nodes: launch overheads dominate
         meter = SeqMeter()
         machine = ParallelMachine()
-        run_sequence(tiny, "rf_resyn", engine="seq", meter=meter)
-        run_sequence(tiny, "rf_resyn", engine="gpu", machine=machine)
+        run_script(tiny, "rf_resyn", engine="seq", meter=meter)
+        run_script(tiny, "rf_resyn", engine="gpu", machine=machine)
         return safe_ratio(meter.time(), machine.total_time())
 
     accel = benchmark.pedantic(measure, rounds=1, iterations=1)

@@ -7,8 +7,8 @@ Optimization must pay off downstream, and choices must not lose to the
 best single snapshot by more than the union overhead.
 """
 
-from repro.algorithms.sequences import run_sequence
 from repro.benchgen.suite import load_benchmark
+from repro.engine import run_script
 from repro.experiments.metrics import format_table
 from repro.mapping.choices import map_with_choices
 from repro.mapping.lut_map import lut_map, verify_mapping
@@ -19,7 +19,7 @@ def test_mapping_after_optimization(benchmark):
         rows = []
         for name in ("div", "log2", "vga_lcd"):
             aig = load_benchmark(name)
-            optimized = run_sequence(aig, "resyn2", engine="gpu").aig
+            optimized = run_script(aig, "resyn2", engine="gpu").aig
             base_map = lut_map(aig, k=6)
             opt_map = lut_map(optimized, k=6)
             choice_map, union = map_with_choices([optimized, aig], k=6)

@@ -4,20 +4,14 @@ Runs a small, fixed matrix of (benchmark, script) cases on the GPU
 engine with observability enabled and writes a ``BENCH_PR.json``
 document holding, per case: QoR before/after (#AND nodes, levels),
 per-pass QoR + modeled time, total modeled time, wall-clock time and a
-few headline counters.  Every field except the ``wall_time`` /
-``wall_times`` / ``speedup`` entries is bit-for-bit deterministic — two
-consecutive runs must produce identical QoR and modeled-time numbers
-(``tests/test_observe.py`` asserts this on a subset), and the numbers
-are identical under both kernel backends
-(:mod:`repro.parallel.backend`; enforced by
-``tests/test_backend_parity.py``).
+few headline counters.  Every field except ``wall_time`` is bit-for-bit
+deterministic — two consecutive runs must produce identical QoR and
+modeled-time numbers (``tests/test_observe.py`` asserts this on a
+subset), and the numbers do not depend on which side of the fast-path
+size gates runs (enforced by ``tests/test_backend_parity.py``).
 
 Wall-clock is recorded as the best of ``--repeats`` runs (default 3) —
-single-shot timing made the 25% drift warning noisy.  When NumPy is
-available, each case is additionally timed under *both* backends and
-the row carries ``wall_times = {"python": ..., "numpy": ...}`` plus the
-resulting ``speedup``; the top-level ``wall_time`` keeps the active
-backend's time so the baseline comparison stays backend-local.
+single-shot timing made the 25% drift warning noisy.
 
 ``scripts/bench_report.py`` compares the emitted document against the
 committed ``BENCH_BASELINE.json`` with tolerance bands; CI fails on QoR
@@ -43,7 +37,6 @@ from typing import Any
 from repro import observe
 from repro.benchgen.suite import load_benchmark
 from repro.engine import run_script
-from repro.parallel import backend
 from repro.parallel.machine import ParallelMachine
 
 #: Format tag of the emitted document.
@@ -85,13 +78,12 @@ REPORTED_COUNTERS = (
     # Commit-layer throughput split: nodes landed through the bulk
     # column constructor vs one-at-a-time scalar allocation.  Reported
     # (and watched by scripts/bench_report.py) but never gated — the
-    # split is wall-clock bookkeeping, not a deterministic quantity
-    # shared across backends.
+    # split is wall-clock bookkeeping that moves with the size gates.
     "commit.bulk_nodes",
     "commit.serial_replays",
 )
 
-#: Wall-clock repeats per (case, backend); the best is reported.
+#: Wall-clock repeats per case; the best is reported.
 DEFAULT_REPEATS = 3
 
 
@@ -152,46 +144,21 @@ def run_case(
 ) -> dict[str, Any]:
     """Run one (benchmark, script) case and return its result row.
 
-    The deterministic fields come from the active backend's first run;
-    wall-clock is best-of-``repeats`` per backend.  Both backends are
-    timed (and cross-checked for identical modeled time) when NumPy is
-    available and the engine actually exercises the kernels.
+    The deterministic fields come from the first run; wall-clock is
+    best-of-``repeats``.
     """
-    active = backend.current_backend()
-    backends = [active]
-    if engine == "gpu" and backend.HAS_NUMPY:
-        backends = ["python", "numpy"]
-    row: dict[str, Any] | None = None
-    wall_times: dict[str, float] = {}
-    modeled: dict[str, float] = {}
-    for chosen in backends:
-        backend.set_backend(chosen)
-        try:
-            best = float("inf")
-            for _ in range(max(repeats, 1)):
-                this_row, wall = _run_once(name, script, engine, scale)
-                best = min(best, wall)
-                modeled[chosen] = this_row["modeled_time"]
-                if chosen == active:
-                    row = this_row
-            wall_times[chosen] = best
-        finally:
-            backend.set_backend(None)
-    assert row is not None
-    # Backend parity guard: modeled time must match across backends.
-    assert len(set(modeled.values())) == 1, modeled
-    row = {
+    row, best = _run_once(name, script, engine, scale)
+    for _ in range(max(repeats, 1) - 1):
+        _, wall = _run_once(name, script, engine, scale)
+        best = min(best, wall)
+    return {
         "name": name,
         "script": script,
         "engine": engine,
         "scale": scale,
         **row,
-        "wall_time": wall_times[active],
-        "wall_times": wall_times,
+        "wall_time": best,
     }
-    if "python" in wall_times and "numpy" in wall_times:
-        row["speedup"] = wall_times["python"] / wall_times["numpy"]
-    return row
 
 
 def run_suite(
@@ -205,21 +172,17 @@ def run_suite(
     for name, script in cases:
         row = run_case(name, script, engine=engine, repeats=repeats)
         rows.append(row)
-        speedup = (
-            f" speedup {row['speedup']:.2f}x" if "speedup" in row else ""
-        )
         print(
             f"  {name:<10s} {script:<14s} "
             f"{row['nodes_before']:>6d}->{row['nodes_after']:<6d} "
             f"modeled {row['modeled_time']:.6f}s "
-            f"wall {row['wall_time']:.2f}s{speedup}",
+            f"wall {row['wall_time']:.2f}s",
             file=sys.stderr,
         )
     return {
         "format": FORMAT,
         "suite": "smoke",
         "engine": engine,
-        "backend": backend.current_backend(),
         "repeats": repeats,
         "wall_time": time.perf_counter() - wall_start,
         "cases": rows,
@@ -246,7 +209,7 @@ def main(argv: list[str] | None = None) -> int:
         "--repeats",
         type=int,
         default=DEFAULT_REPEATS,
-        help="wall-clock repeats per case/backend (default: %(default)s)",
+        help="wall-clock repeats per case (default: %(default)s)",
     )
     parser.add_argument("--engine", default="gpu", choices=["gpu", "seq"])
     args = parser.parse_args(argv)

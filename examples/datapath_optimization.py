@@ -11,9 +11,9 @@ Run:  python examples/datapath_optimization.py
 """
 
 from repro.aig import aig_depth
-from repro.algorithms import run_sequence
 from repro.benchgen import divider, isqrt, multiplier
 from repro.cec import check_equivalence
+from repro.engine import run_script
 from repro.experiments import format_table
 from repro.parallel import ParallelMachine, SeqMeter
 
@@ -27,9 +27,9 @@ def main() -> None:
     rows = []
     for aig in datapaths:
         meter = SeqMeter()
-        seq = run_sequence(aig, "rf_resyn", engine="seq", meter=meter)
+        seq = run_script(aig, "rf_resyn", engine="seq", meter=meter)
         machine = ParallelMachine()
-        gpu = run_sequence(aig, "rf_resyn", engine="gpu", machine=machine)
+        gpu = run_script(aig, "rf_resyn", engine="gpu", machine=machine)
 
         assert check_equivalence(aig, seq.aig, sim_width=256)
         assert check_equivalence(aig, gpu.aig, sim_width=256)

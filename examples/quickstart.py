@@ -5,8 +5,8 @@ Run:  python examples/quickstart.py
 """
 
 from repro.aig import Aig, aig_depth, write_aag
-from repro.algorithms import run_sequence
 from repro.cec import check_equivalence
+from repro.engine import run_script
 from repro.parallel import ParallelMachine
 
 
@@ -35,7 +35,7 @@ def main() -> None:
 
     # Run the paper's fully-parallel resyn2 on the simulated machine.
     machine = ParallelMachine()
-    result = run_sequence(aig, "resyn2", engine="gpu", machine=machine)
+    result = run_script(aig, "resyn2", engine="gpu", machine=machine)
     optimized = result.aig
     print(
         f"after resyn2 [gpu]: {optimized.num_ands} AND nodes, "

@@ -9,8 +9,8 @@ crossover — the reproduction of the paper's Figure 7 experiment.
 Run:  python examples/scaling_study.py
 """
 
-from repro.algorithms import run_sequence
 from repro.benchgen import adder, enlarge
+from repro.engine import run_script
 from repro.experiments import format_table
 from repro.parallel import ParallelMachine, SeqMeter
 
@@ -18,9 +18,9 @@ from repro.parallel import ParallelMachine, SeqMeter
 def measure(aig) -> tuple[float, float]:
     """(sequential seconds, modeled GPU seconds) for rf_resyn."""
     meter = SeqMeter()
-    run_sequence(aig, "rf_resyn", engine="seq", meter=meter)
+    run_script(aig, "rf_resyn", engine="seq", meter=meter)
     machine = ParallelMachine()
-    run_sequence(aig, "rf_resyn", engine="gpu", machine=machine)
+    run_script(aig, "rf_resyn", engine="gpu", machine=machine)
     return meter.time(), machine.total_time()
 
 

@@ -13,8 +13,8 @@ the best structure per region.  This example runs that exact flow:
 Run:  python examples/technology_mapping.py
 """
 
-from repro.algorithms import run_sequence
 from repro.benchgen import divider
+from repro.engine import run_script
 from repro.experiments import format_table
 from repro.mapping import lut_map, map_with_choices, verify_mapping
 
@@ -24,7 +24,7 @@ def main() -> None:
     print(f"circuit: {aig.name}, {aig.num_ands} AND nodes")
 
     baseline = lut_map(aig, k=6)
-    optimized = run_sequence(aig, "resyn2", engine="gpu").aig
+    optimized = run_script(aig, "resyn2", engine="gpu").aig
     optimized_map = lut_map(optimized, k=6)
     choice_map, union = map_with_choices([optimized, aig], k=6)
 

@@ -63,8 +63,8 @@ SCALE_FORMAT = "repro.bench-scale/1"
 #: this fraction of committed nodes landing one at a time (instead of
 #: through the bulk column constructor) the smoke lane prints a
 #: warning — never a failure, and deliberately not part of
-#: :data:`GATED_COUNTERS`: the split is backend-local wall-clock
-#: bookkeeping, not a deterministic quantity.
+#: :data:`GATED_COUNTERS`: the split is wall-clock bookkeeping that
+#: moves with the size gates, not a deterministic quantity.
 SERIAL_REPLAY_WARN_SHARE = 0.20
 
 
@@ -211,14 +211,11 @@ def compare(
 def serial_replay_warnings(current: dict[str, Any]) -> list[str]:
     """Advisory check: bulk commits should dominate scalar replays.
 
-    Only meaningful when the measured backend has the bulk constructor
-    at all (numpy); a case whose scalar-replay share of committed
-    nodes exceeds :data:`SERIAL_REPLAY_WARN_SHARE` gets a warning so a
-    silently degrading bulk path is visible in CI logs.  Never a
-    failure (``--strict-wall`` does not apply).
+    A case whose scalar-replay share of committed nodes exceeds
+    :data:`SERIAL_REPLAY_WARN_SHARE` gets a warning so a silently
+    degrading bulk path is visible in CI logs.  Never a failure
+    (``--strict-wall`` does not apply).
     """
-    if current.get("backend") != "numpy":
-        return []
     warnings: list[str] = []
     for case in current.get("cases", []):
         counters = case.get("counters", {})

@@ -8,16 +8,14 @@ node; ids are assigned in creation order, and because an AND node can
 only reference already-existing variables, **id order is always a valid
 topological order** — every traversal in the library relies on this.
 
-With NumPy installed the columns (:class:`repro.aig.store.Column`) are
-preallocated ``int64``/``bool`` buffers that grow in place
-geometrically.  Scalar access — the facade methods below and the
-``_fanin0`` / ``_fanin1`` / ``_dead`` / ``_pis`` / ``_pos`` properties —
-goes through ``memoryview`` twins that index at list speed and return
-plain Python ints, while :meth:`Aig.arrays` hands out zero-copy NumPy
-views of the very same buffers.  Without NumPy the columns degrade to
-plain Python lists with identical semantics (the stdlib-only base
-install).  Structural hashing uses the flat open-addressing
-:class:`repro.aig.store.FlatStrash` in both modes.
+The columns (:class:`repro.aig.store.Column`) are preallocated
+``int64``/``bool`` buffers that grow in place geometrically.  Scalar
+access — the facade methods below and the ``_fanin0`` / ``_fanin1`` /
+``_dead`` / ``_pis`` / ``_pos`` properties — goes through
+``memoryview`` twins that index at list speed and return plain Python
+ints, while :meth:`Aig.arrays` hands out zero-copy NumPy
+views of the very same buffers.  Structural hashing uses the flat
+open-addressing :class:`repro.aig.store.FlatStrash`.
 
 Nodes are append-only.  Optimization passes that delete logic mark
 variables *dead* and finish with :meth:`Aig.compact`, which rebuilds the
@@ -29,6 +27,8 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 
+import numpy as np
+
 from repro.aig.literals import (
     CONST0,
     lit_compl,
@@ -37,7 +37,6 @@ from repro.aig.literals import (
     lit_var,
     make_lit,
 )
-from repro.aig import store
 from repro.aig.store import Column, FlatStrash
 
 #: Sentinel fanin value marking a primary-input row.
@@ -149,8 +148,7 @@ class Aig:
         """Preallocate storage for ``num_vars`` total variable rows.
 
         Optionally pre-sizes the structural-hash table for
-        ``num_ands`` live AND keys.  No-op when already large enough
-        (and entirely in list mode, where lists manage themselves).
+        ``num_ands`` live AND keys.  No-op when already large enough.
         """
         self._f0c.reserve(num_vars)
         self._f1c.reserve(num_vars)
@@ -241,22 +239,15 @@ class Aig:
         same batch creates), and validation runs up front, so a bad
         literal raises before any node is created.  Returns an int64
         ndarray of result literals on the vector path, a list from the
-        scalar fallback (list mode, or fewer than
-        :data:`_BATCH_CUTOFF` items).
+        scalar fallback (fewer than :data:`_BATCH_CUTOFF` items).
         """
         count = len(lits0)
         if len(lits1) != count:
             raise ValueError("literal arrays differ in length")
-        if (
-            not store.HAVE_NUMPY
-            or not self._f0c.numpy
-            or count < _BATCH_CUTOFF
-        ):
+        if count < _BATCH_CUTOFF:
             return [
                 self.add_and(a, b) for a, b in zip(lits0, lits1)
             ]
-        import numpy as np
-
         from repro.parallel.vec import group_keys
 
         arr0 = np.ascontiguousarray(lits0, dtype=np.int64)
@@ -351,18 +342,11 @@ class Aig:
         zip(lits0, lits1)]`` — same fanin canonicalization, same
         variable numbering — except that validation runs up front, so
         a bad literal raises before any node is created.  Returns an
-        int64 ndarray of result literals (a list from the list-mode
-        scalar fallback).
+        int64 ndarray of result literals.
         """
         count = len(lits0)
         if len(lits1) != count:
             raise ValueError("literal arrays differ in length")
-        if not store.HAVE_NUMPY or not self._f0c.numpy:
-            return [
-                self.add_raw_and(a, b) for a, b in zip(lits0, lits1)
-            ]
-        import numpy as np
-
         arr0 = np.ascontiguousarray(lits0, dtype=np.int64)
         arr1 = np.ascontiguousarray(lits1, dtype=np.int64)
         size = self._f0c.size
@@ -385,13 +369,8 @@ class Aig:
         """Create ``count`` unnamed primary inputs at once.
 
         Bit-identical to calling :meth:`add_pi` ``count`` times with no
-        name; returns an int64 ndarray of the new PI literals (a list
-        from the list-mode scalar fallback).
+        name; returns an int64 ndarray of the new PI literals.
         """
-        if not store.HAVE_NUMPY or not self._f0c.numpy:
-            return [self.add_pi() for _ in range(count)]
-        import numpy as np
-
         size = self._f0c.size
         self._version += count
         fill = np.full(count, PI_FANIN, dtype=np.int64)
@@ -413,14 +392,6 @@ class Aig:
         count = len(lits)
         if names is not None and len(names) != count:
             raise ValueError("literal/name arrays differ in length")
-        if not store.HAVE_NUMPY or not self._poc.numpy:
-            for index, lit in enumerate(lits):
-                self.add_po(
-                    lit, None if names is None else names[index]
-                )
-            return
-        import numpy as np
-
         arr = np.ascontiguousarray(lits, dtype=np.int64)
         size = self._f0c.size
         bad = (arr < 0) | ((arr >> 1) >= size)
@@ -545,30 +516,20 @@ class Aig:
     def live_and_array(self):
         """Live AND variable ids as an int64 ndarray (static snapshot).
 
-        Vectorized equivalent of ``list(and_vars())`` for consumers on
-        the numpy backend; unlike :meth:`and_vars` it snapshots, so it
-        must not be used across mutations.
+        Vectorized equivalent of ``list(and_vars())``; unlike
+        :meth:`and_vars` it snapshots, so it must not be used across
+        mutations.
         """
-        import numpy as np
-
         f0, _, dead = self.arrays()
         return np.flatnonzero((f0 >= 0) & ~dead)
 
     def pi_array(self):
         """PI variable ids as an int64 ndarray (read-only snapshot)."""
-        if self._pic.numpy:
-            return self._pic.nparray()
-        import numpy as np
-
-        return np.array(self._pic.data, dtype=np.int64)
+        return self._pic.nparray()
 
     def po_array(self):
         """PO literals as an int64 ndarray (read-only snapshot)."""
-        if self._poc.numpy:
-            return self._poc.nparray()
-        import numpy as np
-
-        return np.array(self._poc.data, dtype=np.int64)
+        return self._poc.nparray()
 
     def arrays(self) -> tuple:
         """Zero-copy NumPy views ``(fanin0, fanin1, dead)`` of the graph.
@@ -580,21 +541,11 @@ class Aig:
         (the view's length is fixed at the call — take a fresh view),
         and a view taken before a capacity growth keeps aliasing the
         superseded buffer.  Callers must treat the views as read-only.
-        Requires NumPy (callers are gated on the ``numpy`` backend);
-        the list fallback materializes fresh arrays on each call.
         """
-        if self._f0c.numpy:
-            return (
-                self._f0c.nparray(),
-                self._f1c.nparray(),
-                self._deadc.nparray(),
-            )
-        import numpy as np
-
         return (
-            np.array(self._f0c.data, dtype=np.int64),
-            np.array(self._f1c.data, dtype=np.int64),
-            np.array(self._deadc.data, dtype=bool),
+            self._f0c.nparray(),
+            self._f1c.nparray(),
+            self._deadc.nparray(),
         )
 
     # ------------------------------------------------------------------
@@ -752,19 +703,13 @@ class Aig:
         numbering), then replaces the per-node ``add_and`` loop with
         one gather over the fanin columns and one bulk strash build.
         Returns ``None`` — caller falls back to the scalar rebuild —
-        in list mode, below :data:`_BULK_COMPACT_MIN` rows, or when
+        below :data:`_BULK_COMPACT_MIN` rows, or when
         the reachable set is not fold-free/strash-clean (a constant
         fanin, ``x & x`` / ``x & !x``, or a duplicate fanin key, any
         of which would make a scalar ``add_and`` fold or reuse).
         """
-        if (
-            not store.HAVE_NUMPY
-            or not self._f0c.numpy
-            or self._f0c.size < _BULK_COMPACT_MIN
-        ):
+        if self._f0c.size < _BULK_COMPACT_MIN:
             return None
-        import numpy as np
-
         fan0 = self._f0c.view
         fan1 = self._f1c.view
         num = self._f0c.size
@@ -878,7 +823,7 @@ class Aig:
         and_k1,
         and_vars,
     ) -> "Aig":
-        """Assemble an Aig from complete column arrays (NumPy mode).
+        """Assemble an Aig from complete column arrays.
 
         The bulk producers (:meth:`_compact_bulk`,
         :func:`repro.benchgen.enlarge._double_bulk`) hand in fully
@@ -928,8 +873,8 @@ class Aig:
         # Derived-state columns start empty; context forking
         # (repro.engine.context.GraphContext.fork) refills them from
         # the source cache when there is anything worth carrying.
-        new._levelc = Column("int", numpy_mode=self._levelc.numpy)
-        new._nrefc = Column("int", numpy_mode=self._nrefc.numpy)
+        new._levelc = Column("int")
+        new._nrefc = Column("int")
         new._pi_names = list(self._pi_names)
         new._po_names = list(self._po_names)
         new._strash = self._strash.copy()

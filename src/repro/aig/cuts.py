@@ -16,6 +16,8 @@ from __future__ import annotations
 from collections.abc import Callable
 from functools import lru_cache
 
+import numpy as np
+
 from repro.aig.aig import Aig
 from repro.aig.literals import lit_var
 from repro.logic.truth import full_mask, simulate_cone, var_table
@@ -201,10 +203,8 @@ def _expand_lut(positions: tuple[int, ...], num_vars: int) -> list[int]:
     ``out[row] = t[sum_j ((row >> positions[j]) & 1) << j]``.
 
     Built once per (positions, num_vars) pair with NumPy — the only
-    caller is the composed-table enumeration used by the NumPy backend.
+    caller is the composed-table enumeration.
     """
-    import numpy as np
-
     k_in = len(positions)
     size = 1 << (1 << k_in)
     source = np.arange(size, dtype=np.uint32)

@@ -6,14 +6,12 @@ melts long before that.  This module provides the two primitives the
 :class:`repro.aig.aig.Aig` core is built from:
 
 :class:`Column`
-    One grow-in-place column.  With NumPy installed the backing store
-    is a preallocated ``int64``/``bool`` buffer that grows
-    geometrically, paired with a ``memoryview`` *twin* that serves
-    scalar reads and writes at list speed and yields plain Python ints
-    (no ``np.int64`` boxing leaking into literals or JSON).  Vector
-    callers slice the buffer zero-copy via :meth:`Column.nparray`.
-    Without NumPy the column degrades to a plain Python list with the
-    same interface, preserving the stdlib-only base install.
+    One grow-in-place column.  The backing store is a preallocated
+    ``int64``/``bool`` buffer that grows geometrically, paired with a
+    ``memoryview`` *twin* that serves scalar reads and writes at list
+    speed and yields plain Python ints (no ``np.int64`` boxing leaking
+    into literals or JSON).  Vector callers slice the buffer zero-copy
+    via :meth:`Column.nparray`.
 
 :class:`FlatStrash`
     The structural-hashing table ``(fanin0, fanin1) -> var`` as three
@@ -21,8 +19,7 @@ melts long before that.  This module provides the two primitives the
     probing and tombstones — a dict-compatible subset API at a
     fraction of the per-entry footprint of
     ``dict[tuple[int, int], int]`` (24 bytes per slot versus ~250 per
-    dict entry once the key tuple and boxed ints are counted).  It is
-    stdlib-only, so both column modes share one implementation.  Probe
+    dict entry once the key tuple and boxed ints are counted).  Probe
     order is an internal detail: lookups are value-deterministic, so
     graph construction is bit-identical regardless of layout.
 
@@ -32,7 +29,7 @@ that determinism contract: :meth:`FlatStrash.insert_bulk`,
 vectorize slot placement and lookup over whole key arrays with NumPy
 (grouped probe rounds in the style of
 :class:`repro.parallel.vec.VecHashTable`), falling back to the scalar
-loop in list mode or for small batches.  The vector paths hash with
+loop below :data:`_BULK_MIN` keys.  The vector paths hash with
 :func:`_hash_pairs`, an exact NumPy replica of CPython's tuple hash,
 so scalar and bulk probes agree slot for slot.
 """
@@ -41,44 +38,26 @@ from __future__ import annotations
 
 from array import array
 
-# Detected locally (importing repro.parallel.backend here would close
-# an import cycle through repro.verify back into repro.aig).
-try:  # NumPy is an optional extra (``pip install repro[fast]``).
-    import numpy as _np
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - exercised in numpy-less CI
-    _np = None
-    HAVE_NUMPY = False
+import numpy as _np
 
 
 class Column:
     """A grow-in-place typed column with a scalar twin.
 
-    ``view`` is the scalar access path: a ``memoryview`` over the full
-    capacity buffer in NumPy mode, or the backing list itself in list
-    mode.  Callers indexing ``view`` must stay below ``size`` — rows
-    beyond it are uninitialized capacity.
+    ``data`` is a preallocated ``int64``/``bool`` buffer that grows
+    geometrically; ``view`` is a ``memoryview`` over its full capacity
+    and is the scalar access path.  Callers indexing ``view`` must
+    stay below ``size`` — rows beyond it are uninitialized capacity.
     """
 
-    __slots__ = ("data", "view", "size", "kind", "numpy")
+    __slots__ = ("data", "view", "size", "kind")
 
-    def __init__(
-        self,
-        kind: str = "int",
-        capacity: int = 0,
-        numpy_mode: bool | None = None,
-    ) -> None:
+    def __init__(self, kind: str = "int", capacity: int = 0) -> None:
         self.kind = kind
         self.size = 0
-        self.numpy = HAVE_NUMPY if numpy_mode is None else numpy_mode
-        if self.numpy:
-            dtype = _np.int64 if kind == "int" else _np.bool_
-            self.data = _np.zeros(max(capacity, 4), dtype=dtype)
-            self.view = memoryview(self.data)
-        else:
-            self.data = []
-            self.view = self.data
+        dtype = _np.int64 if kind == "int" else _np.bool_
+        self.data = _np.zeros(max(capacity, 4), dtype=dtype)
+        self.view = memoryview(self.data)
 
     def __len__(self) -> int:
         return self.size
@@ -95,97 +74,54 @@ class Column:
         self.view = memoryview(buffer)
 
     def reserve(self, capacity: int) -> None:
-        """Grow the buffer to at least ``capacity`` rows (NumPy mode)."""
-        if self.numpy and capacity > len(self.data):
+        """Grow the buffer to at least ``capacity`` rows."""
+        if capacity > len(self.data):
             self._grow(capacity)
 
     def append(self, value) -> None:
-        if self.numpy:
-            if self.size == len(self.data):
-                self._grow(self.size + 1)
-            self.view[self.size] = value
-            self.size += 1
-        else:
-            self.data.append(value)
-            self.size += 1
+        if self.size == len(self.data):
+            self._grow(self.size + 1)
+        self.view[self.size] = value
+        self.size += 1
 
     def extend_zeros(self, count: int) -> None:
         """Append ``count`` zero rows (single growth step at most)."""
-        if self.numpy:
-            need = self.size + count
-            if need > len(self.data):
-                self._grow(need)
-            self.data[self.size : need] = 0
-            self.size = need
-        else:
-            self.data.extend([0] * count)
-            self.size += count
+        need = self.size + count
+        if need > len(self.data):
+            self._grow(need)
+        self.data[self.size : need] = 0
+        self.size = need
 
     def extend_array(self, values) -> None:
-        """Append a whole batch of rows (single growth step at most).
-
-        ``values`` is an ndarray (or any sequence) in NumPy mode; in
-        list mode it is converted so the column keeps holding plain
-        Python scalars.
-        """
-        count = len(values)
-        if self.numpy:
-            need = self.size + count
-            if need > len(self.data):
-                self._grow(need)
-            self.data[self.size : need] = values
-            self.size = need
-        else:
-            if hasattr(values, "tolist"):
-                values = values.tolist()
-            self.data.extend(values)
-            self.size += count
+        """Append a whole batch of rows (single growth step at most)."""
+        need = self.size + len(values)
+        if need > len(self.data):
+            self._grow(need)
+        self.data[self.size : need] = values
+        self.size = need
 
     # ------------------------------------------------------------------
     # Wholesale replacement
     # ------------------------------------------------------------------
 
-    def adopt(self, values: list) -> None:
-        """Replace the contents with ``values``.
+    def adopt(self, values) -> None:
+        """Replace the contents with a copy of ``values`` (any sequence).
 
-        In list mode the list is adopted *by reference* — this is what
-        preserves the historical aliasing contract where a cached
-        derived-state list and the column are one object.  In NumPy
-        mode the values are copied into a fresh buffer (holders of old
-        views keep seeing the superseded snapshot, exactly like holders
-        of a replaced list).
+        The values go into a fresh buffer: holders of old views keep
+        seeing the superseded snapshot.
         """
-        if self.numpy:
-            self.data = _np.array(values, dtype=self.data.dtype)
-            self.view = memoryview(self.data)
-            self.size = len(values)
-        else:
-            self.data = values
-            self.view = values
-            self.size = len(values)
+        self.data = _np.array(values, dtype=self.data.dtype)
+        self.view = memoryview(self.data)
+        self.size = len(values)
 
     def adopt_zeros(self, count: int) -> None:
         """Replace the contents with ``count`` zero rows."""
-        if self.numpy:
-            self.data = _np.zeros(max(count, 4), dtype=self.data.dtype)
-            self.view = memoryview(self.data)
-            self.size = count
-        else:
-            self.adopt([0] * count)
-
-    def adopt_copy(self, values) -> None:
-        """Replace the contents with a copy of ``values`` (any sequence)."""
-        if self.numpy:
-            self.adopt(values)  # np.array always copies
-        else:
-            self.adopt(list(values))
+        self.data = _np.zeros(max(count, 4), dtype=self.data.dtype)
+        self.view = memoryview(self.data)
+        self.size = count
 
     def truncate(self, size: int) -> None:
-        if self.numpy:
-            self.size = size
-        else:
-            del self.data[size:]
-            self.size = size
+        self.size = size
 
     def clear(self) -> None:
         self.truncate(0)
@@ -195,34 +131,25 @@ class Column:
     # ------------------------------------------------------------------
 
     def slice(self):
-        """Scalar twin of the valid prefix (the list itself in list mode)."""
-        if self.numpy:
-            return self.view[: self.size]
-        return self.data
+        """Scalar twin (``memoryview``) of the valid prefix."""
+        return self.view[: self.size]
 
     def nparray(self):
-        """Zero-copy ndarray of the valid prefix (NumPy mode only)."""
+        """Zero-copy ndarray of the valid prefix."""
         return self.data[: self.size]
 
     def tolist(self) -> list:
-        if self.numpy:
-            return self.data[: self.size].tolist()
-        return list(self.data)
+        return self.data[: self.size].tolist()
 
     def duplicate(self) -> "Column":
-        """An independent copy (same mode, same capacity, same rows)."""
+        """An independent copy (same capacity, same rows)."""
         new = Column.__new__(Column)
         new.kind = self.kind
         new.size = self.size
-        new.numpy = self.numpy
-        if self.numpy:
-            buffer = _np.zeros(len(self.data), dtype=self.data.dtype)
-            buffer[: self.size] = self.data[: self.size]
-            new.data = buffer
-            new.view = memoryview(buffer)
-        else:
-            new.data = list(self.data)
-            new.view = new.data
+        buffer = _np.zeros(len(self.data), dtype=self.data.dtype)
+        buffer[: self.size] = self.data[: self.size]
+        new.data = buffer
+        new.view = memoryview(buffer)
         return new
 
 
@@ -242,7 +169,7 @@ _PYHASH_MODULUS = (1 << 61) - 1
 
 
 def _hash_pairs(key0, key1):
-    """``hash((k0, k1))`` as ``uint64`` over whole arrays (NumPy mode).
+    """``hash((k0, k1))`` as ``uint64`` over whole arrays.
 
     Bit-exact replica of CPython's tuple hash over two non-negative
     int lanes, so ``_hash_pairs(...) & mask`` lands on the same slot
@@ -380,7 +307,7 @@ class FlatStrash:
             if observe.enabled:
                 observe.count("strash.rehashes")
         self._alloc(cap)
-        if HAVE_NUMPY and size >= _BULK_MIN:
+        if size >= _BULK_MIN:
             values = _np.frombuffer(old_values, dtype=_np.int64)
             live = values >= 0
             self._place_bulk(
@@ -395,7 +322,7 @@ class FlatStrash:
                 self[(old_key0[slot], old_key1[slot])] = value
 
     # ------------------------------------------------------------------
-    # Bulk operations (NumPy-vectorized, scalar fallback)
+    # Bulk operations (vectorized, scalar fallback below _BULK_MIN)
     # ------------------------------------------------------------------
 
     def _place_bulk(self, key0, key1, values) -> None:
@@ -444,13 +371,13 @@ class FlatStrash:
 
         Equivalent to ``for k0, k1, v in zip(...): self[(k0, k1)] = v``
         under those preconditions, including the occupancy-triggered
-        rebuild; runs the scalar loop in list mode (no NumPy) or for
-        small batches.
+        rebuild; runs the scalar loop for batches below
+        :data:`_BULK_MIN`.
         """
         count = len(values)
         if count == 0:
             return
-        if not HAVE_NUMPY or count < _BULK_MIN:
+        if count < _BULK_MIN:
             for k0, k1, value in zip(key0, key1, values):
                 self[(int(k0), int(k1))] = int(value)
             return
@@ -471,7 +398,7 @@ class FlatStrash:
         return table
 
     def _probe_bulk(self, key0, key1):
-        """Vectorized :meth:`_find` over key arrays (NumPy mode only).
+        """Vectorized :meth:`_find` over key arrays.
 
         Returns ``(slots, found)`` int64 arrays: the live-match slot
         and its value per key, both ``-1`` where the key is absent.

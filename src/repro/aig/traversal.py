@@ -14,9 +14,10 @@ exactly what these functions return.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.aig.aig import Aig
 from repro.aig.literals import lit_var
-from repro.parallel import backend
 
 #: Below this node count the scalar scans win on constant factors.
 _VEC_MIN_NODES = 1024
@@ -34,7 +35,7 @@ def aig_levels(aig: Aig) -> list[int]:
     plus the maximum fanin level — the paper's "delay of a node".
     Dead nodes get level 0.
     """
-    if backend.use_numpy() and aig.num_vars >= _VEC_MIN_NODES:
+    if aig.num_vars >= _VEC_MIN_NODES:
         levels = _aig_levels_vec(aig)
         if levels is not None:
             return levels
@@ -60,8 +61,6 @@ def _aig_levels_vec(aig: Aig) -> list[int] | None:
     graph turns out to be deeper than :data:`_VEC_MAX_WAVES` (the
     scalar linear scan is faster there).
     """
-    import numpy as np
-
     f0, f1, dead = aig.arrays()
     levels = np.zeros(aig.num_vars, dtype=np.int64)
     active = np.flatnonzero((f0 >= 0) & ~dead)
@@ -105,7 +104,7 @@ def fanout_counts(aig: Aig) -> list[int]:
     A node feeding both fanins of one AND counts twice, matching ABC's
     reference counting; this is the count MFFC dereferencing relies on.
     """
-    if backend.use_numpy() and aig.num_vars >= _VEC_MIN_NODES:
+    if aig.num_vars >= _VEC_MIN_NODES:
         return fanout_counts_array(aig).tolist()
     return _fanout_counts_scalar(aig)
 
@@ -113,23 +112,18 @@ def fanout_counts(aig: Aig) -> list[int]:
 def fanout_counts_array(aig: Aig):
     """:func:`fanout_counts` as an int64 ndarray — no list round-trip.
 
-    The column-native kernels and the NumPy-mode derived-state cache
-    consume this directly; on the Python backend it wraps the scalar
-    scan.
+    The column-native kernels and the derived-state cache consume
+    this directly.
     """
-    import numpy as np
-
-    if backend.use_numpy():
-        f0, f1, dead = aig.arrays()
-        live = (f0 >= 0) & ~dead
-        counts = np.bincount(
-            np.concatenate((f0[live] >> 1, f1[live] >> 1)),
-            minlength=aig.num_vars,
-        ).astype(np.int64, copy=False)
-        for lit in aig.pos:
-            counts[lit >> 1] += 1
-        return counts
-    return np.asarray(_fanout_counts_scalar(aig), dtype=np.int64)
+    f0, f1, dead = aig.arrays()
+    live = (f0 >= 0) & ~dead
+    counts = np.bincount(
+        np.concatenate((f0[live] >> 1, f1[live] >> 1)),
+        minlength=aig.num_vars,
+    ).astype(np.int64, copy=False)
+    for lit in aig.pos:
+        counts[lit >> 1] += 1
+    return counts
 
 
 def _fanout_counts_scalar(aig: Aig) -> list[int]:

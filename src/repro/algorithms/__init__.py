@@ -1,5 +1,5 @@
 """Optimization passes: sequential baselines and the paper's parallel
-algorithms, plus the sequence (script) runner."""
+algorithms.  Scripts of passes run through :mod:`repro.engine`."""
 
 from repro.algorithms.common import AliasView, PassResult
 from repro.algorithms.dedup import dedup_and_dangling
@@ -26,26 +26,16 @@ from repro.algorithms.seq_balance import seq_balance
 from repro.algorithms.seq_refactor import seq_refactor
 from repro.algorithms.seq_rewrite import seq_rewrite
 from repro.algorithms.sop_balance import seq_sop_balance
-from repro.algorithms.sequences import (
-    NAMED_SEQUENCES,
-    SequenceResult,
-    gpu_refactor_repeated,
-    parse_script,
-    run_sequence,
-)
 
 __all__ = [
     "AliasView",
     "DEFAULT_CUT_SIZE",
-    "NAMED_SEQUENCES",
     "PassResult",
-    "SequenceResult",
     "collapse_into_ffcs",
     "RESUB_CUT_SIZE",
     "ResubMatch",
     "dedup_and_dangling",
     "find_resub",
-    "gpu_refactor_repeated",
     "par_resub",
     "seq_resub",
     "instantiate_template",
@@ -54,8 +44,6 @@ __all__ = [
     "par_balance",
     "par_refactor",
     "par_rewrite",
-    "parse_script",
-    "run_sequence",
     "seq_balance",
     "seq_refactor",
     "seq_rewrite",

@@ -25,8 +25,8 @@ from repro.engine.context import resolved_levels
 from repro.engine.registry import register_pass
 from repro.parallel import backend
 from repro.parallel.frontier import group_by_level
-from repro.parallel.hashtable import make_hash_table
 from repro.parallel.machine import ParallelMachine
+from repro.parallel.vec import VecHashTable
 from repro.verify import mutations, sanitizer
 from repro.verify.invariants import (
     check_dedup_complete,
@@ -74,7 +74,7 @@ def dedup_and_dangling(
             _mutate_stale_level(aig, alias, resolve, levels, live)
         batches, _ = group_by_level(live, levels.__getitem__)
 
-        table = make_hash_table(expected=max(aig.num_ands * 2, 64))
+        table = VecHashTable(expected=max(aig.num_ands * 2, 64))
         skip_merge = mutations.armed and mutations.active(
             "dedup-skip-merge"
         )
@@ -83,7 +83,7 @@ def dedup_and_dangling(
             # Nodes of one level never depend on each other's outcome
             # (resolved fanins sit at strictly lower levels), so folds
             # apply up front and the irreducible rest goes through the
-            # batched table insert shared by both kernel backends.
+            # batched table insert.
             # The sanitizer checks exactly that level claim: each lane
             # writes its own node (redirect/kill) and reads its
             # resolved fanins; a fanin written by a same-batch lane is

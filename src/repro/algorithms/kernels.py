@@ -20,8 +20,7 @@ with the scalar pass code as the semantic reference:
   fixpoint over whole item sets) for ``par_rewrite``'s match stage.
 
 **Fallback gate.** :func:`enabled_for` turns the kernels on only when
-the numpy backend is active, the graph columns are NumPy-backed, the
-graph is at least :data:`KERNEL_CUTOFF` live ANDs, and neither the
+the graph is at least :data:`KERNEL_CUTOFF` live ANDs and neither the
 race sanitizer nor the seeded-mutation registry is armed (both hook
 the scalar call sites).  Below the gate the scalar paths run
 unchanged, which keeps the engine-parity goldens and the CEC fuzzer
@@ -38,6 +37,8 @@ bit-identical between the paths).
 from __future__ import annotations
 
 import heapq
+
+import numpy as np
 
 from repro import observe
 from repro.aig.aig import Aig
@@ -66,9 +67,7 @@ def enabled_for(aig: Aig) -> bool:
     path.
     """
     return (
-        backend.use_numpy()
-        and aig._f0c.numpy
-        and aig.num_ands >= KERNEL_CUTOFF
+        aig.num_ands >= KERNEL_CUTOFF
         and not sanitizer.enabled
         and not mutations.armed
     )
@@ -81,8 +80,6 @@ def _gather_unique_array(items, keep_mask):
     a per-var bool filter.  Semantics, result order (first-seen) and
     the ``frontier.*`` counters match the scalar gather exactly.
     """
-    import numpy as np
-
     uniq, first = np.unique(items, return_index=True)
     ordered = uniq[np.argsort(first, kind="stable")]
     ordered = ordered[keep_mask[ordered]]
@@ -121,8 +118,6 @@ class BalancePlan:
 
 def _internal_mask_array(aig: Aig):
     """Vectorized ``seq_balance._internal_mask`` (bool ndarray)."""
-    import numpy as np
-
     fan0, fan1, dead = aig.arrays()
     nref = context_for(aig).fanout_counts_array()
     is_and = fan0 >= 0
@@ -148,8 +143,6 @@ def balance_collapse(aig: Aig, machine: ParallelMachine) -> BalancePlan:
     clusters run the shared scalar DFS.  Root discovery order, input
     order, works and counters replicate the scalar loop exactly.
     """
-    import numpy as np
-
     fan0, fan1, _ = aig.arrays()
     internal, is_and = _internal_mask_array(aig)
     machine.launch_batch(
@@ -241,8 +234,6 @@ def _levelize_collapsed(aig: Aig, plan: BalancePlan):
     PIs and other roots, so the fixpoint resolves in collapsed-depth
     rounds.
     """
-    import numpy as np
-
     level = np.zeros(aig.num_vars, dtype=np.int64)
     resolved = np.zeros(aig.num_vars, dtype=bool)
     resolved[0] = True
@@ -284,8 +275,6 @@ def balance_reconstruct(
     Returns ``(new, mapped)``: the rebuilt (uncompacted) graph and the
     per-old-variable array of new literals.
     """
-    import numpy as np
-
     level = _levelize_collapsed(aig, plan)
     machine.launch_batch(
         "b.levelize",
@@ -444,8 +433,6 @@ def refactor_survivor_keys(
     order (on duplicate keys the later variable wins, as in the scalar
     loop).
     """
-    import numpy as np
-
     survivors = aig.live_and_array()
     if replaced_nodes:
         replaced = np.zeros(aig.num_vars, dtype=bool)
@@ -485,8 +472,6 @@ def refactor_deleted_sets(
     returned, not just the sizes — the conflict resolver of the
     conflict-breaking refactoring pass needs the footprints themselves.
     """
-    import numpy as np
-
     num_items = len(item_cones)
     if not num_items:
         return []
@@ -575,8 +560,6 @@ def rewrite_batched_mffc(aig: Aig, nref, item_roots: list, item_cones: list):
     set, so the whole batch costs O(total cone nodes) regardless of
     cone depth.
     """
-    import numpy as np
-
     num_items = len(item_cones)
     if not num_items:
         return np.empty(0, dtype=np.int64)

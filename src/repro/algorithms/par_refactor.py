@@ -151,8 +151,8 @@ def _resynthesize(
 ) -> None:
     """Resynthesize every cone; compute the gain lower bound (III-D)."""
     # ``plan_resynthesis`` is a pure function of (table, leaf count),
-    # and the template AIG a pure function of the plan; the NumPy
-    # backend deduplicates the ISOP/factoring work *and* the template
+    # and the template AIG a pure function of the plan; the cache
+    # deduplicates the ISOP/factoring work *and* the template
     # construction across the batch — identical plans, templates,
     # works and gains, cheaper wall clock.  (One kernel thread per
     # cone recomputes them on the real GPU, which is what the charged
@@ -160,7 +160,7 @@ def _resynthesize(
     # every downstream stage only traverses them.
     plan_cache: dict[
         tuple[int, int], tuple[ResynPlan | None, Aig | None, int]
-    ] | None = ({} if backend.use_numpy() else None)
+    ] = {}
     fan0 = aig._fanin0
     fan1 = aig._fanin1
 
@@ -177,20 +177,6 @@ def _resynthesize(
         cut = job.cut
         leaves = sorted(cut.leaves)
         tt_work = len(cut.cone) * max(1, (1 << len(leaves)) >> 6)
-        if plan_cache is None:
-            table = simulate_cone(aig, make_lit(cut.root), leaves)
-            plan = plan_resynthesis(table, len(leaves))
-            if plan is None:
-                # SOP blow-up: cone filtered from replacement.
-                job.gain = None
-                return None, tt_work
-            job.plan = plan
-            job.template = build_template(plan, len(leaves))
-            # New-cone nodes are counted without sharing among new
-            # cones: the lower-bound gain of Section III-D (intra-cone
-            # sharing, which one thread sees locally, is included).
-            job.gain = len(cut.cone) - job.template.num_ands
-            return None, tt_work + plan.work
         if len(cut.cone) == 1 and len(leaves) == 2:
             # Single-node cone: the cut is exactly the root's fanin
             # pair, so its function is one of the eight precomputed
@@ -218,10 +204,14 @@ def _resynthesize(
             plan_cache[key] = hit
         plan, template, template_ands = hit
         if plan is None:
+            # SOP blow-up: cone filtered from replacement.
             job.gain = None
             return None, tt_work
         job.plan = plan
         job.template = template
+        # New-cone nodes are counted without sharing among new cones:
+        # the lower-bound gain of Section III-D (intra-cone sharing,
+        # which one thread sees locally, is included).
         job.gain = len(cut.cone) - template_ands
         return None, tt_work + plan.work
 

@@ -26,9 +26,9 @@ The pipeline:
 2. **Prune + resynthesize**: each cone's deletable set is its
    cone-restricted MFFC (the nodes whose every reference dies with
    the root — computed batched by
-   :func:`repro.algorithms.kernels.refactor_deleted_sets` on the
-   column backend).  An ELF-style gain bound (PAPERS.md) extends the
-   MFFC prune: any AND implementation of a function with ``s``
+   :func:`repro.algorithms.kernels.refactor_deleted_sets` at or above
+   ``KERNEL_CUTOFF``).  An ELF-style gain bound (PAPERS.md) extends
+   the MFFC prune: any AND implementation of a function with ``s``
    essential support variables needs at least ``s - 1`` nodes, so a
    cone deleting fewer than that cannot win *without sharing* and
    skips ISOP/factoring in the parallel stage.  Survivors are
@@ -342,7 +342,7 @@ def _deletable_sets(
     cone on the shared fanout counts (restored exactly afterwards);
     the column path computes every set in one batched fixpoint.  Both
     charge identical per-cone work, so the modeled time is
-    backend-independent.
+    path-independent.
     """
     if not cones:
         return
@@ -375,15 +375,15 @@ def _resynthesize(
 ) -> int:
     """Resynthesize the surviving cones; returns the pruned count.
 
-    Mirrors ``rf``'s resynthesis kernel (NumPy deduplicates identical
-    (table, leaf-count) plans wall-clock-only), with the ELF bound in
+    Mirrors ``rf``'s resynthesis kernel (identical (table, leaf-count)
+    plans are deduplicated, wall-clock only), with the ELF bound in
     front: a function with ``s`` essential support variables needs at
     least ``s - 1`` AND nodes, so cones whose deletable set is smaller
     are provably non-winning and skip planning entirely.
     """
     plan_cache: dict[
         tuple[int, int], tuple[ResynPlan | None, Aig | None, int]
-    ] | None = ({} if backend.use_numpy() else None)
+    ] = {}
     pruned = 0
     levels = context_for(aig).levels()
 
@@ -427,20 +427,6 @@ def _resynthesize(
             pruned += 1
             job.gain = None
             return None, tt_work + len(leaves)
-        if plan_cache is None:
-            plan = plan_resynthesis(table, len(leaves))
-            if plan is None:
-                job.gain = None  # SOP blow-up: leave untouched
-                return None, tt_work + len(leaves)
-            job.plan = plan
-            job.template = build_template(plan, len(leaves))
-            work = tt_work + len(leaves) + plan.work
-            work += job.template.num_ands  # depth-guard DP
-            if template_depth(job.template, leaves) > levels[cut.root]:
-                job.gain = None  # depth guard: capped serial lane only
-                return None, work
-            job.gain = len(job.deleted) - job.template.num_ands
-            return None, work
         key = (table, len(leaves))
         hit = plan_cache.get(key)
         if hit is None:
@@ -453,10 +439,11 @@ def _resynthesize(
             plan_cache[key] = hit
         plan, template, template_ands = hit
         if plan is None:
-            job.gain = None
+            job.gain = None  # SOP blow-up: leave untouched
             return None, tt_work + len(leaves)
         job.plan = plan
         job.template = template
+        # ``template_ands`` charges the depth-guard DP.
         work = tt_work + len(leaves) + plan.work + template_ands
         if template_depth(template, leaves) > levels[cut.root]:
             job.gain = None  # depth guard: capped serial lane only

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from repro import observe
 from repro.aig.aig import Aig
-from repro.aig.cuts import enumerate_cuts, enumerate_cuts_with_tables
+from repro.aig.cuts import enumerate_cuts_with_tables
 from repro.aig.literals import lit_var, make_lit
 from repro.algorithms import kernels
 from repro.algorithms.common import (
@@ -47,7 +47,6 @@ from repro.commit import (
     Footprint,
     apply_replacement,
     deref_cone,
-    ref_cone_back,
 )
 from repro.engine.context import clone_with_context, context_for
 from repro.engine.registry import (
@@ -139,63 +138,16 @@ def _match_stage(
     """Kernel: best rewriting candidate per node on the static graph.
 
     Returns ``{root: (leaves, transform, template, est_gain)}`` for the
-    nodes whose best candidate meets the gain threshold.
-    """
-    if backend.use_numpy():
-        return _match_stage_vec(aig, machine, min_gain)
-    cuts = enumerate_cuts(aig, REWRITE_CUT_SIZE, MAX_CUTS_PER_NODE)
-    machine.launch(
-        "rw.cut_enum",
-        [len(cuts.get(var, ())) for var in aig.and_vars()],
-    )
-    # Cached shared list: deref_cone/ref_cone_back restore it exactly.
-    nref = context_for(aig).fanout_counts()
-    static_view = AliasView(aig)  # empty alias: plain resolved reads
-    candidates: dict[int, tuple] = {}
-
-    def match(root: int) -> tuple[None, int]:
-        work = 1
-        best = None
-        for cut in cuts.get(root, ()):
-            if len(cut) < 2:
-                continue
-            work += CUT_EVAL_WORK
-            leaves = sorted(set(cut))
-            try:
-                cone = _cone_nodes(static_view, root, set(leaves))
-                table = simulate_cone(aig, make_lit(root), leaves)
-            except ValueError:
-                continue
-            transform, template = match_function(table, leaves)
-            deleted = deref_cone(static_view, root, cone, nref)
-            ref_cone_back(static_view, deleted, nref)
-            est_gain = len(deleted) - template.num_ands
-            if best is None or est_gain > best[3]:
-                best = (leaves, transform, template, est_gain)
-        if best is not None and best[3] >= min_gain:
-            candidates[root] = best
-        return None, work
-
-    machine.kernel("rw.match", list(aig.and_vars()), match)
-    return candidates
-
-
-def _match_stage_vec(
-    aig: Aig, machine: ParallelMachine, min_gain: int
-) -> dict[int, tuple]:
-    """NumPy-backend match stage: identical candidates and kernel records.
-
-    The scalar stage recomputes, per (root, cut) item, the cut's truth
-    table (cone simulation), its cone node set and its MFFC size by
-    dereferencing shared counts — all on the *static* graph, where every
-    item is independent.  Here the cut enumeration carries composed
-    truth tables and cone sets bottom-up
+    nodes whose best candidate meets the gain threshold.  Every
+    (root, cut) item is independent on the *static* graph: the cut
+    enumeration carries composed truth tables and cone sets bottom-up
     (:func:`~repro.aig.cuts.enumerate_cuts_with_tables`), library
     matches are memoized per distinct (function, cut width), and the
     MFFC walk uses a local decrement map instead of mutating/restoring
-    the shared counts.  Work units are charged exactly like the scalar
-    loop (one per node, ``CUT_EVAL_WORK`` per non-trivial cut) and fed
-    through the same ``rw.match`` kernel record.
+    the shared counts.  Work is charged one unit per node plus
+    ``CUT_EVAL_WORK`` per non-trivial cut, through one ``rw.match``
+    kernel record.  At or above ``KERNEL_CUTOFF`` the winner selection
+    runs batched (:func:`_match_select_batched`).
     """
     cuts, tables, cones = enumerate_cuts_with_tables(
         aig, REWRITE_CUT_SIZE, MAX_CUTS_PER_NODE
@@ -264,8 +216,6 @@ def _match_stage_vec(
             candidates[root] = best
         works.append(work)
 
-    # Same KernelRecord as the scalar ``machine.kernel`` call — the
-    # per-item results are all None there, so only the profile matters.
     machine.launch("rw.match", works)
     return candidates
 
@@ -280,7 +230,7 @@ def _match_select_batched(
 ) -> dict[int, tuple]:
     """Column-native winner selection for the match stage.
 
-    Replaces the per-item Python MFFC walk of ``_match_stage_vec``
+    Replaces the per-item Python MFFC walk of :func:`_match_stage`
     with one batched decrement-fixpoint sweep
     (:func:`~repro.algorithms.kernels.rewrite_batched_mffc`).  Every
     (root, cut) item whose gain bound reaches ``min_gain`` is sized;

@@ -17,7 +17,8 @@ bit-identical (docs/ARCHITECTURE.md, "Bulk construction").
 
 from __future__ import annotations
 
-from repro.aig import store
+import numpy as np
+
 from repro.aig.aig import CONST_FANIN, PI_FANIN, Aig
 from repro.aig.literals import lit_compl, lit_not_cond, lit_var
 
@@ -56,21 +57,16 @@ def _double_loop(aig: Aig) -> Aig:
 def _double_bulk(aig: Aig) -> Aig | None:
     """Vectorized ``double``, or ``None`` when the gate fails.
 
-    Gate (the "no-fold precondition"): NumPy columns, no dead rows,
+    Gate (the "no-fold precondition"): at least
+    :data:`_BULK_MIN_ANDS` live ANDs, no dead rows,
     every AND fanin a non-constant literal of a *different* variable,
     and pairwise-distinct fanin keys.  Under it the scalar replay is
     a pure renumbering — every ``add_and`` misses the strash and
     creates — so both copies are built as one gather per column and
     the strash is populated with a single bulk build.
     """
-    if (
-        not store.HAVE_NUMPY
-        or not aig._f0c.numpy
-        or aig.num_ands < _BULK_MIN_ANDS
-    ):
+    if aig.num_ands < _BULK_MIN_ANDS:
         return None
-    import numpy as np
-
     fan0, fan1, dead = aig.arrays()
     if bool(dead.any()):
         return None

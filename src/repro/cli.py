@@ -102,27 +102,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("input")
     p_verify.add_argument("-c", "--script", default="resyn2")
     p_verify.add_argument("--cut-size", type=int, default=12)
-    p_verify.add_argument(
-        "--backend", choices=["env", "python", "numpy"], default="env",
-        help="kernel backend (default: whatever REPRO_BACKEND resolves)",
-    )
     p_verify.set_defaults(handler=_cmd_verify)
 
     p_fuzz = sub.add_parser(
         "fuzz",
         help="differential fuzzing: random AIGs through random pass "
-        "scripts under all backends and sanitizer modes, CEC-gated",
+        "scripts with default and forced size gates, sanitizer off and "
+        "on, CEC-gated",
     )
     p_fuzz.add_argument("--seed", type=int, default=0)
     p_fuzz.add_argument(
         "--budget", type=int, default=30, help="number of fuzz cases"
-    )
-    p_fuzz.add_argument(
-        "--backend",
-        choices=["both", "python", "numpy", "env"],
-        default="both",
-        help="backends to differentiate ('both' runs every available "
-        "one; 'env' pins whatever REPRO_BACKEND resolves)",
     )
     p_fuzz.add_argument(
         "-v", "--verbose", action="store_true",
@@ -282,18 +272,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     from repro.verify.fuzz import run_case
 
     aig = read_aiger(args.input)
-    backend_name = None if args.backend == "env" else args.backend
     outcome = run_case(
         aig,
         args.script,
-        backend_name=backend_name,
         name=args.input,
         max_cut_size=args.cut_size,
     )
-    print(
-        f"verify {args.input} [{args.script}] "
-        f"backend={outcome.backend}"
-    )
+    print(f"verify {args.input} [{args.script}]")
     print(f"  sanitizer conflicts: {outcome.conflicts}")
     for key in sorted(outcome.counters):
         if key == "conflicts":
@@ -309,19 +294,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_fuzz(args: argparse.Namespace) -> int:
-    from repro.parallel import backend as parallel_backend
     from repro.verify.fuzz import run_fuzz
 
-    if args.backend == "both":
-        backends = None
-    elif args.backend == "env":
-        backends = [parallel_backend.current_backend()]
-    else:
-        backends = [args.backend]
     report = run_fuzz(
         seed=args.seed,
         budget=args.budget,
-        backends=backends,
         progress=print if args.verbose else None,
     )
     print(report.format())

@@ -13,7 +13,7 @@ passes and the serial lanes.
 
 Counters: ``commit.plans``, ``commit.bulk_nodes``,
 ``commit.serial_replays``, ``commit.conflicts`` — excluded from
-backend/kernel parity like ``kernels.*``.
+gate/kernel parity like ``kernels.*``.
 """
 
 from repro.commit.engine import (

@@ -15,9 +15,9 @@ paper).  A pass hands the engine a list of
    shared table, and redirect the old roots.
 
 Node allocation funnels through an :class:`InsertionSession`: whole
-miss chunks go through the column-native batch constructor when the
-numpy columns are live (counted as ``commit.bulk_nodes``) and fall
-back to bit-identical scalar allocation otherwise (counted as
+miss chunks go through the column-native batch constructor (counted
+as ``commit.bulk_nodes``); batches below the vector table's size gate
+and growth replays allocate one node at a time (counted as
 ``commit.serial_replays``) — same ids in the same order either way,
 wall-clock only.
 """
@@ -53,25 +53,15 @@ def seed_survivor_table(
     """Hash table seeded with every live AND node of ``aig``.
 
     Dead (replaced) nodes must already be marked; the sweep visits the
-    survivors in ascending id order on both backends, so the table
-    layout — and therefore every downstream probe count — is
-    bit-identical across them.
+    survivors in ascending id order, so the table layout — and
+    therefore every downstream probe count — is deterministic.
     """
     table = NodeHashTable(expected=max(aig.num_ands * 2, 64))
-    if backend.use_numpy():
-        survivors = aig.live_and_array()
-        fan0, fan1, _ = aig.arrays()
-        seed_works = table.seed_batch(
-            fan0[survivors], fan1[survivors], survivors
-        )
-    else:
-        survivors = list(aig.and_vars())
-        fanin_pairs = [aig.fanins(var) for var in survivors]
-        seed_works = table.seed_batch(
-            [pair[0] for pair in fanin_pairs],
-            [pair[1] for pair in fanin_pairs],
-            survivors,
-        )
+    survivors = aig.live_and_array()
+    fan0, fan1, _ = aig.arrays()
+    seed_works = table.seed_batch(
+        fan0[survivors], fan1[survivors], survivors
+    )
     machine.launch(launch_name, seed_works or [0])
     return table
 
@@ -79,13 +69,13 @@ def seed_survivor_table(
 class InsertionSession:
     """Counted node allocation into one graph through one hash table.
 
-    Builds the scalar ``alloc`` and (when the numpy columns are live)
-    the chunked ``alloc_batch`` callbacks the batched table operations
-    expect, instrumented with the layer's throughput counters:
-    ``commit.bulk_nodes`` for nodes created through the column-native
-    batch constructor, ``commit.serial_replays`` for nodes created one
-    at a time.  The two paths produce the same ids in the same order
-    (the :mod:`repro.parallel.vec` contract), so the split is
+    Builds the scalar ``alloc`` and the chunked ``alloc_batch``
+    callbacks the batched table operations expect, instrumented with
+    the layer's throughput counters: ``commit.bulk_nodes`` for nodes
+    created through the column-native batch constructor,
+    ``commit.serial_replays`` for nodes created one at a time.  The
+    two paths produce the same ids in the same order (the
+    :mod:`repro.parallel.vec` contract), so the split is
     wall-clock-only and excluded from parity like ``kernels.*``.
     """
 
@@ -109,18 +99,15 @@ class InsertionSession:
                 observe.count("commit.serial_replays")
             return aig.add_raw_and(key0, key1) >> 1
 
+        # Whole miss chunks allocate through the batch constructor —
+        # same ids in the same order.
+        def alloc_batch(key0, key1):
+            if observe.enabled:
+                observe.count("commit.bulk_nodes", len(key0))
+            return aig.add_raw_and_batch(key0, key1) >> 1
+
         self.alloc = alloc
-        # Whole miss chunks allocate through the batch constructor when
-        # the columns support it — same ids in the same order.
-        self.alloc_batch = None
-        if backend.use_numpy() and aig._f0c.numpy:
-
-            def alloc_batch(key0, key1):
-                if observe.enabled:
-                    observe.count("commit.bulk_nodes", len(key0))
-                return aig.add_raw_and_batch(key0, key1) >> 1
-
-            self.alloc_batch = alloc_batch
+        self.alloc_batch = alloc_batch
 
     def insert_round(
         self, pairs: list[tuple[int, int]]

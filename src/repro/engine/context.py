@@ -27,10 +27,9 @@ Levels and fanout counts are stored in the graph-owned columns of the
 array core (``Aig._levelc`` / ``Aig._nrefc``): a miss adopts the fresh
 list into the column, an extend appends/patches the column in place,
 and the cached value is the column's scalar twin (a ``memoryview``
-slice under NumPy, the adopted list itself otherwise).  Refcount
-rewrites bump the AIG's ``_ref_version`` only — they never invalidate
-the structural views.  Fanout lists, the PO mask and the topological
-order remain plain Python lists cached on the context.
+slice).  Refcount rewrites bump the AIG's ``_ref_version`` only — they
+never invalidate the structural views.  Fanout lists, the PO mask and
+the topological order remain plain Python lists cached on the context.
 
 **Cached values are shared, not copied.**  Callers must treat them as
 read-only, or restore them exactly (the dereference/re-reference
@@ -47,6 +46,8 @@ consolidation is of code, not of cache entries.
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
+
+import numpy as np
 
 from repro import observe
 from repro.aig import traversal
@@ -77,8 +78,6 @@ def _levels_tail_vec(aig: "Aig", col, size: int, num: int) -> bool:
     whole tail, which is idempotent — when the tail is deeper than
     :data:`_VEC_MAX_WAVES`.
     """
-    import numpy as np
-
     fan0, fan1, dead = aig.arrays()
     levels = col.nparray()
     live = (fan0[size:num] >= 0) & ~dead[size:num]
@@ -112,8 +111,6 @@ def _levels_tail_vec(aig: "Aig", col, size: int, num: int) -> bool:
 
 def _nref_tail_vec(aig: "Aig", col, size: int, num: int) -> None:
     """Add the tail rows' fanin references to the count column."""
-    import numpy as np
-
     fan0, fan1, dead = aig.arrays()
     live = (fan0[size:num] >= 0) & ~dead[size:num]
     rows = np.flatnonzero(live) + size
@@ -193,12 +190,11 @@ class GraphContext:
             if col.size != size:
                 # Column superseded (e.g. a second context on the same
                 # AIG); realign it with this cache's snapshot.
-                col.adopt_copy(cached[1])
+                col.adopt(cached[1])
             num = aig.num_vars
             col.extend_zeros(num - size)
             vectorized = (
-                col.numpy
-                and num - size >= _VEC_EXTEND_MIN
+                num - size >= _VEC_EXTEND_MIN
                 and _levels_tail_vec(aig, col, size, num)
             )
             if not vectorized:
@@ -260,10 +256,10 @@ class GraphContext:
             col = aig._nrefc
             size = len(cached[1])
             if col.size != size:
-                col.adopt_copy(cached[1])
+                col.adopt(cached[1])
             num = aig.num_vars
             col.extend_zeros(num - size)
-            if col.numpy and num - size >= _VEC_EXTEND_MIN:
+            if num - size >= _VEC_EXTEND_MIN:
                 _nref_tail_vec(aig, col, size, num)
             else:
                 values = col.view
@@ -281,12 +277,9 @@ class GraphContext:
             self._extend()
             return counts
         self._miss()
-        if aig._nrefc.numpy:
-            # Hand the column the ndarray itself — the list round-trip
-            # would copy every count twice.
-            aig._nrefc.adopt(traversal.fanout_counts_array(aig))
-        else:
-            aig._nrefc.adopt(traversal.fanout_counts(aig))
+        # Hand the column the ndarray itself — the list round-trip
+        # would copy every count twice.
+        aig._nrefc.adopt(traversal.fanout_counts_array(aig))
         aig._ref_version += 1
         counts = aig._nrefc.slice()
         self._fanout_counts = (key, counts)
@@ -296,32 +289,21 @@ class GraphContext:
         """Int64 ndarray view of :meth:`levels` (column-native kernels).
 
         Fills the cache through :meth:`levels` (same hit/miss counters)
-        and returns the level column's ndarray view — zero-copy when
-        the column is NumPy-backed, a fresh array otherwise.
+        and returns the level column's zero-copy ndarray view.
         """
-        values = self.levels()
-        col = self.aig._levelc
-        if col.numpy:
-            return col.nparray()
-        import numpy as np
-
-        return np.asarray(list(values), dtype=np.int64)
+        self.levels()
+        return self.aig._levelc.nparray()
 
     def fanout_counts_array(self):
         """Int64 ndarray view of :meth:`fanout_counts` (kernels).
 
         Fills the cache through :meth:`fanout_counts` (same hit/miss
-        counters) and returns the refcount column's ndarray view —
-        zero-copy when the column is NumPy-backed.  Callers must treat
-        the view as read-only, exactly like :meth:`fanout_counts`.
+        counters) and returns the refcount column's zero-copy ndarray
+        view.  Callers must treat the view as read-only, exactly like
+        :meth:`fanout_counts`.
         """
-        values = self.fanout_counts()
-        col = self.aig._nrefc
-        if col.numpy:
-            return col.nparray()
-        import numpy as np
-
-        return np.asarray(list(values), dtype=np.int64)
+        self.fanout_counts()
+        return self.aig._nrefc.nparray()
 
     def fanout_lists(self) -> list[list[int]]:
         """Fanout adjacency, POs excluded (read-only, inner lists too)."""
@@ -366,8 +348,6 @@ class GraphContext:
         key, same hit/miss accounting, a bincount sweep instead of
         per-node list appends.  Read-only, like every derived value.
         """
-        import numpy as np
-
         aig = self.aig
         key = (aig._version, aig._shape_version)
         cached = self._fanout_degrees
@@ -375,21 +355,15 @@ class GraphContext:
             self._hit()
             return cached[1]
         self._miss()
-        if aig._f0c.numpy:
-            fan0, fan1, dead = aig.arrays()
-            live = (fan0 >= 0) & ~dead
-            v0 = fan0[live] >> 1
-            v1 = fan1[live] >> 1
-            degrees = np.bincount(v0, minlength=aig.num_vars)
-            degrees = degrees + np.bincount(
-                v1[v1 != v0], minlength=aig.num_vars
-            )
-            degrees = degrees.astype(np.int64, copy=False)
-        else:
-            degrees = np.asarray(
-                [len(entry) for entry in traversal.fanout_lists(aig)],
-                dtype=np.int64,
-            )
+        fan0, fan1, dead = aig.arrays()
+        live = (fan0 >= 0) & ~dead
+        v0 = fan0[live] >> 1
+        v1 = fan1[live] >> 1
+        degrees = np.bincount(v0, minlength=aig.num_vars)
+        degrees = degrees + np.bincount(
+            v1[v1 != v0], minlength=aig.num_vars
+        )
+        degrees = degrees.astype(np.int64, copy=False)
         self._fanout_degrees = (key, degrees)
         return degrees
 
@@ -423,12 +397,7 @@ class GraphContext:
             # scan only the ids appended since the cached snapshot.
             order = cached[2]
             start = cached[1]
-            if (
-                aig._f0c.numpy
-                and aig.num_vars - start >= _VEC_EXTEND_MIN
-            ):
-                import numpy as np
-
+            if aig.num_vars - start >= _VEC_EXTEND_MIN:
                 fan0, _, dead = aig.arrays()
                 live = (fan0[start:] >= 0) & ~dead[start:]
                 order.extend(
@@ -462,10 +431,10 @@ class GraphContext:
         """
         forked = GraphContext(clone)
         if self._levels is not None:
-            clone._levelc.adopt_copy(self._levels[1])
+            clone._levelc.adopt(self._levels[1])
             forked._levels = (self._levels[0], clone._levelc.slice())
         if self._fanout_counts is not None:
-            clone._nrefc.adopt_copy(self._fanout_counts[1])
+            clone._nrefc.adopt(self._fanout_counts[1])
             clone._ref_version += 1
             forked._fanout_counts = (
                 self._fanout_counts[0], clone._nrefc.slice()

@@ -22,10 +22,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.algorithms.sequences import gpu_refactor_repeated
 from repro.benchgen.suite import load_suite
 from repro.engine import pass_fn
 from repro.experiments.metrics import geomean
+from repro.experiments.tables import gpu_refactor_repeated
 from repro.parallel.machine import (
     KernelRecord,
     MachineConfig,

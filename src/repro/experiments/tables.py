@@ -19,10 +19,15 @@ algorithms, times from the calibrated machine model.
 
 from __future__ import annotations
 
-from repro.algorithms.sequences import gpu_refactor_repeated
+from repro.aig.aig import Aig
 from repro.benchgen.enlarge import enlarge
 from repro.benchgen.suite import SUITE_ORDER, load_benchmark, load_suite
-from repro.engine import pass_fn, run_script
+from repro.engine import (
+    DEFAULT_MAX_CUT_SIZE,
+    SequenceResult,
+    pass_fn,
+    run_script,
+)
 from repro.experiments.metrics import (
     format_bar_chart,
     format_table,
@@ -53,6 +58,26 @@ QUICK_NAMES = ["div", "log2", "voter", "vga_lcd"]
 def cut_size_for(name: str) -> int:
     """Refactoring cut size for a benchmark (honors the log2=11 rule)."""
     return CUT_SIZE_OVERRIDES.get(name, CUT_SIZE)
+
+
+def gpu_refactor_repeated(
+    aig: Aig,
+    passes: int = 2,
+    max_cut_size: int = DEFAULT_MAX_CUT_SIZE,
+    machine: ParallelMachine | None = None,
+) -> SequenceResult:
+    """Repeated GPU refactoring — Table II's "GPU rf (×2)" column."""
+    machine = machine if machine is not None else ParallelMachine()
+    machine.set_tag("rf")
+    result = SequenceResult(aig, machine=machine)
+    for _ in range(passes):
+        step = par_refactor(
+            result.aig, max_cut_size=max_cut_size, machine=machine
+        )
+        result.steps.append(("rf", step))
+        result.aig = step.aig
+    machine.set_tag("")
+    return result
 
 
 def _machine(config: MachineConfig | None) -> ParallelMachine:

@@ -21,7 +21,7 @@ Typical use::
     from repro import observe
 
     tracer = observe.enable()
-    result = run_sequence(aig, "resyn2", engine="gpu")
+    result = run_script(aig, "resyn2", engine="gpu")
     tracer, metrics = observe.disable()
     export.export_trace("out.json", tracer, metrics)
 

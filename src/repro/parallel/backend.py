@@ -1,96 +1,28 @@
-"""Kernel-backend selection for the parallel substrate.
+"""Kernel-backend helpers for the parallel substrate.
 
-The simulated-GPU kernels exist in two interchangeable implementations:
-
-* ``python`` — the original per-item scalar loops.  This is the
-  reference semantics: every probe, allocation and work unit is spelled
-  out one item at a time.
-* ``numpy`` — whole-array NumPy kernels (:mod:`repro.parallel.vec`)
-  that execute the *same* batches as vectorized array operations.
-
-The two backends are contractually **bit-identical**: same AIGs, same
-per-item probe counts, same ``hashtable.*`` counters, same modeled
-times.  Only wall-clock differs.  ``docs/BACKENDS.md`` states the
-contract; ``tests/test_backend_parity.py`` enforces it.
-
-Selection (first match wins):
-
-1. :func:`set_backend` — explicit programmatic override (tests).
-2. ``REPRO_BACKEND`` environment variable: ``python``, ``numpy`` or
-   ``auto``.
-3. ``auto`` (the default): ``numpy`` when importable, else ``python``.
-
-Requesting ``numpy`` without NumPy installed raises at selection time
-rather than deep inside a kernel.
+The simulated-GPU kernels run as whole-array NumPy code
+(:mod:`repro.parallel.vec`, :mod:`repro.algorithms.kernels`), with the
+per-item scalar loops kept below each site's size gate as the
+reference semantics.  Which side runs is decided by those gates alone
+(docs/ARCHITECTURE.md, "Size gates"); both sides produce the same
+AIGs, probe counts, counters and modeled times.
 """
 
 from __future__ import annotations
 
-import os
-
-BACKEND_ENV = "REPRO_BACKEND"
-
-_VALID = ("python", "numpy", "auto")
-
-try:  # NumPy is an optional extra (``pip install repro[fast]``).
-    import numpy  # noqa: F401
-
-    HAS_NUMPY = True
-except ImportError:  # pragma: no cover - exercised in numpy-less CI
-    HAS_NUMPY = False
-
-#: Programmatic override; None defers to the environment.
-_override: str | None = None
-
-
-def set_backend(name: str | None) -> None:
-    """Force a backend (``"python"``/``"numpy"``), or None to defer.
-
-    Passing ``"numpy"`` without NumPy installed raises ImportError.
-    """
-    if name is not None:
-        if name not in ("python", "numpy"):
-            raise ValueError(f"unknown backend {name!r}")
-        if name == "numpy" and not HAS_NUMPY:
-            raise ImportError("numpy backend requested but numpy missing")
-    global _override
-    _override = name
+import numpy as np
 
 
 def current_backend() -> str:
-    """The active backend name: ``"python"`` or ``"numpy"``."""
-    if _override is not None:
-        return _override
-    requested = os.environ.get(BACKEND_ENV, "auto").strip().lower()
-    if requested not in _VALID:
-        raise ValueError(
-            f"{BACKEND_ENV}={requested!r} (expected python|numpy|auto)"
-        )
-    if requested == "auto":
-        return "numpy" if HAS_NUMPY else "python"
-    if requested == "numpy" and not HAS_NUMPY:
-        raise ImportError(
-            f"{BACKEND_ENV}=numpy but numpy is not installed "
-            "(pip install repro[fast])"
-        )
-    return requested
-
-
-def use_numpy() -> bool:
-    """True when the numpy backend is active."""
-    return current_backend() == "numpy"
+    """Name of the kernel backend, recorded in run manifests."""
+    return "numpy"
 
 
 def const_profile(work: int, count: int):
     """A work profile of ``count`` items, each charging ``work`` units.
 
-    Returns a NumPy array under the numpy backend (consumed by
+    An int64 array consumed by
     :meth:`~repro.parallel.machine.ParallelMachine.launch_batch`
-    without a per-item loop) and a plain list otherwise — the resulting
-    :class:`~repro.parallel.machine.KernelRecord` is identical.
+    without a per-item loop.
     """
-    if use_numpy():
-        import numpy as np
-
-        return np.full(count, work, dtype=np.int64)
-    return [work] * count
+    return np.full(count, work, dtype=np.int64)

@@ -13,8 +13,9 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable
 
+import numpy as np
+
 from repro import observe
-from repro.parallel import backend
 
 #: Below this batch size the scalar loops win on constant factors.
 _VEC_MIN_ITEMS = 512
@@ -31,9 +32,7 @@ def gather_unique(
     hash insertion per candidate.
     """
     items = candidates if isinstance(candidates, list) else list(candidates)
-    if backend.use_numpy() and len(items) >= _VEC_MIN_ITEMS:
-        import numpy as np
-
+    if len(items) >= _VEC_MIN_ITEMS:
         uniq, first = np.unique(
             np.asarray(items, dtype=np.int64), return_index=True
         )
@@ -78,9 +77,7 @@ def group_by_level(
     items: list[int], level_of: Callable[[int], int]
 ) -> tuple[list[list[int]], int]:
     """Bucket items by level, ascending (parallel histogram + scatter)."""
-    if backend.use_numpy() and len(items) >= _VEC_MIN_ITEMS:
-        import numpy as np
-
+    if len(items) >= _VEC_MIN_ITEMS:
         levels = np.fromiter(
             (level_of(item) for item in items),
             dtype=np.int64,

@@ -34,10 +34,12 @@ def _hash_key(key0: int, key1: int) -> int:
 
 
 class HashTable:
-    """Open-addressing hash table from (int, int) keys to int values."""
+    """Open-addressing hash table from (int, int) keys to int values.
 
-    #: Overridden by the NumPy twin (``repro.parallel.vec.VecHashTable``).
-    IS_VEC = False
+    The scalar reference: every probe is spelled out one item at a
+    time.  :class:`repro.parallel.vec.VecHashTable` inherits these
+    single-item operations and vectorizes the batched ones.
+    """
 
     def __init__(self, expected: int = 1024, load_factor: float = 0.5) -> None:
         if not 0.0 < load_factor < 1.0:
@@ -239,29 +241,20 @@ class HashTable:
             observe.count("hashtable.rehash_probes", rehash_probes)
 
 
-def make_hash_table(
-    expected: int = 1024, load_factor: float = 0.5
-) -> HashTable:
-    """Backend-selected hash table (see :mod:`repro.parallel.backend`)."""
-    from repro.parallel import backend
-
-    if backend.use_numpy():
-        from repro.parallel.vec import VecHashTable
-
-        return VecHashTable(expected, load_factor)
-    return HashTable(expected, load_factor)
-
-
 class NodeHashTable:
     """Sharing-aware AND-node creation on top of :class:`HashTable`.
 
     Keys are canonical fanin pairs; values are node variable ids.  The
     trivial-AND folding rules are applied before any table access, like
-    the GPU node-creation kernel does.
+    the GPU node-creation kernel does.  The batched calls run the
+    vectorized kernels of :mod:`repro.parallel.vec`; the per-item
+    :meth:`seed` / :meth:`get_or_create` are their scalar reference.
     """
 
     def __init__(self, expected: int = 1024) -> None:
-        self._table = make_hash_table(expected)
+        from repro.parallel.vec import VecHashTable
+
+        self._table = VecHashTable(expected)
 
     @property
     def size(self) -> int:
@@ -286,14 +279,9 @@ class NodeHashTable:
                     for lit0, lit1 in zip(lits0, lits1)
                 ],
             )
-        if self._table.IS_VEC:
-            from repro.parallel import vec
+        from repro.parallel import vec
 
-            return vec.seed_batch(self, lits0, lits1, variables)
-        return [
-            self.seed(lit0, lit1, var)
-            for lit0, lit1, var in zip(lits0, lits1, variables)
-        ]
+        return vec.seed_batch(self, lits0, lits1, variables)
 
     def get_or_create(self, lit0: int, lit1: int, alloc) -> tuple[int, int]:
         """Return the literal of AND(lit0, lit1), creating it if new.
@@ -325,10 +313,9 @@ class NodeHashTable:
 
         ``alloc`` is called in batch order for the items no equivalent
         node exists for — the deterministic stand-in for the GPU's
-        atomicCAS winner-takes-all.  ``alloc_batch``, when provided
-        and the vector table is active, allocates whole miss chunks in
-        one call (same ids, same order — wall-clock only).  Returns
-        (literals, probe works).
+        atomicCAS winner-takes-all.  ``alloc_batch``, when provided,
+        allocates whole miss chunks in one call (same ids, same order —
+        wall-clock only).  Returns (literals, probe works).
         """
         if sanitizer.enabled:
             # Same-key items in one batch are the paper's atomicCAS
@@ -337,19 +324,9 @@ class NodeHashTable:
                 "get_or_create",
                 [lit_pair_key(lit0, lit1) for lit0, lit1 in pairs],
             )
-        if self._table.IS_VEC:
-            from repro.parallel import vec
+        from repro.parallel import vec
 
-            return vec.get_or_create_batch(
-                self, pairs, alloc, alloc_batch
-            )
-        literals = []
-        works = []
-        for lit0, lit1 in pairs:
-            literal, probes = self.get_or_create(lit0, lit1, alloc)
-            literals.append(literal)
-            works.append(probes)
-        return literals, works
+        return vec.get_or_create_batch(self, pairs, alloc, alloc_batch)
 
     def lookup_lit(self, lit0: int, lit1: int) -> tuple[int | None, int]:
         """Literal of an existing AND(lit0, lit1) or None, plus work."""

@@ -43,13 +43,10 @@ from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
 from typing import Any
 
+import numpy as np
+
 from repro import observe
 from repro.verify import sanitizer
-
-try:  # Optional: only the ``launch_batch`` array fast path uses it.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised in numpy-less CI
-    _np = None
 
 
 @dataclass(frozen=True)
@@ -180,7 +177,7 @@ class ParallelMachine:
         sequence takes the scalar :meth:`launch` loop.  The recorded
         :class:`KernelRecord` is identical either way.
         """
-        if _np is not None and isinstance(works, _np.ndarray):
+        if isinstance(works, np.ndarray):
             count = int(works.shape[0])
             total = int(works.sum()) if count else 0
             peak = int(works.max()) if count else 0

@@ -1,13 +1,13 @@
-"""NumPy batch kernels for the parallel substrate (the fast backend).
+"""NumPy batch kernels for the parallel hash table.
 
 Every kernel here executes one of the already-batched operations of
-:mod:`repro.parallel` as whole-array NumPy code while reproducing the
-scalar backend **bit-identically**: same table layouts, same per-item
-probe counts, same allocation order, same ``hashtable.*`` counters.
-``docs/BACKENDS.md`` documents the contract; this module is the only
-place allowed to depend on NumPy.
+:mod:`repro.parallel.hashtable` as whole-array NumPy code while
+reproducing the scalar per-item loop **bit-identically**: same table
+layouts, same per-item probe counts, same allocation order, same
+``hashtable.*`` counters.  Below :data:`_SCALAR_CUTOFF` items the
+scalar loop itself runs (docs/ARCHITECTURE.md, "Size gates").
 
-The interesting kernel is batched hash insertion.  The scalar backend
+The interesting kernel is batched hash insertion.  The scalar loop
 resolves same-key (and same-slot) conflicts deterministically in batch
 order; a naive data-parallel insert would not.  The vectorized version
 reproduces the sequential result in two phases:
@@ -156,8 +156,6 @@ class VecHashTable(HashTable):
     overridden with vectorized implementations.
     """
 
-    IS_VEC = True
-
     def __init__(
         self, expected: int = 1024, load_factor: float = 0.5
     ) -> None:
@@ -293,7 +291,7 @@ class VecHashTable(HashTable):
         self._acidx[slot[~hit]] = -1
         if sanitizer.enabled and rounds > 1:
             # Extra placement rounds = slot-level arbitration between
-            # batch items (the physical contention the scalar backend
+            # batch items (the physical contention the scalar loop
             # resolves implicitly in batch order) — a vec-only
             # diagnostic, not part of the bit-identical contract.
             sanitizer.current().on_evictions(rounds - 1)

@@ -12,6 +12,11 @@ Three layers (see ``docs/VERIFICATION.md``):
 * :mod:`repro.verify.fuzz` — the CEC-gated differential fuzzing
   harness behind ``repro-aig fuzz`` / ``repro-aig verify``.
 
+:mod:`repro.verify.gates` forces every fast-path size gate to one
+value (:func:`forced_gates`), turning the vector-vs-scalar contract
+into a differential the goldens check, the fuzzer and the parity tests
+run.
+
 :mod:`repro.verify.mutations` holds the test-only fault-injection
 hooks that prove the stack catches the bugs it is designed for.
 
@@ -22,6 +27,7 @@ whole optimization stack.
 """
 
 from repro.verify import invariants, mutations, sanitizer
+from repro.verify.gates import GATES, forced_gates
 from repro.verify.invariants import (
     AigInvariantError,
     InvariantError,
@@ -35,10 +41,12 @@ from repro.verify.sanitizer import (
 
 __all__ = [
     "AigInvariantError",
+    "GATES",
     "InvariantError",
     "RaceConflictError",
     "Sanitizer",
     "check_invariants",
+    "forced_gates",
     "invariants",
     "mutations",
     "sanitizer",

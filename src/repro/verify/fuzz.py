@@ -1,13 +1,16 @@
 """CEC-gated differential fuzzing of the parallel optimization engine.
 
 One fuzz *case* is a generated AIG plus a pass script.  The harness
-runs the case under every requested backend and both sanitizer modes
-(off, and on in record mode with post-pass invariant auditing), then:
+runs the case with the fast-path size gates at their defaults and
+forced to ``0`` (:func:`repro.verify.gates.forced_gates`), each under
+both sanitizer modes (off, and on in record mode with post-pass
+invariant auditing), then:
 
 * collects sanitizer conflicts and invariant violations per run;
-* compares the AIGER dumps of all runs — the backends promise
-  bit-identical results and the sanitizer promises to be transparent,
-  so every run of one case must produce the *same* AIG;
+* compares the AIGER dumps of all runs — the vector paths promise
+  bit-identical results to their scalar references and the sanitizer
+  promises to be transparent, so every run of one case must produce
+  the *same* AIG;
 * gates the result with combinational equivalence checking against the
   input (:func:`repro.cec.check_equivalence`).
 
@@ -32,10 +35,14 @@ from repro.benchgen.control import random_control
 from repro.benchgen.random_aig import mtm_random
 from repro.cec import CecStatus, check_equivalence
 from repro.engine import run_script
-from repro.parallel import backend
 from repro.verify import sanitizer
+from repro.verify.gates import forced_gates
 from repro.verify.invariants import AigInvariantError
 from repro.verify.sanitizer import RaceConflictError, Sanitizer
+
+#: Gate settings every case runs under: the defaults, and every gate
+#: forced to 0 (vector paths even on the fuzzer's small graphs).
+GATE_MODES = (None, 0)
 
 #: Scripts sampled by the fuzzer — single passes plus interleavings
 #: that chain every pass family (b / rw / rwz / rf) and the dedup
@@ -54,11 +61,11 @@ SCRIPT_POOL = (
 
 @dataclass
 class CaseOutcome:
-    """Result of one (case, backend, sanitize) run."""
+    """Result of one (case, gates, sanitize) run."""
 
     name: str
     script: str
-    backend: str
+    gates: str  # "default", or the value every gate was forced to
     sanitize: bool
     conflicts: int = 0
     error: str | None = None
@@ -80,7 +87,7 @@ class CaseOutcome:
 def run_case(
     aig: Aig,
     script: str,
-    backend_name: str | None = None,
+    gates: int | None = None,
     sanitize: bool = True,
     check_cec: bool = True,
     name: str = "case",
@@ -91,31 +98,29 @@ def run_case(
     With ``sanitize`` the run executes under a record-mode sanitizer
     (all conflicts collected, none raised) with post-pass invariant
     auditing; structural failures are captured in the outcome instead
-    of propagating.  ``backend_name`` pins the kernel backend for the
-    duration of the run.
+    of propagating.  ``gates`` forces every fast-path size gate to that
+    value for the duration of the run (``None`` keeps the defaults).
     """
     outcome = CaseOutcome(
         name=name,
         script=script,
-        backend=backend_name or backend.current_backend(),
+        gates=_gates_label(gates),
         sanitize=sanitize,
     )
-    previous_override = backend._override
     san = Sanitizer(on_conflict="record") if sanitize else None
     result = None
     try:
-        if backend_name is not None:
-            backend.set_backend(backend_name)
         if san is not None:
             sanitizer.set_sanitizer(san)
         try:
-            result = run_script(
-                aig.clone(),
-                script,
-                engine="gpu",
-                max_cut_size=max_cut_size,
-                verify_invariants=sanitize,
-            )
+            with forced_gates(gates):
+                result = run_script(
+                    aig.clone(),
+                    script,
+                    engine="gpu",
+                    max_cut_size=max_cut_size,
+                    verify_invariants=sanitize,
+                )
         except RaceConflictError as exc:  # pragma: no cover - record
             outcome.error = str(exc)     # mode never raises; belt and
             outcome.error_kind = "race"  # braces for future modes
@@ -128,7 +133,6 @@ def run_case(
     finally:
         if san is not None:
             sanitizer.set_sanitizer(None)
-        backend.set_backend(previous_override)
     if san is not None:
         outcome.conflicts = san.num_conflicts
         outcome.counters = san.summary()
@@ -145,13 +149,16 @@ def run_case(
     return outcome
 
 
+def _gates_label(gates: int | None) -> str:
+    return "default" if gates is None else str(gates)
+
+
 @dataclass
 class FuzzReport:
     """Aggregate verdict of one fuzzing session."""
 
     seed: int
     budget: int
-    backends: list[str]
     cases: int = 0
     runs: int = 0
     conflicts: int = 0
@@ -176,14 +183,14 @@ class FuzzReport:
     def format(self) -> str:
         """Human-readable multi-line summary."""
         lines = [
-            f"fuzz seed={self.seed} budget={self.budget} "
-            f"backends={','.join(self.backends)}",
+            f"fuzz seed={self.seed} budget={self.budget} gates="
+            + ",".join(_gates_label(gates) for gates in GATE_MODES),
             f"  cases run          {self.cases}",
             f"  engine runs        {self.runs}",
             f"  sanitizer conflicts{self.conflicts:>5}",
             f"  invariant failures {self.invariant_failures:>5}",
             f"  cec failures       {self.cec_failures:>5}",
-            f"  backend mismatches {self.mismatches:>5}",
+            f"  run mismatches     {self.mismatches:>5}",
             f"  other errors       {self.errors:>5}",
             f"  cec unknowns       {self.unknowns:>5}",
         ]
@@ -238,32 +245,28 @@ def _generate_case(rng: random.Random, index: int) -> tuple[str, Aig]:
 def run_fuzz(
     seed: int = 0,
     budget: int = 30,
-    backends: list[str] | None = None,
     scripts: tuple[str, ...] = SCRIPT_POOL,
     progress=None,
 ) -> FuzzReport:
     """Fuzz ``budget`` cases; returns the aggregate report.
 
-    ``backends`` defaults to every available backend.  ``progress`` is
-    an optional callable receiving one line per case.
+    Each case runs under every :data:`GATE_MODES` entry × sanitizer
+    off/on.  ``progress`` is an optional callable receiving one line
+    per case.
     """
-    if backends is None:
-        backends = ["python"]
-        if backend.HAS_NUMPY:
-            backends.append("numpy")
     rng = random.Random(seed)
-    report = FuzzReport(seed=seed, budget=budget, backends=list(backends))
+    report = FuzzReport(seed=seed, budget=budget)
     for index in range(budget):
         case_name, aig = _generate_case(rng, index)
         script = rng.choice(scripts)
         label = f"{case_name} script={script!r}"
         outcomes: list[CaseOutcome] = []
-        for backend_name in backends:
+        for gates in GATE_MODES:
             for sanitize in (False, True):
                 outcome = run_case(
                     aig,
                     script,
-                    backend_name=backend_name,
+                    gates=gates,
                     sanitize=sanitize,
                     # The dumps are compared below; CEC once per
                     # distinct dump keeps the gate complete and cheap.
@@ -275,7 +278,7 @@ def run_fuzz(
                 report.conflicts += outcome.conflicts
                 if outcome.conflicts:
                     report.failures.append(
-                        f"{label} backend={backend_name}: "
+                        f"{label} gates={outcome.gates}: "
                         f"{outcome.conflicts} sanitizer conflict(s)"
                     )
                 if outcome.error is not None:
@@ -284,7 +287,7 @@ def run_fuzz(
                     else:
                         report.errors += 1
                     report.failures.append(
-                        f"{label} backend={backend_name} "
+                        f"{label} gates={outcome.gates} "
                         f"sanitize={sanitize}: {outcome.error}"
                     )
         dumps = {
@@ -293,7 +296,7 @@ def run_fuzz(
         if len(dumps) > 1:
             report.mismatches += 1
             report.failures.append(
-                f"{label}: backends/sanitizer modes disagree "
+                f"{label}: gate/sanitizer modes disagree "
                 f"({len(dumps)} distinct results)"
             )
         for dump in sorted(dumps):

@@ -1,7 +1,7 @@
 """Structural invariant checking for pass results and mid-pass states.
 
 :func:`check_invariants` is the post-pass checker the verify harness
-and ``run_sequence`` call after every pass: it layers acyclicity (an
+and ``run_script`` call after every pass: it layers acyclicity (an
 explicit DFS, independent of the id-order convention), level
 consistency (forward sweep vs PO-side recursion must agree) and
 dangling-reference detection on top of the structural checks of

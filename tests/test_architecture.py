@@ -22,6 +22,12 @@ mutation primitives (``kill`` / ``revive`` / ``set_alias`` /
 Documented exceptions are the modules that *are* the primitives or the
 sequential references (see :data:`MUTATION_ALLOWED`).
 
+Two rules guard the single-backend design: every module-level size
+gate under ``src/`` (an integer constant named ``*_CUTOFF`` or
+``*_MIN*``) must be listed in :data:`repro.verify.gates.GATES`, so the
+forced-gates differential covers it; and no reference to the deleted
+backend switch or no-NumPy mode may come back.
+
 This file is pure text scanning (no ``repro`` import), so the CI lint
 job runs it without installing the package:
 ``python tests/test_architecture.py``.
@@ -29,6 +35,7 @@ job runs it without installing the package:
 
 from __future__ import annotations
 
+import ast
 import re
 import sys
 from pathlib import Path
@@ -68,6 +75,81 @@ MUTATION_ALLOWED = (
     "src/repro/algorithms/seq_balance.py",
     "src/repro/algorithms/sop_balance.py",
 )
+
+
+#: Names of the deleted backend switch and no-NumPy column mode,
+#: spelled in pieces so a plain grep of the tree for them stays empty.
+FORBIDDEN_BACKEND = re.compile(
+    r"\b(use_" r"numpy|HAVE_" r"NUMPY|HAS_" r"NUMPY|REPRO_" r"BACKEND)\b"
+)
+
+#: The forced-gates helper, the one place that lists the size gates.
+GATES_FILE = REPO_ROOT / "src" / "repro" / "verify" / "gates.py"
+
+
+def _is_gate_name(name: str) -> bool:
+    return name.endswith("_CUTOFF") or "_MIN" in name
+
+
+def find_size_gates() -> set[tuple[str, str]]:
+    """``(module, name)`` of every module-level size gate in ``src/``."""
+    gates: set[tuple[str, str]] = set()
+    src = REPO_ROOT / "src"
+    for path in sorted(src.rglob("*.py")):
+        module = ".".join(path.relative_to(src).with_suffix("").parts)
+        module = module.removesuffix(".__init__")
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, ast.Assign):
+                targets, value = node.targets, node.value
+            elif isinstance(node, ast.AnnAssign):
+                targets, value = [node.target], node.value
+            else:
+                continue
+            if not (
+                isinstance(value, ast.Constant)
+                and type(value.value) is int
+            ):
+                continue
+            for target in targets:
+                if isinstance(target, ast.Name) and _is_gate_name(
+                    target.id
+                ):
+                    gates.add((module, target.id))
+    return gates
+
+
+def listed_gates() -> set[tuple[str, str]]:
+    """The ``GATES`` tuple of the forced-gates helper, read as text."""
+    tree = ast.parse(GATES_FILE.read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "GATES"
+            for target in node.targets
+        ):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def find_unlisted_gates() -> list[str]:
+    """Size gates the forced-gates differential would not cover."""
+    return [
+        f"{module}.{name}"
+        for module, name in sorted(find_size_gates() - listed_gates())
+    ]
+
+
+def find_backend_references() -> list[str]:
+    """Leftover references to the deleted backend switch in ``src/``."""
+    violations: list[str] = []
+    for path in sorted((REPO_ROOT / "src").rglob("*.py")):
+        relative = path.relative_to(REPO_ROOT).as_posix()
+        for number, line in enumerate(
+            path.read_text(encoding="utf-8").splitlines(), start=1
+        ):
+            if FORBIDDEN_BACKEND.search(line):
+                violations.append(f"{relative}:{number}: {line.strip()}")
+    return violations
 
 
 def find_violations() -> list[str]:
@@ -119,6 +201,24 @@ def test_pass_mutations_route_through_commit_layer() -> None:
     )
 
 
+def test_every_size_gate_is_forced_by_the_helper() -> None:
+    assert len(find_size_gates()) >= 9
+    unlisted = find_unlisted_gates()
+    assert not unlisted, (
+        "size gates missing from repro.verify.gates.GATES (the "
+        "forced-gates differential would never cover them):\n"
+        + "\n".join(unlisted)
+    )
+
+
+def test_no_backend_switch_references() -> None:
+    violations = find_backend_references()
+    assert not violations, (
+        "references to the deleted backend switch / no-NumPy mode:\n"
+        + "\n".join(violations)
+    )
+
+
 def main() -> int:
     failed = False
     violations = find_violations()
@@ -141,6 +241,22 @@ def main() -> int:
             "route graph mutation through repro.commit",
             file=sys.stderr,
         )
+    unlisted = find_unlisted_gates()
+    if unlisted:
+        failed = True
+        print("size-gate conformance FAILED:", file=sys.stderr)
+        for gate in unlisted:
+            print(f"  {gate}", file=sys.stderr)
+        print(
+            "list every size gate in repro.verify.gates.GATES",
+            file=sys.stderr,
+        )
+    backend_references = find_backend_references()
+    if backend_references:
+        failed = True
+        print("backend-switch conformance FAILED:", file=sys.stderr)
+        for violation in backend_references:
+            print(f"  {violation}", file=sys.stderr)
     if failed:
         return 1
     print("architecture conformance OK")

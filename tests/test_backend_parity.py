@@ -1,13 +1,18 @@
-"""Cross-backend parity: python and numpy kernels are bit-identical.
+"""Fast-path parity: vector paths and scalar references are bit-identical.
 
-This file enforces the contract stated in
-:mod:`repro.parallel.backend` and ``docs/BACKENDS.md``: for any input
-AIG and any optimization script, the scalar and NumPy backends must
-produce identical serialized AIGs, identical ``hashtable.*`` counters
-and identical modeled times.  Only wall-clock may differ.
+Every hot loop has one vectorized path and one scalar reference,
+selected only by a module-level size gate (docs/ARCHITECTURE.md, "Size
+gates").  This file runs whole scripts with every gate forced to ``0``
+(vector paths everywhere) and to ``math.inf`` (scalar references
+everywhere) through :func:`repro.verify.forced_gates`, and requires
+identical serialized AIGs, identical ``hashtable.*`` counters and
+identical modeled times.  Only wall-clock may differ.
 """
 
 from __future__ import annotations
+
+import importlib
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -15,33 +20,26 @@ from hypothesis import strategies as st
 
 from repro import observe
 from repro.aig.io_aiger import dump_aag
-from repro.algorithms.sequences import run_sequence
 from repro.benchgen.suite import load_benchmark
+from repro.engine import run_script
 from repro.parallel import backend
 from repro.parallel.machine import ParallelMachine
+from repro.verify import GATES, forced_gates
 from tests.conftest import build_random_aig
 
 aig_seeds = st.integers(min_value=0, max_value=100_000)
 aig_sizes = st.integers(min_value=5, max_value=150)
 
-requires_numpy = pytest.mark.skipif(
-    not backend.HAS_NUMPY, reason="numpy backend unavailable"
-)
 
-
-@pytest.fixture(autouse=True)
-def _reset_backend():
-    yield
-    backend.set_backend(None)
-
-
-def _run_script(name: str, aig, script: str):
-    """Run ``script`` under backend ``name``; returns the parity tuple."""
-    backend.set_backend(name)
-    observe.enable()
+def _run_gated(gates, aig, script: str):
+    """Run ``script`` with every gate at ``gates``; the parity tuple."""
     machine = ParallelMachine()
-    result = run_sequence(aig, script, engine="gpu", machine=machine)
-    _, registry = observe.disable()
+    with forced_gates(gates):
+        observe.enable()
+        try:
+            result = run_script(aig, script, engine="gpu", machine=machine)
+        finally:
+            _, registry = observe.disable()
     counters = {
         key: value
         for key, value in registry.snapshot()["counters"].items()
@@ -51,11 +49,11 @@ def _run_script(name: str, aig, script: str):
 
 
 def _assert_parity(make_aig, script: str) -> None:
-    aag_p, counters_p, modeled_p = _run_script("python", make_aig(), script)
-    aag_n, counters_n, modeled_n = _run_script("numpy", make_aig(), script)
-    assert aag_p == aag_n
-    assert modeled_p == modeled_n
-    assert counters_p == counters_n
+    aag_v, counters_v, modeled_v = _run_gated(0, make_aig(), script)
+    aag_s, counters_s, modeled_s = _run_gated(math.inf, make_aig(), script)
+    assert aag_v == aag_s
+    assert modeled_v == modeled_s
+    assert counters_v == counters_s
 
 
 # ----------------------------------------------------------------------
@@ -63,7 +61,6 @@ def _assert_parity(make_aig, script: str) -> None:
 # ----------------------------------------------------------------------
 
 
-@requires_numpy
 @pytest.mark.parametrize(
     ("name", "script"),
     [
@@ -80,7 +77,6 @@ def test_suite_parity(name, script):
 # ----------------------------------------------------------------------
 
 
-@requires_numpy
 @settings(max_examples=10, deadline=None)
 @given(seed=aig_seeds, size=aig_sizes)
 def test_random_resyn2_parity(seed, size):
@@ -90,46 +86,63 @@ def test_random_resyn2_parity(seed, size):
 
 
 # ----------------------------------------------------------------------
-# Backend selection
+# The gate helper and the profile helper
 # ----------------------------------------------------------------------
 
 
-def test_set_backend_rejects_unknown():
-    with pytest.raises(ValueError):
-        backend.set_backend("cuda")
+def test_forced_gates_sets_and_restores_every_gate():
+    modules = [
+        (importlib.import_module(module), attr) for module, attr in GATES
+    ]
+    defaults = [getattr(module, attr) for module, attr in modules]
+    with forced_gates(0):
+        assert all(getattr(module, attr) == 0 for module, attr in modules)
+    assert [getattr(module, attr) for module, attr in modules] == defaults
+    with pytest.raises(RuntimeError):
+        with forced_gates(math.inf):
+            raise RuntimeError("restore on error")
+    assert [getattr(module, attr) for module, attr in modules] == defaults
+    with forced_gates(None):
+        assert [
+            getattr(module, attr) for module, attr in modules
+        ] == defaults
 
 
-def test_override_beats_environment(monkeypatch):
-    monkeypatch.setenv(backend.BACKEND_ENV, "python")
-    backend.set_backend("python")
-    assert backend.current_backend() == "python"
-    backend.set_backend(None)
-    assert backend.current_backend() == "python"
+def test_forced_gates_switch_every_pass_path():
+    """Gates at 0 reach the vector paths on a small graph; at inf none."""
+
+    def path_counters(gates):
+        with forced_gates(gates):
+            observe.enable()
+            try:
+                run_script(
+                    build_random_aig(3, num_ands=120), "b; rw; rf",
+                    engine="gpu",
+                )
+            finally:
+                _, registry = observe.disable()
+        return {
+            key: value
+            for key, value in registry.snapshot()["counters"].items()
+            if key.startswith(("kernels.", "commit.bulk_nodes"))
+        }
+
+    vector = path_counters(0)
+    for key in (
+        "kernels.b_singleton_clusters",
+        "kernels.rf_degree_cones",
+        "kernels.rw_sized_items",
+        "commit.bulk_nodes",
+    ):
+        assert vector.get(key, 0) > 0, key
+    assert path_counters(math.inf) == {}
 
 
-def test_environment_selection(monkeypatch):
-    backend.set_backend(None)
-    monkeypatch.setenv(backend.BACKEND_ENV, "python")
-    assert not backend.use_numpy()
-    monkeypatch.setenv(backend.BACKEND_ENV, "bogus")
-    with pytest.raises(ValueError):
-        backend.current_backend()
-    monkeypatch.setenv(backend.BACKEND_ENV, "auto")
-    assert backend.current_backend() == (
-        "numpy" if backend.HAS_NUMPY else "python"
-    )
-
-
-@requires_numpy
 def test_const_profile_and_launch_batch_equivalence():
     """launch_batch builds the same KernelRecord from array and list."""
-    machines = {}
-    for name in ("python", "numpy"):
-        backend.set_backend(name)
-        machine = ParallelMachine()
-        machine.launch_batch("k", backend.const_profile(3, 17))
-        machines[name] = machine
-    rec_p = machines["python"].records[0]
-    rec_n = machines["numpy"].records[0]
-    assert rec_p == rec_n
-    assert machines["python"].total_time() == machines["numpy"].total_time()
+    from_array = ParallelMachine()
+    from_array.launch_batch("k", backend.const_profile(3, 17))
+    from_list = ParallelMachine()
+    from_list.launch_batch("k", [3] * 17)
+    assert from_array.records[0] == from_list.records[0]
+    assert from_array.total_time() == from_list.total_time()

@@ -35,17 +35,11 @@ from tests.conftest import build_random_aig
 # under the submodule's name; reach the module for its internals.
 enlarge_mod = importlib.import_module("repro.benchgen.enlarge")
 
-requires_numpy = pytest.mark.skipif(
-    not store.HAVE_NUMPY, reason="numpy unavailable"
-)
-
-
 # ----------------------------------------------------------------------
 # _hash_pairs: exact replica of hash((k0, k1))
 # ----------------------------------------------------------------------
 
 
-@requires_numpy
 def test_hash_pairs_matches_python_tuple_hash():
     import numpy as np
 
@@ -81,7 +75,6 @@ def _scalar_twin(keys, values) -> FlatStrash:
     return table
 
 
-@requires_numpy
 def test_insert_bulk_matches_scalar_inserts():
     import numpy as np
 
@@ -111,7 +104,6 @@ def test_insert_bulk_matches_scalar_inserts():
     assert int(slots[-1]) == -1
 
 
-@requires_numpy
 def test_insert_bulk_through_tombstones():
     import numpy as np
 
@@ -134,20 +126,23 @@ def test_insert_bulk_through_tombstones():
         assert table.get(key) == expected
 
 
-def test_insert_bulk_list_fallback_without_numpy(monkeypatch):
-    monkeypatch.setattr(store, "HAVE_NUMPY", False)
-    table = FlatStrash()
+def test_insert_bulk_scalar_fallback_below_gate(monkeypatch):
     keys = [(k, k + 1) for k in range(2, 300)]
-    table.insert_bulk(
-        [k[0] for k in keys],
-        [k[1] for k in keys],
-        list(range(1, len(keys) + 1)),
-    )
-    for value, key in enumerate(keys, start=1):
-        assert table.get(key) == value
+    tables = []
+    for gate in (store._BULK_MIN, 10**9):
+        monkeypatch.setattr(store, "_BULK_MIN", gate)
+        table = FlatStrash()
+        table.insert_bulk(
+            [k[0] for k in keys],
+            [k[1] for k in keys],
+            list(range(1, len(keys) + 1)),
+        )
+        for value, key in enumerate(keys, start=1):
+            assert table.get(key) == value
+        tables.append(table)
+    assert len(tables[0]) == len(tables[1]) == len(keys)
 
 
-@requires_numpy
 def test_build_bulk_presized_no_rehash():
     import numpy as np
 
@@ -192,7 +187,6 @@ def _batch_base(kill_tail: int = 0) -> Aig:
     return aig
 
 
-@requires_numpy
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=10**6),
@@ -242,11 +236,10 @@ def _check_batch_parity(seed, count, kill_tail):
     assert dump_aag(batch) == dump_aag(scalar)
 
 
-def test_add_and_batch_list_mode_fallback(monkeypatch):
-    monkeypatch.setattr(store, "HAVE_NUMPY", False)
+def test_add_and_batch_scalar_fallback_below_gate(monkeypatch):
+    monkeypatch.setattr(aig_mod, "_BATCH_CUTOFF", 10**9)
     aig = build_random_aig(17, num_ands=40)
     reference = build_random_aig(17, num_ands=40)
-    assert not aig._f0c.numpy
     pairs = [(2, 4), (2, 4), (6, 9), (0, 8), (3, 8), (8, 8), (8, 9)]
     got = aig.add_and_batch(
         [p[0] for p in pairs], [p[1] for p in pairs]
@@ -259,7 +252,6 @@ def test_add_and_batch_list_mode_fallback(monkeypatch):
     assert dump_aag(aig) == dump_aag(reference)
 
 
-@requires_numpy
 def test_add_and_batch_validates_up_front(monkeypatch):
     # Up-front validation is a vector-path property (the scalar
     # fallback raises mid-loop, like a hand-written loop would).
@@ -279,7 +271,6 @@ def test_add_and_batch_validates_up_front(monkeypatch):
 # ----------------------------------------------------------------------
 
 
-@requires_numpy
 def test_double_fast_path_dumps_bit_identically(monkeypatch):
     monkeypatch.setattr(enlarge_mod, "_BULK_MIN_ANDS", 1)
     source = random_control(24, 4, 80, seed=3, name="fastpath")
@@ -298,7 +289,6 @@ def test_double_fast_path_dumps_bit_identically(monkeypatch):
     assert dump_aag(twice_bulk) == dump_aag(twice_loop)
 
 
-@requires_numpy
 def test_double_fast_path_gate_rejects_foldable_graphs(monkeypatch):
     monkeypatch.setattr(enlarge_mod, "_BULK_MIN_ANDS", 1)
     dead = random_control(8, 3, 20, seed=4)
@@ -337,7 +327,6 @@ def _compact_case(seed: int, kill: int) -> Aig:
     return aig
 
 
-@requires_numpy
 @pytest.mark.parametrize("seed,kill", [(31, 0), (33, 7), (35, 25)])
 def test_compact_bulk_matches_scalar(seed, kill, monkeypatch):
     source = _compact_case(seed, kill)
@@ -353,7 +342,6 @@ def test_compact_bulk_matches_scalar(seed, kill, monkeypatch):
     assert len(bulk_new._strash) == len(scalar_new._strash)
 
 
-@requires_numpy
 def test_compact_bulk_falls_back_on_strash_dirty_graphs(monkeypatch):
     monkeypatch.setattr(aig_mod, "_BULK_COMPACT_MIN", 1)
     # Duplicate keys (raw ANDs) force the scalar rebuild, where the
@@ -379,11 +367,12 @@ def test_compact_bulk_falls_back_on_strash_dirty_graphs(monkeypatch):
     assert last not in var_map or var_map[last] == var_map.get(1, 2)
 
 
-def test_compact_bulk_list_mode(monkeypatch):
-    monkeypatch.setattr(store, "HAVE_NUMPY", False)
-    monkeypatch.setattr(aig_mod, "_BULK_COMPACT_MIN", 1)
+def test_compact_scalar_rebuild_below_gate(monkeypatch):
     aig = build_random_aig(39, num_ands=60)
+    monkeypatch.setattr(aig_mod, "_BULK_COMPACT_MIN", 1)
     reference = dump_aag(aig)  # dump_aag compacts internally
+    monkeypatch.setattr(aig_mod, "_BULK_COMPACT_MIN", 10**9)
+    assert aig._compact_bulk() is None
     assert dump_aag(aig) == reference
 
 
@@ -392,7 +381,6 @@ def test_compact_bulk_list_mode(monkeypatch):
 # ----------------------------------------------------------------------
 
 
-@requires_numpy
 def test_context_vectorized_extends_match_scalar(monkeypatch):
     from repro.engine import context as context_mod
     from repro.engine.context import context_for

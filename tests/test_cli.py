@@ -95,17 +95,16 @@ def test_verify_subcommand_clean(aig_file, capsys):
     assert "verdict: CLEAN" in out
 
 
-def test_verify_subcommand_pinned_backend(aig_file, capsys):
+def test_verify_subcommand_has_no_backend_flag(aig_file, capsys):
     aig, path = aig_file
-    assert main(
-        ["verify", str(path), "-c", "b", "--backend", "python"]
-    ) == 0
-    assert "backend=python" in capsys.readouterr().out
+    with pytest.raises(SystemExit):
+        main(["verify", str(path), "-c", "b", "--backend", "python"])
+    assert "--backend" in capsys.readouterr().err
 
 
 def test_fuzz_subcommand_small_budget(capsys):
     code = main([
-        "fuzz", "--seed", "3", "--budget", "2", "--backend", "python",
+        "fuzz", "--seed", "3", "--budget", "2",
     ])
     assert code == 0
     out = capsys.readouterr().out
@@ -115,8 +114,7 @@ def test_fuzz_subcommand_small_budget(capsys):
 
 def test_fuzz_subcommand_verbose_progress(capsys):
     code = main([
-        "fuzz", "--seed", "3", "--budget", "1", "--backend", "python",
-        "-v",
+        "fuzz", "--seed", "3", "--budget", "1", "-v",
     ])
     assert code == 0
     assert "[1/1]" in capsys.readouterr().out

@@ -8,18 +8,18 @@ Covers the pieces every pass now shares:
   min-gain rejection, level-cap (never-worse depth) rejection, and
   bit-exact rollback;
 * :class:`repro.commit.InsertionSession` bulk-vs-scalar parity — the
-  numpy batch constructor and the list-mode fallback must produce the
-  same ids in the same order (only the ``commit.bulk_nodes`` /
+  batch constructor and the per-node scalar allocation must produce
+  the same ids in the same order (only the ``commit.bulk_nodes`` /
   ``commit.serial_replays`` wall-clock split may differ);
-* a plan-level wave commit applied under both backends producing
-  identical graphs and alias maps.
+* a plan-level wave commit applied with every size gate forced to 0
+  and to infinity, producing identical graphs and alias maps.
 """
 
 from __future__ import annotations
 
+import math
 import random
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -36,18 +36,9 @@ from repro.commit import (
     apply_replacement,
     deref_cone,
 )
-from repro.parallel import backend
+from repro.parallel import vec
 from repro.parallel.machine import ParallelMachine
-
-requires_numpy = pytest.mark.skipif(
-    not backend.HAS_NUMPY, reason="numpy backend unavailable"
-)
-
-
-@pytest.fixture(autouse=True)
-def _reset_backend():
-    yield
-    backend.set_backend(None)
+from repro.verify import forced_gates
 
 
 def plan(root: int, writes, reads=None, gain: int = 0) -> RewritePlan:
@@ -275,64 +266,69 @@ def session_pairs(num_pis: int, num_pairs: int, seed: int):
     return pairs
 
 
-def run_session(backend_name: str, pairs, rounds: int):
-    """Feed ``pairs`` through ``rounds`` insertion rounds; return the
-    per-round results plus the final serialized graph."""
-    backend.set_backend(backend_name)
+def run_session(gates, pairs, rounds: int):
+    """Feed ``pairs`` through ``rounds`` insertion rounds with every
+    size gate at ``gates``; return the per-round results plus the final
+    serialized graph."""
     aig = Aig("session")
     for _ in range(64):
         aig.add_pi()
     session = InsertionSession(aig, expected=len(pairs) * 2)
     chunk = max(len(pairs) // rounds, 1)
     outputs = []
-    for index in range(0, len(pairs), chunk):
-        outputs.append(session.insert_round(pairs[index : index + chunk]))
+    with forced_gates(gates):
+        for index in range(0, len(pairs), chunk):
+            outputs.append(
+                session.insert_round(pairs[index : index + chunk])
+            )
     aig.add_po(make_lit(aig.num_vars - 1))
     return outputs, dump_aag(aig)
 
 
-@requires_numpy
 @settings(max_examples=15, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=10_000),
     num_pairs=st.integers(min_value=1, max_value=120),
     rounds=st.integers(min_value=1, max_value=4),
 )
-def test_insertion_session_backend_parity(seed, num_pairs, rounds):
+def test_insertion_session_gate_parity(seed, num_pairs, rounds):
     pairs = session_pairs(40, num_pairs, seed)
-    out_p, aag_p = run_session("python", pairs, rounds)
-    out_n, aag_n = run_session("numpy", pairs, rounds)
-    assert out_p == out_n
-    assert aag_p == aag_n
+    out_v, aag_v = run_session(0, pairs, rounds)
+    out_s, aag_s = run_session(math.inf, pairs, rounds)
+    assert out_v == out_s
+    assert aag_v == aag_s
 
 
-@requires_numpy
 def test_insertion_session_bulk_allocation_above_cutoff():
-    """A big round on the numpy backend allocates whole miss chunks
-    through the batch constructor — and still matches list mode."""
+    """A big round above the vector table's gate allocates whole miss
+    chunks through the batch constructor — and still matches the
+    scalar allocation."""
     pairs = session_pairs(60, 900, seed=3)
+    assert len(pairs) >= vec._SCALAR_CUTOFF
     observe.enable()
-    out_n, aag_n = run_session("numpy", pairs, rounds=1)
+    out_v, aag_v = run_session(None, pairs, rounds=1)
     _, registry = observe.disable()
     counters = registry.snapshot()["counters"]
     assert counters.get("commit.bulk_nodes", 0) > 0
     observe.enable()
-    out_p, aag_p = run_session("python", pairs, rounds=1)
+    out_s, aag_s = run_session(math.inf, pairs, rounds=1)
     _, registry = observe.disable()
     scalar_counters = registry.snapshot()["counters"]
     assert scalar_counters.get("commit.bulk_nodes", 0) == 0
     assert scalar_counters["commit.serial_replays"] > 0
-    assert out_p == out_n
-    assert aag_p == aag_n
+    assert out_v == out_s
+    assert aag_v == aag_s
 
 
-def test_list_mode_session_never_bulk_allocates():
-    backend.set_backend("python")
-    aig = Aig("listmode")
-    for _ in range(4):
-        aig.add_pi()
-    session = InsertionSession(aig)
-    assert session.alloc_batch is None
+def test_session_below_gate_never_bulk_allocates(monkeypatch):
+    monkeypatch.setattr(vec, "_SCALAR_CUTOFF", 10**9)
+    pairs = session_pairs(60, 900, seed=3)
+    observe.enable()
+    run_session(None, pairs, rounds=1)
+    _, registry = observe.disable()
+    counters = registry.snapshot()["counters"]
+    assert counters.get("commit.bulk_nodes", 0) == 0
+    assert counters["commit.serial_replays"] > 0
 
 
 # ----------------------------------------------------------------------
@@ -349,8 +345,7 @@ def reassoc_template():
     return template
 
 
-def wave_commit(backend_name: str):
-    backend.set_backend(backend_name)
+def wave_commit(gates):
     aig, (a, b, c, d), root = chain_aig()
     extra = aig.add_and(a, d)  # survivor outside the cone
     aig.add_po(extra)
@@ -367,22 +362,21 @@ def wave_commit(backend_name: str):
     ]
     machine = ParallelMachine()
     engine = CommitEngine(aig, machine, "t")
-    alias = engine.commit_wave(plans)
+    with forced_gates(gates):
+        alias = engine.commit_wave(plans)
     return dump_aag(aig), alias, plans[0].new_root, machine.total_time()
 
 
-@requires_numpy
-def test_commit_wave_backend_parity():
-    aag_p, alias_p, new_root_p, modeled_p = wave_commit("python")
-    aag_n, alias_n, new_root_n, modeled_n = wave_commit("numpy")
-    assert aag_p == aag_n
-    assert alias_p == alias_n
-    assert new_root_p == new_root_n
-    assert modeled_p == modeled_n
+def test_commit_wave_gate_parity():
+    aag_v, alias_v, new_root_v, modeled_v = wave_commit(0)
+    aag_s, alias_s, new_root_s, modeled_s = wave_commit(math.inf)
+    assert aag_v == aag_s
+    assert alias_v == alias_s
+    assert new_root_v == new_root_s
+    assert modeled_v == modeled_s
 
 
 def test_commit_wave_records_new_root_and_deleted():
-    backend.set_backend("python")
     aig, (a, b, c, d), root = chain_aig()
     cone = set(aig.and_vars())
     template = reassoc_template()

@@ -11,7 +11,7 @@ from repro.algorithms.resub import par_resub, seq_resub
 from repro.algorithms.seq_balance import seq_balance
 from repro.algorithms.seq_refactor import seq_refactor
 from repro.algorithms.seq_rewrite import seq_rewrite
-from repro.algorithms.sequences import run_sequence
+from repro.engine import run_script
 from tests.conftest import assert_equivalent
 
 ALL_PASSES = [
@@ -85,7 +85,7 @@ def test_full_sequence_on_degenerate_circuits():
     for make in (const_po_aig, pi_passthrough, duplicate_pos):
         aig = make()
         for engine in ("seq", "gpu"):
-            result = run_sequence(aig, "resyn2", engine=engine)
+            result = run_script(aig, "resyn2", engine=engine)
             check_aig(result.aig)
             assert_equivalent(aig, result.aig, width=64)
 

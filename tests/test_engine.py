@@ -4,10 +4,11 @@ Three groups:
 
 * **Golden parity** — replays every run pinned in
   ``tests/goldens/engine_parity.json`` through the registry-backed
-  scheduler and asserts bit-identical AIGER dumps, modeled times (full
-  float precision) and headline counters.  The goldens were captured
-  from the pre-engine ``run_sequence``, so these tests prove the
-  refactor changed no observable behavior.
+  scheduler, once with the fast-path size gates at their defaults and
+  once with every gate forced to ``0``, and asserts bit-identical AIGER
+  dumps, modeled times (full float precision) and headline counters.
+  The goldens were captured from the pre-engine script runner, so
+  these tests prove the refactor changed no observable behavior.
 * **GraphContext** — unit tests of the version-keyed derived-state
   cache: hit/miss/extend accounting, append-only extension equals a
   from-scratch recompute, invalidation on every mutating operation,
@@ -44,14 +45,10 @@ from repro.engine import (
     unregister_command,
     unregister_pass,
 )
-from repro.parallel import backend
+from repro.verify import forced_gates
 from tests.conftest import build_random_aig
 
 GOLDENS = Path(__file__).parent / "goldens" / "engine_parity.json"
-
-requires_numpy = pytest.mark.skipif(
-    not backend.HAS_NUMPY, reason="numpy backend unavailable"
-)
 
 
 # ----------------------------------------------------------------------
@@ -91,26 +88,31 @@ with open(GOLDENS, encoding="ascii") as _handle:
     _GOLDEN_RUNS = json.load(_handle)["runs"]
 
 
-def _run_id(run: dict) -> str:
-    return "-".join(
-        (run["case"], run["script"], run["engine"], run["backend"])
-    )
+#: Gate settings every pinned run is replayed under (id suffix, value).
+_GATE_MODES = (("default", None), ("gates0", 0))
 
 
-@pytest.mark.parametrize("run", _GOLDEN_RUNS, ids=_run_id)
-def test_golden_parity(run):
-    if run["backend"] == "numpy" and not backend.HAS_NUMPY:
-        pytest.skip("numpy backend unavailable")
+def _run_id(case: tuple) -> str:
+    run, (label, _) = case
+    return "-".join((run["case"], run["script"], run["engine"], label))
+
+
+@pytest.mark.parametrize(
+    "case",
+    [(run, mode) for run in _GOLDEN_RUNS for mode in _GATE_MODES],
+    ids=_run_id,
+)
+def test_golden_parity(case):
+    run, (_, gates) = case
     aig = _case_aig(run["case"])
-    backend.set_backend(run["backend"])
-    observe.enable()
-    try:
-        result = run_script(
-            aig.clone(), run["script"], engine=run["engine"]
-        )
-    finally:
-        _, registry = observe.disable()
-        backend.set_backend(None)
+    with forced_gates(gates):
+        observe.enable()
+        try:
+            result = run_script(
+                aig.clone(), run["script"], engine=run["engine"]
+            )
+        finally:
+            _, registry = observe.disable()
     assert dump_aag(result.aig) == run["dump"]
     assert repr(result.modeled_time()) == run["modeled_time"]
     counters = registry.snapshot()["counters"]
@@ -118,11 +120,31 @@ def test_golden_parity(run):
         assert counters.get(key, 0) == value, key
 
 
-def test_goldens_cover_both_engines_and_backends():
-    seen = {(run["engine"], run["backend"]) for run in _GOLDEN_RUNS}
-    assert ("seq", "python") in seen and ("gpu", "python") in seen
-    if backend.HAS_NUMPY:
-        assert ("seq", "numpy") in seen and ("gpu", "numpy") in seen
+def test_goldens_cover_both_engines():
+    seen = {run["engine"] for run in _GOLDEN_RUNS}
+    assert seen == {"seq", "gpu"}
+    assert all("backend" not in run for run in _GOLDEN_RUNS)
+
+
+def test_goldens_check_reports_missing_and_unpinned_runs():
+    import importlib.util
+
+    path = Path(__file__).parent.parent / "scripts/capture_engine_goldens.py"
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    capture = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(capture)
+    assert capture.diff_runs(_GOLDEN_RUNS, _GOLDEN_RUNS) == []
+    first = "-".join(capture._run_key(_GOLDEN_RUNS[0]))
+    assert capture.diff_runs(_GOLDEN_RUNS, _GOLDEN_RUNS[1:]) == [
+        f"{first}: pinned but not captured"
+    ]
+    assert capture.diff_runs(_GOLDEN_RUNS[1:], _GOLDEN_RUNS) == [
+        f"{first}: not pinned in goldens"
+    ]
+    drifted = dict(_GOLDEN_RUNS[0], modeled_time="0.0")
+    assert capture.diff_runs(
+        _GOLDEN_RUNS, [drifted] + _GOLDEN_RUNS[1:]
+    ) == [f"{first}: modeled_time drifted"]
 
 
 # ----------------------------------------------------------------------
@@ -237,7 +259,6 @@ def test_context_fork_isolation(small_aig):
     assert context.counters["extends"] == 0
 
 
-@requires_numpy
 def test_context_arrays_grow_in_place(small_aig):
     import numpy as np
 

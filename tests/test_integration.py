@@ -10,10 +10,10 @@ import pytest
 
 from repro.aig.io_aiger import parse_aag, dump_aag
 from repro.aig.validate import check_aig
-from repro.algorithms.sequences import run_sequence
 from repro.benchgen.arith import divider, multiplier, voter
 from repro.benchgen.control import random_control
 from repro.benchgen.enlarge import enlarge
+from repro.engine import run_script
 from repro.parallel.machine import MachineConfig, ParallelMachine, SeqMeter
 from tests.conftest import assert_equivalent
 
@@ -30,7 +30,7 @@ from tests.conftest import assert_equivalent
 def test_gpu_rf_resyn_end_to_end(make):
     aig = make()
     machine = ParallelMachine()
-    result = run_sequence(
+    result = run_script(
         aig, "rf_resyn", engine="gpu", max_cut_size=8, machine=machine
     )
     check_aig(result.aig)
@@ -46,8 +46,8 @@ def test_gpu_rf_resyn_end_to_end(make):
 def test_seq_vs_gpu_resyn2_quality_parity():
     """Paper's headline: GPU resyn2 quality comparable to ABC's."""
     aig = multiplier(10)
-    seq = run_sequence(aig, "resyn2", engine="seq", max_cut_size=8)
-    gpu = run_sequence(aig, "resyn2", engine="gpu", max_cut_size=8)
+    seq = run_script(aig, "resyn2", engine="seq", max_cut_size=8)
+    gpu = run_script(aig, "resyn2", engine="gpu", max_cut_size=8)
     assert_equivalent(aig, seq.aig)
     assert_equivalent(aig, gpu.aig)
     assert gpu.nodes <= int(seq.nodes * 1.10) + 2
@@ -61,17 +61,17 @@ def test_gpu_sequence_is_faster_in_model_at_scale():
     aig = enlarge(random_control(32, 4, 120, seed=5), 2)
     meter = SeqMeter()
     machine = ParallelMachine()
-    seq = run_sequence(aig, "rf_resyn", engine="seq", meter=meter,
-                       max_cut_size=8)
-    gpu = run_sequence(aig, "rf_resyn", engine="gpu", machine=machine,
-                       max_cut_size=8)
+    seq = run_script(aig, "rf_resyn", engine="seq", meter=meter,
+                     max_cut_size=8)
+    gpu = run_script(aig, "rf_resyn", engine="gpu", machine=machine,
+                     max_cut_size=8)
     assert machine.total_time() < meter.time()
     assert gpu.nodes <= int(seq.nodes * 1.15) + 2
 
 
 def test_aiger_roundtrip_of_optimized_result():
     aig = divider(8)
-    result = run_sequence(aig, "b; rw; rf", engine="gpu", max_cut_size=8)
+    result = run_script(aig, "b; rw; rf", engine="gpu", max_cut_size=8)
     text = dump_aag(result.aig)
     loaded = parse_aag(text)
     assert_equivalent(result.aig, loaded)
@@ -82,8 +82,8 @@ def test_determinism_of_gpu_pipeline():
     """The simulation is exactly reproducible (cf. paper's <0.001%
     CUDA scheduling variation)."""
     aig = divider(8)
-    first = run_sequence(aig, "rf_resyn", engine="gpu", max_cut_size=8)
-    second = run_sequence(aig, "rf_resyn", engine="gpu", max_cut_size=8)
+    first = run_script(aig, "rf_resyn", engine="gpu", max_cut_size=8)
+    second = run_script(aig, "rf_resyn", engine="gpu", max_cut_size=8)
     assert first.nodes == second.nodes
     assert first.aig.stats() == second.aig.stats()
 
@@ -92,6 +92,6 @@ def test_custom_machine_config_scales_times():
     aig = voter(64)
     slow = ParallelMachine(config=MachineConfig(t_launch=1.0))
     fast = ParallelMachine(config=MachineConfig(t_launch=1e-9))
-    run_sequence(aig, "b", engine="gpu", machine=slow)
-    run_sequence(aig, "b", engine="gpu", machine=fast)
+    run_script(aig, "b", engine="gpu", machine=slow)
+    run_script(aig, "b", engine="gpu", machine=fast)
     assert slow.total_time() > fast.total_time()

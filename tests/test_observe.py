@@ -7,8 +7,8 @@ import pathlib
 import pytest
 
 from repro import observe
-from repro.algorithms.sequences import run_sequence
 from repro.cli import main as cli_main
+from repro.engine import run_script
 from repro.observe.export import (
     FORMAT,
     chrome_trace_events,
@@ -164,7 +164,7 @@ def test_pass_modeled_times_sum_to_machine_total():
     aig = build_random_aig(3, num_ands=120)
     machine = ParallelMachine()
     tracer = observe.enable()
-    run_sequence(aig, "b; rw; rf", engine="gpu", machine=machine)
+    run_script(aig, "b; rw; rf", engine="gpu", machine=machine)
     observe.disable()
     modeled_sum = sum(span.modeled_time for span in tracer.passes())
     assert modeled_sum == pytest.approx(machine.total_time(), rel=1e-12)
@@ -180,7 +180,7 @@ def test_pass_modeled_times_sum_to_machine_total():
 def test_seq_engine_pass_times_match_meter():
     aig = build_random_aig(5, num_ands=100)
     tracer = observe.enable()
-    result = run_sequence(aig, "b; rw", engine="seq")
+    result = run_script(aig, "b; rw", engine="seq")
     observe.disable()
     modeled_sum = sum(span.modeled_time for span in tracer.passes())
     assert modeled_sum == pytest.approx(result.modeled_time(), rel=1e-12)
@@ -189,7 +189,7 @@ def test_seq_engine_pass_times_match_meter():
 def test_metrics_cover_instrumented_subsystems():
     aig = build_random_aig(4, num_ands=150)
     observe.enable()
-    run_sequence(aig, "b; rw; rf", engine="gpu")
+    run_script(aig, "b; rw; rf", engine="gpu")
     _, registry = observe.disable()
     counters = registry.counters
     for name in (
@@ -214,7 +214,7 @@ def test_metrics_cover_instrumented_subsystems():
 def _traced_run(script="b; rw", seed=2):
     aig = build_random_aig(seed, num_ands=120)
     tracer = observe.enable()
-    run_sequence(aig, script, engine="gpu")
+    run_script(aig, script, engine="gpu")
     tracer, registry = observe.disable()
     return tracer, registry
 
@@ -355,8 +355,6 @@ def test_bench_smoke_case_is_deterministic():
     for row in (first, second):
         # Wall-clock fields are the only nondeterministic ones.
         row.pop("wall_time")
-        row.pop("wall_times")
-        row.pop("speedup", None)
     assert first == second
     assert first["modeled_time"] > 0
     assert first["counters"]["machine.launches"] > 0

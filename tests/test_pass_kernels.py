@@ -23,25 +23,15 @@ from repro.aig.traversal import fanout_counts, fanout_lists
 from repro.algorithms import kernels
 from repro.engine import run_script
 from repro.engine.context import context_for
-from repro.parallel import backend
 from repro.parallel.machine import ParallelMachine
+from repro.verify import sanitizer
+from repro.verify.sanitizer import Sanitizer
 from tests.conftest import build_random_aig
-
-requires_numpy = pytest.mark.skipif(
-    not backend.HAS_NUMPY, reason="numpy backend unavailable"
-)
 
 aig_seeds = st.integers(min_value=0, max_value=50_000)
 aig_sizes = st.integers(min_value=10, max_value=150)
 
 SCRIPTS = ("b", "rf", "rw")
-
-
-@pytest.fixture(autouse=True)
-def _numpy_backend():
-    backend.set_backend("numpy")
-    yield
-    backend.set_backend(None)
 
 
 def _run(aig, script: str, cutoff: int):
@@ -84,7 +74,6 @@ def _assert_kernel_parity(make_aig, script: str) -> None:
 # ----------------------------------------------------------------------
 
 
-@requires_numpy
 @settings(max_examples=8, deadline=None)
 @given(seed=aig_seeds, size=aig_sizes)
 @pytest.mark.parametrize("script", SCRIPTS)
@@ -94,7 +83,6 @@ def test_kernel_parity_random(script, seed, size):
     )
 
 
-@requires_numpy
 @pytest.mark.parametrize("script", SCRIPTS + ("resyn2",))
 def test_kernel_parity_deep(script):
     # Deeper/narrower shape than the default random graphs.
@@ -109,37 +97,35 @@ def test_kernel_parity_deep(script):
 # ----------------------------------------------------------------------
 
 
-@requires_numpy
 def test_cutoff_gate_keeps_small_graphs_scalar():
     aig = build_random_aig(3, num_ands=64)
     assert aig.num_ands < kernels.KERNEL_CUTOFF
     assert not kernels.enabled_for(aig)
 
 
-@requires_numpy
-def test_list_mode_gate(monkeypatch):
-    from repro.aig import store
-
-    monkeypatch.setattr(kernels, "KERNEL_CUTOFF", 0)
+def test_cutoff_gate_boundary(monkeypatch):
     aig = build_random_aig(3, num_ands=64)
-    assert kernels.enabled_for(aig)
-    monkeypatch.setattr(store, "HAVE_NUMPY", False)
-    listy = build_random_aig(3, num_ands=64)
-    assert not listy._f0c.numpy
-    assert not kernels.enabled_for(listy)
-
-
-@requires_numpy
-def test_python_backend_runs_scalar_path(monkeypatch):
-    # With the python backend the kernels must stay off even below
-    # cutoff; the pass still works and matches the numpy result.
     monkeypatch.setattr(kernels, "KERNEL_CUTOFF", 0)
-    numpy_dump = _run(build_random_aig(5), "b", cutoff=0)[0]
-    backend.set_backend("python")
-    aig = build_random_aig(5)
+    assert kernels.enabled_for(aig)
+    monkeypatch.setattr(kernels, "KERNEL_CUTOFF", aig.num_ands)
+    assert kernels.enabled_for(aig)
+    monkeypatch.setattr(kernels, "KERNEL_CUTOFF", aig.num_ands + 1)
     assert not kernels.enabled_for(aig)
-    result = run_script(aig, "b", engine="gpu")
-    assert dump_aag(result.aig) == numpy_dump
+
+
+def test_sanitizer_runs_scalar_path(monkeypatch):
+    # Under the sanitizer the kernels must stay off even at cutoff 0;
+    # the pass still works and matches the kernel result.
+    monkeypatch.setattr(kernels, "KERNEL_CUTOFF", 0)
+    kernel_dump = _run(build_random_aig(5), "b", cutoff=0)[0]
+    aig = build_random_aig(5)
+    sanitizer.set_sanitizer(Sanitizer(on_conflict="record"))
+    try:
+        assert not kernels.enabled_for(aig)
+        result = run_script(aig, "b", engine="gpu")
+    finally:
+        sanitizer.set_sanitizer(None)
+    assert dump_aag(result.aig) == kernel_dump
 
 
 # ----------------------------------------------------------------------
@@ -147,7 +133,6 @@ def test_python_backend_runs_scalar_path(monkeypatch):
 # ----------------------------------------------------------------------
 
 
-@requires_numpy
 @settings(max_examples=10, deadline=None)
 @given(seed=aig_seeds)
 def test_fanout_degrees_matches_fanout_lists(seed):
@@ -157,7 +142,6 @@ def test_fanout_degrees_matches_fanout_lists(seed):
     assert degrees.tolist() == [len(entry) for entry in lists]
 
 
-@requires_numpy
 @given(seed=aig_seeds)
 @settings(max_examples=10, deadline=None)
 def test_rewrite_batched_mffc_matches_mffc_size(seed):
@@ -174,7 +158,6 @@ def test_rewrite_batched_mffc_matches_mffc_size(seed):
     assert sizes.tolist() == expected
 
 
-@requires_numpy
 def test_rewrite_batched_mffc_partial_cones():
     # Cones smaller than the MFFC clamp the deletable set: the scalar
     # walk only recurses into cone members.
@@ -214,7 +197,6 @@ def test_rewrite_batched_mffc_partial_cones():
     ]
 
 
-@requires_numpy
 def test_rewrite_batched_mffc_empty_and_singletons():
     aig = build_random_aig(1, num_ands=20)
     nref = fanout_counts(aig)
@@ -228,7 +210,6 @@ def test_rewrite_batched_mffc_empty_and_singletons():
     assert sizes.tolist() == [1] * len(roots)
 
 
-@requires_numpy
 def test_refactor_survivor_keys_matches_facade_walk():
     aig = build_random_aig(23, num_ands=90)
     live = list(aig.and_vars())

@@ -4,7 +4,7 @@ from repro.aig.aig import Aig
 from repro.aig.validate import check_aig
 from repro.algorithms.common import AliasView
 from repro.algorithms.resub import find_resub, par_resub, seq_resub
-from repro.algorithms.sequences import run_sequence
+from repro.engine import run_script
 from repro.parallel.machine import ParallelMachine
 from tests.conftest import assert_equivalent, build_random_aig
 
@@ -105,8 +105,8 @@ def test_par_resub_records_kernels():
 
 def test_rs_command_in_sequences():
     aig = build_random_aig(8, num_ands=150)
-    seq = run_sequence(aig, "b; rs", engine="seq")
-    gpu = run_sequence(aig, "b; rs", engine="gpu")
+    seq = run_script(aig, "b; rs", engine="seq")
+    gpu = run_script(aig, "b; rs", engine="gpu")
     assert_equivalent(aig, seq.aig)
     assert_equivalent(aig, gpu.aig)
     assert seq.nodes <= aig.num_ands

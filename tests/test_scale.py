@@ -3,7 +3,7 @@
 Four groups:
 
 * **Column / FlatStrash** — unit tests of the storage primitives in
-  :mod:`repro.aig.store`, in both NumPy and list mode.
+  :mod:`repro.aig.store`.
 * **Facade exactness** — the node/object API is a thin facade over
   array indices: every scalar accessor must agree with the zero-copy
   ``arrays()`` view bit for bit and return plain Python ints.
@@ -18,6 +18,7 @@ Four groups:
 from __future__ import annotations
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -25,17 +26,14 @@ from pathlib import Path
 
 import pytest
 
-from repro.aig import store
 from repro.aig.aig import CONST_FANIN, PI_FANIN, Aig
 from repro.aig.io_aiger import dump_aag
 from repro.aig.store import Column, FlatStrash
+from repro.benchgen.enlarge import enlarge
 from repro.engine import context_for
 from repro.experiments.scale import peak_rss_mb
+from repro.verify import forced_gates
 from tests.conftest import build_random_aig
-
-requires_numpy = pytest.mark.skipif(
-    not store.HAVE_NUMPY, reason="numpy unavailable"
-)
 
 #: Documented peak-RSS budget for building a ~1.1M-AND enlarged AIG
 #: (docs/ARCHITECTURE.md, "Memory budget").  Measured ~418 MiB on
@@ -114,17 +112,12 @@ def test_flat_strash_reserve_and_copy():
 
 
 # ----------------------------------------------------------------------
-# Column (both modes)
+# Column
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize(
-    "numpy_mode",
-    [pytest.param(True, marks=requires_numpy), False],
-    ids=["numpy", "list"],
-)
-def test_column_append_grow_truncate(numpy_mode):
-    col = Column("int", numpy_mode=numpy_mode)
+def test_column_append_grow_truncate():
+    col = Column("int")
     for value in range(100):
         col.append(value)
     assert len(col) == 100
@@ -138,13 +131,8 @@ def test_column_append_grow_truncate(numpy_mode):
     assert list(col.slice()) == [0, 1, 2, 3, 4, 99]
 
 
-@pytest.mark.parametrize(
-    "numpy_mode",
-    [pytest.param(True, marks=requires_numpy), False],
-    ids=["numpy", "list"],
-)
-def test_column_duplicate_is_independent(numpy_mode):
-    col = Column("int", numpy_mode=numpy_mode)
+def test_column_duplicate_is_independent():
+    col = Column("int")
     for value in (5, 6, 7):
         col.append(value)
     twin = col.duplicate()
@@ -154,21 +142,10 @@ def test_column_duplicate_is_independent(numpy_mode):
     assert list(twin.slice()) == [50, 6, 7, 8]
 
 
-def test_column_list_mode_adopt_aliases():
-    """List mode adopts by reference: cache and column are one object."""
-    col = Column("int", numpy_mode=False)
-    values = [3, 1, 2]
-    col.adopt(values)
-    assert col.slice() is values
-    col.append(9)
-    assert values == [3, 1, 2, 9]
-
-
-@requires_numpy
-def test_column_numpy_adopt_copies_and_reserve():
+def test_column_adopt_copies_and_reserve():
     import numpy as np
 
-    col = Column("int", numpy_mode=True)
+    col = Column("int")
     values = [3, 1, 2]
     col.adopt(values)
     values.append(99)
@@ -216,7 +193,6 @@ def test_facade_round_trips_exactly():
     _assert_facade_matches_arrays(aig.clone())
 
 
-@requires_numpy
 def test_arrays_are_zero_copy_views():
     import numpy as np
 
@@ -232,15 +208,21 @@ def test_arrays_are_zero_copy_views():
     assert not dead[victim]
 
 
-def test_list_mode_core_builds_identical_graphs(monkeypatch):
-    """The stdlib fallback core produces bit-identical AIGs."""
-    reference = dump_aag(build_random_aig(23, num_ands=90))
-    monkeypatch.setattr(store, "HAVE_NUMPY", False)
-    fallback = build_random_aig(23, num_ands=90)
-    assert not fallback._f0c.numpy
-    assert isinstance(fallback._f0c.data, list)
-    assert dump_aag(fallback) == reference
-    _assert_facade_matches_arrays(fallback)
+def test_scalar_gates_core_builds_identical_graphs():
+    """The scalar construction paths produce bit-identical AIGs."""
+
+    def build() -> Aig:
+        doubled = enlarge(build_random_aig(23, num_ands=90), 2)
+        compacted, _ = doubled.compact()
+        return compacted
+
+    with forced_gates(0):
+        vector = build()
+    with forced_gates(math.inf):
+        scalar = build()
+    assert dump_aag(scalar) == dump_aag(vector)
+    assert scalar._version == vector._version
+    _assert_facade_matches_arrays(scalar)
 
 
 # ----------------------------------------------------------------------
@@ -313,7 +295,6 @@ print(json.dumps({
 """
 
 
-@requires_numpy
 def test_million_node_enlarge_within_rss_budget():
     if peak_rss_mb() <= 0.0:
         pytest.skip("peak-RSS accounting unavailable on this platform")

@@ -5,7 +5,9 @@ bit-identical to the scalar :class:`repro.parallel.hashtable.HashTable`:
 same resident values, same per-item probe counts, same final slot
 layout, same ``hashtable.*`` counters.  These tests drive both engines
 through crafted collision batches and randomized op mixes and compare
-everything.
+everything; the :class:`~repro.parallel.hashtable.NodeHashTable` fuzz
+compares its batched calls against its per-item ``seed`` /
+``get_or_create`` reference.
 """
 
 from __future__ import annotations
@@ -14,22 +16,10 @@ import random
 
 import pytest
 
-pytest.importorskip("numpy")
-
-from repro import observe  # noqa: E402
-from repro.parallel import backend, vec  # noqa: E402
-from repro.parallel.hashtable import (  # noqa: E402
-    HashTable,
-    NodeHashTable,
-    _hash_key,
-)
-from repro.parallel.vec import VecHashTable  # noqa: E402
-
-
-@pytest.fixture(autouse=True)
-def _reset_backend():
-    yield
-    backend.set_backend(None)
+from repro import observe
+from repro.parallel import vec
+from repro.parallel.hashtable import HashTable, NodeHashTable, _hash_key
+from repro.parallel.vec import VecHashTable
 
 
 @pytest.fixture
@@ -191,8 +181,7 @@ def test_mixed_op_fuzz_differential(seed):
 
     outs = {}
     counters = {}
-    for name, table in (("python", scalar), ("numpy", vector)):
-        backend.set_backend(name)
+    for name, table in (("scalar", scalar), ("vector", vector)):
         observe.enable()
         got = []
         for op, keys, values in ops:
@@ -206,17 +195,16 @@ def test_mixed_op_fuzz_differential(seed):
         outs[name] = got
         counters[name] = _counters(registry)
 
-    assert outs["python"] == outs["numpy"]
+    assert outs["scalar"] == outs["vector"]
     assert scalar.dump() == vector.dump()
-    assert counters["python"] == counters["numpy"]
+    assert counters["scalar"] == counters["vector"]
 
 
 @pytest.mark.parametrize("seed", range(60))
 def test_node_table_get_or_create_fuzz(seed):
-    """NodeHashTable seed/get_or_create batches across backends."""
+    """NodeHashTable batches against per-item seed/get_or_create."""
     results = []
-    for name in ("python", "numpy"):
-        backend.set_backend(name)
+    for batched in (False, True):
         rng = random.Random(seed)
         observe.enable()
         table = NodeHashTable(expected=rng.choice([4, 256]))
@@ -231,24 +219,43 @@ def test_node_table_get_or_create_fuzz(seed):
         m0 = rng.randrange(0, 50)
         lits0 = [rng.randrange(litspace) for _ in range(m0)]
         lits1 = [rng.randrange(litspace) for _ in range(m0)]
-        outs.append(
-            table.seed_batch(lits0, lits1, list(range(500, 500 + m0)))
-        )
+        variables = list(range(500, 500 + m0))
+        if batched:
+            outs.append(table.seed_batch(lits0, lits1, variables))
+        else:
+            outs.append(
+                [
+                    table.seed(lit0, lit1, var)
+                    for lit0, lit1, var in zip(lits0, lits1, variables)
+                ]
+            )
         for _ in range(rng.randrange(1, 8)):
             m = rng.randrange(0, rng.choice([8, 60, 900]))
             pairs = [
                 (rng.randrange(litspace), rng.randrange(litspace))
                 for _ in range(m)
             ]
-            outs.append(table.get_or_create_batch(pairs, alloc))
+            if batched:
+                outs.append(table.get_or_create_batch(pairs, alloc))
+                continue
+            items = [
+                table.get_or_create(lit0, lit1, alloc)
+                for lit0, lit1 in pairs
+            ]
+            outs.append(
+                (
+                    [literal for literal, _ in items],
+                    [probes for _, probes in items],
+                )
+            )
         _, registry = observe.disable()
         results.append(
             (outs, table._table.dump(), next_var[0], _counters(registry))
         )
 
-    (outs_p, dump_p, alloc_p, counters_p) = results[0]
-    (outs_n, dump_n, alloc_n, counters_n) = results[1]
-    assert outs_p == outs_n
-    assert dump_p == dump_n
-    assert alloc_p == alloc_n
-    assert counters_p == counters_n
+    (outs_s, dump_s, alloc_s, counters_s) = results[0]
+    (outs_b, dump_b, alloc_b, counters_b) = results[1]
+    assert outs_s == outs_b
+    assert dump_s == dump_b
+    assert alloc_s == alloc_b
+    assert counters_s == counters_b

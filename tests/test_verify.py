@@ -17,8 +17,7 @@ import pytest
 from repro import observe
 from repro.aig.aig import Aig
 from repro.benchgen.random_aig import mtm_random
-from repro.parallel import backend
-from repro.verify import invariants, sanitizer
+from repro.verify import GATES, invariants, sanitizer
 from repro.verify.invariants import (
     InvariantError,
     check_dedup_complete,
@@ -319,8 +318,9 @@ def test_run_case_clean():
     from repro.verify.fuzz import run_case
 
     aig = mtm_random(num_pis=8, num_nodes=60, num_pos=3, seed=17)
-    outcome = run_case(aig, "b; rw", backend_name="python")
+    outcome = run_case(aig, "b; rw", gates=0)
     assert outcome.ok
+    assert outcome.gates == "0"
     assert outcome.conflicts == 0
     assert outcome.error is None
     assert outcome.cec == "equivalent"
@@ -328,13 +328,21 @@ def test_run_case_clean():
     assert outcome.counters["batches"] > 0
 
 
-def test_run_case_restores_backend_and_sanitizer():
+def test_run_case_restores_gates_and_sanitizer():
+    import importlib
+
     from repro.verify.fuzz import run_case
 
-    previous = backend._override
+    def gate_values():
+        return [
+            getattr(importlib.import_module(module), attr)
+            for module, attr in GATES
+        ]
+
+    previous = gate_values()
     aig = mtm_random(num_pis=6, num_nodes=40, num_pos=2, seed=18)
-    run_case(aig, "b", backend_name="python")
-    assert backend._override == previous
+    run_case(aig, "b", gates=0)
+    assert gate_values() == previous
     assert sanitizer.current() is None
 
 
@@ -345,7 +353,7 @@ def test_run_case_captures_invariant_failures():
     aig = mtm_random(num_pis=10, num_nodes=150, num_pos=6, seed=5)
     mutations.arm("dedup-skip-merge")
     try:
-        outcome = run_case(aig, "rw", backend_name="python")
+        outcome = run_case(aig, "rw")
     finally:
         mutations.disarm()
     assert not outcome.ok
@@ -356,20 +364,21 @@ def test_run_case_captures_invariant_failures():
 def test_run_fuzz_small_budget_clean():
     from repro.verify.fuzz import run_fuzz
 
-    report = run_fuzz(seed=7, budget=3, backends=["python"])
+    report = run_fuzz(seed=7, budget=3)
     assert report.ok
     assert report.cases == 3
-    # Each case runs sanitizer off + on per backend.
-    assert report.runs == 6
+    # Each case runs sanitizer off + on per gate mode (default, 0).
+    assert report.runs == 12
     text = report.format()
     assert "verdict: CLEAN" in text
     assert "seed=7" in text
+    assert "gates=default,0" in text
 
 
 def test_run_fuzz_is_reproducible():
     from repro.verify.fuzz import run_fuzz
 
-    first = run_fuzz(seed=11, budget=2, backends=["python"])
-    second = run_fuzz(seed=11, budget=2, backends=["python"])
+    first = run_fuzz(seed=11, budget=2)
+    second = run_fuzz(seed=11, budget=2)
     assert first.ok and second.ok
     assert first.format() == second.format()
