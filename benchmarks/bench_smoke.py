@@ -74,7 +74,6 @@ REPORTED_COUNTERS = (
     "dedup.duplicates",
     "engine.cache_hits",
     "engine.cache_misses",
-    "engine.cache_extends",
     # Commit-layer throughput split: nodes landed through the bulk
     # column constructor vs one-at-a-time scalar allocation.  Reported
     # (and watched by scripts/bench_report.py) but never gated — the
@@ -126,12 +125,10 @@ def _run_once(
         },
     }
     # Derived-state cache effectiveness of the run (GraphContext).
-    lookups = counters.get("engine.cache_hits", 0) + counters.get(
-        "engine.cache_misses", 0
-    ) + counters.get("engine.cache_extends", 0)
+    hits = counters.get("engine.cache_hits", 0)
+    lookups = hits + counters.get("engine.cache_misses", 0)
     if lookups:
-        reused = lookups - counters.get("engine.cache_misses", 0)
-        row["cache_hit_rate"] = round(reused / lookups, 4)
+        row["cache_hit_rate"] = round(hits / lookups, 4)
     return row, wall
 
 

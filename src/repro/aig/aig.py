@@ -2,8 +2,7 @@
 
 The AIG is stored struct-of-arrays style, mirroring the flat GPU layout
 the paper uses: two parallel fanin columns indexed by variable id, a
-dead-flag column, PI/PO columns, and the level/refcount columns the
-engine's derived-state cache fills in.  Variable 0 is the constant-false
+dead-flag column and PI/PO columns.  Variable 0 is the constant-false
 node; ids are assigned in creation order, and because an AND node can
 only reference already-existing variables, **id order is always a valid
 topological order** — every traversal in the library relies on this.
@@ -83,29 +82,16 @@ class Aig:
         # PI variable ids and PO literals.
         self._pic = Column("int")
         self._poc = Column("int")
-        # Derived-state columns; content is owned by the attached
-        # GraphContext (levels / PO-inclusive fanout refcounts).
-        self._levelc = Column("int")
-        self._nrefc = Column("int")
         self._pi_names: list[str | None] = []
         self._po_names: list[str | None] = []
         self._strash = FlatStrash()
-        # Mutation counters.  ``_version`` tracks *every* structural
-        # mutation (appends, kills, revives, truncations); it keys the
-        # derived-state caches of
-        # :class:`repro.engine.context.GraphContext`.  ``_shape_version``
-        # tracks only the destructive subset (kill/revive/truncate), so
-        # a cache whose version is stale but whose shape version is not
-        # knows the graph only *grew* and may extend in place instead of
-        # recomputing.  ``_po_version`` tracks the PO list, which
+        # Mutation counters keying the derived-state caches of
+        # :class:`repro.engine.context.GraphContext`.  ``_version``
+        # tracks *every* structural mutation (appends, kills, revives,
+        # truncations); ``_po_version`` tracks the PO list, which
         # :meth:`add_po`/:meth:`set_po` change without touching nodes.
-        # ``_ref_version`` tracks rewrites of the refcount column only:
-        # refcount refreshes patch ``_nrefc`` in place and never
-        # invalidate the structural views (the shape/ref key split).
         self._version = 0
-        self._shape_version = 0
         self._po_version = 0
-        self._ref_version = 0
         # Live AND count, maintained incrementally (num_ands is O(1)).
         self._live_ands = 0
         # Lazily attached repro.engine.context.GraphContext.
@@ -281,7 +267,7 @@ class Aig:
             # Duplicate keys inside the batch fold onto their first
             # occurrence, which is exactly the scalar loop's strash
             # hit on the node the earlier item created.
-            _, rep_pos, reps = group_keys(pend_k0, pend_k1)
+            rep_pos, reps = group_keys(pend_k0, pend_k1)
             rep_k0 = pend_k0[reps]
             rep_k1 = pend_k1[reps]
             strash = self._strash
@@ -565,7 +551,6 @@ class Aig:
         if self._deadc.view[var]:
             return
         self._version += 1
-        self._shape_version += 1
         self._deadc.view[var] = True
         self._live_ands -= 1
         key = lit_pair_key(self._f0c.view[var], self._f1c.view[var])
@@ -595,7 +580,6 @@ class Aig:
             if fan0[var] == PI_FANIN:
                 raise ValueError("cannot truncate primary inputs")
         self._version += 1
-        self._shape_version += 1
         self._live_ands -= removed
         self._f0c.truncate(num_vars)
         self._f1c.truncate(num_vars)
@@ -606,7 +590,6 @@ class Aig:
         if not self._deadc.view[var]:
             return
         self._version += 1
-        self._shape_version += 1
         self._deadc.view[var] = False
         self._live_ands += 1
         key = lit_pair_key(self._f0c.view[var], self._f1c.view[var])
@@ -844,15 +827,11 @@ class Aig:
         new._pic.adopt(pi_vars)
         new._poc = Column("int")
         new._poc.adopt(po_lits)
-        new._levelc = Column("int")
-        new._nrefc = Column("int")
         new._pi_names = pi_names
         new._po_names = po_names
         new._strash = FlatStrash.build_bulk(and_k0, and_k1, and_vars)
         new._version = len(pi_vars) + len(and_vars)
-        new._shape_version = 0
         new._po_version = len(po_lits)
-        new._ref_version = 0
         new._live_ands = len(and_vars)
         new._graph_context = None
         return new
@@ -870,11 +849,6 @@ class Aig:
         new._deadc = self._deadc.duplicate()
         new._pic = self._pic.duplicate()
         new._poc = self._poc.duplicate()
-        # Derived-state columns start empty; context forking
-        # (repro.engine.context.GraphContext.fork) refills them from
-        # the source cache when there is anything worth carrying.
-        new._levelc = Column("int")
-        new._nrefc = Column("int")
         new._pi_names = list(self._pi_names)
         new._po_names = list(self._po_names)
         new._strash = self._strash.copy()
@@ -882,9 +856,7 @@ class Aig:
         # from this AIG (repro.engine.context.clone_with_context)
         # remain keyed consistently; the clone starts with no caches.
         new._version = self._version
-        new._shape_version = self._shape_version
         new._po_version = self._po_version
-        new._ref_version = self._ref_version
         new._live_ands = self._live_ands
         new._graph_context = None
         return new

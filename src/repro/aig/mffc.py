@@ -20,9 +20,10 @@ from repro.aig.literals import lit_var
 from repro.aig.traversal import fanout_counts
 
 #: Mutable reference-count storage accepted by every walk here: a plain
-#: list or a graph-owned NumPy column (the int64 ndarray from
-#: ``GraphContext.fanout_counts_array`` or the column's memoryview
-#: scalar twin) — anything indexable with in-place integer updates.
+#: list or a cached NumPy array (the int64 ndarray from
+#: ``GraphContext.fanout_counts_array`` or its memoryview twin from
+#: ``GraphContext.fanout_counts``) — anything indexable with in-place
+#: integer updates.
 #: Walks mutate counts element-wise, so nothing is copied into a list.
 RefCounts = list[int] | np.ndarray | memoryview
 

@@ -7,9 +7,8 @@ arrays are designed for.
 
 These are the *raw* recomputation primitives.  Passes read derived
 state through :class:`repro.engine.context.GraphContext`, which
-memoizes these results per AIG keyed on its mutation counters and
-extends them in place over append-only growth; the cached values are
-exactly what these functions return.
+memoizes these results per AIG keyed on its mutation counters; the
+cached values are exactly what these functions return.
 """
 
 from __future__ import annotations

@@ -9,7 +9,7 @@ The engine is the single dispatch point for optimization passes:
   tagging observe spans per command.
 * :mod:`repro.engine.context` — :class:`~repro.engine.context.GraphContext`,
   the version-keyed cache of derived graph state (levels, fanouts,
-  topological order) shared by consecutive passes.
+  depth) shared by consecutive passes.
 
 See docs/ARCHITECTURE.md for the layer diagram.
 """

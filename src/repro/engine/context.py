@@ -1,38 +1,32 @@
 """Version-keyed derived-state cache for one AIG (``GraphContext``).
 
 Every optimization pass needs the same derived state — levels, fanout
-counts, fanout adjacency, the PO fanout mask, the topological order —
-and before the engine existed each pass recomputed all of it from
-scratch on entry *and* exit, even though a sequence hands the very same
-graph object from one pass to the next.  ``GraphContext`` memoizes that
+counts, fanout adjacency, the PO fanout mask, the depth — and before
+the engine existed each pass recomputed all of it from scratch on
+entry *and* exit, even though a sequence hands the very same graph
+object from one pass to the next.  ``GraphContext`` memoizes that
 state per AIG, keyed on the AIG's mutation counters
-(:class:`repro.aig.aig.Aig` ``_version`` / ``_shape_version`` /
-``_po_version``):
+(:class:`repro.aig.aig.Aig` ``_version``, plus ``_po_version`` where
+the value depends on the PO list):
 
-* an exact version match is a **hit** — the cached value is returned;
-* a stale version whose *shape* version still matches means the graph
-  only grew (appends never change existing rows), so levels, fanout
-  counts, fanout lists and the topological order are **extended** in
-  place over the new id range instead of recomputed;
-* anything else (kill / revive / truncate / PO change where it
-  matters) is a **miss** and recomputes through the raw functions of
-  :mod:`repro.aig.traversal`.
+* an exact key match is a **hit** — the cached value is returned;
+* anything else is a **miss** and recomputes through the raw
+  functions of :mod:`repro.aig.traversal`.
 
 The cached values are exactly what the raw functions return, so reuse
-is bit-identical by construction.  Hit/miss/extend events feed the
+is bit-identical by construction.  Hit/miss events feed the
 ``engine.cache_*`` counters of the metrics registry (see
 docs/OBSERVABILITY.md) and the per-context ``counters`` dict.
 
-Levels and fanout counts are stored in the graph-owned columns of the
-array core (``Aig._levelc`` / ``Aig._nrefc``): a miss adopts the fresh
-list into the column, an extend appends/patches the column in place,
-and the cached value is the column's scalar twin (a ``memoryview``
-slice).  Refcount rewrites bump the AIG's ``_ref_version`` only — they
-never invalidate the structural views.  Fanout lists, the PO mask and
-the topological order remain plain Python lists cached on the context.
+Levels and fanout counts are int64 ndarrays owned by the context and
+handed out as ``memoryview`` twins (plain-int scalar indexing at list
+speed); :meth:`GraphContext.fanout_counts_array` exposes the ndarray
+itself to the column-native kernels.  Fanout lists and the PO mask
+are plain Python lists, the fanout degrees an int64 ndarray.
 
-**Cached values are shared, not copied.**  Callers must treat them as
-read-only, or restore them exactly (the dereference/re-reference
+**Cached values are shared, not copied** — between calls and between
+a context and its :meth:`~GraphContext.fork`.  Callers must treat them
+as read-only, or restore them exactly (the dereference/re-reference
 discipline of the MFFC walks qualifies).
 
 The module also owns the alias-aware helpers that used to be
@@ -56,287 +50,103 @@ from repro.aig.literals import lit_var
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.aig.aig import Aig
 
-#: Minimum appended-row count before an in-place extend switches from
-#: the scalar loop to the vectorized tail fill.  Wall-clock heuristic
-#: only — both paths write identical values; bulk graph producers
-#: (``add_and_batch``, the enlarge fast path) append tails in the
-#: hundreds of thousands, where the scalar loop dominates pass entry.
-_VEC_EXTEND_MIN = 1024
-
-#: Wave cap for the vectorized level fill, mirroring
-#: ``traversal._VEC_MAX_WAVES``: a deeper-than-wide tail degrades to
-#: one wave per level, where the scalar loop is faster anyway.
-_VEC_MAX_WAVES = 96
-
-
-def _levels_tail_vec(aig: "Aig", col, size: int, num: int) -> bool:
-    """Wave-front fill of ``levels[size:num]``; False falls back.
-
-    Rows below ``size`` are final (a level depends only on earlier
-    ids), so each wave settles every tail AND whose fanins are
-    settled.  Returns ``False`` — leaving the scalar loop to redo the
-    whole tail, which is idempotent — when the tail is deeper than
-    :data:`_VEC_MAX_WAVES`.
-    """
-    fan0, fan1, dead = aig.arrays()
-    levels = col.nparray()
-    live = (fan0[size:num] >= 0) & ~dead[size:num]
-    active = np.flatnonzero(live) + size
-    if not active.size:
-        return True  # dead/PI tail rows keep their zero fill
-    var0 = fan0[active] >> 1
-    var1 = fan1[active] >> 1
-    settled = np.empty(num, dtype=bool)
-    settled[:size] = True
-    settled[size:num] = ~live
-    waves = 0
-    while active.size:
-        waves += 1
-        if waves > _VEC_MAX_WAVES:
-            return False
-        ready = settled[var0] & settled[var1]
-        if not ready.any():  # pragma: no cover - malformed graph
-            return False
-        wave = active[ready]
-        levels[wave] = (
-            np.maximum(levels[var0[ready]], levels[var1[ready]]) + 1
-        )
-        settled[wave] = True
-        keep = ~ready
-        active = active[keep]
-        var0 = var0[keep]
-        var1 = var1[keep]
-    return True
-
-
-def _nref_tail_vec(aig: "Aig", col, size: int, num: int) -> None:
-    """Add the tail rows' fanin references to the count column."""
-    fan0, fan1, dead = aig.arrays()
-    live = (fan0[size:num] >= 0) & ~dead[size:num]
-    rows = np.flatnonzero(live) + size
-    fanin_vars = np.concatenate((fan0[rows] >> 1, fan1[rows] >> 1))
-    counts = col.nparray()
-    counts += np.bincount(fanin_vars, minlength=num)
+_SLOTS = (
+    "_levels",
+    "_fanout_counts",
+    "_fanout_degrees",
+    "_fanout_lists",
+    "_po_mask",
+    "_depth",
+)
 
 
 class GraphContext:
     """Memoized derived state of one :class:`~repro.aig.aig.Aig`."""
 
-    __slots__ = (
-        "aig",
-        "counters",
-        "_levels",
-        "_fanout_counts",
-        "_fanout_degrees",
-        "_fanout_lists",
-        "_po_mask",
-        "_topo",
-        "_depth",
-    )
+    __slots__ = ("aig", "counters") + _SLOTS
 
     def __init__(self, aig: "Aig") -> None:
         self.aig = aig
-        self.counters = {"hits": 0, "misses": 0, "extends": 0}
-        # Each slot holds (version, value) — plus the PO version where
-        # the value depends on the PO list.
-        self._levels: tuple | None = None
-        self._fanout_counts: tuple | None = None
-        self._fanout_degrees: tuple | None = None
-        self._fanout_lists: tuple | None = None
-        self._po_mask: tuple | None = None
-        self._topo: tuple | None = None  # (key, num_vars, order)
-        self._depth: tuple | None = None
+        self.counters = {"hits": 0, "misses": 0}
+        # Each slot holds (key, value) — (key, ndarray, memoryview) for
+        # the fanout counts.
+        for slot in _SLOTS:
+            setattr(self, slot, None)
 
-    # ------------------------------------------------------------------
-    # Cache accounting
-    # ------------------------------------------------------------------
-
-    def _hit(self) -> None:
-        self.counters["hits"] += 1
-        if observe.enabled:
-            observe.count("engine.cache_hits")
-
-    def _miss(self) -> None:
-        self.counters["misses"] += 1
-        if observe.enabled:
-            observe.count("engine.cache_misses")
-
-    def _extend(self) -> None:
-        self.counters["extends"] += 1
-        if observe.enabled:
-            observe.count("engine.cache_extends")
+    def _cached(self, slot: str, key, count_miss: bool = True):
+        """The slot's entry when its key matches (a hit), else None."""
+        entry = getattr(self, slot)
+        if entry is not None and entry[0] == key:
+            self.counters["hits"] += 1
+            if observe.enabled:
+                observe.count("engine.cache_hits")
+            return entry
+        if count_miss:
+            self.counters["misses"] += 1
+            if observe.enabled:
+                observe.count("engine.cache_misses")
+        return None
 
     # ------------------------------------------------------------------
     # Derived state
     # ------------------------------------------------------------------
 
-    def levels(self) -> list[int]:
+    def levels(self):
         """Level of every variable (read-only; see module docstring)."""
-        aig = self.aig
-        key = (aig._version, aig._shape_version)
-        cached = self._levels
-        if cached is not None and cached[0] == key:
-            self._hit()
-            return cached[1]
-        if (
-            cached is not None
-            and cached[0][1] == aig._shape_version
-            and aig.num_vars > len(cached[1])
-        ):
-            # Append-only growth: existing levels are final (a node's
-            # level depends only on earlier ids), compute the tail.
-            col = aig._levelc
-            size = len(cached[1])
-            if col.size != size:
-                # Column superseded (e.g. a second context on the same
-                # AIG); realign it with this cache's snapshot.
-                col.adopt(cached[1])
-            num = aig.num_vars
-            col.extend_zeros(num - size)
-            vectorized = (
-                num - size >= _VEC_EXTEND_MIN
-                and _levels_tail_vec(aig, col, size, num)
-            )
-            if not vectorized:
-                values = col.view
-                fan0 = aig._fanin0
-                fan1 = aig._fanin1
-                dead = aig._dead
-                for var in range(size, num):
-                    f0 = fan0[var]
-                    if f0 < 0 or dead[var]:
-                        values[var] = 0
-                        continue
-                    l0 = values[f0 >> 1]
-                    l1 = values[fan1[var] >> 1]
-                    values[var] = (l0 if l0 >= l1 else l1) + 1
-            levels = col.slice()
-            self._levels = (key, levels)
-            self._extend()
-            return levels
-        self._miss()
-        aig._levelc.adopt(traversal.aig_levels(aig))
-        levels = aig._levelc.slice()
-        self._levels = (key, levels)
-        return levels
+        key = self.aig._version
+        entry = self._cached("_levels", key)
+        if entry is None:
+            levels = np.array(traversal.aig_levels(self.aig), np.int64)
+            entry = self._levels = (key, memoryview(levels))
+        return entry[1]
 
     def depth(self) -> int:
         """AIG depth (max PO driver level); memoized over levels()."""
         aig = self.aig
-        key = (aig._version, aig._shape_version, aig._po_version)
-        cached = self._depth
-        if cached is not None and cached[0] == key:
-            self._hit()
-            return cached[1]
-        levels = self.levels()
-        depth = 0
-        for lit in aig._pos:
-            level = levels[lit >> 1]
-            if level > depth:
-                depth = level
-        self._depth = (key, depth)
-        return depth
+        key = (aig._version, aig._po_version)
+        # A depth miss is not counted: the levels() lookup it makes is.
+        entry = self._cached("_depth", key, count_miss=False)
+        if entry is None:
+            levels = self.levels()
+            depth = 0
+            for lit in aig._pos:
+                level = levels[lit >> 1]
+                if level > depth:
+                    depth = level
+            entry = self._depth = (key, depth)
+        return entry[1]
 
-    def fanout_counts(self) -> list[int]:
+    def fanout_counts(self):
         """PO-inclusive fanout edge counts (read-only)."""
-        aig = self.aig
-        key = (aig._version, aig._shape_version, aig._po_version)
-        cached = self._fanout_counts
-        if cached is not None and cached[0] == key:
-            self._hit()
-            return cached[1]
-        if (
-            cached is not None
-            and cached[0][1] == aig._shape_version
-            and cached[0][2] == aig._po_version
-            and aig.num_vars > len(cached[1])
-        ):
-            # Append-only growth: new nodes add references to their
-            # fanins; existing edges (and the PO references) stand.
-            col = aig._nrefc
-            size = len(cached[1])
-            if col.size != size:
-                col.adopt(cached[1])
-            num = aig.num_vars
-            col.extend_zeros(num - size)
-            if num - size >= _VEC_EXTEND_MIN:
-                _nref_tail_vec(aig, col, size, num)
-            else:
-                values = col.view
-                fan0 = aig._fanin0
-                fan1 = aig._fanin1
-                dead = aig._dead
-                for var in range(size, num):
-                    if fan0[var] < 0 or dead[var]:
-                        continue
-                    values[fan0[var] >> 1] += 1
-                    values[fan1[var] >> 1] += 1
-            aig._ref_version += 1
-            counts = col.slice()
-            self._fanout_counts = (key, counts)
-            self._extend()
-            return counts
-        self._miss()
-        # Hand the column the ndarray itself — the list round-trip
-        # would copy every count twice.
-        aig._nrefc.adopt(traversal.fanout_counts_array(aig))
-        aig._ref_version += 1
-        counts = aig._nrefc.slice()
-        self._fanout_counts = (key, counts)
-        return counts
-
-    def levels_array(self):
-        """Int64 ndarray view of :meth:`levels` (column-native kernels).
-
-        Fills the cache through :meth:`levels` (same hit/miss counters)
-        and returns the level column's zero-copy ndarray view.
-        """
-        self.levels()
-        return self.aig._levelc.nparray()
+        return self._fanout_counts_entry()[2]
 
     def fanout_counts_array(self):
-        """Int64 ndarray view of :meth:`fanout_counts` (kernels).
+        """Int64 ndarray of :meth:`fanout_counts` (column-native kernels).
 
-        Fills the cache through :meth:`fanout_counts` (same hit/miss
-        counters) and returns the refcount column's zero-copy ndarray
-        view.  Callers must treat the view as read-only, exactly like
-        :meth:`fanout_counts`.
+        Same cache entry and hit/miss accounting as
+        :meth:`fanout_counts`; callers must treat the array as
+        read-only, exactly like :meth:`fanout_counts`.
         """
-        self.fanout_counts()
-        return self.aig._nrefc.nparray()
+        return self._fanout_counts_entry()[1]
+
+    def _fanout_counts_entry(self) -> tuple:
+        aig = self.aig
+        key = (aig._version, aig._po_version)
+        entry = self._cached("_fanout_counts", key)
+        if entry is None:
+            counts = traversal.fanout_counts_array(aig)
+            entry = self._fanout_counts = (key, counts, memoryview(counts))
+        return entry
 
     def fanout_lists(self) -> list[list[int]]:
         """Fanout adjacency, POs excluded (read-only, inner lists too)."""
-        aig = self.aig
-        key = (aig._version, aig._shape_version)
-        cached = self._fanout_lists
-        if cached is not None and cached[0] == key:
-            self._hit()
-            return cached[1]
-        if (
-            cached is not None
-            and cached[0][1] == aig._shape_version
-            and aig.num_vars > len(cached[1])
-        ):
-            fanouts = cached[1]
-            size = len(fanouts)
-            for _ in range(size, aig.num_vars):
-                fanouts.append([])
-            for var in range(size, aig.num_vars):
-                if aig._fanin0[var] < 0 or aig._dead[var]:
-                    continue
-                v0 = aig._fanin0[var] >> 1
-                v1 = aig._fanin1[var] >> 1
-                fanouts[v0].append(var)
-                if v1 != v0:
-                    fanouts[v1].append(var)
-            self._fanout_lists = (key, fanouts)
-            self._extend()
-            return fanouts
-        self._miss()
-        fanouts = traversal.fanout_lists(aig)
-        self._fanout_lists = (key, fanouts)
-        return fanouts
+        key = self.aig._version
+        entry = self._cached("_fanout_lists", key)
+        if entry is None:
+            entry = self._fanout_lists = (
+                key, traversal.fanout_lists(self.aig)
+            )
+        return entry[1]
 
     def fanout_degrees(self):
         """Per-variable live-AND reader counts (int64 ndarray).
@@ -349,113 +159,42 @@ class GraphContext:
         per-node list appends.  Read-only, like every derived value.
         """
         aig = self.aig
-        key = (aig._version, aig._shape_version)
-        cached = self._fanout_degrees
-        if cached is not None and cached[0] == key:
-            self._hit()
-            return cached[1]
-        self._miss()
-        fan0, fan1, dead = aig.arrays()
-        live = (fan0 >= 0) & ~dead
-        v0 = fan0[live] >> 1
-        v1 = fan1[live] >> 1
-        degrees = np.bincount(v0, minlength=aig.num_vars)
-        degrees = degrees + np.bincount(
-            v1[v1 != v0], minlength=aig.num_vars
-        )
-        degrees = degrees.astype(np.int64, copy=False)
-        self._fanout_degrees = (key, degrees)
-        return degrees
+        key = aig._version
+        entry = self._cached("_fanout_degrees", key)
+        if entry is None:
+            fan0, fan1, dead = aig.arrays()
+            live = (fan0 >= 0) & ~dead
+            v0 = fan0[live] >> 1
+            v1 = fan1[live] >> 1
+            degrees = np.bincount(v0, minlength=aig.num_vars)
+            degrees = degrees + np.bincount(
+                v1[v1 != v0], minlength=aig.num_vars
+            )
+            degrees = degrees.astype(np.int64, copy=False)
+            entry = self._fanout_degrees = (key, degrees)
+        return entry[1]
 
     def po_fanout_mask(self) -> list[bool]:
         """PO driver mask (read-only)."""
         aig = self.aig
-        key = (aig._version, aig._shape_version, aig._po_version)
-        cached = self._po_mask
-        if cached is not None and cached[0] == key:
-            self._hit()
-            return cached[1]
-        self._miss()
-        mask = traversal.po_fanout_mask(aig)
-        self._po_mask = (key, mask)
-        return mask
-
-    def topological_order(self) -> list[int]:
-        """Live AND variables in topological (= id) order (read-only)."""
-        aig = self.aig
-        key = (aig._version, aig._shape_version)
-        cached = self._topo
-        if cached is not None and cached[0] == key:
-            self._hit()
-            return cached[2]
-        if (
-            cached is not None
-            and cached[0][1] == aig._shape_version
-            and aig.num_vars > cached[1]
-        ):
-            # Append-only growth: live ANDs keep their relative order;
-            # scan only the ids appended since the cached snapshot.
-            order = cached[2]
-            start = cached[1]
-            if aig.num_vars - start >= _VEC_EXTEND_MIN:
-                fan0, _, dead = aig.arrays()
-                live = (fan0[start:] >= 0) & ~dead[start:]
-                order.extend(
-                    (np.flatnonzero(live) + start).tolist()
-                )
-            else:
-                for var in range(start, aig.num_vars):
-                    if aig._fanin0[var] >= 0 and not aig._dead[var]:
-                        order.append(var)
-            self._topo = (key, aig.num_vars, order)
-            self._extend()
-            return order
-        self._miss()
-        order = traversal.topological_order(aig)
-        self._topo = (key, aig.num_vars, order)
-        return order
-
-    def arrays(self) -> tuple:
-        """The AIG's NumPy view (delegates to the Aig-level cache)."""
-        return self.aig.arrays()
+        key = (aig._version, aig._po_version)
+        entry = self._cached("_po_mask", key)
+        if entry is None:
+            entry = self._po_mask = (key, traversal.po_fanout_mask(aig))
+        return entry[1]
 
     def fork(self, clone: "Aig") -> "GraphContext":
-        """Context for ``clone`` seeded with copies of this cache.
+        """Context for ``clone`` sharing this context's cache entries.
 
         ``clone`` must be a fresh :meth:`~repro.aig.aig.Aig.clone` of
         this context's AIG (the version counters carry over, keeping
-        the copied entries valid).  Values are copied — levels and
-        refcounts into the clone's own columns, the inner fanout lists
-        as fresh lists — so in-place extension on either side never
-        leaks to the other.
+        the shared entries valid).  Entries are read-only by contract,
+        and a mutation on either side bumps that side's version, so
+        its next lookup misses and computes a fresh value of its own.
         """
         forked = GraphContext(clone)
-        if self._levels is not None:
-            clone._levelc.adopt(self._levels[1])
-            forked._levels = (self._levels[0], clone._levelc.slice())
-        if self._fanout_counts is not None:
-            clone._nrefc.adopt(self._fanout_counts[1])
-            clone._ref_version += 1
-            forked._fanout_counts = (
-                self._fanout_counts[0], clone._nrefc.slice()
-            )
-        if self._fanout_degrees is not None:
-            forked._fanout_degrees = (
-                self._fanout_degrees[0],
-                self._fanout_degrees[1].copy(),
-            )
-        if self._fanout_lists is not None:
-            forked._fanout_lists = (
-                self._fanout_lists[0],
-                [list(entry) for entry in self._fanout_lists[1]],
-            )
-        if self._po_mask is not None:
-            forked._po_mask = (self._po_mask[0], list(self._po_mask[1]))
-        if self._topo is not None:
-            forked._topo = (
-                self._topo[0], self._topo[1], list(self._topo[2])
-            )
-        forked._depth = self._depth
+        for slot in _SLOTS:
+            setattr(forked, slot, getattr(self, slot))
         return forked
 
 

@@ -38,7 +38,8 @@ class HashTable:
 
     The scalar reference: every probe is spelled out one item at a
     time.  :class:`repro.parallel.vec.VecHashTable` inherits these
-    single-item operations and vectorizes the batched ones.
+    single-item operations and vectorizes :meth:`insert_batch`, whose
+    loop here is its bit-identity oracle.
     """
 
     def __init__(self, expected: int = 1024, load_factor: float = 0.5) -> None:
@@ -116,43 +117,6 @@ class HashTable:
             observe.count("hashtable.probes", probes)
         return value, probes
 
-    def update(
-        self, key0: int, key1: int, value: int
-    ) -> tuple[int | None, int]:
-        """Overwrite the value of an existing key (or insert).
-
-        Returns ``(previous_value_or_None, probes)``.  Needed by the
-        level-wise de-duplication pass, which re-points keys at their
-        surviving representative.
-        """
-        if (self._size + 1) > len(self._value) * self._load_factor:
-            self._grow()
-        mask = len(self._value) - 1
-        slot = _hash_key(key0, key1) & mask
-        probes = 1
-        while True:
-            if self._value[slot] == _EMPTY:
-                self._key0[slot] = key0
-                self._key1[slot] = key1
-                self._value[slot] = value
-                self._size += 1
-                if observe.enabled:
-                    # Not an update of anything resident: classified
-                    # separately so ``hashtable.updates`` counts actual
-                    # re-pointings only.
-                    observe.count("hashtable.update_inserts")
-                    observe.count("hashtable.probes", probes)
-                return None, probes
-            if self._key0[slot] == key0 and self._key1[slot] == key1:
-                previous = self._value[slot]
-                self._value[slot] = value
-                if observe.enabled:
-                    observe.count("hashtable.updates")
-                    observe.count("hashtable.probes", probes)
-                return previous, probes
-            slot = (slot + 1) & mask
-            probes += 1
-
     def _insert_raw(self, key0: int, key1: int, value: int) -> int:
         """Metric-free insert of a known-fresh key; returns probes.
 
@@ -185,30 +149,6 @@ class HashTable:
         for (key0, key1), value in zip(keys, values):
             resident, probes = self.insert(key0, key1, value)
             out.append(resident)
-            works.append(probes)
-        return out, works
-
-    def lookup_batch(
-        self, keys: list[tuple[int, int]]
-    ) -> tuple[list[int | None], list[int]]:
-        """Batched lookup; returns (values, per-item probes)."""
-        out = []
-        works = []
-        for key0, key1 in keys:
-            value, probes = self.lookup(key0, key1)
-            out.append(value)
-            works.append(probes)
-        return out, works
-
-    def update_batch(
-        self, keys: list[tuple[int, int]], values: list[int]
-    ) -> tuple[list[int | None], list[int]]:
-        """Batched update; returns (previous values, per-item probes)."""
-        out = []
-        works = []
-        for (key0, key1), value in zip(keys, values):
-            previous, probes = self.update(key0, key1, value)
-            out.append(previous)
             works.append(probes)
         return out, works
 
@@ -327,11 +267,3 @@ class NodeHashTable:
         from repro.parallel import vec
 
         return vec.get_or_create_batch(self, pairs, alloc, alloc_batch)
-
-    def lookup_lit(self, lit0: int, lit1: int) -> tuple[int | None, int]:
-        """Literal of an existing AND(lit0, lit1) or None, plus work."""
-        key0, key1 = lit_pair_key(lit0, lit1)
-        value, probes = self._table.lookup(key0, key1)
-        if value is None:
-            return None, probes
-        return value << 1, probes

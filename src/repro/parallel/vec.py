@@ -34,11 +34,9 @@ reproduces the sequential result in two phases:
    depth of the longest displacement cascade (single digits in
    practice), each touching only the still-unplaced items.
 
-Batched ``update`` adds per-key value chaining on top (every hit
-returns the previous batch item's value and the last one's value
-stays), and batched ``get_or_create`` inserts negative sentinels for
-misses, then allocates node ids in batch order and patches them over
-the sentinels, exactly like the scalar loop.
+Batched ``get_or_create`` inserts negative sentinels for misses, then
+allocates node ids in batch order and patches them over the
+sentinels, exactly like the scalar loop.
 """
 
 from __future__ import annotations
@@ -77,55 +75,14 @@ def hash_keys(key0: np.ndarray, key1: np.ndarray) -> np.ndarray:
     return value * _MIX
 
 
-def probe_sim(
-    tkey0: np.ndarray,
-    tkey1: np.ndarray,
-    tvalue: np.ndarray,
-    mask: int,
-    key0: np.ndarray,
-    key1: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Simulate scalar probe paths against a frozen table.
-
-    Returns ``(hit, slot, probes)``: whether each item's path ends on a
-    matching key (vs an empty slot), the terminal slot index, and the
-    number of slots visited — exactly the scalar loop's probe count.
-    """
-    n = key0.shape[0]
-    cur = (hash_keys(key0, key1) & np.uint64(mask)).astype(np.int64)
-    probes = np.ones(n, dtype=np.int64)
-    hit = np.zeros(n, dtype=bool)
-    slot = cur.copy()
-    active = np.arange(n)
-    while active.size:
-        value = tvalue[cur]
-        empty = value == _EMPTY
-        match = (
-            ~empty
-            & (tkey0[cur] == key0[active])
-            & (tkey1[cur] == key1[active])
-        )
-        stop = empty | match
-        if stop.any():
-            stopped = active[stop]
-            slot[stopped] = cur[stop]
-            hit[stopped] = match[stop]
-            keep = ~stop
-            active = active[keep]
-            cur = cur[keep]
-        cur = (cur + 1) & mask
-        probes[active] += 1
-    return hit, slot, probes
-
-
 def group_keys(
     key0: np.ndarray, key1: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Group a chunk by key; duplicates fold onto their first occurrence.
 
-    Returns ``(order, rep_pos, reps)``: a stable (key, index) sort
-    order, each item's position into ``reps`` (its group's
-    representative), and the representative item indices themselves.
+    Returns ``(rep_pos, reps)``: each item's position into ``reps``
+    (its group's representative), and the representative item indices
+    themselves.
     ``reps`` is ascending — position within it is batch order, which
     :meth:`VecHashTable._stable_place` uses as the placement priority.
     Shared with :meth:`repro.aig.aig.Aig.add_and_batch`, whose strash
@@ -144,7 +101,7 @@ def group_keys(
     rank[np.argsort(reps, kind="stable")] = np.arange(reps.shape[0])
     rep_pos = np.empty(n, dtype=np.int64)
     rep_pos[order] = rank[group_of_sorted]
-    return order, rep_pos, np.sort(reps)
+    return rep_pos, np.sort(reps)
 
 
 class VecHashTable(HashTable):
@@ -152,7 +109,7 @@ class VecHashTable(HashTable):
 
     Storage is three int64 arrays instead of lists; the inherited
     scalar single-item operations work unchanged on them (callers pass
-    Python ints).  Growth, dump and the batched operations are
+    Python ints).  Growth, dump and :meth:`insert_batch` are
     overridden with vectorized implementations.
     """
 
@@ -324,7 +281,7 @@ class VecHashTable(HashTable):
             ck0 = key0[start:stop]
             ck1 = key1[start:stop]
             cvals = vals[start:stop]
-            _, rep_pos, reps = group_keys(ck0, ck1)
+            rep_pos, reps = group_keys(ck0, ck1)
             hit, slot, path = self._stable_place(
                 ck0[reps], ck1[reps], cvals[reps]
             )
@@ -340,106 +297,6 @@ class VecHashTable(HashTable):
             _count("hashtable.insert_hits", n - inserted)
             _count("hashtable.probes", int(prb.sum()))
         return res.tolist(), prb.tolist()
-
-    def lookup_batch(self, keys):
-        n = len(keys)
-        if n == 0:
-            return [], []
-        if n < _SCALAR_CUTOFF:
-            out = []
-            works = []
-            for k0, k1 in keys:
-                value, probes = self.lookup(int(k0), int(k1))
-                out.append(None if value is None else int(value))
-                works.append(probes)
-            return out, works
-        key0, key1 = _as_key_arrays(keys)
-        hit, slot, probes = probe_sim(
-            self._akey0,
-            self._akey1,
-            self._avalue,
-            self._avalue.shape[0] - 1,
-            key0,
-            key1,
-        )
-        if observe.enabled:
-            _count("hashtable.lookups", n)
-            _count("hashtable.probes", int(probes.sum()))
-        values = self._avalue[slot].tolist()
-        return (
-            [value if ok else None for value, ok in zip(values, hit.tolist())],
-            probes.tolist(),
-        )
-
-    def update_batch(self, keys, values):
-        n = len(values)
-        if n == 0:
-            return [], []
-        if n < _SCALAR_CUTOFF:
-            out = []
-            works = []
-            for (k0, k1), value in zip(keys, values):
-                previous, probes = self.update(int(k0), int(k1), int(value))
-                out.append(None if previous is None else int(previous))
-                works.append(probes)
-            return out, works
-        key0, key1 = _as_key_arrays(keys)
-        vals = np.asarray(values, dtype=np.int64)
-        prev = np.empty(n, dtype=np.int64)
-        was_hit = np.zeros(n, dtype=bool)
-        prb = np.empty(n, dtype=np.int64)
-        inserted = 0
-        start = 0
-        while start < n:
-            room = self._room()
-            if room <= 0:
-                self._grow()
-                continue
-            stop = min(n, start + room)
-            ck0 = key0[start:stop]
-            ck1 = key1[start:stop]
-            cvals = vals[start:stop]
-            order, rep_pos, reps = group_keys(ck0, ck1)
-            hit, slot, path = self._stable_place(
-                ck0[reps], ck1[reps], cvals[reps]
-            )
-            misses = int((~hit).sum())
-            inserted += misses
-            self._size += misses
-            prb[start:stop] = path[rep_pos]
-            # Scalar update semantics, per key and in batch order: the
-            # first item sees the pre-batch resident value (None on a
-            # miss), every later one sees its predecessor's value, and
-            # the last value stays in the table.
-            sorted_pos = rep_pos[order]
-            first = np.empty(order.shape[0], dtype=bool)
-            first[0] = True
-            first[1:] = sorted_pos[1:] != sorted_pos[:-1]
-            cprev = np.empty(order.shape[0], dtype=np.int64)
-            cprev[~first] = cvals[order[:-1]][~first[1:]]
-            base = self._avalue[slot]
-            cprev[first] = base[sorted_pos[first]]
-            chit = np.ones(order.shape[0], dtype=bool)
-            chit[first] = hit[sorted_pos[first]]
-            prev[start + order] = cprev
-            was_hit[start + order] = chit
-            last = np.empty(order.shape[0], dtype=bool)
-            last[-1] = True
-            last[:-1] = first[1:]
-            self._avalue[slot[sorted_pos[last]]] = cvals[order[last]]
-            start = stop
-        updated = int(was_hit.sum())
-        if observe.enabled:
-            _count("hashtable.updates", updated)
-            _count("hashtable.update_inserts", inserted)
-            _count("hashtable.probes", int(prb.sum()))
-        return (
-            [
-                value if ok else None
-                for value, ok in zip(prev.tolist(), was_hit.tolist())
-            ],
-            prb.tolist(),
-        )
 
 
 def _as_key_arrays(keys) -> tuple[np.ndarray, np.ndarray]:
@@ -570,7 +427,7 @@ def _goc_chunk(table, key0, key1, alloc, alloc_batch=None):
     freshly created node).
     """
     m = key0.shape[0]
-    _, rep_pos, reps = group_keys(key0, key1)
+    rep_pos, reps = group_keys(key0, key1)
     sentinels = -(np.arange(reps.shape[0], dtype=np.int64) + 2)
     hit, slot, path = table._stable_place(key0[reps], key1[reps], sentinels)
     miss = ~hit

@@ -29,7 +29,6 @@ GATES = (
     ("repro.aig.aig", "_BULK_COMPACT_MIN"),
     ("repro.aig.store", "_BULK_MIN"),
     ("repro.benchgen.enlarge", "_BULK_MIN_ANDS"),
-    ("repro.engine.context", "_VEC_EXTEND_MIN"),
 )
 
 

@@ -22,11 +22,12 @@ mutation primitives (``kill`` / ``revive`` / ``set_alias`` /
 Documented exceptions are the modules that *are* the primitives or the
 sequential references (see :data:`MUTATION_ALLOWED`).
 
-Two rules guard the single-backend design: every module-level size
-gate under ``src/`` (an integer constant named ``*_CUTOFF`` or
-``*_MIN*``) must be listed in :data:`repro.verify.gates.GATES`, so the
-forced-gates differential covers it; and no reference to the deleted
-backend switch or no-NumPy mode may come back.
+Two rules guard the single-backend design: the module-level size
+gates under ``src/`` (integer constants named ``*_CUTOFF`` or
+``*_MIN*``) must be exactly the entries of
+:data:`repro.verify.gates.GATES` — none missing, so the forced-gates
+differential covers each, and none stale; and no reference to the
+deleted backend switch or no-NumPy mode may come back.
 
 This file is pure text scanning (no ``repro`` import), so the CI lint
 job runs it without installing the package:
@@ -131,11 +132,16 @@ def listed_gates() -> set[tuple[str, str]]:
     return set()
 
 
-def find_unlisted_gates() -> list[str]:
-    """Size gates the forced-gates differential would not cover."""
+def find_gate_mismatches() -> list[str]:
+    """Gates missing from ``GATES``, and ``GATES`` entries gone stale."""
+    found = find_size_gates()
+    listed = listed_gates()
     return [
-        f"{module}.{name}"
-        for module, name in sorted(find_size_gates() - listed_gates())
+        f"{module}.{name} (not in GATES)"
+        for module, name in sorted(found - listed)
+    ] + [
+        f"{module}.{name} (in GATES, no such gate)"
+        for module, name in sorted(listed - found)
     ]
 
 
@@ -202,12 +208,10 @@ def test_pass_mutations_route_through_commit_layer() -> None:
 
 
 def test_every_size_gate_is_forced_by_the_helper() -> None:
-    assert len(find_size_gates()) >= 9
-    unlisted = find_unlisted_gates()
-    assert not unlisted, (
-        "size gates missing from repro.verify.gates.GATES (the "
-        "forced-gates differential would never cover them):\n"
-        + "\n".join(unlisted)
+    assert find_size_gates() == listed_gates(), (
+        "repro.verify.gates.GATES must list exactly the size gates "
+        "(a missing one is never covered by the forced-gates "
+        "differential):\n" + "\n".join(find_gate_mismatches())
     )
 
 
@@ -241,14 +245,14 @@ def main() -> int:
             "route graph mutation through repro.commit",
             file=sys.stderr,
         )
-    unlisted = find_unlisted_gates()
-    if unlisted:
+    mismatches = find_gate_mismatches()
+    if mismatches:
         failed = True
         print("size-gate conformance FAILED:", file=sys.stderr)
-        for gate in unlisted:
+        for gate in mismatches:
             print(f"  {gate}", file=sys.stderr)
         print(
-            "list every size gate in repro.verify.gates.GATES",
+            "list exactly the size gates in repro.verify.gates.GATES",
             file=sys.stderr,
         )
     backend_references = find_backend_references()

@@ -374,46 +374,3 @@ def test_compact_scalar_rebuild_below_gate(monkeypatch):
     monkeypatch.setattr(aig_mod, "_BULK_COMPACT_MIN", 10**9)
     assert aig._compact_bulk() is None
     assert dump_aag(aig) == reference
-
-
-# ----------------------------------------------------------------------
-# Context tail extends: vectorized == scalar
-# ----------------------------------------------------------------------
-
-
-def test_context_vectorized_extends_match_scalar(monkeypatch):
-    from repro.engine import context as context_mod
-    from repro.engine.context import context_for
-
-    def grown_aig() -> Aig:
-        aig = build_random_aig(41, num_pis=8, num_ands=40)
-        ctx = context_for(aig)
-        ctx.levels()
-        ctx.fanout_counts()
-        ctx.topological_order()
-        rng = random.Random(43)
-        lits = [var << 1 for var in range(1, aig.num_vars)]
-        for _ in range(1500):
-            a = rng.choice(lits) ^ rng.randint(0, 1)
-            b = rng.choice(lits) ^ rng.randint(0, 1)
-            lit = aig.add_and(a, b)
-            if lit >= 2:
-                lits.append(lit)
-        return aig
-
-    monkeypatch.setattr(context_mod, "_VEC_EXTEND_MIN", 10**9)
-    scalar = grown_aig()
-    scalar_ctx = context_for(scalar)
-    scalar_levels = list(scalar_ctx.levels())
-    scalar_counts = list(scalar_ctx.fanout_counts())
-    scalar_topo = list(scalar_ctx.topological_order())
-    monkeypatch.setattr(context_mod, "_VEC_EXTEND_MIN", 1)
-    vector = grown_aig()
-    vector_ctx = context_for(vector)
-    assert list(vector_ctx.levels()) == scalar_levels
-    assert list(vector_ctx.fanout_counts()) == scalar_counts
-    assert list(vector_ctx.topological_order()) == scalar_topo
-    assert vector_ctx.counters["extends"] == 3
-    assert vector_ctx.counters["extends"] == (
-        scalar_ctx.counters["extends"]
-    )

@@ -10,9 +10,9 @@ Three groups:
   The goldens were captured from the pre-engine script runner, so
   these tests prove the refactor changed no observable behavior.
 * **GraphContext** — unit tests of the version-keyed derived-state
-  cache: hit/miss/extend accounting, append-only extension equals a
-  from-scratch recompute, invalidation on every mutating operation,
-  fork isolation, and the grow-in-place ``arrays()`` path.
+  cache: hit/miss accounting, invalidation on every mutating operation
+  (appends included), fork isolation, the passes leaving shared fork
+  entries intact, and the grow-in-place ``arrays()`` path.
 * **Registry/plugin** — script parsing errors, pass lookup, and an
   end-to-end plugin test registering a custom pass + command and
   driving it through ``repro-aig opt``.
@@ -34,6 +34,7 @@ from repro.benchgen.control import random_control
 from repro.benchgen.random_aig import mtm_random
 from repro.cli import main as cli_main
 from repro.engine import (
+    VALID_COMMANDS,
     GraphContext,
     clone_with_context,
     context_for,
@@ -172,13 +173,13 @@ def test_context_hit_miss_accounting(small_aig):
     context = context_for(small_aig)
     assert context is context_for(small_aig)  # attached, not rebuilt
     levels = context.levels()
-    assert context.counters == {"hits": 0, "misses": 1, "extends": 0}
+    assert context.counters == {"hits": 0, "misses": 1}
     assert context.levels() is levels
-    assert context.counters == {"hits": 1, "misses": 1, "extends": 0}
+    assert context.counters == {"hits": 1, "misses": 1}
     assert list(levels) == traversal.aig_levels(small_aig)
 
 
-def test_context_append_extends_all_caches():
+def test_context_append_is_a_miss():
     from repro.aig.aig import Aig
 
     aig = Aig("ctx")
@@ -190,19 +191,16 @@ def test_context_append_extends_all_caches():
     context.levels()
     context.fanout_counts()
     context.fanout_lists()
-    context.topological_order()
     before = aig.num_vars
     aig.add_and(n1, x[2] ^ 1)  # guaranteed fresh: pair not strashed yet
     assert aig.num_vars == before + 1
     levels = context.levels()
     counts = context.fanout_counts()
     fanouts = context.fanout_lists()
-    order = context.topological_order()
-    assert context.counters["extends"] == 4
+    assert context.counters == {"hits": 0, "misses": 6}
     assert list(levels) == traversal.aig_levels(aig)
     assert list(counts) == traversal.fanout_counts(aig)
     assert fanouts == traversal.fanout_lists(aig)
-    assert order == traversal.topological_order(aig)
 
 
 def test_context_invalidation_on_structural_mutations(small_aig):
@@ -211,7 +209,7 @@ def test_context_invalidation_on_structural_mutations(small_aig):
     victim = list(small_aig.and_vars())[-1]
     small_aig.mark_dead(victim)
     context.levels()
-    assert context.counters["misses"] == 2  # not a hit, not an extend
+    assert context.counters["misses"] == 2  # not a hit
     assert list(context.levels()) == traversal.aig_levels(small_aig)
     small_aig.revive(victim)
     context.levels()
@@ -248,15 +246,16 @@ def test_context_fork_isolation(small_aig):
     clone = clone_with_context(small_aig)
     forked = clone._graph_context
     assert isinstance(forked, GraphContext)
-    assert forked.counters == {"hits": 0, "misses": 0, "extends": 0}
-    assert forked.levels() == context.levels()
+    assert forked.counters == {"hits": 0, "misses": 0}
+    assert forked.levels() is context.levels()  # shared, not copied
     assert forked.counters["hits"] == 1  # carried entry is a hit
-    # Mutating the clone extends its fork without touching the source.
+    # Mutating the clone misses on its fork; the source still hits.
     _add_fresh_and(clone)
     assert clone.num_vars == small_aig.num_vars + 1
-    assert len(forked.levels()) == clone.num_vars
+    assert list(forked.levels()) == traversal.aig_levels(clone)
+    assert forked.counters == {"hits": 1, "misses": 1}
     assert len(context.levels()) == small_aig.num_vars
-    assert context.counters["extends"] == 0
+    assert context.counters["misses"] == 2  # its two warm-up misses
 
 
 def test_context_arrays_grow_in_place(small_aig):
@@ -264,7 +263,7 @@ def test_context_arrays_grow_in_place(small_aig):
 
     fan0, fan1, dead = small_aig.arrays()
     _add_fresh_and(small_aig)
-    grown0, grown1, grown_dead = context_for(small_aig).arrays()
+    grown0, grown1, grown_dead = small_aig.arrays()
     assert len(grown0) == small_aig.num_vars
     assert np.array_equal(
         grown0, np.asarray(small_aig._fanin0, dtype=np.int64)
@@ -276,6 +275,53 @@ def test_context_arrays_grow_in_place(small_aig):
         grown_dead, np.asarray(small_aig._dead, dtype=bool)
     )
     assert len(fan0) == len(fan1)  # original views untouched in length
+
+
+def _warm_entries(context) -> dict:
+    """Every cached entry of a warmed context, by accessor name."""
+    return {
+        "levels": context.levels(),
+        "fanout_counts": context.fanout_counts(),
+        "fanout_lists": context.fanout_lists(),
+        "fanout_degrees": context.fanout_degrees(),
+        "po_fanout_mask": context.po_fanout_mask(),
+    }
+
+
+@pytest.mark.parametrize("gates", [None, 0])
+@pytest.mark.parametrize("source", ["random", "vga_lcd"])
+def test_passes_leave_shared_fork_entries_intact(source, gates):
+    """Forks share the source's cache entries; no pass may leave one
+    mutated (the MFFC walks must restore the counts they dereference).
+
+    Besides the two scripts, every command runs once directly on the
+    source, so each in-place pass forks the warmed context itself.
+    """
+    from repro.benchgen.suite import load_benchmark
+
+    if source == "random":
+        aig = build_random_aig(11, num_ands=150)
+    else:
+        aig = load_benchmark("vga_lcd")
+    context = context_for(aig)
+    entries = _warm_entries(context)
+    with forced_gates(gates):
+        for script in ("resyn2", "rfc_resyn"):
+            run_script(aig, script, engine="gpu")
+        for engine in ("gpu", "seq"):
+            for command in VALID_COMMANDS:
+                run_script(aig, command, engine=engine)
+    misses = context.counters["misses"]
+    after = _warm_entries(context)
+    assert context.counters["misses"] == misses  # the same entries
+    for name, value in after.items():
+        assert value is entries[name], name
+    assert list(after["levels"]) == traversal.aig_levels(aig)
+    assert list(after["fanout_counts"]) == traversal.fanout_counts(aig)
+    fanouts = traversal.fanout_lists(aig)
+    assert after["fanout_lists"] == fanouts
+    assert after["fanout_degrees"].tolist() == [len(f) for f in fanouts]
+    assert after["po_fanout_mask"] == traversal.po_fanout_mask(aig)
 
 
 def test_resolved_helpers_match_pass_usage(small_aig):

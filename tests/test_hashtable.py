@@ -28,15 +28,6 @@ def test_lookup_missing():
     assert probes >= 1
 
 
-def test_update_overwrites():
-    table = HashTable()
-    previous, _ = table.update(2, 4, 7)
-    assert previous is None
-    previous, _ = table.update(2, 4, 9)
-    assert previous == 7
-    assert table.lookup(2, 4)[0] == 9
-
-
 def test_growth_preserves_entries():
     table = HashTable(expected=4)
     pairs = [(i * 2, i * 2 + 4, i) for i in range(500)]
@@ -63,8 +54,9 @@ def test_batch_operations():
     values, works = table.insert_batch(keys, [10, 20, 30])
     assert values == [10, 20, 10]
     assert len(works) == 3
-    found, _ = table.lookup_batch([(3, 4), (9, 9)])
-    assert found == [20, None]
+    assert sorted(table.dump()) == [(1, 2, 10), (3, 4, 20)]
+    assert table.lookup(3, 4)[0] == 20
+    assert table.lookup(9, 9)[0] is None
 
 
 def test_probe_counts_reflect_collisions():
@@ -134,12 +126,3 @@ def test_node_table_seeding():
 
     literal, _ = table.get_or_create(a, b, alloc)
     assert literal == existing
-
-
-def test_node_table_lookup_lit():
-    aig = Aig()
-    a, b = aig.add_pi(), aig.add_pi()
-    table = NodeHashTable()
-    assert table.lookup_lit(a, b)[0] is None
-    table.seed(a, b, 55)
-    assert table.lookup_lit(b, a)[0] == 110

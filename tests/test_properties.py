@@ -6,6 +6,7 @@ the randomized analogue of the paper's "all generated AIGs passed
 equivalence checking".
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -43,6 +44,39 @@ def test_par_balance_matches_seq_levels(seed, size):
     check_aig(par.aig)
     assert par.levels_after == seq.levels_after
     assert_equivalent(aig, par.aig)
+
+
+#: A known Property 3 counterexample: ``par_balance`` reaches 12 levels
+#: (98 ANDs) where ``seq_balance`` reaches 11 (88 ANDs).
+PROPERTY3_COUNTEREXAMPLE = {"seed": 75638, "size": 100}
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason=(
+        "one cluster holds a duplicate input and a complementary pair "
+        "(x and !x); whether they fold depends on the Huffman "
+        "tie-break by literal id, so reconstruction order changes the "
+        "balanced depth"
+    ),
+)
+def test_par_balance_matches_seq_levels_counterexample():
+    aig = build_random_aig(
+        PROPERTY3_COUNTEREXAMPLE["seed"],
+        num_ands=PROPERTY3_COUNTEREXAMPLE["size"],
+    )
+    assert par_balance(aig).levels_after == seq_balance(aig).levels_after
+
+
+def test_par_balance_counterexample_stays_equivalent():
+    """The counterexample costs depth, never correctness."""
+    aig = build_random_aig(
+        PROPERTY3_COUNTEREXAMPLE["seed"],
+        num_ands=PROPERTY3_COUNTEREXAMPLE["size"],
+    )
+    result = par_balance(aig)
+    check_aig(result.aig)
+    assert_equivalent(aig, result.aig)
 
 
 @settings(max_examples=10, deadline=None)

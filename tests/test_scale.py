@@ -7,8 +7,8 @@ Four groups:
 * **Facade exactness** — the node/object API is a thin facade over
   array indices: every scalar accessor must agree with the zero-copy
   ``arrays()`` view bit for bit and return plain Python ints.
-* **Version-key split** — refcount rewrites bump ``_ref_version``
-  only; they must never invalidate structural caches.
+* **Per-entry cache keys** — computing the fanout counts never
+  invalidates the cached levels.
 * **Million-node budget** — an enlarged ≥1M-AND AIG builds inside a
   documented peak-RSS budget.  Runs in a subprocess because ``VmHWM``
   is a process-wide high-water mark that earlier in-process tests
@@ -226,40 +226,21 @@ def test_scalar_gates_core_builds_identical_graphs():
 
 
 # ----------------------------------------------------------------------
-# Version-key split: refcount rewrites never invalidate structure
+# Per-entry cache keys: a refcount miss never invalidates levels
 # ----------------------------------------------------------------------
 
 
-def test_ref_version_split_from_structural_versions():
+def test_fanout_counts_miss_keeps_levels_hit():
     aig = build_random_aig(25, num_ands=80)
     context = context_for(aig)
-    structural = (aig._version, aig._shape_version, aig._po_version)
-    ref_before = aig._ref_version
+    versions = (aig._version, aig._po_version)
     levels = context.levels()
-    counts = context.fanout_counts()  # miss: rewrites the nref column
-    assert aig._ref_version == ref_before + 1
-    assert (
-        aig._version, aig._shape_version, aig._po_version
-    ) == structural
-    # The refcount rewrite did not invalidate the structural cache.
+    counts = context.fanout_counts()  # miss: computes the counts
+    assert (aig._version, aig._po_version) == versions
+    # The refcount miss did not invalidate the levels entry.
     assert context.levels() is levels
     assert context.fanout_counts() is counts
-    assert context.counters["misses"] == 2
-
-
-def test_ref_version_bumps_on_extend_but_not_on_levels():
-    aig = build_random_aig(27, num_ands=60)
-    context = context_for(aig)
-    context.levels()
-    context.fanout_counts()
-    ref_after_miss = aig._ref_version
-    lit = aig.add_and(aig.pis[0] << 1, (aig.pis[1] << 1) ^ 1)
-    assert lit >= 2
-    context.levels()  # levels extend touches _levelc only
-    assert aig._ref_version == ref_after_miss
-    context.fanout_counts()  # nref extend patches counts in place
-    assert aig._ref_version == ref_after_miss + 1
-    assert context.counters["extends"] == 2
+    assert context.counters == {"hits": 2, "misses": 2}
 
 
 # ----------------------------------------------------------------------

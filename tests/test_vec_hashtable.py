@@ -4,8 +4,8 @@ The vectorized table (:class:`repro.parallel.vec.VecHashTable`) must be
 bit-identical to the scalar :class:`repro.parallel.hashtable.HashTable`:
 same resident values, same per-item probe counts, same final slot
 layout, same ``hashtable.*`` counters.  These tests drive both engines
-through crafted collision batches and randomized op mixes and compare
-everything; the :class:`~repro.parallel.hashtable.NodeHashTable` fuzz
+through crafted collision batches and randomized insert sequences and
+compare everything; the :class:`~repro.parallel.hashtable.NodeHashTable` fuzz
 compares its batched calls against its per-item ``seed`` /
 ``get_or_create`` reference.
 """
@@ -48,16 +48,9 @@ def _colliding_keys(capacity: int, count: int) -> list[tuple[int, int]]:
     return keys
 
 
-def _compare_batch(scalar, vector, op, keys, values=None):
-    if op == "lookup":
-        got_s = scalar.lookup_batch(keys)
-        got_v = vector.lookup_batch(keys)
-    elif op == "insert":
-        got_s = scalar.insert_batch(keys, values)
-        got_v = vector.insert_batch(keys, values)
-    else:
-        got_s = scalar.update_batch(keys, values)
-        got_v = vector.update_batch(keys, values)
+def _compare_batch(scalar, vector, keys, values):
+    got_s = scalar.insert_batch(keys, values)
+    got_v = vector.insert_batch(keys, values)
     assert got_s == got_v
     assert scalar.dump() == vector.dump()
     assert scalar.size == vector.size
@@ -75,7 +68,7 @@ def test_single_bucket_collision_batch(force_vec):
     scalar, vector = _twin_tables(expected=4)
     keys = _colliding_keys(scalar.capacity, 6)
     values = [100 + i for i in range(len(keys))]
-    out, works = _compare_batch(scalar, vector, "insert", keys, values)
+    out, works = _compare_batch(scalar, vector, keys, values)
     assert out == values
     assert works == list(range(1, len(keys) + 1))
 
@@ -85,20 +78,8 @@ def test_duplicate_keys_in_batch_first_wins(force_vec):
     scalar, vector = _twin_tables(expected=4)
     keys = [(9, 9)] * 5 + [(3, 4)] * 3
     values = [10, 11, 12, 13, 14, 20, 21, 22]
-    out, _ = _compare_batch(scalar, vector, "insert", keys, values)
+    out, _ = _compare_batch(scalar, vector, keys, values)
     assert out == [10, 10, 10, 10, 10, 20, 20, 20]
-
-
-def test_update_batch_duplicate_keys_chain(force_vec):
-    """Duplicate update keys chain: each sees the previous one's value."""
-    scalar, vector = _twin_tables(expected=4)
-    _compare_batch(scalar, vector, "insert", [(1, 2)], [50])
-    keys = [(1, 2), (1, 2), (8, 8), (8, 8)]
-    values = [60, 70, 80, 90]
-    out, _ = _compare_batch(scalar, vector, "update", keys, values)
-    assert out == [50, 60, None, 80]
-    out, _ = _compare_batch(scalar, vector, "lookup", [(1, 2), (8, 8)])
-    assert out == [70, 90]
 
 
 def test_eviction_wraparound_near_full(force_vec):
@@ -114,8 +95,10 @@ def test_eviction_wraparound_near_full(force_vec):
             keys.append((key0, 3))
         key0 += 1
     values = list(range(len(keys)))
-    _compare_batch(scalar, vector, "insert", keys, values)
-    _compare_batch(scalar, vector, "lookup", keys)
+    _compare_batch(scalar, vector, keys, values)
+    # Re-inserting resident keys walks the wrapped paths as hits.
+    out, _ = _compare_batch(scalar, vector, keys, [-1] * len(keys))
+    assert out == values
 
 
 def test_growth_mid_batch(force_vec):
@@ -124,16 +107,14 @@ def test_growth_mid_batch(force_vec):
     rng = random.Random(7)
     keys = [(rng.randrange(10_000), rng.randrange(10_000)) for _ in range(600)]
     values = list(range(len(keys)))
-    _compare_batch(scalar, vector, "insert", keys, values)
+    out, _ = _compare_batch(scalar, vector, keys, values)
     assert scalar.capacity > 16
-    _compare_batch(scalar, vector, "lookup", keys)
+    assert _compare_batch(scalar, vector, keys, values)[0] == out
 
 
 def test_empty_batches(force_vec):
     scalar, vector = _twin_tables(expected=4)
-    assert _compare_batch(scalar, vector, "insert", [], []) == ([], [])
-    assert _compare_batch(scalar, vector, "update", [], []) == ([], [])
-    assert _compare_batch(scalar, vector, "lookup", []) == ([], [])
+    assert _compare_batch(scalar, vector, [], []) == ([], [])
 
 
 def test_scalar_cutoff_boundary():
@@ -144,8 +125,8 @@ def test_scalar_cutoff_boundary():
         rng = random.Random(n)
         keys = [(rng.randrange(200), rng.randrange(200)) for _ in range(n)]
         values = list(range(n))
-        _compare_batch(scalar, vector, "insert", keys, values)
-        _compare_batch(scalar, vector, "lookup", keys)
+        out, _ = _compare_batch(scalar, vector, keys, values)
+        assert _compare_batch(scalar, vector, keys, values)[0] == out
 
 
 # ----------------------------------------------------------------------
@@ -163,34 +144,28 @@ def _counters(registry) -> dict[str, int]:
 
 @pytest.mark.parametrize("seed", range(60))
 def test_mixed_op_fuzz_differential(seed):
-    """Random insert/update/lookup mixes: outputs, layout, counters."""
+    """Random insert-batch sequences: outputs, layout, counters."""
     rng = random.Random(seed)
     scalar = HashTable(expected=rng.choice([4, 64, 1024]))
     vector = VecHashTable(expected=scalar.capacity // 2)
     keyspace = rng.choice([8, 60, 400, 5000])
-    ops = []
+    batches = []
     for _ in range(rng.randrange(1, 12)):
-        op = rng.choice(["insert", "update", "lookup"])
         m = rng.randrange(0, rng.choice([8, 40, 300, 3000]))
         keys = [
             (rng.randrange(keyspace), rng.randrange(keyspace))
             for _ in range(m)
         ]
         values = [rng.randrange(10**6) for _ in range(m)]
-        ops.append((op, keys, values))
+        batches.append((keys, values))
 
     outs = {}
     counters = {}
     for name, table in (("scalar", scalar), ("vector", vector)):
         observe.enable()
-        got = []
-        for op, keys, values in ops:
-            if op == "insert":
-                got.append(table.insert_batch(keys, values))
-            elif op == "update":
-                got.append(table.update_batch(keys, values))
-            else:
-                got.append(table.lookup_batch(keys))
+        got = [
+            table.insert_batch(keys, values) for keys, values in batches
+        ]
         _, registry = observe.disable()
         outs[name] = got
         counters[name] = _counters(registry)
