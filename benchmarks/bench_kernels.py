@@ -56,8 +56,9 @@ def test_bench_resynthesis_plan(benchmark):
     tables = [rng.getrandbits(64) for _ in range(16)]
 
     def run():
+        # Uncached: a repeat round would time plan-cache hits.
         for table in tables:
-            plan_resynthesis(table, 6)
+            plan_resynthesis.__wrapped__(table, 6)
 
     benchmark(run)
 

@@ -1,14 +1,14 @@
 """Optimization passes: sequential baselines and the paper's parallel
 algorithms.  Scripts of passes run through :mod:`repro.engine`."""
 
-from repro.algorithms.common import AliasView, PassResult
+from repro.algorithms.common import (
+    AliasView,
+    PassResult,
+    collapse_into_ffcs,
+)
 from repro.algorithms.dedup import dedup_and_dangling
 from repro.algorithms.par_balance import par_balance
-from repro.algorithms.par_refactor import (
-    DEFAULT_CUT_SIZE,
-    collapse_into_ffcs,
-    par_refactor,
-)
+from repro.algorithms.par_refactor import DEFAULT_CUT_SIZE, par_refactor
 from repro.algorithms.par_rewrite import par_rewrite
 from repro.algorithms.resub import (
     RESUB_CUT_SIZE,

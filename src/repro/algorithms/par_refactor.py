@@ -5,13 +5,12 @@ The pass runs in three stages:
 1. **Collapsing** (III-B a): partition the AIG into disjoint fanout-free
    cones, level-wise from POs to PIs, via the shared cone-collection
    helpers :class:`~repro.algorithms.common.ConeJob` and
-   :func:`~repro.algorithms.common.collapse_into_ffcs` (re-exported
-   here for compatibility).  One thread per frontier root runs a
-   best-first intra-cone traversal that only expands nodes whose every
-   fanout already lies inside the cone (the FFC condition) and
-   early-stops at the maximum cut size; cut nodes become the next
-   frontier.  Theorem 1 guarantees the cones are pairwise disjoint —
-   the implementation asserts it with an owner map.
+   :func:`~repro.algorithms.common.collapse_into_ffcs`.  One thread
+   per frontier root runs a best-first intra-cone traversal that only
+   expands nodes whose every fanout already lies inside the cone (the
+   FFC condition) and early-stops at the maximum cut size; cut nodes
+   become the next frontier.  Theorem 1 guarantees the cones are
+   pairwise disjoint — the implementation asserts it with an owner map.
 2. **Resynthesis** (III-B b): one thread per cone computes the cone
    function's truth table, ISOP and factored form; the *gain lower
    bound* (III-D) — deleted nodes minus new-cone size, logic sharing
@@ -49,12 +48,12 @@ from repro.engine.registry import (
     register_command,
     register_pass,
 )
-from repro.logic.resyn import ResynPlan, build_plan, plan_resynthesis
+from repro.logic.resyn import plan_resynthesis
 from repro.logic.truth import simulate_cone
 from repro.parallel import backend
 from repro.parallel.machine import ParallelMachine
 
-__all__ = ["ConeJob", "collapse_into_ffcs", "par_refactor"]
+__all__ = ["par_refactor"]
 
 #: The paper's maximum refactoring cut size.
 DEFAULT_CUT_SIZE = 12
@@ -149,29 +148,18 @@ def _bind_rf(invocation: PassInvocation) -> list[PassResult]:
 def _resynthesize(
     aig: Aig, cones: list[ConeJob], machine: ParallelMachine
 ) -> None:
-    """Resynthesize every cone; compute the gain lower bound (III-D)."""
-    # ``plan_resynthesis`` is a pure function of (table, leaf count),
-    # and the template AIG a pure function of the plan; the cache
-    # deduplicates the ISOP/factoring work *and* the template
-    # construction across the batch — identical plans, templates,
-    # works and gains, cheaper wall clock.  (One kernel thread per
-    # cone recomputes them on the real GPU, which is what the charged
-    # work units keep modeling.)  Templates are shared read-only:
-    # every downstream stage only traverses them.
-    plan_cache: dict[
-        tuple[int, int], tuple[ResynPlan | None, Aig | None, int]
-    ] = {}
+    """Resynthesize every cone; compute the gain lower bound (III-D).
+
+    Plans come from the run-scoped cache of
+    :func:`~repro.logic.resyn.plan_resynthesis` and carry their template
+    AIG (the new cone over symbolic leaves, linearized for
+    one-node-per-round insertion), so identical cone functions share
+    one plan and one template, read-only.  Each kernel thread is still
+    charged the plan's full work: on the real GPU every thread
+    recomputes its cone.
+    """
     fan0 = aig._fanin0
     fan1 = aig._fanin1
-
-    def build_template(plan: ResynPlan, num_leaves: int) -> Aig:
-        # Template AIG: the new cone over symbolic leaves, linearized
-        # for one-node-per-round insertion.
-        template = Aig("template")
-        template_pis = [template.add_pi() for _ in range(num_leaves)]
-        root_lit = build_plan(plan, template_pis, template.add_and)
-        template.add_po(root_lit)
-        return template
 
     def process(job: ConeJob) -> tuple[None, int]:
         cut = job.cut
@@ -192,27 +180,17 @@ def _resynthesize(
             table = _PAIR_TABLES[index]
         else:
             table = simulate_cone(aig, make_lit(cut.root), leaves)
-        key = (table, len(leaves))
-        hit = plan_cache.get(key)
-        if hit is None:
-            plan = plan_resynthesis(table, len(leaves))
-            if plan is None:
-                hit = (None, None, 0)
-            else:
-                template = build_template(plan, len(leaves))
-                hit = (plan, template, template.num_ands)
-            plan_cache[key] = hit
-        plan, template, template_ands = hit
+        plan = plan_resynthesis(table, len(leaves))
         if plan is None:
             # SOP blow-up: cone filtered from replacement.
             job.gain = None
             return None, tt_work
         job.plan = plan
-        job.template = template
+        job.template = plan.template
         # New-cone nodes are counted without sharing among new cones:
         # the lower-bound gain of Section III-D (intra-cone sharing,
         # which one thread sees locally, is included).
-        job.gain = len(cut.cone) - template_ands
+        job.gain = len(cut.cone) - job.template.num_ands
         return None, tt_work + plan.work
 
     machine.kernel("rf.resynthesize", cones, process)

@@ -92,7 +92,7 @@ from repro.engine.registry import (
     register_command,
     register_pass,
 )
-from repro.logic.resyn import ResynPlan, build_plan, plan_resynthesis
+from repro.logic.resyn import plan_resynthesis
 from repro.logic.truth import simulate_cone, tt_support
 from repro.parallel import backend
 from repro.parallel.frontier import gather_unique
@@ -375,24 +375,14 @@ def _resynthesize(
 ) -> int:
     """Resynthesize the surviving cones; returns the pruned count.
 
-    Mirrors ``rf``'s resynthesis kernel (identical (table, leaf-count)
-    plans are deduplicated, wall-clock only), with the ELF bound in
+    Mirrors ``rf``'s resynthesis kernel (cached plans and templates,
+    shared read-only and charged in full), with the ELF bound in
     front: a function with ``s`` essential support variables needs at
     least ``s - 1`` AND nodes, so cones whose deletable set is smaller
     are provably non-winning and skip planning entirely.
     """
-    plan_cache: dict[
-        tuple[int, int], tuple[ResynPlan | None, Aig | None, int]
-    ] = {}
     pruned = 0
     levels = context_for(aig).levels()
-
-    def build_template(plan: ResynPlan, num_leaves: int) -> Aig:
-        template = Aig("template")
-        template_pis = [template.add_pi() for _ in range(num_leaves)]
-        root_lit = build_plan(plan, template_pis, template.add_and)
-        template.add_po(root_lit)
-        return template
 
     def template_depth(template: Aig, leaves: list[int]) -> int:
         """Exact post-commit level of the template's root.
@@ -427,20 +417,12 @@ def _resynthesize(
             pruned += 1
             job.gain = None
             return None, tt_work + len(leaves)
-        key = (table, len(leaves))
-        hit = plan_cache.get(key)
-        if hit is None:
-            plan = plan_resynthesis(table, len(leaves))
-            if plan is None:
-                hit = (None, None, 0)
-            else:
-                template = build_template(plan, len(leaves))
-                hit = (plan, template, template.num_ands)
-            plan_cache[key] = hit
-        plan, template, template_ands = hit
+        plan = plan_resynthesis(table, len(leaves))
         if plan is None:
             job.gain = None  # SOP blow-up: leave untouched
             return None, tt_work + len(leaves)
+        template = plan.template
+        template_ands = template.num_ands
         job.plan = plan
         job.template = template
         # ``template_ands`` charges the depth-guard DP.

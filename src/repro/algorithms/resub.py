@@ -33,10 +33,10 @@ from repro.algorithms.common import (
     AliasView,
     PassResult,
     RefCounts,
+    collapse_into_ffcs,
     resolved_fanout_counts,
 )
 from repro.algorithms.dedup import dedup_and_dangling
-from repro.algorithms.par_refactor import collapse_into_ffcs
 from repro.commit import commit_replacement, deref_cone, ref_cone_back
 from repro.engine.context import clone_with_context, context_for
 from repro.engine.registry import (

@@ -14,24 +14,25 @@ from __future__ import annotations
 from repro.aig.aig import Aig
 from repro.aig.literals import lit_compl, lit_not_cond, lit_var
 from repro.logic.npn import NpnTransform, npn_canon, npn_leaf_assignment
-from repro.logic.resyn import build_plan, plan_resynthesis
+from repro.logic.resyn import plan_resynthesis
 
 _TEMPLATES: dict[tuple[int, int], Aig] = {}
 
 
 def library_template(canon: int, num_vars: int) -> Aig:
-    """Template AIG of an NPN-canonical function (cached)."""
+    """Template AIG of an NPN-canonical function (cached).
+
+    The library outlives every run, so it plans through the uncached
+    planner: the run-scoped plan cache, and its hit/miss counters, see
+    only the refactoring passes of the current run.
+    """
     key = (canon, num_vars)
     template = _TEMPLATES.get(key)
     if template is None:
-        plan = plan_resynthesis(canon, num_vars)
+        plan = plan_resynthesis.__wrapped__(canon, num_vars)
         if plan is None:  # unreachable for <= 4 inputs (<= 8 cubes)
             raise AssertionError("library function exceeded the cube cap")
-        template = Aig(f"npn_{num_vars}_{canon:x}")
-        pis = [template.add_pi() for _ in range(num_vars)]
-        root = build_plan(plan, pis, template.add_and)
-        template.add_po(root)
-        _TEMPLATES[key] = template
+        template = _TEMPLATES[key] = plan.template
     return template
 
 

@@ -31,6 +31,7 @@ from repro.engine.registry import (
     command_binder,
     parse_script,
 )
+from repro.logic.resyn import plan_resynthesis
 from repro.parallel.machine import ParallelMachine, SeqMeter
 from repro.verify import check_invariants, sanitizer
 
@@ -80,7 +81,37 @@ def run_script(
     :func:`repro.verify.check_invariants` (acyclicity, level
     consistency, strashing canonicity, PO reachability); the default
     (None) follows whether the race sanitizer is enabled.
+
+    The resynthesis plan cache (:func:`repro.logic.resyn.plan_resynthesis`)
+    is empty when the run starts and is emptied again when it ends, so
+    its hits, misses (``resyn.plan_hits`` / ``resyn.plan_misses``) and
+    memory belong to this run alone.
     """
+    plan_resynthesis.cache_clear()
+    try:
+        return _run_commands(
+            aig, script, engine, max_cut_size, machine, meter,
+            verify_invariants,
+        )
+    finally:
+        plans = plan_resynthesis.cache_info()
+        if plans.hits:
+            observe.count("resyn.plan_hits", plans.hits)
+        if plans.misses:
+            observe.count("resyn.plan_misses", plans.misses)
+        plan_resynthesis.cache_clear()
+
+
+def _run_commands(
+    aig: Aig,
+    script: str,
+    engine: str,
+    max_cut_size: int,
+    machine: ParallelMachine | None,
+    meter: SeqMeter | None,
+    verify_invariants: bool | None,
+) -> SequenceResult:
+    """:func:`run_script` without the plan-cache bookkeeping."""
     commands = parse_script(script)
     check = (
         sanitizer.enabled if verify_invariants is None else verify_invariants

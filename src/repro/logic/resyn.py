@@ -5,10 +5,23 @@ parallel refactoring (paper, Section III-B: one GPU thread runs exactly
 this per identified cone).  Both polarities of the function are
 factored and the cheaper factored form wins, mirroring ABC's practice
 of resynthesizing whichever of f / f' factors better.
+
+:func:`plan_resynthesis` keeps the last :data:`PLAN_CACHE_ENTRIES`
+plans in one :func:`functools.lru_cache`; the script runner empties it
+when a run starts and again when it ends, so no run sees another's
+plans.  A plan is a pure function of ``(table, num_vars, max_cubes)``,
+so a hit returns the object a miss would have rebuilt field for field;
+it saves wall clock only.  Callers keep charging the plan's ``work`` on
+every use (one GPU thread per cone recomputes it), and must treat plans
+and their templates as read-only.  ``plan_resynthesis.__wrapped__`` is
+the uncached planner.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
+from repro.aig.aig import Aig
 from repro.logic.factor import (
     FactorNode,
     count_factored_ands,
@@ -38,9 +51,19 @@ class ResynPlan:
     work:
         Unit-work estimate for the cost model (SOP cubes + literals
         processed).
+    num_vars:
+        Number of cut variables the plan is built over.
     """
 
-    __slots__ = ("tree", "output_neg", "est_ands", "support", "work")
+    __slots__ = (
+        "tree",
+        "output_neg",
+        "est_ands",
+        "support",
+        "work",
+        "num_vars",
+        "_template",
+    )
 
     def __init__(
         self,
@@ -49,26 +72,54 @@ class ResynPlan:
         est_ands: int,
         support: list[int],
         work: int,
+        num_vars: int,
     ) -> None:
         self.tree = tree
         self.output_neg = output_neg
         self.est_ands = est_ands
         self.support = support
         self.work = work
+        self.num_vars = num_vars
+        self._template: Aig | None = None
+
+    @property
+    def template(self) -> Aig:
+        """The new cone as an AIG over ``num_vars`` symbolic leaves.
+
+        Built on first use and kept: one PI per cut variable, the
+        factored form in creation order (one node per insertion
+        round), and one PO for the root.  Shared read-only by every
+        cone the plan serves.
+        """
+        if self._template is None:
+            template = Aig("template")
+            pis = [template.add_pi() for _ in range(self.num_vars)]
+            template.add_po(build_plan(self, pis, template.add_and))
+            self._template = template
+        return self._template
 
 
 #: Covers beyond this many cubes are not factored (XOR-dominated cone
 #: functions explode in SOP form; ABC's refactoring bails out alike).
 MAX_RESYN_CUBES = 128
 
+#: Plans the run-scoped cache keeps (least recently used evicted).  A
+#: plan holds its factored tree and, once built, its template (a few
+#: KiB), so an unbounded cache grows with the run.  256 entries keep
+#: every hit an unbounded cache gets on ``perfbench``'s
+#: ``rf_resyn-large`` (8,428) and 463 of 533 on ``rfc-deep``.
+PLAN_CACHE_ENTRIES = 256
 
+
+@lru_cache(maxsize=PLAN_CACHE_ENTRIES)
 def plan_resynthesis(
     table: int, num_vars: int, max_cubes: int = MAX_RESYN_CUBES
 ) -> ResynPlan | None:
     """Factor ``table`` (trying both polarities) and report the plan.
 
     Returns None when both polarities exceed ``max_cubes`` product
-    terms — the cone is left untouched by the caller.
+    terms — the cone is left untouched by the caller.  Cached: see the
+    module docstring.
     """
     support = tt_support(table, num_vars)
     pos_cover = isop(table, num_vars)
@@ -76,9 +127,9 @@ def plan_resynthesis(
     if min(len(pos_cover), len(neg_cover)) > max_cubes:
         return None
     if len(pos_cover) > max_cubes:
-        return _plan_single(neg_cover, True, support)
+        return _plan_single(neg_cover, True, support, num_vars)
     if len(neg_cover) > max_cubes:
-        return _plan_single(pos_cover, False, support)
+        return _plan_single(pos_cover, False, support, num_vars)
     pos_tree = factor_cover(pos_cover)
     neg_tree = factor_cover(neg_cover)
     pos_cost = count_factored_ands(pos_tree)
@@ -91,16 +142,18 @@ def plan_resynthesis(
         + max(1, (1 << num_vars) >> 6)
     )
     if neg_cost < pos_cost:
-        return ResynPlan(neg_tree, True, neg_cost, support, work)
-    return ResynPlan(pos_tree, False, pos_cost, support, work)
+        return ResynPlan(neg_tree, True, neg_cost, support, work, num_vars)
+    return ResynPlan(pos_tree, False, pos_cost, support, work, num_vars)
 
 
-def _plan_single(cover, output_neg: bool, support: list[int]) -> ResynPlan:
+def _plan_single(
+    cover, output_neg: bool, support: list[int], num_vars: int
+) -> ResynPlan:
     """Plan from one polarity when the other polarity's cover blew up."""
     tree = factor_cover(cover)
     cost = count_factored_ands(tree)
     work = sum(len(cube) + 1 for cube in cover)
-    return ResynPlan(tree, output_neg, cost, support, work)
+    return ResynPlan(tree, output_neg, cost, support, work, num_vars)
 
 
 def build_plan(plan: ResynPlan, leaf_lits: list[int], add_and) -> int:

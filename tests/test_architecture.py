@@ -29,6 +29,10 @@ gates under ``src/`` (integer constants named ``*_CUTOFF`` or
 differential covers each, and none stale; and no reference to the
 deleted backend switch or no-NumPy mode may come back.
 
+A last rule keeps the counter table of ``docs/OBSERVABILITY.md``
+complete: every counter name ``src/`` passes to ``observe.count`` as a
+literal (f-string placeholders kept as ``{expr}``) must appear in it.
+
 This file is pure text scanning (no ``repro`` import), so the CI lint
 job runs it without installing the package:
 ``python tests/test_architecture.py``.
@@ -86,6 +90,9 @@ FORBIDDEN_BACKEND = re.compile(
 
 #: The forced-gates helper, the one place that lists the size gates.
 GATES_FILE = REPO_ROOT / "src" / "repro" / "verify" / "gates.py"
+
+#: The document whose metrics table lists every counter.
+COUNTER_TABLE = REPO_ROOT / "docs" / "OBSERVABILITY.md"
 
 
 def _is_gate_name(name: str) -> bool:
@@ -158,6 +165,54 @@ def find_backend_references() -> list[str]:
     return violations
 
 
+def _counter_name(node: ast.expr) -> str | None:
+    """A literal counter name, f-string placeholders as ``{expr}``."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    if isinstance(node, ast.JoinedStr):
+        return "".join(
+            part.value
+            if isinstance(part, ast.Constant)
+            else "{" + ast.unparse(part.value) + "}"
+            for part in node.values
+        )
+    return None
+
+
+def find_counter_names() -> dict[str, str]:
+    """Literal ``observe.count`` names in ``src/`` -> first call site."""
+    names: dict[str, str] = {}
+    for path in sorted((REPO_ROOT / "src").rglob("*.py")):
+        relative = path.relative_to(REPO_ROOT).as_posix()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "count"
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id == "observe"
+                and node.args
+            ):
+                continue
+            name = _counter_name(node.args[0])
+            if name is not None:
+                names.setdefault(name, f"{relative}:{node.lineno}")
+    return names
+
+
+def find_undocumented_counters() -> list[str]:
+    """Counters ``src/`` emits that the metrics table does not list."""
+    documented: set[str] = set()
+    for line in COUNTER_TABLE.read_text(encoding="utf-8").splitlines():
+        if line.startswith("|"):
+            documented.update(re.findall(r"`([^`]+)`", line))
+    return [
+        f"{site}: {name}"
+        for name, site in sorted(find_counter_names().items())
+        if name not in documented
+    ]
+
+
 def find_violations() -> list[str]:
     """All (file:line: text) conformance violations in the repo."""
     violations: list[str] = []
@@ -223,6 +278,15 @@ def test_no_backend_switch_references() -> None:
     )
 
 
+def test_every_counter_is_documented() -> None:
+    assert find_counter_names()
+    undocumented = find_undocumented_counters()
+    assert not undocumented, (
+        "counters missing from the docs/OBSERVABILITY.md table:\n"
+        + "\n".join(undocumented)
+    )
+
+
 def main() -> int:
     failed = False
     violations = find_violations()
@@ -261,6 +325,16 @@ def main() -> int:
         print("backend-switch conformance FAILED:", file=sys.stderr)
         for violation in backend_references:
             print(f"  {violation}", file=sys.stderr)
+    undocumented = find_undocumented_counters()
+    if undocumented:
+        failed = True
+        print("counter-table conformance FAILED:", file=sys.stderr)
+        for counter in undocumented:
+            print(f"  {counter}", file=sys.stderr)
+        print(
+            "list every counter in the docs/OBSERVABILITY.md table",
+            file=sys.stderr,
+        )
     if failed:
         return 1
     print("architecture conformance OK")

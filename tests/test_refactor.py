@@ -4,7 +4,8 @@ import pytest
 
 from repro.aig.aig import Aig
 from repro.aig.validate import check_aig
-from repro.algorithms.par_refactor import collapse_into_ffcs, par_refactor
+from repro.algorithms.common import collapse_into_ffcs
+from repro.algorithms.par_refactor import par_refactor
 from repro.algorithms.seq_refactor import seq_refactor
 from repro.benchgen.arith import divider, multiplier
 from repro.parallel.machine import ParallelMachine, SeqMeter
