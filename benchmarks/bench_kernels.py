@@ -11,6 +11,7 @@ from repro.aig.cuts import reconv_cut
 from repro.benchgen.arith import multiplier
 from repro.cec.simulate import random_patterns, simulate
 from repro.logic.isop import isop
+from repro.logic.npn import npn_canon
 from repro.logic.resyn import plan_resynthesis
 from repro.parallel.hashtable import HashTable
 
@@ -47,6 +48,18 @@ def test_bench_isop_8var(benchmark):
     def run():
         for table in tables:
             isop(table, 8)
+
+    benchmark(run)
+
+
+def test_bench_npn_canon(benchmark):
+    rng = random.Random(3)
+    tables = [rng.getrandbits(16) for _ in range(64)]
+
+    def run():
+        # Uncached: a repeat round would time cache hits.
+        for table in tables:
+            npn_canon.__wrapped__(table, 4)
 
     benchmark(run)
 

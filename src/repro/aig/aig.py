@@ -448,38 +448,54 @@ class Aig:
 
     def is_pi(self, var: int) -> bool:
         """True when ``var`` is a primary input."""
-        self._check_var(var)
-        return self._f0c.view[var] == PI_FANIN
+        column = self._f0c
+        if not 0 <= var < column.size:
+            raise IndexError(f"variable {var} out of range")
+        return column.view[var] == PI_FANIN
 
     def is_and(self, var: int) -> bool:
         """True when ``var`` is an AND node (live or dead)."""
-        self._check_var(var)
-        return self._f0c.view[var] >= 0
+        column = self._f0c
+        if not 0 <= var < column.size:
+            raise IndexError(f"variable {var} out of range")
+        return column.view[var] >= 0
 
     def is_dead(self, var: int) -> bool:
         """True when ``var`` was deleted by :meth:`mark_dead`."""
-        self._check_var(var)
-        return bool(self._deadc.view[var])
+        column = self._deadc
+        if not 0 <= var < column.size:
+            raise IndexError(f"variable {var} out of range")
+        return bool(column.view[var])
 
     def fanin0(self, var: int) -> int:
         """First (smaller) fanin literal of an AND variable."""
-        self._check_var(var)
-        lit = self._f0c.view[var]
+        column = self._f0c
+        if not 0 <= var < column.size:
+            raise IndexError(f"variable {var} out of range")
+        lit = column.view[var]
         if lit < 0:
             raise ValueError(f"variable {var} is not an AND node")
         return lit
 
     def fanin1(self, var: int) -> int:
         """Second (larger) fanin literal of an AND variable."""
-        self._check_var(var)
-        lit = self._f1c.view[var]
+        column = self._f1c
+        if not 0 <= var < column.size:
+            raise IndexError(f"variable {var} out of range")
+        lit = column.view[var]
         if lit < 0:
             raise ValueError(f"variable {var} is not an AND node")
         return lit
 
     def fanins(self, var: int) -> tuple[int, int]:
         """Both fanin literals of an AND variable."""
-        return self.fanin0(var), self.fanin1(var)
+        column = self._f0c
+        if not 0 <= var < column.size:
+            raise IndexError(f"variable {var} out of range")
+        lit0 = column.view[var]
+        if lit0 < 0:
+            raise ValueError(f"variable {var} is not an AND node")
+        return lit0, self._f1c.view[var]
 
     def and_vars(self) -> Iterator[int]:
         """Live AND variable ids in topological (= id) order.
@@ -627,17 +643,20 @@ class Aig:
         for index, var in enumerate(self._pic.slice()):
             var_map[var] = new.add_pi(pi_names[index])
 
+        fan0 = self._f0c.view
+        fan1 = self._f1c.view
+        size = self._f0c.size
+
         def resolve_lit(lit: int) -> int:
             """Follow redirection chains, composing complements."""
             seen = 0
             while True:
-                var = lit_var(lit)
-                target = resolve.get(var)
+                target = resolve.get(lit >> 1)
                 if target is None:
                     return lit
-                lit = lit_not_cond(target, lit_compl(lit))
+                lit = target ^ (lit & 1)
                 seen += 1
-                if seen > self.num_vars:
+                if seen > size:
                     raise ValueError("cycle in resolve map")
 
         def build(lit: int) -> int:
@@ -648,29 +667,39 @@ class Aig:
             # Iterative post-order DFS (recursion would overflow on
             # deep arithmetic AIGs such as dividers).
             stack = [root]
+            expanded: set[int] = set()
             while stack:
                 var = stack[-1]
                 if var in var_map:
                     stack.pop()
                     continue
-                if not self.is_and(var):
+                if not 0 <= var < size:
+                    raise IndexError(f"variable {var} out of range")
+                f0 = fan0[var]
+                if f0 < 0:
                     raise ValueError(
                         f"reached non-AND unmapped variable {var}"
                     )
-                pending = []
-                for fanin in self.fanins(var):
-                    fvar = lit_var(resolve_lit(fanin))
-                    if fvar not in var_map:
-                        pending.append(fvar)
-                if pending:
-                    stack.extend(pending)
+                f0 = resolve_lit(f0)
+                f1 = resolve_lit(fan1[var])
+                n0 = var_map.get(f0 >> 1)
+                n1 = var_map.get(f1 >> 1)
+                if n0 is None or n1 is None:
+                    # Everything pushed above a var's first visit is
+                    # built before it is reached again, unless the var
+                    # was pushed again from inside its own fanin cone.
+                    if var in expanded:
+                        raise ValueError(
+                            f"cycle through variable {var} in resolve map"
+                        )
+                    expanded.add(var)
+                    if n0 is None:
+                        stack.append(f0 >> 1)
+                    if n1 is None:
+                        stack.append(f1 >> 1)
                     continue
                 stack.pop()
-                f0 = resolve_lit(self.fanin0(var))
-                f1 = resolve_lit(self.fanin1(var))
-                n0 = lit_not_cond(var_map[lit_var(f0)], lit_compl(f0))
-                n1 = lit_not_cond(var_map[lit_var(f1)], lit_compl(f1))
-                var_map[var] = new.add_and(n0, n1)
+                var_map[var] = new.add_and(n0 ^ (f0 & 1), n1 ^ (f1 & 1))
             return lit_not_cond(var_map[root], lit_compl(lit))
 
         po_names = self._po_names
@@ -879,10 +908,6 @@ class Aig:
     def _check_lit(self, lit: int) -> None:
         if lit < 0 or lit_var(lit) >= self._f0c.size:
             raise ValueError(f"literal {lit} references an unknown variable")
-
-    def _check_var(self, var: int) -> None:
-        if var >= self._f0c.size or var < -self._f0c.size:
-            raise IndexError(f"variable {var} out of range")
 
     def __repr__(self) -> str:
         return (

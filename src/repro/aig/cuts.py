@@ -94,19 +94,29 @@ def reconv_cut(
     leaves: set[int] = set()
     for fanin in aig.fanins(root):
         leaves.add(lit_var(fanin))
+    # The graph is static while the cut grows, so each leaf's fanin
+    # variables (``()`` for a non-AND) are read once per call.
+    fanin_vars: dict[int, tuple[int, ...]] = {}
     work = 0
     while True:
         best_var = -1
         best_cost = 3  # any real expansion costs at most +1
         for var in leaves:
-            if not aig.is_and(var):
+            pair = fanin_vars.get(var)
+            if pair is None:
+                if aig.is_and(var):
+                    f0, f1 = aig.fanins(var)
+                    pair = (f0 >> 1, f1 >> 1)
+                else:
+                    pair = ()
+                fanin_vars[var] = pair
+            if not pair:
                 continue
             if expandable is not None and not expandable(var, cone):
                 continue
             work += 1
             cost = -1
-            for fanin in aig.fanins(var):
-                fvar = lit_var(fanin)
+            for fvar in pair:
                 if fvar not in leaves and fvar not in cone:
                     cost += 1
             if cost < best_cost or (cost == best_cost and var < best_var):
@@ -118,8 +128,7 @@ def reconv_cut(
         cone.add(best_var)
         if on_expand is not None:
             on_expand(best_var)
-        for fanin in aig.fanins(best_var):
-            fvar = lit_var(fanin)
+        for fvar in fanin_vars[best_var]:
             if fvar not in cone:
                 leaves.add(fvar)
     return CutResult(root, leaves, cone, work + len(cone))

@@ -74,7 +74,12 @@ class AliasView:
     def fanins(self, var: int) -> tuple[int, int]:
         """Alias-resolved fanin literals of a live AND variable."""
         f0, f1 = self.aig.fanins(var)
-        return self.resolve(f0), self.resolve(f1)
+        alias = self.alias
+        if f0 >> 1 in alias:
+            f0 = self.resolve(f0)
+        if f1 >> 1 in alias:
+            f1 = self.resolve(f1)
+        return f0, f1
 
     def resolved_pos(self) -> list[int]:
         """Primary output literals after alias resolution."""

@@ -3,9 +3,9 @@
 Rewriting matches each 4-input cut function against a library indexed
 by NPN class (negation of inputs, permutation of inputs, negation of
 output).  For up to four variables exhaustive canonicalization is
-cheap: all ``2 * n! * 2^n`` transforms are enumerated through
-precomputed minterm maps and the lexicographically smallest truth table
-wins.
+cheap: all ``2 * n! * 2^n`` transforms are evaluated at once, as one
+NumPy gather of the table's bits through a precomputed minterm-index
+array, and the lexicographically smallest truth table wins.
 
 The transform bookkeeping follows one convention throughout:
 
@@ -23,6 +23,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import permutations
+
+import numpy as np
 
 from repro.logic.truth import full_mask
 
@@ -59,14 +61,19 @@ class NpnTransform:
 @lru_cache(maxsize=None)
 def _minterm_maps(
     num_vars: int,
-) -> list[tuple[tuple[int, ...], int, tuple[int, ...]]]:
-    """All (perm, phase, minterm-map) triples for ``num_vars`` inputs.
+) -> tuple[list[tuple[tuple[int, ...], int]], np.ndarray, np.ndarray]:
+    """Every (perm, phase) transform of ``num_vars`` inputs, gatherable.
 
-    ``map[m]`` is the minterm of the original function that position
-    ``m`` of the transformed table reads: ``scatter_perm(m) ^ phase``.
+    Returns ``(transforms, index, weights)``: ``transforms[t]`` is the
+    ``(perm, phase)`` pair of row ``t`` of the ``(n! * 2^n, 2^n)`` array
+    ``index``, perm-major then phase, and ``index[t, m]`` is the minterm
+    of the original function that position ``m`` of the transformed
+    table reads: ``scatter_perm(m) ^ phase``.  ``weights[m] = 2^m``
+    packs a gathered bit row back into a table.
     """
     size = 1 << num_vars
-    maps = []
+    transforms = []
+    rows = []
     for perm in permutations(range(num_vars)):
         scatter = []
         for minterm in range(size):
@@ -76,9 +83,11 @@ def _minterm_maps(
                     source |= 1 << perm[index]
             scatter.append(source)
         for phase in range(size):
-            mapped = tuple(source ^ phase for source in scatter)
-            maps.append((perm, phase, mapped))
-    return maps
+            transforms.append((perm, phase))
+            rows.append([source ^ phase for source in scatter])
+    index = np.array(rows, dtype=np.intp)
+    weights = np.left_shift(1, np.arange(size, dtype=np.int64))
+    return transforms, index, weights
 
 
 @lru_cache(maxsize=None)
@@ -86,7 +95,9 @@ def npn_canon(table: int, num_vars: int) -> NpnTransform:
     """Exact NPN-canonical representative of ``table``.
 
     Returns the lexicographically smallest truth table among all NPN
-    transforms, together with one transform achieving it.
+    transforms, together with one transform achieving it: the first
+    one in (perm, phase, output phase) order, so ties break the same
+    way on every call.
     """
     if not 0 <= num_vars <= MAX_NPN_VARS:
         raise ValueError(
@@ -96,19 +107,20 @@ def npn_canon(table: int, num_vars: int) -> NpnTransform:
     mask = full_mask(num_vars)
     if table & ~mask:
         raise ValueError("truth table wider than the declared variable count")
-    size = 1 << num_vars
-    best: NpnTransform | None = None
-    for perm, phase, mapped in _minterm_maps(num_vars):
-        transformed = 0
-        for minterm in range(size):
-            if table >> mapped[minterm] & 1:
-                transformed |= 1 << minterm
-        for out_neg in (False, True):
-            candidate = transformed ^ mask if out_neg else transformed
-            if best is None or candidate < best.canon:
-                best = NpnTransform(candidate, perm, phase, out_neg, num_vars)
-    assert best is not None
-    return best
+    transforms, index, weights = _minterm_maps(num_vars)
+    bits = (table >> np.arange(1 << num_vars)) & 1
+    transformed = bits[index] @ weights
+    # Each table next to its complement, output phase minor: the first
+    # minimum is the winner of a scan keeping only strictly smaller
+    # candidates.
+    candidates = np.empty(2 * len(transforms), dtype=np.int64)
+    candidates[0::2] = transformed
+    candidates[1::2] = transformed ^ mask
+    best = int(np.argmin(candidates))
+    perm, phase = transforms[best >> 1]
+    return NpnTransform(
+        int(candidates[best]), perm, phase, bool(best & 1), num_vars
+    )
 
 
 def npn_apply(transform: NpnTransform, table: int) -> int:
@@ -149,9 +161,11 @@ def npn_leaf_assignment(
 
 
 def npn_class_count(num_vars: int) -> int:
-    """Number of distinct NPN classes (exhaustive; for tests/docs)."""
+    """Number of distinct NPN classes (exhaustive; for tests/docs).
+
+    Calls the uncached canonicalizer, so counting does not fill the
+    process-wide cache with every table of the width.
+    """
+    canon = npn_canon.__wrapped__
     mask = full_mask(num_vars)
-    classes = set()
-    for table in range(mask + 1):
-        classes.add(npn_canon(table, num_vars).canon)
-    return len(classes)
+    return len({canon(table, num_vars).canon for table in range(mask + 1)})

@@ -12,6 +12,9 @@ divides and the ISOP generator (:mod:`repro.logic.isop`) produces.
 
 from __future__ import annotations
 
+from collections import Counter
+from itertools import chain
+
 from repro.logic.truth import full_mask, tt_not, var_table
 
 Cube = frozenset[int]
@@ -61,11 +64,7 @@ def cover_support(cover: Cover) -> set[int]:
 
 def literal_counts(cover: Cover) -> dict[int, int]:
     """How many cubes each SOP literal appears in."""
-    counts: dict[int, int] = {}
-    for cube in cover:
-        for literal in cube:
-            counts[literal] = counts.get(literal, 0) + 1
-    return counts
+    return Counter(chain.from_iterable(cover))
 
 
 def common_cube(cover: Cover) -> Cube:

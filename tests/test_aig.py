@@ -70,6 +70,40 @@ def test_fanins_raises_for_pi():
         aig.fanin0(a >> 1)
 
 
+ACCESSORS = ("is_pi", "is_and", "is_dead", "fanin0", "fanin1", "fanins")
+
+
+@pytest.mark.parametrize("accessor", ACCESSORS)
+def test_accessors_reject_out_of_range_ids(accessor):
+    # Negative ids must not wrap around to the end of the columns.
+    aig = Aig()
+    a, b = aig.add_pi(), aig.add_pi()
+    aig.add_po(aig.add_and(a, b))
+    for var in (-1, -aig.num_vars, aig.num_vars, aig.num_vars + 5):
+        with pytest.raises(IndexError):
+            getattr(aig, accessor)(var)
+
+
+def test_accessors_read_every_valid_id():
+    aig = Aig()
+    a, b = aig.add_pi(), aig.add_pi()
+    node = aig.add_and(a, b)
+    assert [aig.is_pi(var) for var in range(4)] == [
+        False, True, True, False
+    ]
+    assert [aig.is_and(var) for var in range(4)] == [
+        False, False, False, True
+    ]
+    assert not any(aig.is_dead(var) for var in range(4))
+    assert aig.fanins(node >> 1) == (a, b)
+    assert (aig.fanin0(node >> 1), aig.fanin1(node >> 1)) == (a, b)
+    for var in range(3):
+        with pytest.raises(ValueError):
+            aig.fanins(var)
+        with pytest.raises(ValueError):
+            aig.fanin1(var)
+
+
 def test_add_raw_and_bypasses_strash():
     aig = Aig()
     a, b = aig.add_pi(), aig.add_pi()
@@ -159,6 +193,28 @@ def test_compact_detects_alias_cycle():
     aig.add_po(n2)
     with pytest.raises(ValueError):
         aig.compact(resolve={n1 >> 1: n2, n2 >> 1: n1})
+
+
+@pytest.mark.parametrize("target", [10, 11, 40, -2, -3])
+def test_compact_rejects_out_of_range_resolve_target(target):
+    aig = Aig()
+    a, b = aig.add_pi(), aig.add_pi()
+    node = aig.add_and(a, b)
+    aig.add_po(aig.add_and(node, a ^ 1))
+    with pytest.raises(IndexError):
+        aig.compact(resolve={node >> 1: target})
+
+
+def test_compact_detects_alias_cycle_through_a_fanin():
+    # n1 redirects into its own fanout n2: the rebuild would recurse
+    # n2 -> n1 -> n2 forever.
+    aig = Aig()
+    a, b, c = aig.add_pi(), aig.add_pi(), aig.add_pi()
+    n1 = aig.add_and(a, b)
+    n2 = aig.add_and(n1, c)
+    aig.add_po(n2)
+    with pytest.raises(ValueError, match="cycle"):
+        aig.compact(resolve={n1 >> 1: n2 ^ 1})
 
 
 def test_compact_on_deep_chain_does_not_recurse():

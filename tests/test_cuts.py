@@ -1,5 +1,8 @@
 """Unit tests for cut computation."""
 
+import hashlib
+import random
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -11,7 +14,7 @@ from repro.aig.cuts import (
     reconv_cut,
 )
 from repro.aig.literals import make_lit
-from repro.aig.traversal import cone_nodes
+from repro.aig.traversal import cone_nodes, fanout_lists
 from repro.algorithms.common import AliasView
 from repro.algorithms.seq_rewrite import (
     MAX_CUTS_PER_NODE,
@@ -81,6 +84,78 @@ def test_reconv_cut_rejects_tiny_limit():
     node = aig.add_and(a, b)
     with pytest.raises(ValueError):
         reconv_cut(aig, node >> 1, 1)
+
+
+#: sha256 of :func:`reconv_cut_digest`, captured before the cut walk
+#: cached leaf fanins.  Any change to a leaf set, a cone or the charged
+#: ``work`` of any cut (or to the collapse's expansion order) moves it.
+RECONV_DIGEST = (
+    "207c1aab6155774a18d04b2fa8a25adcc3dd1a401f9e52a933b9455bec207c3f"
+)
+
+
+def _aliased_view(seed: int) -> AliasView:
+    """A random graph seen through live aliases, with killed nodes.
+
+    Every alias points at a literal of a smaller variable, so the view
+    stays acyclic; the aliased roots are killed the way a committed
+    replacement kills them, plus a few extra nodes.
+    """
+    rng = random.Random(seed)
+    aig = build_random_aig(seed, num_pis=10, num_ands=160, locality=24)
+    view = AliasView(aig)
+    ands = list(aig.and_vars())
+    for var in rng.sample(ands, 16):
+        view.set_alias(var, rng.randrange(2, 2 * var))
+        view.kill(var)
+    for var in rng.sample(ands, 6):
+        if var not in view.alias:
+            view.kill(var)
+    return view
+
+
+def reconv_cut_digest() -> str:
+    """sha256 over every AND's cut on seeded plain and aliased graphs."""
+    digest = hashlib.sha256()
+
+    def record(cut, *extra) -> None:
+        fields = (
+            cut.root, sorted(cut.leaves), sorted(cut.cone), cut.work, *extra
+        )
+        digest.update(repr(fields).encode())
+
+    for seed in (3, 17, 29):
+        aig = build_random_aig(seed, num_pis=10, num_ands=160, locality=24)
+        view = _aliased_view(seed)
+        for limit in (4, 8, 12):
+            for root in aig.and_vars():
+                record(reconv_cut(aig, root, limit))
+            for root in view.aig.and_vars():
+                record(reconv_cut(view, root, limit))
+        # Collapse mode: the fanout-free admission of ``rf`` plus the
+        # expansion order seen by ``on_expand``.
+        fanouts = fanout_lists(aig)
+        drives_po = {lit >> 1 for lit in aig.pos}
+
+        def expandable(var: int, cone: set[int]) -> bool:
+            if var in drives_po:
+                return False
+            return all(reader in cone for reader in fanouts[var])
+
+        for limit in (4, 8, 12):
+            for root in aig.and_vars():
+                order: list[int] = []
+                cut = reconv_cut(
+                    aig, root, limit,
+                    expandable=expandable, on_expand=order.append,
+                )
+                record(cut, order)
+    return digest.hexdigest()
+
+
+def test_reconv_cut_digest_is_pinned():
+    """Leaves, cones and charged work are those of the uncached walk."""
+    assert reconv_cut_digest() == RECONV_DIGEST
 
 
 def test_enumerate_cuts_contains_trivial_cut():

@@ -1,6 +1,7 @@
 """Unit and property tests for NPN canonicalization."""
 
 import random
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from repro.aig.aig import Aig
 from repro.logic.npn import (
     MAX_NPN_VARS,
+    NpnTransform,
     npn_apply,
     npn_canon,
     npn_class_count,
@@ -21,6 +23,62 @@ from repro.logic.truth import (
     tt_not,
     tt_permute,
 )
+
+
+def reference_npn_canon(table: int, num_vars: int) -> NpnTransform:
+    """Scalar exhaustive NPN canonicalization: the semantic reference.
+
+    Scans every (perm, phase) minterm map, perm-major, and both output
+    phases, keeping a candidate only when it is strictly smaller than
+    the best so far.
+    """
+    size = 1 << num_vars
+    mask = full_mask(num_vars)
+    best = None
+    for perm in permutations(range(num_vars)):
+        scatter = []
+        for minterm in range(size):
+            source = 0
+            for index in range(num_vars):
+                if minterm >> index & 1:
+                    source |= 1 << perm[index]
+            scatter.append(source)
+        for phase in range(size):
+            transformed = 0
+            for minterm in range(size):
+                if table >> (scatter[minterm] ^ phase) & 1:
+                    transformed |= 1 << minterm
+            for out_neg in (False, True):
+                candidate = transformed ^ mask if out_neg else transformed
+                if best is None or candidate < best.canon:
+                    best = NpnTransform(
+                        candidate, perm, phase, out_neg, num_vars
+                    )
+    return best
+
+
+def _fields(transform: NpnTransform) -> tuple:
+    return (
+        transform.canon, transform.perm, transform.phase, transform.out_neg
+    )
+
+
+def test_canon_matches_reference_on_all_small_tables():
+    for num_vars in range(4):
+        for table in range(1 << (1 << num_vars)):
+            assert _fields(npn_canon.__wrapped__(table, num_vars)) == (
+                _fields(reference_npn_canon(table, num_vars))
+            ), (num_vars, hex(table))
+
+
+def test_canon_matches_reference_on_sampled_4_input_tables():
+    rng = random.Random(17)
+    tables = [0x0000, 0xFFFF, 0x6996, 0x8000, 0x7FFF, 0xCA35]
+    tables += [rng.getrandbits(16) for _ in range(250)]
+    for table in tables:
+        assert _fields(npn_canon.__wrapped__(table, 4)) == (
+            _fields(reference_npn_canon(table, 4))
+        ), hex(table)
 
 
 def test_transform_reaches_canon():
@@ -58,10 +116,14 @@ def test_canon_invariant_under_npn_transforms(
 
 
 def test_class_counts_small():
-    # Known NPN class counts: n=0 -> 1, n=1 -> 2, n=2 -> 4.
+    # Known NPN class counts: 1, 2, 4, 14 and 222 for n = 0..4.
     assert npn_class_count(0) == 1
     assert npn_class_count(1) == 2
     assert npn_class_count(2) == 4
+    assert npn_class_count(3) == 14
+    hits = npn_canon.cache_info()
+    assert npn_class_count(4) == 222
+    assert npn_canon.cache_info() == hits  # counting stays uncached
 
 
 def test_rejects_too_many_vars():

@@ -162,6 +162,16 @@ def test_isop_with_dc_rejects_bad_bounds():
         isop_with_dc(0b11, 0b01, 2)
 
 
+@pytest.mark.parametrize("num_vars", [17, 99, -1])
+def test_isop_rejects_unsupported_widths(num_vars):
+    # Constant tables too: the width is checked before any recursion.
+    for table in (0, 1):
+        with pytest.raises(ValueError):
+            isop(table, num_vars)
+        with pytest.raises(ValueError):
+            isop_with_dc(0, table, num_vars)
+
+
 def test_isop_xor_has_expected_cube_count():
     # 3-input XOR needs 4 minterm cubes in any SOP.
     xor3 = 0b10010110
