@@ -8,6 +8,7 @@ with pytest-benchmark's statistics.
 import random
 
 from repro.aig.cuts import reconv_cut
+from repro.benchgen import double
 from repro.benchgen.arith import multiplier
 from repro.cec.simulate import random_patterns, simulate
 from repro.logic.isop import isop
@@ -92,3 +93,16 @@ def test_bench_hashtable_insert_lookup(benchmark):
 def test_bench_compact(benchmark):
     aig = build_mult()
     benchmark(lambda: aig.compact())
+
+
+def test_bench_compact_small(benchmark):
+    # multiplier(6): a few hundred ANDs, the size range that once took
+    # the scalar rebuild; a small-graph regression of the bulk path
+    # shows here first.
+    aig = multiplier(6)
+    benchmark(lambda: aig.compact())
+
+
+def test_bench_double_small(benchmark):
+    aig = multiplier(6)
+    benchmark(double, aig)

@@ -44,16 +44,6 @@ PI_FANIN = -1
 #: Sentinel fanin value marking the constant node row.
 CONST_FANIN = -2
 
-#: Below this many literal pairs :meth:`Aig.add_and_batch` runs the
-#: scalar loop — vectorization setup dominates on tiny batches.  Pure
-#: wall-clock heuristic (results are bit-identical either way); tests
-#: monkeypatch it to 0 to drive the vector path on small inputs.
-_BATCH_CUTOFF = 64
-
-#: Below this many variable rows :meth:`Aig.compact` keeps the scalar
-#: rebuild; same wall-clock-only contract as :data:`_BATCH_CUTOFF`.
-_BULK_COMPACT_MIN = 2048
-
 
 class Aig:
     """A combinational And-Inverter Graph.
@@ -212,96 +202,6 @@ class Aig:
             strash._insert(free, f0, f1, var)
         self._live_ands += 1
         return make_lit(var)
-
-    def add_and_batch(self, lits0, lits1):
-        """Vectorized :meth:`add_and` over two parallel literal arrays.
-
-        Bit-identical to ``[self.add_and(a, b) for a, b in
-        zip(lits0, lits1)]`` — same constant folding, same trivial
-        identities, same strash reuse (including duplicate keys inside
-        the batch and dead-node rebinds) and same variable numbering —
-        with two documented deviations: every literal must reference a
-        *pre-existing* variable (batch items cannot consume nodes the
-        same batch creates), and validation runs up front, so a bad
-        literal raises before any node is created.  Returns an int64
-        ndarray of result literals on the vector path, a list from the
-        scalar fallback (fewer than :data:`_BATCH_CUTOFF` items).
-        """
-        count = len(lits0)
-        if len(lits1) != count:
-            raise ValueError("literal arrays differ in length")
-        if count < _BATCH_CUTOFF:
-            return [
-                self.add_and(a, b) for a, b in zip(lits0, lits1)
-            ]
-        from repro.parallel.vec import group_keys
-
-        arr0 = np.ascontiguousarray(lits0, dtype=np.int64)
-        arr1 = np.ascontiguousarray(lits1, dtype=np.int64)
-        size = self._f0c.size
-        bad0 = (arr0 < 0) | ((arr0 >> 1) >= size)
-        bad1 = (arr1 < 0) | ((arr1 >> 1) >= size)
-        if bad0.any() or bad1.any():
-            index = int(np.flatnonzero(bad0 | bad1)[0])
-            lit = int(arr0[index]) if bad0[index] else int(arr1[index])
-            raise ValueError(
-                f"literal {lit} references an unknown variable"
-            )
-        # Canonicalize and fold, in the scalar rule order.
-        f0 = np.minimum(arr0, arr1)
-        f1 = np.maximum(arr0, arr1)
-        out = np.full(count, -1, dtype=np.int64)
-        rest = f0 != CONST0  # f0 == 0 folds to const-false (out stays)
-        out[~rest] = CONST0
-        pick = rest & (f0 == 1)  # const-true fanin: reduce to f1
-        out[pick] = f1[pick]
-        rest &= ~pick
-        pick = rest & (f0 == f1)  # x & x = x
-        out[pick] = f0[pick]
-        rest &= ~pick
-        out[rest & (f0 == (f1 ^ 1))] = CONST0  # x & !x = 0
-        pending = np.flatnonzero(out == -1)
-        if pending.size:
-            pend_k0 = f0[pending]
-            pend_k1 = f1[pending]
-            # Duplicate keys inside the batch fold onto their first
-            # occurrence, which is exactly the scalar loop's strash
-            # hit on the node the earlier item created.
-            rep_pos, reps = group_keys(pend_k0, pend_k1)
-            rep_k0 = pend_k0[reps]
-            rep_k1 = pend_k1[reps]
-            strash = self._strash
-            slots, resident = strash._probe_bulk(rep_k0, rep_k1)
-            dead = self._deadc.nparray()
-            hit = resident >= 0
-            live_hit = np.zeros(reps.shape[0], dtype=bool)
-            live_hit[hit] = ~dead[resident[hit]]
-            create = ~live_hit
-            created = int(create.sum())
-            new_vars = self._f0c.size + np.cumsum(create) - 1
-            rep_var = np.where(live_hit, resident, new_vars)
-            self._f0c.extend_array(rep_k0[create])
-            self._f1c.extend_array(rep_k1[create])
-            self._deadc.extend_zeros(created)
-            # A key match on a dead node rebinds its slot in place
-            # (scalar ``add_and`` does the same); the rebinds must
-            # land before ``insert_bulk``, whose rebuild would move
-            # the probed slots.
-            rebind = create & hit
-            if rebind.any():
-                values = np.frombuffer(
-                    strash._value, dtype=np.int64
-                )
-                values[slots[rebind]] = new_vars[rebind]
-            fresh = create & ~hit
-            if fresh.any():
-                strash.insert_bulk(
-                    rep_k0[fresh], rep_k1[fresh], new_vars[fresh]
-                )
-            self._version += created
-            self._live_ands += created
-            out[pending] = (rep_var << 1)[rep_pos]
-        return out
 
     def add_raw_and(self, lit0: int, lit1: int) -> int:
         """Create an AND node bypassing folding and structural hashing.
@@ -715,13 +615,11 @@ class Aig:
         numbering), then replaces the per-node ``add_and`` loop with
         one gather over the fanin columns and one bulk strash build.
         Returns ``None`` — caller falls back to the scalar rebuild —
-        below :data:`_BULK_COMPACT_MIN` rows, or when
-        the reachable set is not fold-free/strash-clean (a constant
-        fanin, ``x & x`` / ``x & !x``, or a duplicate fanin key, any
-        of which would make a scalar ``add_and`` fold or reuse).
+        when the reachable set is not fold-free/strash-clean (a
+        constant fanin, ``x & x`` / ``x & !x``, or a duplicate fanin
+        key, any of which would make a scalar ``add_and`` fold or
+        reuse).
         """
-        if self._f0c.size < _BULK_COMPACT_MIN:
-            return None
         fan0 = self._f0c.view
         fan1 = self._f1c.view
         num = self._f0c.size

@@ -24,14 +24,12 @@ melts long before that.  This module provides the two primitives the
     graph construction is bit-identical regardless of layout.
 
 Bulk construction (docs/ARCHITECTURE.md, "Bulk construction") rides on
-that determinism contract: :meth:`FlatStrash.insert_bulk`,
-:meth:`FlatStrash.build_bulk` and :meth:`FlatStrash._probe_bulk`
-vectorize slot placement and lookup over whole key arrays with NumPy
-(grouped probe rounds in the style of
-:class:`repro.parallel.vec.VecHashTable`), falling back to the scalar
-loop below :data:`_BULK_MIN` keys.  The vector paths hash with
-:func:`_hash_pairs`, an exact NumPy replica of CPython's tuple hash,
-so scalar and bulk probes agree slot for slot.
+that determinism contract: :meth:`FlatStrash.build_bulk` and every
+occupancy rebuild place whole key arrays at once with NumPy (grouped
+probe rounds in the style of :class:`repro.parallel.vec.VecHashTable`),
+at every size.  They hash with :func:`_hash_pairs`, an exact NumPy
+replica of CPython's tuple hash, so a key lands on the chain the
+scalar :meth:`FlatStrash._find` walks.
 """
 
 from __future__ import annotations
@@ -156,9 +154,6 @@ class Column:
 #: Slot sentinels for :class:`FlatStrash` (vars are always >= 1).
 _EMPTY = -1
 _TOMB = -2
-
-#: Below this many keys the scalar loop beats vectorization setup.
-_BULK_MIN = 64
 
 #: Constants of CPython's tuple hash (xxHash-style, 64-bit build) and
 #: of its integer hash (reduction modulo the Mersenne prime 2**61-1).
@@ -300,29 +295,27 @@ class FlatStrash:
         old_key1 = self._key1
         old_values = self._value
         size = self._size
-        if size:
-            self.rehashes += 1
-            from repro import observe
-
-            if observe.enabled:
-                observe.count("strash.rehashes")
         self._alloc(cap)
-        if size >= _BULK_MIN:
-            values = _np.frombuffer(old_values, dtype=_np.int64)
-            live = values >= 0
-            self._place_bulk(
-                _np.frombuffer(old_key0, dtype=_np.int64)[live],
-                _np.frombuffer(old_key1, dtype=_np.int64)[live],
-                values[live],
-            )
-            self._size = size
+        if not size:
+            # Nothing live to re-place (``reserve`` before a read, or
+            # only tombstones): no rehash, and no array set-up.
             return
-        for slot, value in enumerate(old_values):
-            if value >= 0:
-                self[(old_key0[slot], old_key1[slot])] = value
+        self.rehashes += 1
+        from repro import observe
+
+        if observe.enabled:
+            observe.count("strash.rehashes")
+        values = _np.frombuffer(old_values, dtype=_np.int64)
+        live = values >= 0
+        self._place_bulk(
+            _np.frombuffer(old_key0, dtype=_np.int64)[live],
+            _np.frombuffer(old_key1, dtype=_np.int64)[live],
+            values[live],
+        )
+        self._size = size
 
     # ------------------------------------------------------------------
-    # Bulk operations (vectorized, scalar fallback below _BULK_MIN)
+    # Bulk operations (vectorized)
     # ------------------------------------------------------------------
 
     def _place_bulk(self, key0, key1, values) -> None:
@@ -366,74 +359,22 @@ class FlatStrash:
             slot = slot[losers]
         self._used += filled
 
-    def insert_bulk(self, key0, key1, values) -> None:
-        """Insert pairwise-distinct keys that are absent from the table.
+    @classmethod
+    def build_bulk(cls, key0, key1, values) -> "FlatStrash":
+        """A fresh pre-sized table holding the given distinct keys.
 
-        Equivalent to ``for k0, k1, v in zip(...): self[(k0, k1)] = v``
-        under those preconditions, including the occupancy-triggered
-        rebuild; runs the scalar loop for batches below
-        :data:`_BULK_MIN`.
+        The capacity keeps occupancy at or under a quarter, so the
+        placement never triggers a rebuild.
         """
         count = len(values)
-        if count == 0:
-            return
-        if count < _BULK_MIN:
-            for k0, k1, value in zip(key0, key1, values):
-                self[(int(k0), int(k1))] = int(value)
-            return
-        if 2 * (self._used + count) > self._mask:
-            self._rebuild(self._target_capacity(self._size + count))
-        self._place_bulk(
+        table = cls(cls._target_capacity(count))
+        table._place_bulk(
             _np.ascontiguousarray(key0, dtype=_np.int64),
             _np.ascontiguousarray(key1, dtype=_np.int64),
             _np.ascontiguousarray(values, dtype=_np.int64),
         )
-        self._size += count
-
-    @classmethod
-    def build_bulk(cls, key0, key1, values) -> "FlatStrash":
-        """A fresh pre-sized table holding the given distinct keys."""
-        table = cls(cls._target_capacity(len(values)))
-        table.insert_bulk(key0, key1, values)
+        table._size = count
         return table
-
-    def _probe_bulk(self, key0, key1):
-        """Vectorized :meth:`_find` over key arrays.
-
-        Returns ``(slots, found)`` int64 arrays: the live-match slot
-        and its value per key, both ``-1`` where the key is absent.
-        Tombstones are skipped exactly like the scalar probe (their
-        stale key bytes never match because the value is negative).
-        """
-        table_k0 = _np.frombuffer(self._key0, dtype=_np.int64)
-        table_k1 = _np.frombuffer(self._key1, dtype=_np.int64)
-        table_v = _np.frombuffer(self._value, dtype=_np.int64)
-        mask = self._mask
-        count = key0.shape[0]
-        slots = _np.full(count, -1, dtype=_np.int64)
-        found = _np.full(count, -1, dtype=_np.int64)
-        slot = (_hash_pairs(key0, key1) & _np.uint64(mask)).astype(
-            _np.int64
-        )
-        pending = _np.arange(count, dtype=_np.int64)
-        while pending.size:
-            value = table_v[slot]
-            match = (
-                (value >= 0)
-                & (table_k0[slot] == key0[pending])
-                & (table_k1[slot] == key1[pending])
-            )
-            done = match | (value == _EMPTY)
-            if done.any():
-                hits = match[done]
-                keys_done = pending[done]
-                slots[keys_done[hits]] = slot[done][hits]
-                found[keys_done[hits]] = value[done][hits]
-                keep = ~done
-                pending = pending[keep]
-                slot = slot[keep]
-            slot = (slot + 1) & mask
-        return slots, found
 
     def reserve(self, entries: int) -> None:
         """Pre-size the table for ``entries`` live keys."""

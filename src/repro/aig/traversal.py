@@ -3,7 +3,10 @@
 All functions work on live nodes only and exploit the id-order-is-
 topological invariant of :class:`repro.aig.aig.Aig`, so every pass here
 is a single linear scan — the same access pattern the paper's flat GPU
-arrays are designed for.
+arrays are designed for.  Levels and fanout counts run on those arrays
+at every graph size (wave-front propagation, ``np.bincount``); only a
+graph deeper than :data:`_VEC_MAX_WAVES` levels falls back to the
+scalar level scan.
 
 These are the *raw* recomputation primitives.  Passes read derived
 state through :class:`repro.engine.context.GraphContext`, which
@@ -18,9 +21,6 @@ import numpy as np
 from repro.aig.aig import Aig
 from repro.aig.literals import lit_var
 
-#: Below this node count the scalar scans win on constant factors.
-_VEC_MIN_NODES = 1024
-
 #: Wave cap for the vectorized level propagation: deep, narrow graphs
 #: (many waves, few nodes each) are faster on the scalar scan, so the
 #: array path bails out and restarts scalar instead of crawling.
@@ -34,10 +34,9 @@ def aig_levels(aig: Aig) -> list[int]:
     plus the maximum fanin level — the paper's "delay of a node".
     Dead nodes get level 0.
     """
-    if aig.num_vars >= _VEC_MIN_NODES:
-        levels = _aig_levels_vec(aig)
-        if levels is not None:
-            return levels
+    levels = _aig_levels_vec(aig)
+    if levels is not None:
+        return levels
     levels = [0] * aig.num_vars
     fan0 = aig._fanin0
     fan1 = aig._fanin1
@@ -103,9 +102,7 @@ def fanout_counts(aig: Aig) -> list[int]:
     A node feeding both fanins of one AND counts twice, matching ABC's
     reference counting; this is the count MFFC dereferencing relies on.
     """
-    if aig.num_vars >= _VEC_MIN_NODES:
-        return fanout_counts_array(aig).tolist()
-    return _fanout_counts_scalar(aig)
+    return fanout_counts_array(aig).tolist()
 
 
 def fanout_counts_array(aig: Aig):
@@ -120,21 +117,6 @@ def fanout_counts_array(aig: Aig):
         np.concatenate((f0[live] >> 1, f1[live] >> 1)),
         minlength=aig.num_vars,
     ).astype(np.int64, copy=False)
-    for lit in aig.pos:
-        counts[lit >> 1] += 1
-    return counts
-
-
-def _fanout_counts_scalar(aig: Aig) -> list[int]:
-    counts = [0] * aig.num_vars
-    fan0 = aig._fanin0
-    fan1 = aig._fanin1
-    dead = aig._dead
-    for var in range(aig.num_vars):
-        if fan0[var] < 0 or dead[var]:
-            continue
-        counts[fan0[var] >> 1] += 1
-        counts[fan1[var] >> 1] += 1
     for lit in aig.pos:
         counts[lit >> 1] += 1
     return counts

@@ -54,7 +54,10 @@ from repro.verify import mutations, sanitizer
 
 #: Below this many live ANDs the whole-array set-up cost exceeds the
 #: scalar loops; the passes keep their scalar paths (pure wall-clock
-#: heuristic, never a semantic switch).
+#: heuristic, never a semantic switch).  The gate stays until the
+#: kernels run under the sanitizer and armed mutations, which the
+#: goldens and the fuzzer need before the scalar paths can go
+#: (ROADMAP.md, "Verify the path that runs at scale").
 KERNEL_CUTOFF = 4096
 
 

@@ -5,14 +5,15 @@ times: each application duplicates the whole network (fresh PIs and
 POs), doubling the node count while keeping the level count — the
 Figure 7 scaling sweeps depend on exactly this behaviour.
 
-``double`` has a vectorized fast path (:func:`_double_bulk`): when the
-source graph is strashed and fold-free — no dead rows, no constant or
-shared fanins, no duplicate fanin keys, all of which the disjoint
-copies preserve — the scalar replay can never fold or reuse a node,
-so the whole output is one column copy plus a literal remap gather
-and a bulk strash build.  The precondition is checked explicitly and
-cheaply; any violation falls back to :func:`_double_loop`, which is
-bit-identical (docs/ARCHITECTURE.md, "Bulk construction").
+``double`` runs vectorized (:func:`_double_bulk`) whenever the source
+graph is strashed and fold-free — no dead rows, no constant or shared
+fanins, no duplicate fanin keys, all of which the disjoint copies
+preserve.  Then the node-by-node replay can never fold or reuse a
+node, so the whole output is one column copy plus a literal remap
+gather and a bulk strash build.  The precondition is checked
+explicitly and cheaply at every size; any violation falls back to
+:func:`_double_loop`, which is bit-identical (docs/ARCHITECTURE.md,
+"Bulk construction").
 """
 
 from __future__ import annotations
@@ -21,10 +22,6 @@ import numpy as np
 
 from repro.aig.aig import CONST_FANIN, PI_FANIN, Aig
 from repro.aig.literals import lit_compl, lit_not_cond, lit_var
-
-#: Below this many live ANDs the scalar loop wins; wall-clock
-#: heuristic only (both paths produce bit-identical graphs).
-_BULK_MIN_ANDS = 1024
 
 
 def _double_loop(aig: Aig) -> Aig:
@@ -57,33 +54,32 @@ def _double_loop(aig: Aig) -> Aig:
 def _double_bulk(aig: Aig) -> Aig | None:
     """Vectorized ``double``, or ``None`` when the gate fails.
 
-    Gate (the "no-fold precondition"): at least
-    :data:`_BULK_MIN_ANDS` live ANDs, no dead rows,
-    every AND fanin a non-constant literal of a *different* variable,
-    and pairwise-distinct fanin keys.  Under it the scalar replay is
-    a pure renumbering — every ``add_and`` misses the strash and
+    Gate (the "no-fold precondition"): no dead rows, every AND fanin a
+    non-constant literal of a *different* variable, and
+    pairwise-distinct fanin keys.  Under it the scalar replay is a
+    pure renumbering — every ``add_and`` misses the strash and
     creates — so both copies are built as one gather per column and
-    the strash is populated with a single bulk build.
+    the strash is populated with a single bulk build.  An AND-free
+    graph passes trivially.
     """
-    if aig.num_ands < _BULK_MIN_ANDS:
-        return None
     fan0, fan1, dead = aig.arrays()
     if bool(dead.any()):
         return None
     and_rows = np.flatnonzero(fan0 >= 0)
     src_k0 = fan0[and_rows]
     src_k1 = fan1[and_rows]
-    if int(src_k0.min()) < 2 or int(src_k1.min()) < 2:
-        return None  # constant fanin: the replay would fold
-    if bool(((src_k0 >> 1) == (src_k1 >> 1)).any()):
-        return None  # x & x or x & !x
-    key_lo = np.minimum(src_k0, src_k1)
-    key_hi = np.maximum(src_k0, src_k1)
-    sort = np.lexsort((key_hi, key_lo))
-    lo = key_lo[sort]
-    hi = key_hi[sort]
-    if bool(((lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1])).any()):
-        return None  # duplicate key: the replay would strash-hit
+    if and_rows.size:
+        if int(src_k0.min()) < 2 or int(src_k1.min()) < 2:
+            return None  # constant fanin: the replay would fold
+        if bool(((src_k0 >> 1) == (src_k1 >> 1)).any()):
+            return None  # x & x or x & !x
+        key_lo = np.minimum(src_k0, src_k1)
+        key_hi = np.maximum(src_k0, src_k1)
+        sort = np.lexsort((key_hi, key_lo))
+        lo = key_lo[sort]
+        hi = key_hi[sort]
+        if bool(((lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1])).any()):
+            return None  # duplicate key: the replay would strash-hit
     num = aig.num_vars
     num_pis = aig.num_pis
     num_ands = and_rows.shape[0]

@@ -7,6 +7,10 @@ are gathered, duplicates and PIs filtered out, and the result becomes
 the next frontier (paper, Section III-B).  On the GPU this is a
 gather + sort/unique compaction; here the same operations are provided
 with work counts for the cost model.
+
+Both compactions run as NumPy sort/unique calls at every batch size;
+``tests/test_frontier.py`` keeps the plain set/dict loops as the
+reference they are compared against.
 """
 
 from __future__ import annotations
@@ -16,9 +20,6 @@ from collections.abc import Callable, Iterable
 import numpy as np
 
 from repro import observe
-
-#: Below this batch size the scalar loops win on constant factors.
-_VEC_MIN_ITEMS = 512
 
 
 def gather_unique(
@@ -32,31 +33,18 @@ def gather_unique(
     hash insertion per candidate.
     """
     items = candidates if isinstance(candidates, list) else list(candidates)
-    if len(items) >= _VEC_MIN_ITEMS:
-        uniq, first = np.unique(
-            np.asarray(items, dtype=np.int64), return_index=True
-        )
-        # np.unique sorts by value; reordering by first occurrence
-        # restores the scalar first-seen order exactly.
-        ordered = uniq[np.argsort(first, kind="stable")].tolist()
-        if keep is not None:
-            ordered = [item for item in ordered if keep(item)]
-        if observe.enabled:
-            observe.count("frontier.gathered", len(items))
-            observe.count("frontier.unique", len(ordered))
-        return ordered, len(items)
-    seen: set[int] = set()
-    out: list[int] = []
-    for item in items:
-        if item in seen:
-            continue
-        seen.add(item)
-        if keep is None or keep(item):
-            out.append(item)
+    uniq, first = np.unique(
+        np.asarray(items, dtype=np.int64), return_index=True
+    )
+    # np.unique sorts by value; reordering by first occurrence
+    # restores first-seen order.
+    ordered = uniq[np.argsort(first, kind="stable")].tolist()
+    if keep is not None:
+        ordered = [item for item in ordered if keep(item)]
     if observe.enabled:
         observe.count("frontier.gathered", len(items))
-        observe.count("frontier.unique", len(out))
-    return out, len(items)
+        observe.count("frontier.unique", len(ordered))
+    return ordered, len(items)
 
 
 def partition_by_flag(
@@ -77,22 +65,16 @@ def group_by_level(
     items: list[int], level_of: Callable[[int], int]
 ) -> tuple[list[list[int]], int]:
     """Bucket items by level, ascending (parallel histogram + scatter)."""
-    if len(items) >= _VEC_MIN_ITEMS:
-        levels = np.fromiter(
-            (level_of(item) for item in items),
-            dtype=np.int64,
-            count=len(items),
-        )
-        order = np.argsort(levels, kind="stable")
-        sorted_levels = levels[order]
-        bounds = np.flatnonzero(sorted_levels[1:] != sorted_levels[:-1]) + 1
-        sorted_items = np.asarray(items, dtype=np.int64)[order]
-        ordered = [
-            group.tolist() for group in np.split(sorted_items, bounds)
-        ]
-        return ordered, len(items)
-    buckets: dict[int, list[int]] = {}
-    for item in items:
-        buckets.setdefault(level_of(item), []).append(item)
-    ordered = [buckets[level] for level in sorted(buckets)]
+    if not items:
+        return [], 0
+    levels = np.fromiter(
+        (level_of(item) for item in items),
+        dtype=np.int64,
+        count=len(items),
+    )
+    order = np.argsort(levels, kind="stable")
+    sorted_levels = levels[order]
+    bounds = np.flatnonzero(sorted_levels[1:] != sorted_levels[:-1]) + 1
+    sorted_items = np.asarray(items, dtype=np.int64)[order]
+    ordered = [group.tolist() for group in np.split(sorted_items, bounds)]
     return ordered, len(items)

@@ -52,7 +52,12 @@ _EMPTY = -1
 #: Below this batch size the whole-array set-up cost exceeds the scalar
 #: loop; fall back to the inherited per-item path, which is the same
 #: table layout and the same counters either way (pure wall-clock
-#: heuristic, never a semantic switch).
+#: heuristic, never a semantic switch).  Crossover evidence: on the
+#: ``rfc-deep`` benchmark workload (seed 1) the serial retry lane makes
+#: 526 ``get_or_create_batch`` calls (median 2.5 items, max 28) and 196
+#: ``insert_batch`` calls (median 5), and forcing this gate to 0 cost
+#: +1.4 to +6.4% ``opt_s`` in five paired perfbench runs on a 2-vCPU
+#: VM.
 _SCALAR_CUTOFF = 512
 
 
@@ -85,8 +90,6 @@ def group_keys(
     themselves.
     ``reps`` is ascending — position within it is batch order, which
     :meth:`VecHashTable._stable_place` uses as the placement priority.
-    Shared with :meth:`repro.aig.aig.Aig.add_and_batch`, whose strash
-    probe dedups batch keys the same way.
     """
     n = key0.shape[0]
     order = np.lexsort((np.arange(n), key1, key0))

@@ -12,10 +12,10 @@ Three layers (see ``docs/VERIFICATION.md``):
 * :mod:`repro.verify.fuzz` — the CEC-gated differential fuzzing
   harness behind ``repro-aig fuzz`` / ``repro-aig verify``.
 
-:mod:`repro.verify.gates` forces every fast-path size gate to one
-value (:func:`forced_gates`), turning the vector-vs-scalar contract
-into a differential the goldens check, the fuzzer and the parity tests
-run.
+:mod:`repro.verify.gates` forces both remaining size gates
+(``KERNEL_CUTOFF`` and ``vec._SCALAR_CUTOFF``) to one value
+(:func:`forced_gates`), turning the vector-vs-scalar contract into a
+differential the goldens check, the fuzzer and the parity tests run.
 
 :mod:`repro.verify.mutations` holds the test-only fault-injection
 hooks that prove the stack catches the bugs it is designed for.

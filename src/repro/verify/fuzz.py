@@ -1,8 +1,9 @@
 """CEC-gated differential fuzzing of the parallel optimization engine.
 
 One fuzz *case* is a generated AIG plus a pass script.  The harness
-runs the case with the fast-path size gates at their defaults and
-forced to ``0`` (:func:`repro.verify.gates.forced_gates`), each under
+runs the case with the two size gates (``KERNEL_CUTOFF``,
+``vec._SCALAR_CUTOFF``) at their defaults and forced to ``0``
+(:func:`repro.verify.gates.forced_gates`), each under
 both sanitizer modes (off, and on in record mode with post-pass
 invariant auditing), then:
 

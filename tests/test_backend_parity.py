@@ -1,8 +1,9 @@
 """Fast-path parity: vector paths and scalar references are bit-identical.
 
-Every hot loop has one vectorized path and one scalar reference,
-selected only by a module-level size gate (docs/ARCHITECTURE.md, "Size
-gates").  This file runs whole scripts with every gate forced to ``0``
+Two sites keep a vectorized path next to a scalar reference, selected
+only by a module-level size gate: the column-native pass kernels and
+the batched hash-table operations (docs/ARCHITECTURE.md, "Size
+gates").  This file runs whole scripts with both gates forced to ``0``
 (vector paths everywhere) and to ``math.inf`` (scalar references
 everywhere) through :func:`repro.verify.forced_gates`, and requires
 identical serialized AIGs, identical ``hashtable.*`` counters and

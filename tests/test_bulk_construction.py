@@ -1,17 +1,16 @@
 """Differential tests for the bulk-construction layer.
 
-Every bulk path — the vectorized tuple hash, ``FlatStrash``
-``insert_bulk`` / ``build_bulk`` / ``_probe_bulk``,
-``Aig.add_and_batch``, the ``benchgen.double`` fast path and the bulk
-``compact`` — carries the same contract: **bit-identical results to
-its scalar twin**, differing in wall clock only
-(docs/ARCHITECTURE.md, "Bulk construction").  These tests enforce the
-contract differentially: run both paths on the same input, compare
-everything observable (result literals, dumps, version counters,
-strash contents), with hypothesis driving the batch-semantics corner
-cases (folding, ``x & x`` / ``x & !x``, duplicate keys inside a
-batch, dead-node rebinds) and explicit cases covering the fallback
-gates.
+Every bulk path — the vectorized tuple hash, ``FlatStrash.build_bulk``
+and the bulk re-placement of an occupancy rebuild, the
+``benchgen.double`` fast path and the bulk ``compact`` — carries the
+same contract: **bit-identical results to a scalar reference**,
+differing in wall clock only (docs/ARCHITECTURE.md, "Bulk
+construction").  The bulk paths run at every size, so these tests
+compare them with per-key / per-node references from empty inputs up:
+run both on the same input and compare everything observable (dumps,
+variable maps, version counters, strash contents).  Where a bulk
+path has a precondition (``double`` and ``compact`` need fold-free,
+strash-clean graphs), the cases that fail it are checked to fall back.
 """
 
 from __future__ import annotations
@@ -20,10 +19,7 @@ import importlib
 import random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.aig import aig as aig_mod
 from repro.aig import store
 from repro.aig.aig import Aig
 from repro.aig.io_aiger import dump_aag
@@ -75,72 +71,80 @@ def _scalar_twin(keys, values) -> FlatStrash:
     return table
 
 
-def test_insert_bulk_matches_scalar_inserts():
+def _build_bulk(keys, values) -> FlatStrash:
     import numpy as np
 
-    rng = random.Random(5)
-    keys = list({
-        (rng.randrange(2, 5000), rng.randrange(2, 5000))
-        for _ in range(3000)
-    })
-    values = list(range(1, len(keys) + 1))
-    scalar = _scalar_twin(keys, values)
-    bulk = FlatStrash()
-    bulk.insert_bulk(
+    return FlatStrash.build_bulk(
         np.array([k[0] for k in keys], dtype=np.int64),
         np.array([k[1] for k in keys], dtype=np.int64),
         np.array(values, dtype=np.int64),
     )
-    assert len(bulk) == len(scalar) == len(keys)
+
+
+def _assert_same_contents(table, reference, keys, values) -> None:
+    assert len(table) == len(reference) == len(keys)
     for key, value in zip(keys, values):
-        assert bulk.get(key) == scalar.get(key) == value
-    assert bulk.get((1, 1)) is None
-    # The scalar probe and the bulk probe agree on every key.
-    slots, found = bulk._probe_bulk(
-        np.array([k[0] for k in keys] + [1], dtype=np.int64),
-        np.array([k[1] for k in keys] + [1], dtype=np.int64),
-    )
-    assert found.tolist() == values + [-1]
-    assert int(slots[-1]) == -1
+        assert table.get(key) == reference.get(key) == value
+    assert table.get((1, 1)) is None
+
+
+def _random_keys(rng, count):
+    keys = set()
+    while len(keys) < count:
+        keys.add((rng.randrange(2, 5000), rng.randrange(2, 5000)))
+    return list(keys)
+
+
+def test_insert_bulk_matches_scalar_inserts():
+    """A bulk-built table answers like a per-key ``table[k] = v`` loop."""
+    rng = random.Random(5)
+    keys = _random_keys(rng, 3000)
+    values = list(range(1, len(keys) + 1))
+    bulk = _build_bulk(keys, values)
+    _assert_same_contents(bulk, _scalar_twin(keys, values), keys, values)
 
 
 def test_insert_bulk_through_tombstones():
-    import numpy as np
+    """Occupancy rebuilds re-place live keys in bulk, dropping tombstones.
 
-    table = FlatStrash()
-    keys = [(2 * k, 2 * k + 2) for k in range(1, 400)]
-    for value, key in enumerate(keys, start=1):
-        table[key] = value
-    for key in keys[::2]:
-        del table[key]
-    fresh = [(3, 2 * k + 1) for k in range(1, 200)]
-    table.insert_bulk(
-        np.array([k[0] for k in fresh], dtype=np.int64),
-        np.array([k[1] for k in fresh], dtype=np.int64),
-        np.arange(1, len(fresh) + 1, dtype=np.int64),
-    )
-    for value, key in enumerate(fresh, start=1):
-        assert table.get(key) == value
-    for value, key in enumerate(keys, start=1):
-        expected = None if value % 2 == 1 else value
-        assert table.get(key) == expected
-
-
-def test_insert_bulk_scalar_fallback_below_gate(monkeypatch):
-    keys = [(k, k + 1) for k in range(2, 300)]
-    tables = []
-    for gate in (store._BULK_MIN, 10**9):
-        monkeypatch.setattr(store, "_BULK_MIN", gate)
+    Covers rebuilds with many, few and no surviving old keys.
+    """
+    rng = random.Random(9)
+    for live_kept in (200, 3, 0):
         table = FlatStrash()
-        table.insert_bulk(
-            [k[0] for k in keys],
-            [k[1] for k in keys],
-            list(range(1, len(keys) + 1)),
-        )
+        reference: dict = {}
+        keys = [(2 * k, 2 * k + 2) for k in range(1, 400)]
         for value, key in enumerate(keys, start=1):
-            assert table.get(key) == value
-        tables.append(table)
-    assert len(tables[0]) == len(tables[1]) == len(keys)
+            table[key] = value
+            reference[key] = value
+        doomed = keys[live_kept:]
+        for key in rng.sample(doomed, len(doomed)):
+            del table[key]
+            del reference[key]
+        rehashes = table.rehashes
+        fresh = [(3, 2 * k + 1) for k in range(1, 700)]
+        for value, key in enumerate(fresh, start=1):
+            table[key] = value
+            reference[key] = value
+        assert table.rehashes > rehashes
+        assert len(table) == len(reference)
+        assert 2 * table.stats()["used"] <= table.stats()["slots"]
+        for key in keys + fresh:
+            assert table.get(key) == reference.get(key)
+
+
+def test_insert_bulk_scalar_fallback_below_gate():
+    """``build_bulk`` equals the per-key loop on tiny and small key sets."""
+    rng = random.Random(13)
+    for count in (0, 1, 2, 63, 64, 65, rng.randrange(3, 300)):
+        keys = _random_keys(rng, count)
+        values = [rng.randrange(1, 10**6) for _ in keys]
+        table = _build_bulk(keys, values)
+        _assert_same_contents(
+            table, _scalar_twin(keys, values), keys, values
+        )
+        assert table.rehashes == 0
+        assert table.stats()["used"] == count
 
 
 def test_build_bulk_presized_no_rehash():
@@ -176,121 +180,64 @@ def test_rehash_counter_counts_occupancy_rebuilds():
 
 
 # ----------------------------------------------------------------------
-# Aig.add_and_batch: hypothesis differential parity
-# ----------------------------------------------------------------------
-
-
-def _batch_base(kill_tail: int = 0) -> Aig:
-    aig = build_random_aig(13, num_pis=6, num_ands=60)
-    for var in list(aig.and_vars())[-kill_tail:] if kill_tail else []:
-        aig.mark_dead(var)
-    return aig
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    seed=st.integers(min_value=0, max_value=10**6),
-    count=st.integers(min_value=1, max_value=150),
-    kill_tail=st.integers(min_value=0, max_value=8),
-)
-def test_add_and_batch_matches_scalar_loop(seed, count, kill_tail):
-    # MonkeyPatch.context over the fixture: hypothesis calls the test
-    # body many times per fixture setup.
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(aig_mod, "_BATCH_CUTOFF", 0)
-        _check_batch_parity(seed, count, kill_tail)
-
-
-def _check_batch_parity(seed, count, kill_tail):
-    scalar = _batch_base(kill_tail)
-    batch = _batch_base(kill_tail)
-    rng = random.Random(seed)
-    num = scalar.num_vars
-    lits0, lits1 = [], []
-    for _ in range(count):
-        choice = rng.random()
-        if choice < 0.15:  # force folds: const fanins
-            lits0.append(rng.randint(0, 1))
-        else:
-            lits0.append(
-                (rng.randrange(0, num) << 1) | rng.randint(0, 1)
-            )
-        if choice < 0.3 and lits0[-1] >= 2:
-            # x & x and x & !x identities, plus duplicate keys.
-            lits1.append(lits0[-1] ^ rng.randint(0, 1))
-        else:
-            lits1.append(
-                (rng.randrange(0, num) << 1) | rng.randint(0, 1)
-            )
-    if rng.random() < 0.5 and len(lits0) > 2:
-        # Duplicate whole pairs inside the batch.
-        lits0.extend(lits0[:2])
-        lits1.extend(lits1[:2])
-    expected = [scalar.add_and(a, b) for a, b in zip(lits0, lits1)]
-    got = batch.add_and_batch(lits0, lits1)
-    assert [int(lit) for lit in got] == expected
-    assert batch.num_vars == scalar.num_vars
-    assert batch.num_ands == scalar.num_ands
-    assert batch._version == scalar._version
-    assert batch._live_ands == scalar._live_ands
-    assert dump_aag(batch) == dump_aag(scalar)
-
-
-def test_add_and_batch_scalar_fallback_below_gate(monkeypatch):
-    monkeypatch.setattr(aig_mod, "_BATCH_CUTOFF", 10**9)
-    aig = build_random_aig(17, num_ands=40)
-    reference = build_random_aig(17, num_ands=40)
-    pairs = [(2, 4), (2, 4), (6, 9), (0, 8), (3, 8), (8, 8), (8, 9)]
-    got = aig.add_and_batch(
-        [p[0] for p in pairs], [p[1] for p in pairs]
-    )
-    expected = [
-        reference.add_and(a, b) for a, b in pairs
-    ]
-    assert isinstance(got, list)
-    assert got == expected
-    assert dump_aag(aig) == dump_aag(reference)
-
-
-def test_add_and_batch_validates_up_front(monkeypatch):
-    # Up-front validation is a vector-path property (the scalar
-    # fallback raises mid-loop, like a hand-written loop would).
-    monkeypatch.setattr(aig_mod, "_BATCH_CUTOFF", 0)
-    aig = build_random_aig(3, num_ands=30)
-    before = aig.num_vars
-    bad_lit = (aig.num_vars + 7) << 1
-    with pytest.raises(ValueError, match="unknown variable"):
-        aig.add_and_batch([2, bad_lit], [4, 6])
-    with pytest.raises(ValueError, match="differ in length"):
-        aig.add_and_batch([2, 4], [6])
-    assert aig.num_vars == before
-
-
-# ----------------------------------------------------------------------
 # enlarge fast path: goldens-style dump identity vs the loop
 # ----------------------------------------------------------------------
 
 
-def test_double_fast_path_dumps_bit_identically(monkeypatch):
-    monkeypatch.setattr(enlarge_mod, "_BULK_MIN_ANDS", 1)
-    source = random_control(24, 4, 80, seed=3, name="fastpath")
-    bulk = enlarge_mod._double_bulk(source)
-    loop = enlarge_mod._double_loop(source)
-    assert bulk is not None, "generator output must pass the gate"
+def _assert_same_double(bulk: Aig, loop: Aig) -> None:
     assert dump_aag(bulk) == dump_aag(loop)
     assert bulk.num_ands == loop.num_ands
     assert bulk._version == loop._version
     assert bulk._po_version == loop._po_version
     assert len(bulk._strash) == len(loop._strash)
+    assert bulk.pis == loop.pis
+    assert bulk.pos == loop.pos
+    for index in range(loop.num_pis):
+        assert bulk.pi_name(index) == loop.pi_name(index)
+    for index in range(loop.num_pos):
+        assert bulk.po_name(index) == loop.po_name(index)
+
+
+def test_double_fast_path_dumps_bit_identically():
+    source = random_control(24, 4, 80, seed=3, name="fastpath")
+    bulk = enlarge_mod._double_bulk(source)
+    loop = enlarge_mod._double_loop(source)
+    assert bulk is not None, "generator output must pass the gate"
+    _assert_same_double(bulk, loop)
     # And through the public entry point, twice enlarged.
     twice_bulk = enlarge_mod.enlarge(source, 2)
-    monkeypatch.setattr(enlarge_mod, "_BULK_MIN_ANDS", 10**9)
-    twice_loop = enlarge_mod.enlarge(source, 2)
+    twice_loop = enlarge_mod._double_loop(loop)
+    twice_loop.name = twice_bulk.name  # enlarge renames to "<name>_2xd"
     assert dump_aag(twice_bulk) == dump_aag(twice_loop)
 
 
-def test_double_fast_path_gate_rejects_foldable_graphs(monkeypatch):
-    monkeypatch.setattr(enlarge_mod, "_BULK_MIN_ANDS", 1)
+@pytest.mark.parametrize(
+    "layers,width", [(1, 1), (1, 3), (2, 10), (5, 60)]
+)
+def test_double_bulk_matches_loop_across_sizes(layers, width):
+    source = random_control(6, layers, width, seed=layers + width)
+    bulk = enlarge_mod._double_bulk(source)
+    assert bulk is not None
+    _assert_same_double(bulk, enlarge_mod._double_loop(source))
+
+
+def test_double_of_and_free_graphs_matches_loop():
+    empty = Aig("empty")
+    pi_only = Aig("pi_only")
+    pi_only.add_po(pi_only.add_pi("a"), "a_out")
+    pi_only.add_po(pi_only.add_pi() ^ 1)
+    const_po = Aig("const_po")
+    const_po.add_pi("x")
+    const_po.add_po(0, "zero")
+    const_po.add_po(1)
+    for aig in (empty, pi_only, const_po):
+        bulk = enlarge_mod._double_bulk(aig)
+        assert bulk is not None
+        _assert_same_double(bulk, enlarge_mod._double_loop(aig))
+        assert dump_aag(enlarge_mod.double(aig)) == dump_aag(bulk)
+
+
+def test_double_fast_path_gate_rejects_foldable_graphs():
     dead = random_control(8, 3, 20, seed=4)
     dead.mark_dead(next(iter(dead.and_vars())))
     assert enlarge_mod._double_bulk(dead) is None
@@ -306,8 +253,13 @@ def test_double_fast_path_gate_rejects_foldable_graphs(monkeypatch):
     a = shared.add_pi()
     shared.add_po(shared.add_raw_and(a, a))  # x & x
     assert enlarge_mod._double_bulk(shared) is None
+
+    folding = Aig("folding")
+    a = folding.add_pi()
+    folding.add_po(folding.add_raw_and(a, 1))  # constant fanin
+    assert enlarge_mod._double_bulk(folding) is None
     # Every rejected graph still doubles correctly via the loop.
-    for aig in (dead, dupes, shared):
+    for aig in (dead, dupes, shared, folding):
         doubled = enlarge_mod.double(aig)
         assert doubled.num_pis == 2 * aig.num_pis
         assert doubled.num_pos == 2 * aig.num_pos
@@ -316,6 +268,26 @@ def test_double_fast_path_gate_rejects_foldable_graphs(monkeypatch):
 # ----------------------------------------------------------------------
 # Bulk compact: parity with the scalar rebuild
 # ----------------------------------------------------------------------
+
+
+def _scalar_compact(aig: Aig):
+    """``aig.compact()`` through the scalar rebuild (bulk path refused)."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Aig, "_compact_bulk", lambda self: None)
+        return aig.compact()
+
+
+def _assert_same_compact(bulk, scalar) -> None:
+    bulk_new, bulk_map = bulk
+    scalar_new, scalar_map = scalar
+    assert dump_aag(bulk_new) == dump_aag(scalar_new)
+    assert bulk_map == scalar_map
+    assert bulk_new._version == scalar_new._version
+    assert bulk_new._live_ands == scalar_new._live_ands
+    assert bulk_new._po_version == scalar_new._po_version
+    assert len(bulk_new._strash) == len(scalar_new._strash)
+    for var in scalar_new.and_vars():
+        assert bulk_new._strash.get(scalar_new.fanins(var)) == var
 
 
 def _compact_case(seed: int, kill: int) -> Aig:
@@ -328,22 +300,15 @@ def _compact_case(seed: int, kill: int) -> Aig:
 
 
 @pytest.mark.parametrize("seed,kill", [(31, 0), (33, 7), (35, 25)])
-def test_compact_bulk_matches_scalar(seed, kill, monkeypatch):
+def test_compact_bulk_matches_scalar(seed, kill):
     source = _compact_case(seed, kill)
-    monkeypatch.setattr(aig_mod, "_BULK_COMPACT_MIN", 10**9)
-    scalar_new, scalar_map = source.compact()
-    monkeypatch.setattr(aig_mod, "_BULK_COMPACT_MIN", 1)
-    bulk_new, bulk_map = source.compact()
-    assert dump_aag(bulk_new) == dump_aag(scalar_new)
-    assert bulk_map == scalar_map
-    assert bulk_new._version == scalar_new._version
-    assert bulk_new._live_ands == scalar_new._live_ands
-    assert bulk_new._po_version == scalar_new._po_version
-    assert len(bulk_new._strash) == len(scalar_new._strash)
+    bulk = source._compact_bulk()
+    assert bulk is not None
+    _assert_same_compact(bulk, _scalar_compact(source))
+    _assert_same_compact(source.compact(), _scalar_compact(source))
 
 
-def test_compact_bulk_falls_back_on_strash_dirty_graphs(monkeypatch):
-    monkeypatch.setattr(aig_mod, "_BULK_COMPACT_MIN", 1)
+def test_compact_bulk_falls_back_on_strash_dirty_graphs():
     # Duplicate keys (raw ANDs) force the scalar rebuild, where the
     # second node strash-hits onto the first.
     aig = Aig("raw")
@@ -351,12 +316,14 @@ def test_compact_bulk_falls_back_on_strash_dirty_graphs(monkeypatch):
     b = aig.add_pi()
     aig.add_po(aig.add_raw_and(a, b))
     aig.add_po(aig.add_raw_and(a, b))
+    assert aig._compact_bulk() is None
     compacted, _ = aig.compact()
     assert compacted.num_ands == 1
     # Constant fanins fold away in the rebuild.
     folding = Aig("folds")
     a = folding.add_pi()
     folding.add_po(folding.add_raw_and(a, 1))
+    assert folding._compact_bulk() is None
     compacted, _ = folding.compact()
     assert compacted.num_ands == 0
     assert compacted.pos == [a]
@@ -367,10 +334,28 @@ def test_compact_bulk_falls_back_on_strash_dirty_graphs(monkeypatch):
     assert last not in var_map or var_map[last] == var_map.get(1, 2)
 
 
-def test_compact_scalar_rebuild_below_gate(monkeypatch):
-    aig = build_random_aig(39, num_ands=60)
-    monkeypatch.setattr(aig_mod, "_BULK_COMPACT_MIN", 1)
-    reference = dump_aag(aig)  # dump_aag compacts internally
-    monkeypatch.setattr(aig_mod, "_BULK_COMPACT_MIN", 10**9)
-    assert aig._compact_bulk() is None
-    assert dump_aag(aig) == reference
+def test_compact_scalar_rebuild_below_gate():
+    """Bulk compact equals the scalar rebuild from 0 ANDs up.
+
+    Includes the AND-free graphs (empty, PI-only, constant POs) and
+    sizes from one AND to a few thousand.
+    """
+    empty = Aig("empty")
+    pi_only = Aig("pi_only")
+    pi_only.add_po(pi_only.add_pi("a"), "a_out")
+    pi_only.add_pi()
+    const_po = Aig("const_po")
+    const_po.add_pi()
+    const_po.add_po(1, "one")
+    cases = [empty, pi_only, const_po]
+    cases += [
+        build_random_aig(39 + size, num_pis=4, num_ands=size)
+        for size in (1, 2, 5, 60, 700)
+    ]
+    cases.append(build_random_aig(41, num_pis=16, num_ands=2100))
+    for aig in cases:
+        reference = _scalar_compact(aig)
+        bulk = aig._compact_bulk()
+        assert bulk is not None
+        _assert_same_compact(bulk, reference)
+        _assert_same_compact(aig.compact(), reference)

@@ -1,7 +1,10 @@
 """Unit tests for traversal, levels and fanout computation."""
 
+import random
+
 import pytest
 
+from repro.aig import traversal
 from repro.aig.aig import Aig
 from repro.aig.literals import lit_var
 from repro.aig.traversal import (
@@ -130,3 +133,69 @@ def test_levels_monotone_on_random_aig():
         assert levels[var] == 1 + max(
             levels[lit_var(f0)], levels[lit_var(f1)]
         )
+
+
+# ----------------------------------------------------------------------
+# Array levels / fanout counts against linear-scan references
+# ----------------------------------------------------------------------
+
+
+def _reference_levels(aig):
+    """One scan in id order: level = 1 + max fanin level, 0 if not AND."""
+    levels = [0] * aig.num_vars
+    for var in range(aig.num_vars):
+        if aig.is_and(var) and not aig.is_dead(var):
+            f0, f1 = aig.fanins(var)
+            levels[var] = 1 + max(
+                levels[lit_var(f0)], levels[lit_var(f1)]
+            )
+    return levels
+
+
+def _reference_fanout_counts(aig):
+    counts = [0] * aig.num_vars
+    for var in range(aig.num_vars):
+        if aig.is_and(var) and not aig.is_dead(var):
+            f0, f1 = aig.fanins(var)
+            counts[lit_var(f0)] += 1
+            counts[lit_var(f1)] += 1
+    for lit in aig.pos:
+        counts[lit_var(lit)] += 1
+    return counts
+
+
+def _random_deep_aig(seed, depth, width):
+    """A spine of ``depth`` ANDs with random side logic and dead rows."""
+    rng = random.Random(seed)
+    aig = Aig(f"deep{seed}")
+    lits = [aig.add_pi() for _ in range(4)]
+    spine = lits[0]
+    spine_vars = set()
+    for _ in range(depth):
+        spine = aig.add_raw_and(spine, rng.choice(lits) ^ 1)
+        spine_vars.add(spine >> 1)
+        lits.append(spine)
+        for _ in range(rng.randrange(width + 1)):
+            lits.append(
+                aig.add_raw_and(rng.choice(lits), rng.choice(lits) ^ 1)
+            )
+    aig.add_po(spine)
+    aig.add_po(rng.choice(lits) ^ 1)
+    aig.add_po(1)
+    side = [var for var in aig.and_vars() if var not in spine_vars]
+    for var in rng.sample(side, len(side) // 10):
+        aig.mark_dead(var)
+    return aig
+
+
+@pytest.mark.parametrize(
+    "seed,depth,width", [(1, 0, 0), (2, 3, 2), (3, 40, 6), (4, 300, 1)]
+)
+def test_levels_and_fanouts_match_linear_scan(seed, depth, width):
+    aig = _random_deep_aig(seed, depth, width)
+    deep = depth > traversal._VEC_MAX_WAVES
+    # The wave path answers shallow graphs and gives up on deep ones,
+    # where aig_levels falls back to its scalar scan.
+    assert (traversal._aig_levels_vec(aig) is None) == deep
+    assert aig_levels(aig) == _reference_levels(aig)
+    assert fanout_counts(aig) == _reference_fanout_counts(aig)
