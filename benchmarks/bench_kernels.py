@@ -7,9 +7,12 @@ with pytest-benchmark's statistics.
 
 import random
 
-from repro.aig.cuts import reconv_cut
-from repro.benchgen import double
-from repro.benchgen.arith import multiplier
+import pytest
+
+from repro.aig.cuts import enumerate_cuts_with_tables, reconv_cut
+from repro.benchgen import double, enlarge
+from repro.benchgen.arith import isqrt, multiplier
+from repro.benchgen.control import random_control
 from repro.cec.simulate import random_patterns, simulate
 from repro.logic.isop import isop
 from repro.logic.npn import npn_canon
@@ -106,3 +109,22 @@ def test_bench_compact_small(benchmark):
 def test_bench_double_small(benchmark):
     aig = multiplier(6)
     benchmark(double, aig)
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [
+        # Wide and shallow (the resyn2-wide input, seed 1): few levels
+        # of many nodes, where the level-synchronous DP batches best.
+        "wide",
+        # Deep and narrow: ~40 levels of a handful of nodes each, where
+        # the per-level NumPy overhead shows.
+        "deep",
+    ],
+)
+def test_bench_enumerate_cuts_with_tables(benchmark, shape):
+    if shape == "wide":
+        aig = enlarge(random_control(40, 4, 100, 1), 3)
+    else:
+        aig = isqrt(8)
+    benchmark(enumerate_cuts_with_tables, aig)

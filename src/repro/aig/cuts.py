@@ -9,12 +9,15 @@ Two kinds of cuts are needed by the resynthesis passes:
   implements the fanout-free traversal of the parallel collapse stage.
 * :func:`enumerate_cuts` — bottom-up k-feasible cut enumeration with a
   per-node priority limit, as used by rewriting.
+  :func:`enumerate_cuts_with_tables` computes the same cut lists
+  level by level on NumPy columns (:class:`CutColumns`), with each
+  cut's truth table and cone, for the parallel rewriting match.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
-from functools import lru_cache
+from functools import cache
 
 import numpy as np
 
@@ -183,7 +186,13 @@ def _filter_dominated(cuts: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
     return kept
 
 
-_EMPTY_FROZEN: frozenset[int] = frozenset()
+#: Leaf padding inside the dynamic program: larger than every variable
+#: id, so a row sort moves the real leaves to the front.
+_PAD = np.iinfo(np.int32).max
+
+#: Set-bit count of every byte value.
+_POPCOUNT8 = np.array([bin(byte).count("1") for byte in range(256)],
+                      dtype=np.uint8)
 
 #: Truth table of the 1-variable projection ``x_0`` — the table of every
 #: trivial cut ``(var,)``.
@@ -201,245 +210,390 @@ _PAIR_TABLES = [
 ]
 
 
-@lru_cache(maxsize=None)
-def _expand_lut(positions: tuple[int, ...], num_vars: int) -> list[int]:
-    """Lookup table re-expressing a sub-cut function over a supercut.
+@cache
+def _reexpand_lut() -> np.ndarray:
+    """``lut[width, posmask, t]``: table ``t`` re-expressed over a supercut.
 
-    ``positions[j]`` is the index, within the ``num_vars``-variable
-    supercut, of the sub-cut's ``j``-th variable (both cuts sorted, so
-    the embedding is monotone).  Entry ``t`` of the returned list is the
-    table of the same function with its inputs renamed accordingly:
-    ``out[row] = t[sum_j ((row >> positions[j]) & 1) << j]``.
-
-    Built once per (positions, num_vars) pair with NumPy — the only
-    caller is the composed-table enumeration.
+    ``t`` is the table of a sub-cut with fewer than four leaves whose
+    ``j``-th leaf sits at the ``j``-th set bit of ``posmask`` inside a
+    sorted ``width``-leaf supercut (both cuts sorted, so the embedding
+    is monotone): ``out[row] = t[sum_j ((row >> pos_j) & 1) << j]``.  A
+    sub-cut as wide as its supercut needs no re-expansion.  Built on
+    the first enumeration, so runs without rewriting never pay for it.
     """
-    k_in = len(positions)
-    size = 1 << (1 << k_in)
-    source = np.arange(size, dtype=np.uint32)
-    out = np.zeros(size, dtype=np.uint32)
-    for row in range(1 << num_vars):
-        sub_row = 0
-        for j, pos in enumerate(positions):
-            if (row >> pos) & 1:
-                sub_row |= 1 << j
-        out |= ((source >> np.uint32(sub_row)) & np.uint32(1)) << np.uint32(
-            row
-        )
-    return out.tolist()
+    lut = np.zeros((5, 16, 256), dtype=np.uint16)
+    source = np.arange(256, dtype=np.int64)
+    for width in range(1, 5):
+        rows = np.arange(1 << width, dtype=np.int64)
+        for posmask in range(1, 1 << width):
+            positions = [pos for pos in range(width) if posmask >> pos & 1]
+            if len(positions) == 4:
+                continue
+            sub_rows = np.zeros_like(rows)
+            for j, pos in enumerate(positions):
+                sub_rows |= ((rows >> pos) & 1) << j
+            bits = (source[None, :] >> sub_rows[:, None]) & 1
+            lut[width, posmask] = (bits << rows[:, None]).sum(axis=0)
+    lut.flags.writeable = False  # shared by every call
+    return lut
+
+
+_FULL_MASKS = np.array([full_mask(width) for width in range(5)],
+                       dtype=np.int64)
+
+
+class CutColumns:
+    """Every variable's cut list as flat columns, one row per cut.
+
+    Variable ``var`` owns rows ``first[var] .. first[var] + count[var]``
+    in list order: its trivial cut ``(var,)`` first, then the merged
+    cuts smallest-first.  The constant, PIs and dead ANDs own only
+    their trivial cut.  Per row:
+
+    * ``root`` — the owning variable;
+    * ``leaves`` — ``(rows, 4)`` int32, sorted ascending, padded with
+      ``-1``; ``size`` — the number of real leaves;
+    * ``table`` — the root's truth table over the sorted leaves;
+    * the cone — AND variables strictly between the cut and the root
+      (root included, leaves excluded; empty for the trivial cut), in
+      CSR form: ``cone_members[cone_offsets[r]:cone_offsets[r + 1]]``,
+      sorted ascending.
+    """
+
+    __slots__ = ("first", "count", "root", "leaves", "size", "table",
+                 "cone_offsets", "cone_members")
+
+    def __init__(self, first, count, root, leaves, size, table,
+                 cone_offsets, cone_members) -> None:
+        self.first = first
+        self.count = count
+        self.root = root
+        self.leaves = leaves
+        self.size = size
+        self.table = table
+        self.cone_offsets = cone_offsets
+        self.cone_members = cone_members
+
+    def cut(self, row: int) -> list[int]:
+        """Sorted leaves of one row."""
+        return self.leaves[row, : self.size[row]].tolist()
+
+    def cones(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """CSR ``(members, counts)`` of the cones of many rows."""
+        starts = self.cone_offsets[rows]
+        counts = self.cone_offsets[rows + 1] - starts
+        return self.cone_members[_segments(starts, counts)], counts
+
+
+def _segments(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Flat indices of the ranges ``[starts[i], starts[i] + lengths[i])``."""
+    ends = np.cumsum(lengths)
+    total = int(ends[-1]) if ends.size else 0
+    return np.repeat(starts - ends + lengths, lengths) + np.arange(total)
 
 
 def enumerate_cuts_with_tables(
     aig: Aig,
     k: int = 4,
     max_cuts_per_node: int = 8,
-) -> tuple[
-    dict[int, list[tuple[int, ...]]],
-    dict[int, list[int]],
-    dict[int, list[frozenset[int]]],
-]:
-    """:func:`enumerate_cuts` plus per-cut truth tables and cone sets.
+) -> CutColumns:
+    """:func:`enumerate_cuts` plus per-cut truth tables and cones, as columns.
 
-    Returns ``(cuts, tables, cones)``: ``cuts`` is bit-identical to
-    :func:`enumerate_cuts` with the same arguments; ``tables[var][i]``
-    equals ``simulate_cone(aig, 2 * var, list(cuts[var][i]))``;
-    ``cones[var][i]`` is the frozenset of AND variables strictly between
-    the cut and the root (root included, leaves excluded) — the exact
-    node set the rewriting cone walk visits, without its size cap.
+    The cut lists are exactly :func:`enumerate_cuts`'s; each row's
+    table equals ``simulate_cone(aig, 2 * root, list(cut))`` and its
+    cone is the node set the rewriting cone walk visits, without its
+    size cap (see :class:`CutColumns`).
 
-    Tables are *composed* bottom-up: a merged cut's function is the AND
-    of its fanin functions re-expressed over the union cut (a cached
-    positional re-expansion, or a projection when the fanin variable is
-    itself a union member).  The composition is exact unless the merged
-    cut reconverges — some union member lies **inside** one fanin's
-    cone, where the stored fanin function does not treat it as free —
-    which the cone sets detect (``cone & union``); those cuts fall back
-    to plain simulation.  Inductively every stored table and cone set
-    is therefore exact, which is what makes the detection sound.
+    The dynamic program is level-synchronous: each wave takes every
+    AND whose fanins are settled and builds all of their (fanin-0 cut
+    x fanin-1 cut) pairs at once.  A union is an 8-wide row sort plus a
+    duplicate mask; one lexsort on (node, size, leaves) dedupes each
+    node's unions in the scalar ``(len, tuple)`` order, keeping the
+    first pair per union; an entry dominated by any earlier entry of
+    its node is dropped (a dropped dominator is itself dominated by a
+    kept one, so this keeps the same set as filtering against kept
+    entries only) before the per-node truncation.
 
-    Only meaningful for ``k <= 4`` (the re-expansion LUTs are sized
-    ``2**2**k``); rewriting uses ``k = 4``.
+    Tables are *composed*: a merged cut's function is the AND of its
+    fanin functions re-expressed over the union (one gather from a
+    precomputed re-expansion table indexed by the sub-cut's position
+    mask; a fanin variable that is itself a union member is a
+    projection).  Cones are ``{root}`` plus the cones of the non-leaf
+    sides, kept as globally sorted ``row * num_vars + member`` keys so
+    a ``searchsorted`` finds any member of any earlier row.  The
+    composition is exact unless the merge reconverges — a union leaf
+    lies inside a side's cone, where the side's function does not treat
+    it as free — so those rows fall back to :func:`simulate_cone` and a
+    walk that stops at the union.  Inductively every stored table and
+    cone is exact, which is what makes the detection sound.
+
+    Only meaningful for ``k <= 4`` (tables are 16-bit); rewriting uses
+    ``k = 4``.
     """
     if k < 2:
         raise ValueError("k must be at least 2")
     if k > 4:
         raise ValueError("composed-table enumeration supports k <= 4")
-    cuts: dict[int, list[tuple[int, ...]]] = {0: [(0,)]}
-    tables: dict[int, list[int]] = {0: [_TRIVIAL_TABLE]}
-    cones: dict[int, list[frozenset[int]]] = {0: [_EMPTY_FROZEN]}
-    fsets: dict[int, list[frozenset[int]]] = {0: [frozenset((0,))]}
-    # 64-bit leaf signatures (OR of ``1 << (leaf & 63)``): the popcount
-    # of a merged signature lower-bounds the union size, pruning most
-    # oversized merges before any frozenset is built.
-    sigs: dict[int, list[int]] = {0: [1]}
-    for var in aig.pis:
-        cuts[var] = [(var,)]
-        tables[var] = [_TRIVIAL_TABLE]
-        cones[var] = [_EMPTY_FROZEN]
-        fsets[var] = [frozenset((var,))]
-        sigs[var] = [1 << (var & 63)]
-    fan0 = aig._fanin0
-    fan1 = aig._fanin1
-    masks = [full_mask(width) for width in range(k + 1)]
-    cuts_get = cuts.get
-    for var in aig.and_vars():
-        f0 = fan0[var]
-        f1 = fan1[var]
-        v0 = f0 >> 1
-        v1 = f1 >> 1
-        side0 = cuts_get(v0)
-        side1 = cuts_get(v1)
-        if (
-            (side0 is None or len(side0) == 1)
-            and (side1 is None or len(side1) == 1)
-            and v0 != v1
-        ):
-            # Both fanins carry only their trivial cut (PIs, const, or
-            # unenumerated vars): the single merged cut is the fanin
-            # pair, its table one of eight precomputed 2-input ANDs.
-            # The common case on wide, shallow netlists.
-            tup = (v0, v1) if v0 < v1 else (v1, v0)
-            cuts[var] = [(var,), tup]
-            tables[var] = [
-                _TRIVIAL_TABLE,
-                _PAIR_TABLES[((v0 > v1) << 2) | ((f0 & 1) << 1) | (f1 & 1)],
-            ]
-            cones[var] = [_EMPTY_FROZEN, frozenset((var,))]
-            fsets[var] = [frozenset((var,)), frozenset(tup)]
-            sigs[var] = [
-                1 << (var & 63),
-                (1 << (v0 & 63)) | (1 << (v1 & 63)),
-            ]
-            continue
-        sides = []
-        for vx in (v0, v1):
-            if vx in cuts:
-                sides.append(
-                    (cuts[vx], fsets[vx], tables[vx], cones[vx], sigs[vx])
+    reexpand = _reexpand_lut()
+    fan0, fan1, dead = aig.arrays()
+    num_vars = fan0.size
+    stride = max(num_vars, 1)
+    is_and = (fan0 >= 0) & ~dead
+    ands = np.flatnonzero(is_and)
+    others = np.flatnonzero(~is_and)
+    capacity = others.size + ands.size * (1 + max_cuts_per_node)
+    leaves = np.empty((capacity, 4), dtype=np.int32)
+    size = np.empty(capacity, dtype=np.int64)
+    table = np.empty(capacity, dtype=np.int64)
+    root = np.empty(capacity, dtype=np.int64)
+    # 64-bit signatures (OR of ``1 << (var & 63)``) of every row's leaf
+    # set and cone: their overlaps are necessary conditions that prune
+    # the exact size, dominance and reconvergence tests.
+    leaf_sig = np.empty(capacity, dtype=np.uint64)
+    cone_sig = np.zeros(capacity, dtype=np.uint64)
+    cone_offsets = np.zeros(capacity + 1, dtype=np.int64)
+    keys = np.empty(max(capacity, 16), dtype=np.int64)
+    num_keys = 0
+    first = np.zeros(num_vars, dtype=np.int64)
+    count = np.ones(num_vars, dtype=np.int64)
+    var_bit = np.left_shift(
+        np.uint64(1), (np.arange(num_vars) & 63).astype(np.uint64)
+    )
+
+    # Variables that are not live ANDs own only their trivial cut.
+    used = others.size
+    leaves[:used] = _PAD
+    leaves[:used, 0] = others
+    size[:used] = 1
+    table[:used] = _TRIVIAL_TABLE
+    root[:used] = others
+    leaf_sig[:used] = var_bit[others]
+    first[others] = np.arange(used)
+
+    settled = ~is_and
+    active = ands
+    act0 = fan0[ands]
+    act1 = fan1[ands]
+    while active.size:
+        ready = settled[act0 >> 1] & settled[act1 >> 1]
+        nodes = active[ready]
+        lit0 = act0[ready]
+        lit1 = act1[ready]
+        keep = ~ready
+        active = active[keep]
+        act0 = act0[keep]
+        act1 = act1[keep]
+        settled[nodes] = True
+        num_nodes = nodes.size
+        v0 = lit0 >> 1
+        v1 = lit1 >> 1
+
+        # Every (fanin-0 cut x fanin-1 cut) pair of the wave, node-major
+        # and fanin-0-major: the scalar merge's scan order.  Pairs whose
+        # leaf signature already has more than k bits set are dropped
+        # before any union is built.
+        c1 = count[v1]
+        npairs = count[v0] * c1
+        node_of = np.repeat(np.arange(num_nodes), npairs)
+        i0, i1 = np.divmod(
+            _segments(np.zeros(num_nodes, dtype=np.int64), npairs),
+            c1[node_of],
+        )
+        side0 = first[v0][node_of] + i0
+        side1 = first[v1][node_of] + i1
+        sig = leaf_sig[side0] | leaf_sig[side1]
+        pick = np.flatnonzero(
+            _POPCOUNT8[sig.view(np.uint8)].reshape(-1, 8).sum(axis=1) <= k
+        )
+        union = np.concatenate(
+            (leaves[side0[pick]], leaves[side1[pick]]), axis=1
+        )
+        union.sort(axis=1)
+        union[:, 1:][union[:, 1:] == union[:, :-1]] = _PAD
+        usize = np.count_nonzero(union != _PAD, axis=1)
+        fits = np.flatnonzero(usize <= k)
+        pick = pick[fits]
+        union = np.sort(union[fits], axis=1)[:, :4]
+        usize = usize[fits]
+
+        # Dedupe and order each node's unions by (size, leaves); the
+        # stable lexsort keeps the first pair of every union.
+        group = node_of[pick] * 8 + usize
+        wide = union.astype(np.int64)
+        high = (wide[:, 0] << 32) | wide[:, 1]
+        low = (wide[:, 2] << 32) | wide[:, 3]
+        order = np.lexsort((low, high, group))
+        group = group[order]
+        high = high[order]
+        low = low[order]
+        fresh = np.ones(order.size, dtype=bool)
+        fresh[1:] = (
+            (group[1:] != group[:-1])
+            | (high[1:] != high[:-1])
+            | (low[1:] != low[:-1])
+        )
+        entry = order[fresh]
+        e_group = group[fresh]
+        e_pair = pick[entry]
+        e_node = node_of[e_pair]
+        e_sig = sig[e_pair]
+        num_entries = entry.size
+
+        # Dominance: entry j against the earlier, strictly smaller
+        # entries of its node (equal sizes dedupe instead).
+        position = np.arange(num_entries)
+        starts = np.ones(num_entries, dtype=bool)
+        starts[1:] = e_group[1:] != e_group[:-1]
+        size_start = np.maximum.accumulate(np.where(starts, position, 0))
+        starts[1:] = e_node[1:] != e_node[:-1]
+        node_start = np.maximum.accumulate(np.where(starts, position, 0))
+        smaller = size_start - node_start
+        alive = np.ones(num_entries, dtype=bool)
+        if smaller.any():
+            later = np.repeat(position, smaller)
+            earlier = np.repeat(node_start, smaller) + _segments(
+                np.zeros(num_entries, dtype=np.int64), smaller
+            )
+            maybe = np.flatnonzero((e_sig[earlier] & ~e_sig[later]) == 0)
+            if maybe.size:
+                later = later[maybe]
+                sub = union[entry[earlier[maybe]]]
+                covered = (
+                    sub[:, :, None] == union[entry[later]][:, None, :]
+                ).any(axis=2)
+                subset = (covered | (sub == _PAD)).all(axis=1)
+                alive[later[subset]] = False
+        ranked = np.cumsum(alive)
+        rank = ranked - ranked[node_start] + alive[node_start]
+        kept = np.flatnonzero(alive & (rank <= max_cuts_per_node))
+        k_node = e_node[kept]
+        k_pair = e_pair[kept]
+        k_union = union[entry[kept]]
+        k_size = e_group[kept] & 7
+        k_sig = e_sig[kept]
+        k_var = nodes[k_node]
+
+        # Row layout: each node's block is its trivial cut, then its
+        # kept unions in order.
+        block = 1 + np.bincount(k_node, minlength=num_nodes)
+        base = used
+        block_start = base + np.cumsum(block) - block
+        used = base + int(block.sum())
+        first[nodes] = block_start
+        count[nodes] = block
+        leaves[block_start] = _PAD
+        leaves[block_start, 0] = nodes
+        size[block_start] = 1
+        table[block_start] = _TRIVIAL_TABLE
+        root[block_start] = nodes
+        leaf_sig[block_start] = var_bit[nodes]
+        rows = block_start[k_node] + rank[kept]
+        leaves[rows] = k_union
+        size[rows] = k_size
+        root[rows] = k_var
+        leaf_sig[rows] = k_sig
+
+        # Composed tables and the reconvergence test, both sides of
+        # every kept union stacked (side 0 rows first).
+        sides = np.concatenate((side0[k_pair], side1[k_pair]))
+        lits = np.concatenate((lit0[k_node], lit1[k_node]))
+        s_union = np.concatenate((k_union, k_union))
+        s_size = np.concatenate((k_size, k_size))
+        at = s_union == (lits >> 1)[:, None]
+        member = at.any(axis=1)
+        # A side whose variable is a union member is the projection of
+        # that position; otherwise its leaves' positions in the union.
+        flags = (leaves[sides][:, :, None] == s_union[:, None, :]).any(
+            axis=1
+        ) & (s_union != _PAD)
+        flags[member] = at[member]
+        posmask = np.packbits(flags, axis=1, bitorder="little")[:, 0]
+        sub_size = np.where(member, 1, size[sides])
+        sub_table = np.where(member, _TRIVIAL_TABLE, table[sides])
+        full = _FULL_MASKS[s_size]
+        side_table = np.where(
+            sub_size == s_size,
+            sub_table,
+            reexpand[s_size, posmask, sub_table & 255],
+        ) ^ (full * (lits & 1))
+        num_kept = kept.size
+        table[rows] = side_table[:num_kept] & side_table[num_kept:]
+        outside = np.flatnonzero(~member)
+        side_cone_sig = np.zeros(2 * num_kept, dtype=np.uint64)
+        side_cone_sig[outside] = cone_sig[sides[outside]]
+        cone_sig[rows] = (
+            var_bit[k_var]
+            | side_cone_sig[:num_kept]
+            | side_cone_sig[num_kept:]
+        )
+        hit = np.zeros(2 * num_kept, dtype=bool)
+        probe = np.flatnonzero(side_cone_sig & np.concatenate((k_sig, k_sig)))
+        if probe.size:
+            query = sides[probe, None] * stride + s_union[probe]
+            query[s_union[probe] == _PAD] = -1
+            found = np.searchsorted(keys[:num_keys], query)
+            found = np.minimum(found, num_keys - 1)
+            hit[probe] = (keys[found] == query).any(axis=1)
+        reconv = hit[:num_kept] | hit[num_kept:]
+
+        # Cones: {root} plus the non-leaf sides' cones.  Every part is
+        # sorted by (row, member), so one stable (run-merging) sort and
+        # a duplicate mask give the level's sorted key block.
+        parts = [rows * stride + k_var]
+        take = outside[~np.concatenate((reconv, reconv))[outside]]
+        picked = sides[take]
+        lengths = cone_offsets[picked + 1] - cone_offsets[picked]
+        if lengths.any():
+            parts.append(
+                keys[_segments(cone_offsets[picked], lengths)]
+                + np.repeat(
+                    (np.concatenate((rows, rows))[take] - picked) * stride,
+                    lengths,
                 )
-            else:
-                sides.append(
-                    (
-                        [(vx,)],
-                        [frozenset((vx,))],
-                        [_TRIVIAL_TABLE],
-                        [_EMPTY_FROZEN],
-                        [1 << (vx & 63)],
-                    )
-                )
-        (
-            (cuts0, fsets0, tabs0, cones0, sigs0),
-            (cuts1, fsets1, tabs1, cones1, sigs1),
-        ) = sides
-        if len(fsets0) == 1 and len(fsets1) == 1:
-            # Single cut on both sides but equal fanin vars: one merge,
-            # nothing to sort or dominate.
-            union = fsets0[0] | fsets1[0]
-            if len(union) <= k:
-                kept = [
-                    (
-                        len(union),
-                        tuple(sorted(union)),
-                        union,
-                        0,
-                        0,
-                        sigs0[0] | sigs1[0],
-                    )
-                ]
-            else:
-                kept = []
-        else:
-            merged: dict[frozenset[int], tuple[int, int, int]] = {}
-            setdefault = merged.setdefault
-            for i0, fs0 in enumerate(fsets0):
-                sg0 = sigs0[i0]
-                for i1, fs1 in enumerate(fsets1):
-                    sg = sg0 | sigs1[i1]
-                    if sg.bit_count() > k:
-                        continue
-                    union = fs0 | fs1
-                    if len(union) <= k:
-                        setdefault(union, (i0, i1, sg))
-            # Sorting on (size, leaves) tuples never reaches the
-            # frozenset element (leaf tuples are unique), so no key
-            # function is needed; dominance filtering then walks
-            # smallest-first and can stop at the per-node cut limit.
-            # The signature is set-determined, so any winning pair
-            # carries the same value.
-            entries = [
-                (len(union), tuple(sorted(union)), union, i0, i1, sg)
-                for union, (i0, i1, sg) in merged.items()
-            ]
-            if len(entries) > 1:
-                entries.sort()
-            kept = []
-            for entry in entries:
-                union = entry[2]
-                if any(other[2] <= union for other in kept):
+            )
+        for index in np.flatnonzero(reconv).tolist():
+            row = int(rows[index])
+            var = int(k_var[index])
+            tup = k_union[index, : k_size[index]].tolist()
+            table[row] = simulate_cone(aig, var << 1, tup)
+            stop = set(tup)
+            cone_set: set[int] = set()
+            stack = [var]
+            while stack:
+                node = stack.pop()
+                if node in cone_set or node in stop:
                     continue
-                kept.append(entry)
-                if len(kept) == max_cuts_per_node:
-                    break
-        node_cuts = [(var,)]
-        node_tabs = [_TRIVIAL_TABLE]
-        node_cones = [_EMPTY_FROZEN]
-        node_fsets = [frozenset((var,))]
-        node_sigs = [1 << (var & 63)]
-        for kc, tup, union, i0, i1, sg in kept:
-            mask = masks[kc]
-            table = -1
-            cone: frozenset[int] = _EMPTY_FROZEN
-            for vx, flit, ix, scuts, stabs, scones in (
-                (v0, f0, i0, cuts0, tabs0, cones0),
-                (v1, f1, i1, cuts1, tabs1, cones1),
-            ):
-                if vx in union:
-                    t = var_table(tup.index(vx), kc)
-                else:
-                    sub_cone = scones[ix]
-                    if sub_cone & union:
-                        # Reconvergent merge: a union member sits inside
-                        # this side's cone, so the stored function does
-                        # not treat it as a free input.  Simulate.
-                        table = -1
-                        break
-                    cone |= sub_cone
-                    sub = scuts[ix]
-                    t = stabs[ix]
-                    if len(sub) != kc:
-                        pos = 0
-                        positions = []
-                        for leaf in sub:
-                            while tup[pos] != leaf:
-                                pos += 1
-                            positions.append(pos)
-                            pos += 1
-                        t = _expand_lut(tuple(positions), kc)[t]
-                if flit & 1:
-                    t ^= mask
-                table = t if table == -1 else table & t
-            else:
-                cone = frozenset((var,)) | cone
-            if table == -1:
-                table = simulate_cone(aig, var << 1, list(tup))
-                cone_set = set()
-                stack = [var]
-                while stack:
-                    node = stack.pop()
-                    if node in cone_set or node in union:
-                        continue
-                    cone_set.add(node)
-                    stack.append(fan0[node] >> 1)
-                    stack.append(fan1[node] >> 1)
-                cone = frozenset(cone_set)
-            node_cuts.append(tup)
-            node_tabs.append(table)
-            node_cones.append(cone)
-            node_fsets.append(union)
-            node_sigs.append(sg)
-        cuts[var] = node_cuts
-        tables[var] = node_tabs
-        cones[var] = node_cones
-        fsets[var] = node_fsets
-        sigs[var] = node_sigs
-    return cuts, tables, cones
+                cone_set.add(node)
+                stack.append(int(fan0[node]) >> 1)
+                stack.append(int(fan1[node]) >> 1)
+            members = np.array(sorted(cone_set), dtype=np.int64)
+            cone_sig[row] = np.bitwise_or.reduce(var_bit[members])
+            parts.append(row * stride + members)
+        level_keys = np.sort(np.concatenate(parts), kind="stable")
+        level_keys = level_keys[
+            np.concatenate(([True], level_keys[1:] != level_keys[:-1]))
+        ]
+        members_per_row = np.bincount(
+            level_keys // stride - base, minlength=used - base
+        )
+        cone_offsets[base + 1 : used + 1] = (
+            cone_offsets[base] + np.cumsum(members_per_row)
+        )
+        if num_keys + level_keys.size > keys.size:
+            grown = np.empty(
+                max(2 * keys.size, num_keys + level_keys.size),
+                dtype=np.int64,
+            )
+            grown[:num_keys] = keys[:num_keys]
+            keys = grown
+        keys[num_keys : num_keys + level_keys.size] = level_keys
+        num_keys += level_keys.size
+
+    leaves = leaves[:used]
+    leaves[leaves == _PAD] = -1
+    cone_offsets = cone_offsets[: used + 1]
+    cone_members = keys[:num_keys] - np.repeat(
+        np.arange(used, dtype=np.int64) * stride, np.diff(cone_offsets)
+    )
+    return CutColumns(first, count, root[:used], leaves, size[:used],
+                      table[:used], cone_offsets, cone_members)

@@ -547,44 +547,44 @@ def refactor_deleted_sets(
 # ----------------------------------------------------------------------
 
 
-def rewrite_batched_mffc(aig: Aig, nref, item_roots: list, item_cones: list):
+def rewrite_batched_mffc(aig: Aig, nref, item_roots, members, counts):
     """MFFC sizes of many (root, cone) items in one sweep.
 
-    ``item_cones[i]`` is item ``i``'s cone node collection (the root
-    included, any iteration order — the scalar walk's result is
-    order-independent), ``item_roots[i]`` its root.  Returns the int64
-    array of per-item deleted-set sizes: the least fixpoint seeded at
-    the root of "every fanout reference comes from an already-deleted
-    member", with ``nref`` the PO-inclusive fanout counts (double
-    edges counted twice, exactly like the scalar decrement walk).
+    The cones come in CSR form: item ``i`` owns the next ``counts[i]``
+    entries of the flat ``members`` array (its cone node ids, the root
+    included, in any order — the scalar walk's result is
+    order-independent), and ``item_roots[i]`` is its root.  Returns the
+    int64 array of per-item deleted-set sizes: the least fixpoint
+    seeded at the root of "every fanout reference comes from an
+    already-deleted member", with ``nref`` the PO-inclusive fanout
+    counts (double edges counted twice, exactly like the scalar
+    decrement walk).
 
     The fixpoint is propagated frontier-style: each member's two fanin
     edges are charged exactly once, when the member enters the deleted
     set, so the whole batch costs O(total cone nodes) regardless of
     cone depth.
     """
-    num_items = len(item_cones)
+    counts = np.asarray(counts, dtype=np.int64)
+    num_items = counts.size
     if not num_items:
         return np.empty(0, dtype=np.int64)
-    counts = np.fromiter(
-        (len(cone) for cone in item_cones),
-        dtype=np.int64,
-        count=num_items,
-    )
     # Singleton cones resolve trivially (the root alone is deleted);
     # routing only multi-node cones through the fixpoint keeps the
     # sweep proportional to the interesting work.
     if counts.max() == 1:
-        return counts
+        return counts.copy()
+    item_roots = np.asarray(item_roots, dtype=np.int64)
+    vars_flat = np.asarray(members, dtype=np.int64)
     multi = counts > 1
     if not multi.all():
         sizes = np.ones(num_items, dtype=np.int64)
-        keep = np.flatnonzero(multi)
-        sizes[keep] = rewrite_batched_mffc(
+        sizes[multi] = rewrite_batched_mffc(
             aig,
             nref,
-            [item_roots[i] for i in keep.tolist()],
-            [item_cones[i] for i in keep.tolist()],
+            item_roots[multi],
+            vars_flat[np.repeat(multi, counts)],
+            counts[multi],
         )
         return sizes
     fan0, fan1, _ = aig.arrays()
@@ -592,12 +592,6 @@ def rewrite_batched_mffc(aig: Aig, nref, item_roots: list, item_cones: list):
         (np.zeros(1, dtype=np.int64), np.cumsum(counts))
     )
     total = int(offsets[-1])
-    vars_flat = np.empty(total, dtype=np.int64)
-    position = 0
-    for cone in item_cones:
-        upto = position + len(cone)
-        vars_flat[position:upto] = list(cone)
-        position = upto
     item_of = np.repeat(np.arange(num_items, dtype=np.int64), counts)
     # Per-item slot lookup: cone members are unique within an item, so
     # (item, var) keys are globally unique and searchsorted resolves a
@@ -620,10 +614,7 @@ def rewrite_batched_mffc(aig: Aig, nref, item_roots: list, item_cones: list):
     dst_slot[inside] = order[found[inside]]
     need = np.asarray(nref)[vars_flat]
     deleted = np.zeros(total, dtype=bool)
-    root_keys = (
-        np.arange(num_items, dtype=np.int64) * stride
-        + np.asarray(item_roots, dtype=np.int64)
-    )
+    root_keys = np.arange(num_items, dtype=np.int64) * stride + item_roots
     root_slots = order[np.searchsorted(sorted_keys, root_keys)]
     deleted[root_slots] = True
     dec = np.zeros(total, dtype=np.int64)

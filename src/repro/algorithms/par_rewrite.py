@@ -25,6 +25,8 @@ afterwards.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro import observe
 from repro.aig.aig import Aig
 from repro.aig.cuts import enumerate_cuts_with_tables
@@ -140,184 +142,167 @@ def _match_stage(
     Returns ``{root: (leaves, transform, template, est_gain)}`` for the
     nodes whose best candidate meets the gain threshold.  Every
     (root, cut) item is independent on the *static* graph: the cut
-    enumeration carries composed truth tables and cone sets bottom-up
-    (:func:`~repro.aig.cuts.enumerate_cuts_with_tables`), library
-    matches are memoized per distinct (function, cut width), and the
-    MFFC walk uses a local decrement map instead of mutating/restoring
-    the shared counts.  Work is charged one unit per node plus
-    ``CUT_EVAL_WORK`` per non-trivial cut, through one ``rw.match``
-    kernel record.  At or above ``KERNEL_CUTOFF`` the winner selection
-    runs batched (:func:`_match_select_batched`).
+    enumeration returns columns with composed truth tables and CSR
+    cones (:func:`~repro.aig.cuts.enumerate_cuts_with_tables`), and the
+    items a root tries are filtered in one vector test.  Work is
+    charged one unit per node plus ``CUT_EVAL_WORK`` per non-trivial
+    cut, through one ``rw.match`` kernel record.
+
+    Per root the scalar scan visits its cuts in list order, sizes an
+    item's MFFC only when its gain bound (cone size minus template
+    ANDs: the MFFC is a subset of the cone) reaches ``min_gain`` and
+    strictly beats the incumbent, and keeps strict improvements.  At or
+    above ``KERNEL_CUTOFF`` the sizing runs batched
+    (:func:`_select_batched`); otherwise one Python walk per item
+    (:func:`_select_scalar`).  Both give the same winners.
     """
-    cuts, tables, cones = enumerate_cuts_with_tables(
+    cols = enumerate_cuts_with_tables(
         aig, REWRITE_CUT_SIZE, MAX_CUTS_PER_NODE
     )
-    machine.launch(
-        "rw.cut_enum",
-        [len(cuts.get(var, ())) for var in aig.and_vars()],
+    live = aig.live_and_array()
+    machine.launch("rw.cut_enum", cols.count[live].tolist())
+    sizes = cols.size
+    nontrivial = sizes >= 2
+    evaluated = np.bincount(cols.root[nontrivial], minlength=aig.num_vars)
+    works = (1 + CUT_EVAL_WORK * evaluated[live]).tolist()
+
+    # Candidate items in scan order: roots ascending, each root's cuts
+    # in list order (its rows are contiguous).  Blown-up cones are the
+    # ones the scalar cone walk rejects.
+    cone_len = np.diff(cols.cone_offsets)
+    rows = np.flatnonzero(nontrivial & (cone_len <= 64))
+    rows = rows[np.argsort(cols.root[rows], kind="stable")]
+    # One library match per distinct (function, width), in first-seen
+    # order, exactly like a per-call memo filled by the scan.
+    match_keys = cols.table[rows] * 8 + sizes[rows]
+    distinct, first_seen, which = np.unique(
+        match_keys, return_index=True, return_inverse=True
     )
+    matches: list = [None] * distinct.size
+    template_ands = np.empty(distinct.size, dtype=np.int64)
+    for slot in np.argsort(first_seen).tolist():
+        row = int(rows[first_seen[slot]])
+        transform, template = match_function(
+            int(cols.table[row]), cols.cut(row)
+        )
+        matches[slot] = (transform, template)
+        template_ands[slot] = template.num_ands
+    item_ands = template_ands[which]
+    bound = cone_len[rows] - item_ands
+    eligible = bound >= min_gain
+    rows = rows[eligible]
+    items = (rows, which[eligible], item_ands[eligible], bound[eligible])
+
     if kernels.enabled_for(aig):
-        return _match_select_batched(aig, machine, min_gain, cuts,
-                                     tables, cones)
+        winners = _select_batched(aig, cols, items)
+    else:
+        winners = _select_scalar(aig, cols, items)
+    candidates: dict[int, tuple] = {}
+    for root, row, slot, gain in winners:
+        if gain >= min_gain:
+            transform, template = matches[slot]
+            candidates[root] = (cols.cut(row), transform, template, gain)
+    machine.launch("rw.match", works)
+    return candidates
+
+
+def _select_scalar(aig: Aig, cols, items) -> list[tuple]:
+    """Per-item Python MFFC walks over the eligible items.
+
+    Returns ``(root, row, match slot, est_gain)`` per root that sized
+    an item, roots ascending.  The walk is ``deref_cone`` against a
+    local decrement map; the fanin of a cone member is either a cone
+    member or a leaf, so "not a leaf" is the exact cone-membership
+    test.
+    """
+    rows, which, item_ands, bound = items
     nref = context_for(aig).fanout_counts()  # read-only here
     fan0 = aig._fanin0
     fan1 = aig._fanin1
-    candidates: dict[int, tuple] = {}
-    match_cache: dict[tuple[int, int], tuple] = {}
-    works: list[int] = []
-
-    for root in aig.and_vars():
-        work = 1
-        best = None
-        for cut, table, cone in zip(cuts[root], tables[root], cones[root]):
-            if len(cut) < 2:
+    winners: list[tuple] = []
+    best = None
+    for root, row, slot, ands, limit, leaf_row in zip(
+        cols.root[rows].tolist(), rows.tolist(), which.tolist(),
+        item_ands.tolist(), bound.tolist(), cols.leaves[rows].tolist(),
+    ):
+        if best is not None and best[0] != root:
+            winners.append(best)
+            best = None
+        if best is not None and limit <= best[3]:
+            continue
+        stop = set(leaf_row)
+        deleted: set[int] = set()
+        dec: dict[int, int] = {}
+        stack = [root]
+        while stack:
+            var = stack.pop()
+            if var in deleted:
                 continue
-            work += CUT_EVAL_WORK
-            if len(cone) > 64:
-                # The scalar cone walk rejects blown-up cones.
-                continue
-            key = (table, len(cut))
-            hit = match_cache.get(key)
-            if hit is None:
-                transform, template = match_function(table, list(cut))
-                hit = (transform, template, template.num_ands)
-                match_cache[key] = hit
-            transform, template, template_ands = hit
-            # The MFFC is a subset of the cone (root included, leaves
-            # excluded), so ``len(cone) - template_ands`` bounds the
-            # gain.  Ties never replace the incumbent, and a best below
-            # ``min_gain`` is discarded, so cuts whose bound cannot
-            # strictly beat the incumbent — or reach the threshold at
-            # all — can skip the walk without changing the outcome.
-            bound = len(cone) - template_ands
-            if bound < min_gain:
-                continue
-            if best is not None and bound <= best[3]:
-                continue
-            # MFFC size: nodes whose references all come from inside
-            # the cone — deref_cone without touching shared ``nref``.
-            deleted: set[int] = set()
-            dec: dict[int, int] = {}
-            stack = [root]
-            while stack:
-                var = stack.pop()
-                if var in deleted:
-                    continue
-                deleted.add(var)
-                for fvar in (fan0[var] >> 1, fan1[var] >> 1):
-                    count = dec.get(fvar, 0) + 1
-                    dec[fvar] = count
-                    if nref[fvar] == count and fvar in cone:
-                        stack.append(fvar)
-            est_gain = len(deleted) - template_ands
-            if best is None or est_gain > best[3]:
-                best = (list(cut), transform, template, est_gain)
-        if best is not None and best[3] >= min_gain:
-            candidates[root] = best
-        works.append(work)
-
-    machine.launch("rw.match", works)
-    return candidates
+            deleted.add(var)
+            for fvar in (fan0[var] >> 1, fan1[var] >> 1):
+                count = dec.get(fvar, 0) + 1
+                dec[fvar] = count
+                if nref[fvar] == count and fvar not in stop:
+                    stack.append(fvar)
+        est_gain = len(deleted) - ands
+        if best is None or est_gain > best[3]:
+            best = (root, row, slot, est_gain)
+    if best is not None:
+        winners.append(best)
+    return winners
 
 
-def _match_select_batched(
-    aig: Aig,
-    machine: ParallelMachine,
-    min_gain: int,
-    cuts: dict,
-    tables: dict,
-    cones: dict,
-) -> dict[int, tuple]:
-    """Column-native winner selection for the match stage.
+def _select_batched(aig: Aig, cols, items) -> list[tuple]:
+    """Column-native winner selection over the eligible items.
 
-    Replaces the per-item Python MFFC walk of :func:`_match_stage`
-    with one batched decrement-fixpoint sweep
-    (:func:`~repro.algorithms.kernels.rewrite_batched_mffc`).  Every
-    (root, cut) item whose gain bound reaches ``min_gain`` is sized;
-    the scalar loop sizes only items whose bound also beats the
-    incumbent best, but since the true gain never exceeds the bound, a
-    skipped item can never have been a new strict maximum — so taking
-    each root's **earliest strict running maximum** over the batched
-    gains reproduces the scalar winner (and its tie-breaks) exactly.
-    Works, library-match caching and the candidate order are charged
-    and built in the scalar scan order.
+    Replaces the per-item Python MFFC walk with one batched
+    decrement-fixpoint sweep per wave
+    (:func:`~repro.algorithms.kernels.rewrite_batched_mffc`): wave
+    ``w`` sizes every root's ``w``-th eligible item at once, unless its
+    bound cannot beat the best settled by wave ``w - 1`` — exactly the
+    scalar control flow, batched across roots.  Same result as
+    :func:`_select_scalar`.
     """
+    rows, which, item_ands, bound = items
     nref = context_for(aig).fanout_counts_array()  # read-only here
-    match_cache: dict[tuple[int, int], tuple] = {}
-    works: list[int] = []
-    # Per-root eligible items in scan order:
-    # (cut_list, transform, template, template_ands, bound, cone).
-    per_root: list[tuple[int, list[tuple]]] = []
-
-    for root in aig.and_vars():
-        work = 1
-        eligible: list[tuple] = []
-        for cut, table, cone in zip(cuts[root], tables[root], cones[root]):
-            if len(cut) < 2:
-                continue
-            work += CUT_EVAL_WORK
-            if len(cone) > 64:
-                # The scalar cone walk rejects blown-up cones.
-                continue
-            key = (table, len(cut))
-            hit = match_cache.get(key)
-            if hit is None:
-                transform, template = match_function(table, list(cut))
-                hit = (transform, template, template.num_ands)
-                match_cache[key] = hit
-            transform, template, template_ands = hit
-            bound = len(cone) - template_ands
-            if bound < min_gain:
-                continue
-            eligible.append((cut, transform, template, template_ands,
-                             bound, cone))
-        if eligible:
-            per_root.append((root, eligible))
-        works.append(work)
-
-    # Wave w sizes every root's w-th still-interesting item at once:
-    # per root the items stay in scan order across waves, and the
-    # bound-vs-incumbent prune uses the best settled by wave w - 1 —
-    # exactly the scalar control flow, batched across roots.
-    best: dict[int, tuple] = {}
-    active = per_root
-    wave = 0
-    while active:
-        batch_roots: list[int] = []
-        batch_cones: list = []
-        batch_meta: list[tuple] = []
-        for root, eligible in active:
-            item = eligible[wave]
-            incumbent = best.get(root)
-            if incumbent is not None and item[4] <= incumbent[3]:
-                continue
-            batch_roots.append(root)
-            batch_cones.append(item[5])
-            batch_meta.append((root, item))
-        if batch_roots:
-            if observe.enabled:
-                observe.count("kernels.rw_waves")
-                observe.count("kernels.rw_sized_items", len(batch_roots))
-            sizes = kernels.rewrite_batched_mffc(
-                aig, nref, batch_roots, batch_cones
-            )
-            for (root, item), size in zip(batch_meta, sizes.tolist()):
-                est_gain = size - item[3]
-                incumbent = best.get(root)
-                if incumbent is None or est_gain > incumbent[3]:
-                    best[root] = (list(item[0]), item[1], item[2],
-                                  est_gain)
-        wave += 1
-        active = [entry for entry in active if len(entry[1]) > wave]
-
-    candidates: dict[int, tuple] = {}
-    for root, _ in per_root:
-        winner = best.get(root)
-        if winner is not None and winner[3] >= min_gain:
-            candidates[root] = winner
-
-    machine.launch("rw.match", works)
-    return candidates
+    roots = cols.root[rows]
+    num_items = rows.size
+    if not num_items:
+        return []
+    position = np.arange(num_items)
+    starts = np.ones(num_items, dtype=bool)
+    starts[1:] = roots[1:] != roots[:-1]
+    root_slot = np.cumsum(starts) - 1
+    wave_of = position - np.maximum.accumulate(np.where(starts, position, 0))
+    # A root without an incumbent has gain "minus infinity": every
+    # bound beats it, and so does every sized gain.
+    best_gain = np.full(
+        int(root_slot[-1]) + 1, np.iinfo(np.int64).min, dtype=np.int64
+    )
+    best_item = np.full(best_gain.size, -1, dtype=np.int64)
+    by_wave = np.argsort(wave_of, kind="stable")
+    bounds = np.searchsorted(
+        wave_of[by_wave], np.arange(int(wave_of.max()) + 2)
+    )
+    for wave in range(bounds.size - 1):
+        batch = by_wave[bounds[wave] : bounds[wave + 1]]
+        batch = batch[bound[batch] > best_gain[root_slot[batch]]]
+        if not batch.size:
+            continue
+        if observe.enabled:
+            observe.count("kernels.rw_waves")
+            observe.count("kernels.rw_sized_items", int(batch.size))
+        members, counts = cols.cones(rows[batch])
+        gains = kernels.rewrite_batched_mffc(
+            aig, nref, roots[batch], members, counts
+        ) - item_ands[batch]
+        slots = root_slot[batch]
+        better = gains > best_gain[slots]
+        best_gain[slots[better]] = gains[better]
+        best_item[slots[better]] = batch[better]
+    # Wave 0 sizes every root's first item, so every root has a winner.
+    return list(zip(roots[best_item].tolist(), rows[best_item].tolist(),
+                    which[best_item].tolist(), best_gain.tolist()))
 
 
 def _replace_stage(

@@ -33,9 +33,14 @@ A last rule keeps the counter table of ``docs/OBSERVABILITY.md``
 complete: every counter name ``src/`` passes to ``observe.count`` as a
 literal (f-string placeholders kept as ``{expr}``) must appear in it.
 
-This file is pure text scanning (no ``repro`` import), so the CI lint
-job runs it without installing the package:
-``python tests/test_architecture.py``.
+A tooling guard keeps the repository benchmark's ``cuts.enumerate_s``
+wrapper honest: it wraps every module-level binding that *is*
+:func:`repro.aig.cuts.enumerate_cuts_with_tables`, so the rewriting
+pass must bind that very object (a rebinding would read 0 silently).
+
+Apart from that guard's deferred import, this file is pure text
+scanning (no ``repro`` import), so the CI lint job runs it without
+installing the package: ``python tests/test_architecture.py``.
 """
 
 from __future__ import annotations
@@ -284,6 +289,19 @@ def test_every_counter_is_documented() -> None:
     assert not undocumented, (
         "counters missing from the docs/OBSERVABILITY.md table:\n"
         + "\n".join(undocumented)
+    )
+
+
+def test_rewrite_binds_the_exported_cut_enumerator() -> None:
+    import importlib
+
+    name = "enumerate_cuts_with_tables"
+    cuts = importlib.import_module("repro.aig.cuts")
+    rewrite = importlib.import_module("repro.algorithms.par_rewrite")
+    assert vars(rewrite).get(name) is getattr(cuts, name), (
+        "repro.algorithms.par_rewrite must bind "
+        "repro.aig.cuts.enumerate_cuts_with_tables itself: perfbench "
+        "times cut enumeration by wrapping that object"
     )
 
 

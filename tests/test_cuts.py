@@ -21,8 +21,10 @@ from repro.algorithms.seq_rewrite import (
     REWRITE_CUT_SIZE,
     _cone_nodes,
 )
+from repro.benchgen.arith import isqrt
 from repro.logic.truth import simulate_cone
 from tests.conftest import build_random_aig
+from tests.cut_reference import reference_cuts_with_tables
 
 
 def test_reconv_cut_of_simple_node():
@@ -207,6 +209,88 @@ def test_enumerate_cuts_rejects_k1():
         enumerate_cuts(aig, 1)
 
 
+def cut_lists(aig: Aig, cols) -> tuple[dict, dict, dict]:
+    """``(cuts, tables, cones)`` dicts of the columns, reference-shaped.
+
+    Keyed like the dictionary reference: the constant, the PIs and the
+    live ANDs (dead ANDs own a trivial cut in the columns but are not
+    keys of the reference).
+    """
+    cuts: dict[int, list[tuple[int, ...]]] = {}
+    tables: dict[int, list[int]] = {}
+    cones: dict[int, list[frozenset[int]]] = {}
+    offsets = cols.cone_offsets
+    for var in [0, *aig.pis, *aig.and_vars()]:
+        start = int(cols.first[var])
+        rows = range(start, start + int(cols.count[var]))
+        cuts[var] = [tuple(cols.cut(row)) for row in rows]
+        tables[var] = [int(cols.table[row]) for row in rows]
+        cones[var] = [
+            frozenset(
+                cols.cone_members[offsets[row] : offsets[row + 1]].tolist()
+            )
+            for row in rows
+        ]
+    return cuts, tables, cones
+
+
+def _digest_graphs():
+    """The pinned (graph, k) cases of the enumerator digest."""
+    for num_pis in (3, 4, 8):
+        for seed in (1, 2, 3):
+            yield build_random_aig(
+                seed, num_pis=num_pis, num_ands=150, locality=16
+            ), 4
+    # The two reconvergent examples of the hypothesis test below.
+    yield build_random_aig(35, num_pis=3, num_ands=60, locality=8), 4
+    yield build_random_aig(140, num_pis=3, num_ands=60, locality=8), 4
+    yield isqrt(8), 4
+    # Dead ANDs with live readers: the enumeration treats them as
+    # leaves (trivial cut only).
+    dead = build_random_aig(11, num_ands=120)
+    for var in list(dead.and_vars())[::7]:
+        dead.mark_dead(var)
+    yield dead, 4
+    for k in (2, 3):
+        yield build_random_aig(5, num_pis=6, num_ands=120, locality=16), k
+
+
+def enumerator_digest() -> str:
+    """sha256 over every cut, table and cone of the pinned cases."""
+    digest = hashlib.sha256()
+    for aig, k in _digest_graphs():
+        cuts, tables, cones = cut_lists(
+            aig, enumerate_cuts_with_tables(aig, k, MAX_CUTS_PER_NODE)
+        )
+        for var in sorted(cuts):
+            digest.update(repr((
+                var, cuts[var], tables[var],
+                [sorted(cone) for cone in cones[var]],
+            )).encode())
+    return digest.hexdigest()
+
+
+#: sha256 of :func:`enumerator_digest`, captured from the per-node
+#: dictionary enumerator (now ``tests/cut_reference.py``) before the
+#: columnar rewrite.  Any change to a cut, its order, a table or a cone
+#: moves it.
+ENUMERATOR_DIGEST = (
+    "40d843d951162978d863e0b693d892170db29bf55efcf4bd99f8afd63d56c68c"
+)
+
+
+def test_enumerate_cuts_with_tables_digest_is_pinned():
+    """Cut lists, tables and cones are those of the dictionary DP."""
+    assert enumerator_digest() == ENUMERATOR_DIGEST
+
+
+def test_enumerate_cuts_with_tables_rejects_bad_k():
+    aig = build_random_aig(1, num_ands=10)
+    for k in (1, 5):
+        with pytest.raises(ValueError):
+            enumerate_cuts_with_tables(aig, k)
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=100_000),
@@ -221,14 +305,25 @@ def test_enumerate_cuts_rejects_k1():
 def test_enumerate_cuts_with_tables_matches_cone_walks(
     seed, num_pis, size, locality
 ):
-    """Composed tables and cone sets equal per-cut simulation/walks."""
+    """Columns equal the dictionary DP, per-cut simulation and walks."""
     aig = build_random_aig(
         seed, num_pis=num_pis, num_ands=size, locality=locality
     )
-    cuts, tables, cones = enumerate_cuts_with_tables(
+    cols = enumerate_cuts_with_tables(
         aig, REWRITE_CUT_SIZE, MAX_CUTS_PER_NODE
     )
+    cuts, tables, cones = cut_lists(aig, cols)
+    ref_cuts, ref_tables, ref_cones = reference_cuts_with_tables(
+        aig, REWRITE_CUT_SIZE, MAX_CUTS_PER_NODE
+    )
+    assert cuts.keys() == ref_cuts.keys()
+    for var in ref_cuts:
+        assert cuts[var] == ref_cuts[var], var
+        assert tables[var] == ref_tables[var], var
+        assert cones[var] == ref_cones[var], var
     assert cuts == enumerate_cuts(aig, REWRITE_CUT_SIZE, MAX_CUTS_PER_NODE)
+    # Every row belongs to exactly one variable's list.
+    assert int(cols.count.sum()) == cols.size.size
     view = AliasView(aig)
     for root in aig.and_vars():
         for cut, table, cone in zip(cuts[root], tables[root], cones[root]):

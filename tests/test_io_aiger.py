@@ -117,6 +117,41 @@ def test_parse_rejects_undefined_fanin():
         parse_aag("aag 3 1 0 1 1\n2\n6\n6 2 8\n")
 
 
+def test_parse_rejects_and_row_defining_the_constant():
+    """A variable defined twice fails loudly, naming the row.
+
+    The ASCII parser used to keep one of the definitions and build a
+    different graph: here the row would turn the declared constant-0
+    PO into ``a & b``.  The binary reader is unaffected: its AND
+    outputs are implicit (row ``i`` defines variable ``I + i + 1``), so
+    no row can redefine a variable.
+    """
+    with pytest.raises(AigerError, match=r"line 5.*'0 2 4'.*constant"):
+        parse_aag("aag 2 2 0 1 1\n2\n4\n0\n0 2 4\n")
+
+
+def test_parse_rejects_duplicate_pi_literal():
+    with pytest.raises(AigerError, match=r"PI row \(line 3: '2'\)"):
+        parse_aag("aag 2 2 0 1 0\n2\n2\n2\n")
+
+
+def test_parse_rejects_and_row_redefining_a_pi():
+    with pytest.raises(AigerError, match=r"line 5.*'4 2 2'.*variable 2"):
+        parse_aag("aag 3 2 0 1 1\n2\n4\n4\n4 2 2\n")
+
+
+def test_parse_rejects_and_row_redefining_an_and():
+    with pytest.raises(AigerError, match=r"line 6.*'6 3 4'.*variable 3"):
+        parse_aag("aag 3 2 0 1 2\n2\n4\n6\n6 2 4\n6 3 4\n")
+
+
+def test_parse_rejects_non_integer_token():
+    with pytest.raises(AigerError, match=r"line 5.*'6 x 2'"):
+        parse_aag("aag 3 2 0 1 1\n2\n4\n6\n6 x 2\n")
+    with pytest.raises(AigerError, match=r"header"):
+        parse_aag("aag 3 2 0 1 one\n2\n4\n6\n6 2 4\n")
+
+
 def test_dump_is_reparseable(rand_aig):
     text = dump_aag(rand_aig)
     again = parse_aag(text)

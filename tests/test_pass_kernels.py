@@ -142,6 +142,30 @@ def test_fanout_degrees_matches_fanout_lists(seed):
     assert degrees.tolist() == [len(entry) for entry in lists]
 
 
+def _csr(cones, ordered: bool) -> tuple[list[int], list[int]]:
+    """Flat members plus per-item counts of a list of cone sets.
+
+    ``ordered`` sorts each cone (the cut columns' layout); otherwise
+    the members keep the set's iteration order.
+    """
+    members: list[int] = []
+    for cone in cones:
+        members.extend(sorted(cone) if ordered else cone)
+    return members, [len(cone) for cone in cones]
+
+
+def _batched_sizes(aig, nref, roots, cones) -> list[int]:
+    """Batched sizes; both CSR member orders must agree."""
+    results = [
+        kernels.rewrite_batched_mffc(
+            aig, nref, roots, *_csr(cones, ordered)
+        ).tolist()
+        for ordered in (False, True)
+    ]
+    assert results[0] == results[1]
+    return results[0]
+
+
 @given(seed=aig_seeds)
 @settings(max_examples=10, deadline=None)
 def test_rewrite_batched_mffc_matches_mffc_size(seed):
@@ -153,9 +177,8 @@ def test_rewrite_batched_mffc_matches_mffc_size(seed):
     nref = fanout_counts(aig)
     roots = list(aig.and_vars())
     cones = [mffc_nodes(aig, root, nref) for root in roots]
-    sizes = kernels.rewrite_batched_mffc(aig, nref, roots, cones)
     expected = [mffc_size(aig, root, nref) for root in roots]
-    assert sizes.tolist() == expected
+    assert _batched_sizes(aig, nref, roots, cones) == expected
 
 
 def test_rewrite_batched_mffc_partial_cones():
@@ -191,8 +214,7 @@ def test_rewrite_batched_mffc_partial_cones():
                 cone.add(fvar)
         roots.append(root)
         cones.append(frozenset(cone))
-    sizes = kernels.rewrite_batched_mffc(aig, nref, roots, cones)
-    assert sizes.tolist() == [
+    assert _batched_sizes(aig, nref, roots, cones) == [
         scalar_size(root, cone) for root, cone in zip(roots, cones)
     ]
 
@@ -200,12 +222,12 @@ def test_rewrite_batched_mffc_partial_cones():
 def test_rewrite_batched_mffc_empty_and_singletons():
     aig = build_random_aig(1, num_ands=20)
     nref = fanout_counts(aig)
-    sizes = kernels.rewrite_batched_mffc(aig, nref, [], [])
+    sizes = kernels.rewrite_batched_mffc(aig, nref, [], [], [])
     assert sizes.tolist() == []
     # All-singleton batches skip the fixpoint entirely: size is 1.
     roots = list(aig.and_vars())[:5]
     sizes = kernels.rewrite_batched_mffc(
-        aig, nref, roots, [frozenset({root}) for root in roots]
+        aig, nref, roots, roots, [1] * len(roots)
     )
     assert sizes.tolist() == [1] * len(roots)
 
