@@ -9,11 +9,13 @@ import random
 
 import pytest
 
+from repro.aig.aig import Aig
 from repro.aig.cuts import enumerate_cuts_with_tables, reconv_cut
 from repro.benchgen import double, enlarge
 from repro.benchgen.arith import isqrt, multiplier
 from repro.benchgen.control import random_control
 from repro.cec.simulate import random_patterns, simulate
+from repro.engine import pass_fn
 from repro.logic.isop import isop
 from repro.logic.npn import npn_canon
 from repro.logic.resyn import plan_resynthesis
@@ -128,3 +130,36 @@ def test_bench_enumerate_cuts_with_tables(benchmark, shape):
     else:
         aig = isqrt(8)
     benchmark(enumerate_cuts_with_tables, aig)
+
+
+def _rewritten_graph():
+    """The graph and alias map one ``rw`` pass hands to its cleanup.
+
+    Runs ``par_rewrite`` without cleanup on the resyn2-wide input
+    (seed 1) and keeps a copy of what its final ``compact`` receives.
+    """
+    aig = enlarge(random_control(40, 4, 100, 1), 3)
+    captured = {}
+    compact = Aig.compact
+
+    def capture(self, resolve=None):
+        if resolve and not captured:
+            captured["aig"] = self.clone()
+            captured["alias"] = dict(resolve)
+        return compact(self, resolve)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Aig, "compact", capture)
+        pass_fn("par_rewrite")(aig, run_cleanup=False)
+    return captured["aig"], captured["alias"]
+
+
+def test_bench_dedup(benchmark):
+    """Dedup, dangling removal and the resolve-map compact of one pass."""
+    aig, alias = _rewritten_graph()
+    dedup = pass_fn("dedup")
+    benchmark.pedantic(
+        dedup,
+        setup=lambda: ((aig.clone(), dict(alias)), {}),
+        rounds=20,
+    )

@@ -45,6 +45,45 @@ PI_FANIN = -1
 CONST_FANIN = -2
 
 
+def resolve_aliases(alias: dict[int, int], num_vars: int) -> np.ndarray:
+    """Per-variable resolved literal of an alias map, as an int64 array.
+
+    ``alias`` redirects a variable to a replacement literal; chains
+    compose complement flags.  Entry ``v`` of the result is the literal
+    variable ``v`` finally resolves to (``2 * v`` when unaliased), so a
+    literal ``lit`` resolves to ``final[lit >> 1] ^ (lit & 1)``.  The
+    chains are collapsed by pointer jumping over the aliased entries
+    only: each round doubles the resolved distance, so a chain of
+    length ``n`` takes ``log2(n) + 1`` rounds.  A chain that never
+    leaves the aliased set is a cycle and raises ``ValueError``.
+    """
+    final = np.arange(0, 2 * num_vars, 2, dtype=np.int64)
+    if not alias:
+        return final
+    count = len(alias)
+    keys = np.fromiter(alias.keys(), dtype=np.int64, count=count)
+    targets = np.fromiter(alias.values(), dtype=np.int64, count=count)
+    if (
+        int(keys.min()) < 0
+        or int(keys.max()) >= num_vars
+        or int(targets.min()) < 0
+        or int(targets.max()) >> 1 >= num_vars
+    ):
+        raise IndexError("resolve map references a variable out of range")
+    final[keys] = targets
+    for _ in range(count.bit_length() + 1):
+        current = final[keys]
+        jumped = final[current >> 1] ^ (current & 1)
+        if np.array_equal(jumped, current):
+            break
+        final[keys] = jumped
+    aliased = np.zeros(num_vars, dtype=bool)
+    aliased[keys] = True
+    if bool(aliased[final[keys] >> 1].any()):
+        raise ValueError("cycle in resolve map")
+    return final
+
+
 class Aig:
     """A combinational And-Inverter Graph.
 
@@ -522,8 +561,9 @@ class Aig:
             Optional redirection map from variable id to replacement
             *literal* (in this AIG).  Whenever a redirected variable is
             encountered — as a PO driver or as a fanin — the replacement
-            literal is followed instead (chains are allowed).  This is
-            how cone replacement is applied.
+            literal is followed instead (chains are allowed; a cyclic
+            chain raises ``ValueError``).  This is how cone replacement
+            is applied.
 
         Returns
         -------
@@ -531,11 +571,12 @@ class Aig:
             The compacted AIG and a map from old live variable id to new
             literal.
         """
-        resolve = resolve or {}
-        if not resolve:
-            bulk = self._compact_bulk()
-            if bulk is not None:
-                return bulk
+        final = (
+            resolve_aliases(resolve, self._f0c.size) if resolve else None
+        )
+        bulk = self._compact_bulk(final)
+        if bulk is not None:
+            return bulk
         new = Aig(self.name, capacity=self._f0c.size)
         new._strash.reserve(self._live_ands)
         var_map: dict[int, int] = {0: CONST0}
@@ -543,24 +584,10 @@ class Aig:
         for index, var in enumerate(self._pic.slice()):
             var_map[var] = new.add_pi(pi_names[index])
 
-        fan0 = self._f0c.view
-        fan1 = self._f1c.view
+        fan0, fan1, pos = self._resolved_columns(final)
         size = self._f0c.size
 
-        def resolve_lit(lit: int) -> int:
-            """Follow redirection chains, composing complements."""
-            seen = 0
-            while True:
-                target = resolve.get(lit >> 1)
-                if target is None:
-                    return lit
-                lit = target ^ (lit & 1)
-                seen += 1
-                if seen > size:
-                    raise ValueError("cycle in resolve map")
-
         def build(lit: int) -> int:
-            lit = resolve_lit(lit)
             root = lit_var(lit)
             if root in var_map:
                 return lit_not_cond(var_map[root], lit_compl(lit))
@@ -580,8 +607,7 @@ class Aig:
                     raise ValueError(
                         f"reached non-AND unmapped variable {var}"
                     )
-                f0 = resolve_lit(f0)
-                f1 = resolve_lit(fan1[var])
+                f1 = fan1[var]
                 n0 = var_map.get(f0 >> 1)
                 n1 = var_map.get(f1 >> 1)
                 if n0 is None or n1 is None:
@@ -603,33 +629,58 @@ class Aig:
             return lit_not_cond(var_map[root], lit_compl(lit))
 
         po_names = self._po_names
-        for index, po_lit in enumerate(self._poc.slice()):
+        for index, po_lit in enumerate(pos):
             new.add_po(build(po_lit), po_names[index])
         return new, var_map
 
-    def _compact_bulk(self):
-        """Vectorized :meth:`compact` (no resolve map), or ``None``.
+    def _resolved_columns(self, final=None) -> tuple:
+        """Scalar twins ``(fanin0, fanin1, pos)``, resolved through ``final``.
 
-        Walks the PO-reachable set with a lean scalar DFS reproducing
-        the scalar rebuild's exact completion order (= new variable
-        numbering), then replaces the per-node ``add_and`` loop with
-        one gather over the fanin columns and one bulk strash build.
-        Returns ``None`` — caller falls back to the scalar rebuild —
-        when the reachable set is not fold-free/strash-clean (a
-        constant fanin, ``x & x`` / ``x & !x``, or a duplicate fanin
-        key, any of which would make a scalar ``add_and`` fold or
-        reuse).
+        ``final`` is a :func:`resolve_aliases` array or ``None``.  Without
+        it these are the live column views; with it, fresh arrays whose
+        AND-row fanins and PO literals point past every redirection
+        (PI and constant rows keep their sentinels).
         """
-        fan0 = self._f0c.view
-        fan1 = self._f1c.view
+        if final is None:
+            return self._f0c.view, self._f1c.view, self._poc.slice()
+        fan0, fan1, _ = self.arrays()
+        pos = self._poc.nparray()
+        # Sentinel rows index final[-1]; they are restored below.
+        rf0 = final[fan0 >> 1] ^ (fan0 & 1)
+        rf1 = final[fan1 >> 1] ^ (fan1 & 1)
+        rows = fan0 < 0
+        rf0[rows] = fan0[rows]
+        rf1[rows] = fan1[rows]
+        rpos = final[pos >> 1] ^ (pos & 1)
+        return memoryview(rf0), memoryview(rf1), memoryview(rpos)
+
+    def _compact_bulk(self, final=None):
+        """Vectorized :meth:`compact`, or ``None``.
+
+        ``final`` is the :func:`resolve_aliases` array of the resolve
+        map (``None`` without one); the walk then reads resolved fanins
+        and additionally detects cycles through them.  Walks the
+        PO-reachable set with a lean scalar DFS reproducing the scalar
+        rebuild's exact completion order (= new variable numbering),
+        then replaces the per-node ``add_and`` loop with one gather
+        over the fanin columns and one bulk strash build.  Returns
+        ``None`` — caller falls back to the scalar rebuild — when the
+        reachable set is not fold-free/strash-clean (a constant fanin,
+        ``x & x`` / ``x & !x``, or a duplicate fanin key, any of which
+        would make a scalar ``add_and`` fold or reuse).
+        """
+        fan0, fan1, pos = self._resolved_columns(final)
         num = self._f0c.size
         mapped = bytearray(num)
         mapped[0] = 1
         for var in self._pic.slice():
             mapped[var] = 1
+        # Only a resolve map can close a cycle: stored fanins always
+        # point to lower ids.
+        expanded = bytearray(num) if final is not None else None
         order: list[int] = []
         complete = order.append
-        for po_lit in self._poc.slice():
+        for po_lit in pos:
             root = po_lit >> 1
             if mapped[root]:
                 continue
@@ -653,16 +704,25 @@ class Aig:
                     mapped[var] = 1
                     complete(var)
                 else:
+                    if expanded is not None:
+                        if expanded[var]:
+                            raise ValueError(
+                                f"cycle through variable {var} in "
+                                "resolve map"
+                            )
+                        expanded[var] = 1
                     if not ready0:
                         push(var0)
                     if not ready1:
                         push(var1)
         kept = len(order)
         num_pis = self._pic.size
-        f0a, f1a, _ = self.arrays()
+        f0a = np.asarray(fan0)[:num]
+        f1a = np.asarray(fan1)[:num]
         old_vars = np.fromiter(order, dtype=np.int64, count=kept)
         of0 = f0a[old_vars]
         of1 = f1a[old_vars]
+        del f0a, f1a, fan0, fan1
         if kept:
             if int(of0.min()) < 2 or int(of1.min()) < 2:
                 return None  # constant fanin: scalar add_and folds
@@ -677,6 +737,8 @@ class Aig:
                 ((lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1])).any()
             ):
                 return None  # duplicate key: scalar strash reuses
+            # Peak memory: drop each temporary once it is dead.
+            del key_lo, key_hi, sort, lo, hi
         new_var = np.full(num, -1, dtype=np.int64)
         new_var[0] = 0
         pi_vars = self._pic.nparray()
@@ -686,8 +748,10 @@ class Aig:
         )
         nf0 = (new_var[of0 >> 1] << 1) | (of0 & 1)
         nf1 = (new_var[of1 >> 1] << 1) | (of1 & 1)
+        del of0, of1
         and_k0 = np.minimum(nf0, nf1)
         and_k1 = np.maximum(nf0, nf1)
+        del nf0, nf1
         total = 1 + num_pis + kept
         f0col = np.empty(total, dtype=np.int64)
         f1col = np.empty(total, dtype=np.int64)
@@ -696,7 +760,7 @@ class Aig:
         f1col[1 : 1 + num_pis] = PI_FANIN
         f0col[1 + num_pis :] = and_k0
         f1col[1 + num_pis :] = and_k1
-        old_pos = self._poc.nparray()
+        old_pos = np.asarray(pos)
         new_pos = (new_var[old_pos >> 1] << 1) | (old_pos & 1)
         new = Aig._from_flat(
             self.name,

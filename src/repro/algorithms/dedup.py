@@ -14,17 +14,29 @@ duplicates among their fanouts, which sit at higher levels.  Dangling
 removal then assigns one thread per zero-fanout node to retire its
 MFFC.  Both stages are metered as parallel kernels under the ``dedup``
 tag, which Figure 8 reports separately from ``rw``/``rf``.
+
+The sweep runs on columns (docs/ARCHITECTURE.md, "Column-native
+passes"): one :func:`~repro.aig.aig.resolve_aliases` array holds every
+variable's resolved literal and is patched as nodes fold or merge, so
+a level's keys are two gathers and its folds one vector test.  Merge
+decisions follow the scalar sequence exactly — the first node in
+(level, DFS order) with a key wins, across levels too (a fold can give
+a node the key of a node one level below) — and one
+:meth:`~repro.parallel.vec.VecHashTable.insert_batch` of every
+non-folded key, in that order, yields the per-item probe counts the
+per-level launches charge: the table never deletes, so one batch
+probes exactly like the level-by-level inserts.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro import observe
-from repro.aig.aig import Aig
-from repro.aig.literals import lit_compl, lit_not_cond, lit_pair_key, lit_var
+from repro.aig.aig import Aig, resolve_aliases
 from repro.engine.context import resolved_levels
 from repro.engine.registry import register_pass
 from repro.parallel import backend
-from repro.parallel.frontier import group_by_level
 from repro.parallel.machine import ParallelMachine
 from repro.parallel.vec import VecHashTable
 from repro.verify import mutations, sanitizer
@@ -48,88 +60,34 @@ def dedup_and_dangling(
 
     ``aig`` may contain dead nodes and forward references through
     ``alias`` (old root -> replacement literal); the alias map is
-    extended in place with the duplicate redirections found.
+    extended in place with the duplicate redirections found.  A cyclic
+    alias map raises ``ValueError``.
     """
     machine = machine if machine is not None else ParallelMachine()
     outer_tag = machine.tag
     machine.set_tag("dedup")
 
-    def resolve(lit: int) -> int:
-        while (lit >> 1) in alias:
-            lit = lit_not_cond(alias[lit >> 1], lit_compl(lit))
-        return lit
-
     with observe.span("dedup", "stage"):
-        levels, order = resolved_levels(aig, alias, resolve)
+        final = resolve_aliases(alias, aig.num_vars)
+        levels, order = resolved_levels(aig, final)
         machine.launch_batch(
             "dedup.levelize", backend.const_profile(1, max(len(order), 1))
         )
-
-        live = [
-            var
-            for var in order
-            if aig.is_and(var) and not aig.is_dead(var) and var not in alias
-        ]
-        if mutations.armed and mutations.active("dedup-stale-level"):
-            _mutate_stale_level(aig, alias, resolve, levels, live)
-        batches, _ = group_by_level(live, levels.__getitem__)
-
-        table = VecHashTable(expected=max(aig.num_ands * 2, 64))
-        skip_merge = mutations.armed and mutations.active(
-            "dedup-skip-merge"
-        )
-        duplicates = 0
-        for batch in batches:
-            # Nodes of one level never depend on each other's outcome
-            # (resolved fanins sit at strictly lower levels), so folds
-            # apply up front and the irreducible rest goes through the
-            # batched table insert.
-            # The sanitizer checks exactly that level claim: each lane
-            # writes its own node (redirect/kill) and reads its
-            # resolved fanins; a fanin written by a same-batch lane is
-            # a write-read race.
-            guard = sanitizer.batch("dedup.level")
-            works = [1] * len(batch)
-            keys = []
-            values = []
-            positions = []
-            for position, var in enumerate(batch):
-                f0, f1 = aig.fanins(var)
-                r0 = resolve(f0)
-                r1 = resolve(f1)
-                if sanitizer.enabled:
-                    guard.write(var, (var,))
-                    guard.read(var, (lit_var(r0), lit_var(r1)))
-                folded = _fold(r0, r1)
-                if folded is not None:
-                    alias[var] = folded
-                    aig.mark_dead(var)
-                    continue
-                keys.append(lit_pair_key(r0, r1))
-                values.append(var)
-                positions.append(position)
-            winners, probes_list = table.insert_batch(keys, values)
-            for position, var, winner, probes in zip(
-                positions, values, winners, probes_list
-            ):
-                works[position] = probes
-                if winner != var:
-                    if skip_merge:
-                        skip_merge = False
-                        continue
-                    alias[var] = winner << 1
-                    aig.mark_dead(var)
-                    duplicates += 1
-            machine.launch("dedup.level", works)
-        observe.count("dedup.duplicates", duplicates)
-
-        _remove_dangling(aig, alias, resolve, machine)
+        final = _merge_levels(aig, alias, final, levels, order, machine)
+        del levels, order
+        _remove_dangling(aig, alias, final, machine)
         if sanitizer.enabled:
             # In-pass protocol audit on the pre-compact graph: compact
             # re-strashes through sharing-aware creation, which would
             # silently repair a skipped merge or a wrongly-freed node.
+            resolved = memoryview(final)
+
+            def resolve(lit: int) -> int:
+                return resolved[lit >> 1] ^ (lit & 1)
+
             check_dedup_complete(aig, alias, resolve)
             check_no_dead_refs(aig, alias, resolve)
+        del final
         result, _ = aig.compact(resolve=alias)
         # Result compaction is the parallel dump of the hash table to a
         # dense array (Section III-E); host only stitches the PO list.
@@ -142,8 +100,124 @@ def dedup_and_dangling(
     return result
 
 
+def _merge_levels(
+    aig: Aig,
+    alias: dict[int, int],
+    final: np.ndarray,
+    levels: np.ndarray,
+    order: list[int],
+    machine: ParallelMachine,
+) -> np.ndarray:
+    """The level-wise fold/merge sweep; returns the resolved array.
+
+    ``final`` starts as the alias map's resolution.  A folded or merged
+    node's entry is set to its (already final) target, so any literal
+    resolves in two hops: the first reaches the pre-sweep root, the
+    second that root's fold/merge target.
+    """
+    fan0, fan1, dead = aig.arrays()
+    seq = np.fromiter(order, dtype=np.int64, count=len(order))
+    seq = seq[~dead[seq]]
+    if mutations.armed and mutations.active("dedup-stale-level"):
+        _mutate_stale_level(aig, final, levels, seq)
+    seq = seq[np.argsort(levels[seq], kind="stable")]
+    starts = np.flatnonzero(np.diff(levels[seq], prepend=-1)).tolist()
+    spans = list(zip(starts, starts[1:] + [seq.shape[0]]))
+    # First hop (through the caller's aliases) of every fanin, up front.
+    lits0 = fan0[seq]
+    lits1 = fan1[seq]
+    hop0 = final[lits0 >> 1] ^ (lits0 & 1)
+    hop1 = final[lits1 >> 1] ^ (lits1 & 1)
+    del lits0, lits1
+
+    table = VecHashTable(expected=max(aig.num_ands * 2, 64))
+    stride = 2 * aig.num_vars  # literals are below it: lo * stride + hi
+    winner_of: dict[int, int] = {}
+    claim = winner_of.setdefault
+    skip_merge = mutations.armed and mutations.active("dedup-skip-merge")
+    # Non-folded keys in sweep order, and their positions in ``seq``.
+    key_lo = np.empty(seq.shape[0], dtype=np.int64)
+    key_hi = np.empty(seq.shape[0], dtype=np.int64)
+    key_pos = np.empty(seq.shape[0], dtype=np.int64)
+    filled = 0
+    duplicates = 0
+    for start, stop in spans:
+        nodes = seq[start:stop]
+        lit0 = hop0[start:stop]
+        lit1 = hop1[start:stop]
+        lit0 = final[lit0 >> 1] ^ (lit0 & 1)
+        lit1 = final[lit1 >> 1] ^ (lit1 & 1)
+        if sanitizer.enabled:
+            # Each lane writes its own node (redirect/kill) and reads
+            # its resolved fanins; a fanin written by a same-batch lane
+            # is a write-read race (resolved fanins sit at strictly
+            # lower levels, so a correct levelization never has one).
+            guard = sanitizer.batch("dedup.level")
+            for var, r0, r1 in zip(
+                nodes.tolist(), lit0.tolist(), lit1.tolist()
+            ):
+                guard.write(var, (var,))
+                guard.read(var, (r0 >> 1, r1 >> 1))
+        lo = np.minimum(lit0, lit1)
+        hi = np.maximum(lit0, lit1)
+        # Trivial-AND folding: 0 & x, x & !x -> 0; 1 & x -> x; x & x -> x.
+        fold = (lo <= 1) | ((lo >> 1) == (hi >> 1))
+        if fold.any():
+            folded = nodes[fold]
+            targets = np.where(lo == 1, hi, np.where(lo == hi, lo, 0))[fold]
+            final[folded] = targets
+            folded_vars = folded.tolist()
+            alias.update(zip(folded_vars, targets.tolist()))
+            for var in folded_vars:
+                aig.mark_dead(var)
+            keep = ~fold
+            nodes = nodes[keep]
+            lo = lo[keep]
+            hi = hi[keep]
+            positions = start + np.flatnonzero(keep)
+        else:
+            positions = np.arange(start, stop)
+        count = nodes.shape[0]
+        key_lo[filled : filled + count] = lo
+        key_hi[filled : filled + count] = hi
+        key_pos[filled : filled + count] = positions
+        filled += count
+        node_list = nodes.tolist()
+        winners = [
+            claim(key, var)
+            for key, var in zip((lo * stride + hi).tolist(), node_list)
+        ]
+        losers = [
+            (var, winner)
+            for var, winner in zip(node_list, winners)
+            if winner != var
+        ]
+        if skip_merge and losers:
+            skip_merge = False
+            losers = losers[1:]
+        for var, winner in losers:
+            final[var] = winner << 1
+            alias[var] = winner << 1
+            aig.mark_dead(var)
+        duplicates += len(losers)
+    observe.count("dedup.duplicates", duplicates)
+
+    # Probe counts: one sequential-order insert of every kept key; a
+    # folded node charges one unit.
+    _, probes = table.insert_batch(
+        np.stack((key_lo[:filled], key_hi[:filled]), axis=1),
+        seq[key_pos[:filled]],
+    )
+    works = np.ones(seq.shape[0], dtype=np.int64)
+    works[key_pos[:filled]] = probes
+    for start, stop in spans:
+        machine.launch_batch("dedup.level", works[start:stop])
+    # Collapse the two hops into one resolved literal per variable.
+    return final[final >> 1] ^ (final & 1)
+
+
 def _mutate_stale_level(
-    aig: Aig, alias: dict[int, int], resolve, levels, live
+    aig: Aig, final: np.ndarray, levels: np.ndarray, live: np.ndarray
 ) -> None:
     """Fault injection (``dedup-stale-level``; see repro.verify).
 
@@ -151,55 +225,50 @@ def _mutate_stale_level(
     fanin it reads land in the same concurrent batch — the ordering
     bug the sanitizer's write-read check exists to catch.
     """
-    live_set = set(live)
-    for var in live:
+    live_list = live.tolist()
+    live_set = set(live_list)
+    for var in live_list:
         for fanin in aig.fanins(var):
-            fvar = lit_var(resolve(fanin))
+            fvar = int(final[fanin >> 1]) >> 1
             if fvar != var and fvar in live_set:
                 levels[var] = levels[fvar]
                 return
 
 
-def _fold(r0: int, r1: int) -> int | None:
-    """Trivial-AND folding on resolved fanins; None when irreducible."""
-    key0, key1 = lit_pair_key(r0, r1)
-    if key0 == 0 or key0 == (key1 ^ 1):
-        return 0
-    if key0 == 1:
-        return key1
-    if key0 == key1:
-        return key0
-    return None
-
-
 def _remove_dangling(
     aig: Aig,
     alias: dict[int, int],
-    resolve,
+    final: np.ndarray,
     machine: ParallelMachine,
 ) -> None:
     """Retire the MFFC of every zero-fanout node (one thread each)."""
-    nref = [0] * aig.num_vars
-    live = [
-        var
-        for var in aig.and_vars()
-        if var not in alias
-    ]
-    for var in live:
-        for fanin in aig.fanins(var):
-            nref[lit_var(resolve(fanin))] += 1
-    for po_lit in aig.pos:
-        nref[lit_var(resolve(po_lit))] += 1
+    fan0, fan1, dead = aig.arrays()
+    num_vars = fan0.shape[0]
+    unaliased = (final >> 1) == np.arange(num_vars, dtype=np.int64)
+    live = np.flatnonzero((fan0 >= 0) & ~dead & unaliased)
+    del unaliased
+    nref = np.bincount(
+        np.concatenate(
+            (
+                final[fan0[live] >> 1] >> 1,
+                final[fan1[live] >> 1] >> 1,
+                final[aig.po_array() >> 1] >> 1,
+            )
+        ),
+        minlength=num_vars,
+    )
     machine.launch_batch(
         "dedup.count_refs", backend.const_profile(1, max(len(live), 1))
     )
 
-    roots = [var for var in live if nref[var] == 0]
+    roots = live[nref[live] == 0].tolist()
+    del live
+    resolved = memoryview(final)
     if mutations.armed and mutations.active("dedup-free-live"):
         # Fault injection: retire a PO-driving cone despite its live
         # fanout; the no-dead-refs protocol check must flag it.
         for po_lit in aig.pos:
-            pvar = lit_var(resolve(po_lit))
+            pvar = resolved[po_lit >> 1] >> 1
             if (
                 aig.is_and(pvar)
                 and not aig.is_dead(pvar)
@@ -207,6 +276,7 @@ def _remove_dangling(
             ):
                 roots.append(pvar)
                 break
+    refs = memoryview(nref)
     works = []
     removed = 0
     for root in roots:
@@ -221,9 +291,9 @@ def _remove_dangling(
             aig.mark_dead(var)
             cone += 1
             for fanin in aig.fanins(var):
-                fvar = lit_var(resolve(fanin))
-                nref[fvar] -= 1
-                if nref[fvar] == 0 and aig.is_and(fvar) and fvar not in alias:
+                fvar = resolved[fanin >> 1] >> 1
+                refs[fvar] -= 1
+                if refs[fvar] == 0 and aig.is_and(fvar) and fvar not in alias:
                     stack.append(fvar)
         removed += cone
         works.append(cone)

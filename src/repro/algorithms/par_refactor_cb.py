@@ -65,8 +65,10 @@ both, plus equivalence and resolver determinism.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro import observe
-from repro.aig.aig import Aig
+from repro.aig.aig import Aig, resolve_aliases
 from repro.aig.cuts import reconv_cut
 from repro.aig.literals import lit_var, make_lit
 from repro.algorithms import kernels
@@ -474,8 +476,12 @@ def _commit_serial(
     # dangling node would dodge the level caps below, and compaction
     # drops those nodes anyway.  ``resolved_levels`` doubles as the
     # reachability map and the cap seed (actual current levels).
-    caps, _ = resolved_levels(aig, view.alias, view.resolve)
-    retire_unreachable(view, caps, aig.num_vars)
+    levels, _ = resolved_levels(
+        aig, resolve_aliases(view.alias, aig.num_vars)
+    )
+    retire_unreachable(view, levels)
+    reached = np.flatnonzero(levels >= 0)
+    caps = dict(zip(reached.tolist(), levels[reached].tolist()))
     machine.host("rfc.serial_prep", aig.num_vars)
     nref = resolved_fanout_counts(view)
     nref.extend([0] * 16)  # slack; grown as nodes are added

@@ -20,6 +20,8 @@ from __future__ import annotations
 
 from typing import Callable
 
+import numpy as np
+
 from repro import observe
 from repro.aig.literals import lit_var
 from repro.aig.mffc import RefCounts
@@ -65,15 +67,19 @@ def ref_cone_back(view, deleted: set[int], nref: RefCounts) -> None:
             nref[lit_var(fanin)] += 1
 
 
-def retire_unreachable(view, reachable, num_vars: int) -> None:
-    """Kill every live AND of ``view`` outside ``reachable``.
+def retire_unreachable(view, levels) -> None:
+    """Kill every AND of ``view`` that the resolved DFS did not reach.
 
+    ``levels`` is :func:`repro.engine.context.resolved_levels`'s array:
+    a variable is reachable exactly when its level is non-negative.
     Pre-replay cleanup for serial lanes working on a post-wave graph: a
     strash hit on an unreachable survivor would dodge the level caps,
     and compaction drops those nodes anyway.
     """
-    for var in range(num_vars):
-        if view.is_and(var) and var not in reachable:
+    fan0, _, _ = view.aig.arrays()
+    dead = view.dead
+    for var in np.flatnonzero((fan0 >= 0) & (levels < 0)).tolist():
+        if var not in dead:
             view.kill(var)
 
 

@@ -29,12 +29,12 @@ a context and its :meth:`~GraphContext.fork`.  Callers must treat them
 as read-only, or restore them exactly (the dereference/re-reference
 discipline of the MFFC walks qualifies).
 
-The module also owns the alias-aware helpers that used to be
-duplicated across passes: :func:`resolved_levels` (previously
-``dedup._resolved_levels``) and :func:`resolved_fanout_counts`
-(previously in ``algorithms.common``).  These depend on an alias map
-that mutates without version bumps, so they are *not* memoized — the
-consolidation is of code, not of cache entries.
+The module also owns the alias-aware helpers the passes share:
+:func:`resolved_levels` (dedup's levelization and the ``rfc`` serial
+lane's reachability and level caps) and :func:`resolved_fanout_counts`.
+Both read the alias map through one
+:func:`repro.aig.aig.resolve_aliases` array.  The alias map mutates
+without version bumps, so they are *not* memoized.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ import numpy as np
 
 from repro import observe
 from repro.aig import traversal
-from repro.aig.literals import lit_var
+from repro.aig.aig import resolve_aliases
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.aig.aig import Aig
@@ -226,44 +226,63 @@ def clone_with_context(aig: "Aig") -> "Aig":
 # ----------------------------------------------------------------------
 
 
-def resolved_levels(
-    aig: "Aig", alias: dict[int, int], resolve
-) -> tuple[dict[int, int], list[int]]:
+def resolved_levels(aig: "Aig", final) -> tuple[np.ndarray, list[int]]:
     """Levels and topological order of the alias-resolved live graph.
 
-    Aliases may point *forward* (a replaced root redirects to a newer
-    node id), so stored id order is not a topological order of the
-    resolved graph; an explicit DFS from the resolved POs is required.
-    ``resolve`` maps a literal through the alias chain.
+    ``final`` is the :func:`repro.aig.aig.resolve_aliases` array of the
+    alias map.  Aliases may point *forward* (a replaced root redirects
+    to a newer node id), so stored id order is not a topological order
+    of the resolved graph; an explicit DFS from the resolved POs is
+    required.  It runs over resolved fanin-variable arrays read through
+    memoryviews.  Returns ``(levels, order)``: an int64 array with the
+    level of every variable the DFS reached (constant and PIs at 0,
+    ``-1`` for unreached variables), and the reached AND variables in
+    DFS post-order.  A cycle through resolved fanins raises
+    ``ValueError``.
     """
-    levels: dict[int, int] = {0: 0}
-    for var in aig.pis:
-        levels[var] = 0
+    fan0, fan1, _ = aig.arrays()
+    # Fanin variables past every redirection; sentinel rows (-1, -2)
+    # index final[-1] and are never read (their level is preset).
+    var0 = memoryview(final[fan0 >> 1] >> 1)
+    var1 = memoryview(final[fan1 >> 1] >> 1)
+    levels = np.full(fan0.shape[0], -1, dtype=np.int64)
+    levels[0] = 0
+    levels[aig.pi_array()] = 0
+    level = memoryview(levels)
+    expanded = bytearray(fan0.shape[0])
     order: list[int] = []
-    for po_lit in aig.pos:
-        root = lit_var(resolve(po_lit))
-        if root in levels:
+    complete = order.append
+    for po_lit in aig.po_array().tolist():
+        root = int(final[po_lit >> 1]) >> 1
+        if level[root] >= 0:
             continue
         stack = [root]
+        push = stack.append
         while stack:
             var = stack[-1]
-            if var in levels:
+            if level[var] >= 0:
                 stack.pop()
                 continue
-            f0, f1 = aig.fanins(var)
-            pending = []
-            for fanin in (f0, f1):
-                fvar = lit_var(resolve(fanin))
-                if fvar not in levels:
-                    pending.append(fvar)
-            if pending:
-                stack.extend(pending)
+            v0 = var0[var]
+            v1 = var1[var]
+            l0 = level[v0]
+            l1 = level[v1]
+            if l0 >= 0 and l1 >= 0:
+                stack.pop()
+                level[var] = (l0 if l0 > l1 else l1) + 1
+                complete(var)
                 continue
-            stack.pop()
-            v0 = lit_var(resolve(f0))
-            v1 = lit_var(resolve(f1))
-            levels[var] = max(levels[v0], levels[v1]) + 1
-            order.append(var)
+            # A var re-expanded before completing was pushed again from
+            # inside its own fanin cone.
+            if expanded[var]:
+                raise ValueError(
+                    f"cycle through variable {var} in resolve map"
+                )
+            expanded[var] = 1
+            if l0 < 0:
+                push(v0)
+            if l1 < 0:
+                push(v1)
     return levels, order
 
 
@@ -271,16 +290,25 @@ def resolved_fanout_counts(view) -> list[int]:
     """Reference counts over the alias-resolved live structure.
 
     ``view`` is an :class:`~repro.algorithms.common.AliasView` (duck
-    typed to avoid the import cycle).
+    typed to avoid the import cycle).  Live ANDs are those neither dead
+    in the graph, nor killed in the view, nor aliased; each contributes
+    its two resolved fanin variables, and each PO its resolved driver —
+    one ``bincount`` over the three.
     """
     aig = view.aig
-    counts = [0] * aig.num_vars
-    for var in aig.and_vars():
-        if var in view.dead or var in view.alias:
-            continue
-        f0, f1 = view.fanins(var)
-        counts[lit_var(f0)] += 1
-        counts[lit_var(f1)] += 1
-    for lit in view.resolved_pos():
-        counts[lit_var(lit)] += 1
-    return counts
+    num_vars = aig.num_vars
+    final = resolve_aliases(view.alias, num_vars)
+    fan0, fan1, dead = aig.arrays()
+    live = (fan0 >= 0) & ~dead
+    for excluded in (view.dead, view.alias):
+        if excluded:
+            live[np.fromiter(excluded, np.int64, len(excluded))] = False
+    ands = np.flatnonzero(live)
+    refs = np.concatenate(
+        (
+            final[fan0[ands] >> 1] >> 1,
+            final[fan1[ands] >> 1] >> 1,
+            final[aig.po_array() >> 1] >> 1,
+        )
+    )
+    return np.bincount(refs, minlength=num_vars).tolist()

@@ -2,7 +2,6 @@
 
 from repro.parallel.frontier import (
     gather_unique,
-    group_by_level,
     partition_by_flag,
 )
 from repro.parallel.hashtable import HashTable, NodeHashTable
@@ -23,6 +22,5 @@ __all__ = [
     "ParallelMachine",
     "SeqMeter",
     "gather_unique",
-    "group_by_level",
     "partition_by_flag",
 ]

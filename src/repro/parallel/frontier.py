@@ -8,9 +8,9 @@ the next frontier (paper, Section III-B).  On the GPU this is a
 gather + sort/unique compaction; here the same operations are provided
 with work counts for the cost model.
 
-Both compactions run as NumPy sort/unique calls at every batch size;
-``tests/test_frontier.py`` keeps the plain set/dict loops as the
-reference they are compared against.
+The gather compaction runs as one NumPy unique call at every batch
+size; ``tests/test_frontier.py`` keeps the plain set loop as the
+reference it is compared against.
 """
 
 from __future__ import annotations
@@ -59,22 +59,3 @@ def partition_by_flag(
         else:
             false_part.append(item)
     return true_part, false_part, len(items)
-
-
-def group_by_level(
-    items: list[int], level_of: Callable[[int], int]
-) -> tuple[list[list[int]], int]:
-    """Bucket items by level, ascending (parallel histogram + scatter)."""
-    if not items:
-        return [], 0
-    levels = np.fromiter(
-        (level_of(item) for item in items),
-        dtype=np.int64,
-        count=len(items),
-    )
-    order = np.argsort(levels, kind="stable")
-    sorted_levels = levels[order]
-    bounds = np.flatnonzero(sorted_levels[1:] != sorted_levels[:-1]) + 1
-    sorted_items = np.asarray(items, dtype=np.int64)[order]
-    ordered = [group.tolist() for group in np.split(sorted_items, bounds)]
-    return ordered, len(items)

@@ -21,11 +21,12 @@ import random
 import pytest
 
 from repro.aig import store
-from repro.aig.aig import Aig
+from repro.aig.aig import Aig, resolve_aliases
 from repro.aig.io_aiger import dump_aag
 from repro.aig.store import FlatStrash, _hash_pairs
 from repro.benchgen.control import random_control
 from tests.conftest import build_random_aig
+from tests.dedup_reference import reference_compact
 
 # ``repro.benchgen.__init__`` re-exports the ``enlarge`` *function*
 # under the submodule's name; reach the module for its internals.
@@ -270,11 +271,11 @@ def test_double_fast_path_gate_rejects_foldable_graphs():
 # ----------------------------------------------------------------------
 
 
-def _scalar_compact(aig: Aig):
+def _scalar_compact(aig: Aig, resolve=None):
     """``aig.compact()`` through the scalar rebuild (bulk path refused)."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(Aig, "_compact_bulk", lambda self: None)
-        return aig.compact()
+        patch.setattr(Aig, "_compact_bulk", lambda self, final=None: None)
+        return aig.compact(resolve=resolve)
 
 
 def _assert_same_compact(bulk, scalar) -> None:
@@ -327,7 +328,8 @@ def test_compact_bulk_falls_back_on_strash_dirty_graphs():
     compacted, _ = folding.compact()
     assert compacted.num_ands == 0
     assert compacted.pos == [a]
-    # A resolve map always takes the scalar path (bulk handles none).
+    # A resolve map onto a PI: the bulk path or its fallback, either
+    # way the redirected node is not rebuilt.
     rewired = build_random_aig(37, num_ands=50)
     last = list(rewired.and_vars())[-1]
     resolved, var_map = rewired.compact(resolve={last: 2})
@@ -359,3 +361,99 @@ def test_compact_scalar_rebuild_below_gate():
         assert bulk is not None
         _assert_same_compact(bulk, reference)
         _assert_same_compact(aig.compact(), reference)
+
+
+# ----------------------------------------------------------------------
+# Bulk compact through a resolve map
+# ----------------------------------------------------------------------
+
+
+def _resolve_case(seed: int, mode: str) -> tuple[Aig, dict[int, int]]:
+    """A random graph plus an acyclic alias map of the given flavour.
+
+    ``forward`` aliases redirect to fresh raw rows over two PIs, each
+    pair used once (a cone replacement: the bulk path applies);
+    ``backward`` ones to lower literals, constants included (folds and
+    duplicate keys make the bulk path refuse); ``mixed`` draws both.
+    """
+    rng = random.Random(seed)
+    aig = build_random_aig(seed, num_pis=6, num_ands=80)
+    pi_lits = [2 * var for var in aig.pis]
+    used: set[tuple[int, int]] = set()
+    alias: dict[int, int] = {}
+    for var in rng.sample(list(aig.and_vars()), 12):
+        kind = mode if mode != "mixed" else rng.choice(("forward", "backward"))
+        if kind == "backward":
+            alias[var] = rng.randrange(0, 2 * var)
+            continue
+        while True:
+            lit0, lit1 = rng.sample(pi_lits, 2)
+            lit0 ^= rng.randint(0, 1)
+            lit1 ^= rng.randint(0, 1)
+            key = (min(lit0, lit1), max(lit0, lit1))
+            if key not in used and aig.find_and(lit0, lit1) is None:
+                used.add(key)
+                break
+        alias[var] = aig.add_raw_and(lit0, lit1) ^ rng.randint(0, 1)
+    return aig, alias
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("mode", ["forward", "backward", "mixed"])
+def test_compact_resolve_bulk_matches_scalar(seed, mode):
+    aig, alias = _resolve_case(seed, mode)
+    reference = reference_compact(aig, alias)
+    _assert_same_compact(_scalar_compact(aig, alias), reference)
+    _assert_same_compact(aig.compact(resolve=alias), reference)
+    bulk = aig._compact_bulk(resolve_aliases(alias, aig.num_vars))
+    if mode == "forward":
+        assert bulk is not None
+    if bulk is not None:
+        _assert_same_compact(bulk, reference)
+
+
+def test_compact_resolve_falls_back_on_folds_and_duplicates():
+    aig = Aig("fallbacks")
+    a, b, c = aig.add_pi(), aig.add_pi(), aig.add_pi()
+    ab = aig.add_and(a, b)
+    ac = aig.add_and(a, c)
+    top = aig.add_and(ab, ac)
+    aig.add_po(top)
+    aig.add_po(aig.add_and(ac, b))
+    for alias in (
+        {ac >> 1: 1},  # constant fanin: top folds to ab
+        {ac >> 1: ab ^ 1},  # ab & !ab folds to 0
+        {ac >> 1: ab},  # top = ab & ab, and ac & b duplicates ab & b
+    ):
+        assert aig._compact_bulk(resolve_aliases(alias, aig.num_vars)) is None
+        reference = reference_compact(aig, alias)
+        _assert_same_compact(aig.compact(resolve=alias), reference)
+        _assert_same_compact(_scalar_compact(aig, alias), reference)
+
+
+def _compact_error(run) -> str:
+    with pytest.raises(ValueError) as info:
+        run()
+    return str(info.value)
+
+
+def test_compact_resolve_cycles_raise_identical_errors():
+    aig = Aig("cycles")
+    a, b = aig.add_pi(), aig.add_pi()
+    x = aig.add_and(a, b)
+    z = aig.add_and(a ^ 1, b)
+    above = aig.add_and(x, b ^ 1)
+    aig.add_po(aig.add_and(above, z))
+    for alias, message in (
+        ({x >> 1: z, z >> 1: x}, "cycle in resolve map"),
+        ({x >> 1: x ^ 1}, "cycle in resolve map"),
+        # x redirects to a node that reads x: a cycle through a fanin.
+        ({x >> 1: above}, "cycle through variable"),
+    ):
+        errors = {
+            _compact_error(lambda: aig.compact(resolve=alias)),
+            _compact_error(lambda: _scalar_compact(aig, alias)),
+            _compact_error(lambda: reference_compact(aig, alias)),
+        }
+        assert len(errors) == 1
+        assert message in errors.pop()

@@ -325,18 +325,69 @@ def test_passes_leave_shared_fork_entries_intact(source, gates):
 
 
 def test_resolved_helpers_match_pass_usage(small_aig):
+    from repro.aig.aig import resolve_aliases
     from repro.algorithms.common import AliasView
     from repro.engine import resolved_fanout_counts, resolved_levels
 
     view = AliasView(small_aig)
     levels, order = resolved_levels(
-        small_aig, view.alias, view.resolve
+        small_aig, resolve_aliases(view.alias, small_aig.num_vars)
     )
     raw = traversal.aig_levels(small_aig)
     for var in order:
         assert levels[var] == raw[var]
     counts = resolved_fanout_counts(view)
     assert counts == traversal.fanout_counts(small_aig)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_resolved_helpers_match_scalar_references(seed):
+    """Random forward and backward aliases plus view-only kills (the
+    ``rfc`` serial lane's ``dead`` set) against the per-node loops."""
+    from repro.aig.aig import resolve_aliases
+    from repro.algorithms.common import AliasView
+    from repro.engine import resolved_fanout_counts, resolved_levels
+    from tests.dedup_reference import (
+        alias_resolver,
+        reference_resolved_levels,
+    )
+
+    rng = random.Random(seed)
+    aig = build_random_aig(seed, num_pis=6, num_ands=70)
+    view = AliasView(aig)
+    ands = list(aig.and_vars())
+    for var in rng.sample(ands, 10):
+        if rng.random() < 0.5:
+            view.alias[var] = rng.randrange(0, 2 * var)
+        else:
+            lits = [2 * pi ^ rng.randint(0, 1) for pi in aig.pis]
+            view.alias[var] = aig.add_raw_and(*rng.sample(lits, 2))
+    view.dead.update(rng.sample(ands, 6))
+    for var in rng.sample(ands, 3):
+        aig.mark_dead(var)
+
+    resolve = alias_resolver(view.alias)
+    levels, order = resolved_levels(
+        aig, resolve_aliases(view.alias, aig.num_vars)
+    )
+    want_levels, want_order = reference_resolved_levels(
+        aig, view.alias, resolve
+    )
+    assert order == want_order
+    assert {
+        var: level for var, level in enumerate(levels.tolist())
+        if level >= 0
+    } == want_levels
+
+    want_counts = [0] * aig.num_vars
+    for var in aig.and_vars():
+        if var in view.dead or var in view.alias:
+            continue
+        for fanin in aig.fanins(var):
+            want_counts[resolve(fanin) >> 1] += 1
+    for lit in aig.pos:
+        want_counts[resolve(lit) >> 1] += 1
+    assert resolved_fanout_counts(view) == want_counts
 
 
 # ----------------------------------------------------------------------

@@ -3,11 +3,7 @@
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.parallel.frontier import (
-    gather_unique,
-    group_by_level,
-    partition_by_flag,
-)
+from repro.parallel.frontier import gather_unique, partition_by_flag
 
 
 def test_gather_unique_preserves_order():
@@ -41,13 +37,6 @@ def test_partition_by_flag():
     assert work == 4
 
 
-def test_group_by_level():
-    levels = {10: 2, 11: 0, 12: 2, 13: 1}
-    buckets, work = group_by_level(list(levels), levels.get)
-    assert buckets == [[11], [13], [10, 12]]
-    assert work == 4
-
-
 # ----------------------------------------------------------------------
 # NumPy compactions against plain set/dict references
 # ----------------------------------------------------------------------
@@ -63,13 +52,6 @@ def _reference_gather_unique(items, keep=None):
         if keep is None or keep(item):
             out.append(item)
     return out, len(items)
-
-
-def _reference_group_by_level(items, level_of):
-    buckets = {}
-    for item in items:
-        buckets.setdefault(level_of(item), []).append(item)
-    return [buckets[level] for level in sorted(buckets)], len(items)
 
 
 item_lists = st.one_of(
@@ -98,11 +80,4 @@ def test_compactions_match_set_and_dict_references(items, modulus):
     assert gather_unique(items, keep=keep) == _reference_gather_unique(
         items, keep
     )
-
-    def level_of(item):
-        return (item * 7) % modulus
-
-    got = group_by_level(items, level_of)
-    assert got == _reference_group_by_level(items, level_of)
-    assert all(type(item) is int for group in got[0] for item in group)
 

@@ -1,5 +1,10 @@
 """Unit tests for AIGER reading and writing."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.aig.io_aiger import (
@@ -261,3 +266,51 @@ def test_binary_rejects_truncation(tmp_path, rand_aig):
     path.write_bytes(data[: len(data) - 3])
     with pytest.raises(AigerError):
         read_aig_binary(path)
+
+
+@pytest.mark.parametrize(
+    "data,match",
+    [
+        (b"aig 2 1 0 1 x\n2\n", r"non-integer token .*line 1"),
+        (b"aig 1 1 0 1 0\n2z\n", r"non-integer PO row \(line 2\)"),
+        (b"aig 1 1 0 2 0\n2\n!\n", r"non-integer PO row \(line 3\)"),
+        (b"aig -1 -1 0 0 0\n", r"negative count .*line 1"),
+        (b"aig 5 1 0 0 1\n\x02\x02", r"inconsistent"),
+        (b"aig 1 0 0 1 1\n2\n", r"declares 1 POs and 1 ANDs"),
+    ],
+)
+def test_binary_header_errors_are_positioned(tmp_path, data, match):
+    path = tmp_path / "bad.aig"
+    path.write_bytes(data)
+    with pytest.raises(AigerError, match=match):
+        read_aig_binary(path)
+
+
+#: Reads a file expected to be rejected and prints the peak-RSS growth
+#: (KiB) the attempt cost; run in a fresh interpreter so the peak
+#: belongs to this read alone.
+_RSS_PROBE = """
+import resource, sys
+from repro.aig.io_aiger import AigerError, read_aig_binary
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+try:
+    read_aig_binary(sys.argv[1])
+except AigerError:
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+"""
+
+
+def test_binary_header_claims_are_checked_before_allocation(tmp_path):
+    """A 27-byte file claiming 3M ANDs is rejected without sizing the
+    graph for them (reserving would cost hundreds of MiB)."""
+    path = tmp_path / "claims.aig"
+    path.write_bytes(b"aig 3000000 0 0 0 3000000\n\x02")
+    assert path.stat().st_size == 27
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    out = subprocess.run(
+        [sys.executable, "-c", _RSS_PROBE, str(path)],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert int(out.stdout) < 16 * 1024
