@@ -63,8 +63,17 @@ def dump_aag(aig: Aig) -> str:
 
 def read_aag(path: str | os.PathLike[str]) -> Aig:
     """Read an ASCII AIGER (.aag) file."""
-    with open(path, encoding="ascii") as handle:
-        return parse_aag(handle.read())
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        text = data.decode("ascii")
+    except UnicodeDecodeError as error:
+        line = data.count(b"\n", 0, error.start) + 1
+        raise AigerError(
+            f"non-ASCII byte 0x{data[error.start]:02x} in ASCII AIGER "
+            f"(line {line})"
+        ) from None
+    return parse_aag(text)
 
 
 def parse_aag(text: str) -> Aig:
@@ -76,11 +85,14 @@ def parse_aag(text: str) -> Aig:
     if len(header) != 6 or header[0] != "aag":
         raise AigerError(f"bad AIGER header: {lines[0]!r}")
     try:
-        max_var, num_pis, num_latches, num_pos, num_ands = map(
-            int, header[1:]
-        )
+        counts = [int(token) for token in header[1:]]
     except ValueError:
         raise AigerError(f"bad AIGER header: {lines[0]!r}") from None
+    if min(counts) < 0:
+        raise AigerError(
+            f"negative count in AIGER header (line 1): {lines[0]!r}"
+        )
+    max_var, num_pis, num_latches, num_pos, num_ands = counts
     if num_latches:
         raise AigerError("sequential AIGER (latches) is not supported")
     expected = num_pis + num_pos + num_ands
@@ -88,7 +100,9 @@ def parse_aag(text: str) -> Aig:
         raise AigerError("truncated AIGER body")
 
     aig = Aig()
-    aig.reserve(max_var + 1, num_ands)
+    # The graph gets one variable per PI and AND row, however large the
+    # declared maximum: size from the rows the body really holds.
+    aig.reserve(min(max_var, num_pis + num_ands) + 1, num_ands)
     cursor = 1
     # Variables defined so far (the constant, PIs, AND outputs): a row
     # redefining one would silently build a different graph.
@@ -136,18 +150,24 @@ def _row_ints(
     """The first ``count`` integers of ``lines[index]`` (all when ``exact``).
 
     Raises :class:`AigerError` naming the row when it is short, has
-    extra tokens under ``exact``, or holds a non-integer token.
+    extra tokens under ``exact``, or holds a non-integer or negative
+    token.
     """
     line = lines[index]
     tokens = line.split()
     if len(tokens) < count or (exact and len(tokens) != count):
         raise AigerError(f"bad {what} (line {index + 1}): {line!r}")
     try:
-        return [int(token) for token in tokens[:count]]
+        values = [int(token) for token in tokens[:count]]
     except ValueError:
         raise AigerError(
             f"non-integer token in {what} (line {index + 1}): {line!r}"
         ) from None
+    if min(values) < 0:
+        raise AigerError(
+            f"negative literal in {what} (line {index + 1}): {line!r}"
+        )
+    return values
 
 
 def _build_nodes(

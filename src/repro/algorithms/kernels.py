@@ -3,40 +3,39 @@
 The parallel passes were written one node at a time through the `Aig`
 facade; at millions of nodes the per-node Python object work dominates
 wall clock even though every *algorithmic* step is already batched.
-This module reimplements the hot inner loops of the three parallel
-passes as whole-array NumPy sweeps over the columns exposed by
+This module holds the hot inner loops of the parallel passes as
+whole-array NumPy sweeps over the columns exposed by
 :meth:`repro.aig.aig.Aig.arrays`, committing new nodes through the
 batch construction APIs (:meth:`add_raw_and_batch`,
-:meth:`add_pi_batch`, :meth:`add_po_batch`) — **wall-clock only**,
-with the scalar pass code as the semantic reference:
+:meth:`add_pi_batch`, :meth:`add_po_batch`):
 
 * ``balance_collapse`` / ``balance_reconstruct`` — level-wise cluster
   collapse and Huffman re-balance gathers for ``par_balance``;
-* ``refactor_survivor_keys`` — column sweep replacing the per-node
-  facade walk of ``par_refactor``'s semi-sharing refine (its cone
-  collection reads :meth:`GraphContext.fanout_degrees`, the bincount
-  twin of the Python fanout lists);
-* ``rewrite_batched_mffc`` — batched MFFC sizing (bincount decrement
-  fixpoint over whole item sets) for ``par_rewrite``'s match stage.
+* ``refactor_survivor_keys`` — column sweep of the survivor fanin
+  pairs for ``par_refactor``'s semi-sharing refine;
+* ``refactor_deleted_sets`` — batched cone-restricted deletable sets
+  for ``par_refactor_cb``;
+* ``rewrite_batched_mffc`` — batched MFFC sizing for ``par_rewrite``'s
+  match stage.
 
-**Fallback gate.** :func:`enabled_for` turns the kernels on only when
-the graph is at least :data:`KERNEL_CUTOFF` live ANDs and neither the
-race sanitizer nor the seeded-mutation registry is armed (both hook
-the scalar call sites).  Below the gate the scalar paths run
-unchanged, which keeps the engine-parity goldens and the CEC fuzzer
-(small graphs) bit-identical by construction; at scale the kernels are
-proven identical by the hypothesis parity tests in
-``tests/test_pass_kernels.py`` (dumps, modeled times, counters).
+The kernels are the only implementation and run at every size, under
+the race sanitizer and under armed mutations alike: the balance
+collapse registers its cluster footprints with the ``b.collapse``
+guard, and the ``b-flip-input`` / ``b-overlap-clusters`` mutation
+sites live here.  The per-node loops they replaced are kept as test
+oracles (``tests/pass_reference.py``), and
+``tests/test_pass_kernels.py`` proves each kernel bit-identical to its
+oracle (dumps, modeled times, counters).
 
-Counters in the dedicated ``kernels.*`` namespace are bumped on the
-kernel path only — they are wall-path diagnostics and are excluded
-from scalar/kernel counter-parity comparisons (every other counter is
-bit-identical between the paths).
+Counters in the ``kernels.*`` namespace are wall-path diagnostics
+(cluster shapes, batched waves); they are excluded from
+kernel-vs-oracle counter parity, every other counter is identical.
 """
 
 from __future__ import annotations
 
 import heapq
+import random
 
 import numpy as np
 
@@ -52,28 +51,9 @@ from repro.parallel import backend
 from repro.parallel.machine import ParallelMachine
 from repro.verify import mutations, sanitizer
 
-#: Below this many live ANDs the whole-array set-up cost exceeds the
-#: scalar loops; the passes keep their scalar paths (pure wall-clock
-#: heuristic, never a semantic switch).  The gate stays until the
-#: kernels run under the sanitizer and armed mutations, which the
-#: goldens and the fuzzer need before the scalar paths can go
-#: (ROADMAP.md, "Verify the path that runs at scale").
-KERNEL_CUTOFF = 4096
-
-
-def enabled_for(aig: Aig) -> bool:
-    """True when the column-native kernels may run on ``aig``.
-
-    The gate is wall-clock only — both paths produce bit-identical
-    results — but the sanitizer and mutation hooks instrument the
-    scalar call sites, so verification runs always take the scalar
-    path.
-    """
-    return (
-        aig.num_ands >= KERNEL_CUTOFF
-        and not sanitizer.enabled
-        and not mutations.armed
-    )
+#: Kept for run manifests only (perfbench records it): the column
+#: kernels run at every size, so nothing in the package reads it.
+KERNEL_CUTOFF = 0
 
 
 def _gather_unique_array(items, keep_mask):
@@ -101,9 +81,7 @@ class BalancePlan:
     """Collapsed-network arrays produced by :func:`balance_collapse`.
 
     ``roots`` are the cluster roots in discovery order; root ``i``'s
-    input literals are ``inputs[offsets[i]:offsets[i + 1]]`` — exactly
-    the ``(clusters, inputs_of)`` structures of the scalar collapse,
-    flattened.
+    input literals are ``inputs[offsets[i]:offsets[i + 1]]``.
     """
 
     __slots__ = ("roots", "counts", "offsets", "inputs")
@@ -137,17 +115,25 @@ def _internal_mask_array(aig: Aig):
 
 
 def balance_collapse(aig: Aig, machine: ParallelMachine) -> BalancePlan:
-    """Column-native twin of ``par_balance._collapse``.
+    """Frontier-driven cluster identification from POs towards PIs.
 
-    Frontier-driven cluster identification from POs towards PIs.  The
-    dominant cluster shape — a 2-input root whose fanin edges both
+    The dominant cluster shape — a 2-input root whose fanin edges both
     terminate (complemented, multi-fanout or PI) — is recognized with
     two mask reads and needs no traversal; only genuinely multi-node
-    clusters run the shared scalar DFS.  Root discovery order, input
-    order, works and counters replicate the scalar loop exactly.
+    clusters run the shared DFS of
+    :func:`~repro.algorithms.seq_balance.collect_cluster_inputs`.
+    Roots come out in discovery order (level by level, first-seen
+    within a level), each root's inputs in DFS order.
+
+    Clusters partition the AND nodes (internal nodes have exactly one
+    non-complemented fanout, so each belongs to one cluster): under the
+    sanitizer every cluster's members are one lane's write footprint
+    of a single ``b.collapse`` guard spanning the whole collapse.
     """
     fan0, fan1, _ = aig.arrays()
     internal, is_and = _internal_mask_array(aig)
+    # All balance kernels charge BALANCE_WORK_SCALE probe-equivalents
+    # per node operation, matching the sequential meter's units.
     machine.launch_batch(
         "b.mark_internal",
         backend.const_profile(BALANCE_WORK_SCALE, max(aig.num_vars, 1)),
@@ -163,6 +149,9 @@ def balance_collapse(aig: Aig, machine: ParallelMachine) -> BalancePlan:
     enqueued = np.zeros(aig.num_vars, dtype=bool)
     enqueued[frontier] = True
 
+    guard = sanitizer.batch("b.collapse")
+    overlap = mutations.armed and mutations.active("b-overlap-clusters")
+    first_root: int | None = None
     roots_parts = []
     counts_parts = []
     inputs_parts = []
@@ -177,13 +166,28 @@ def balance_collapse(aig: Aig, machine: ParallelMachine) -> BalancePlan:
         counts = np.full(n, 2, dtype=np.int64)
         multi_idx = np.flatnonzero(multi)
         multi_inputs: list[list[int]] = []
+        members_of: dict[int, list[int]] = {}
         for index in multi_idx.tolist():
+            members: list[int] | None = (
+                [] if sanitizer.enabled else None
+            )
             inputs, seen = collect_cluster_inputs(
-                aig, int(frontier[index]), internal
+                aig, int(frontier[index]), internal, members=members
             )
             multi_inputs.append(inputs)
             visited[index] = seen
             counts[index] = len(inputs)
+            if members is not None:
+                members_of[index] = members
+        if sanitizer.enabled:
+            for index, root in enumerate(frontier.tolist()):
+                members = members_of.get(index, [root])
+                if overlap and first_root is not None:
+                    # Graft the first cluster's root into this one.
+                    members = members + [first_root]
+                guard.write(root, members)
+                if first_root is None:
+                    first_root = root
         offsets = np.concatenate(
             (np.zeros(1, dtype=np.int64), np.cumsum(counts))
         )
@@ -231,11 +235,10 @@ def balance_collapse(aig: Aig, machine: ParallelMachine) -> BalancePlan:
 def _levelize_collapsed(aig: Aig, plan: BalancePlan):
     """Levels of the collapsed network (pull-based wave fixpoint).
 
-    Identical values to the scalar id-order sweep: a root's level is
-    one more than the maximum level over its input subtrees, constants
-    and PIs are level 0.  Cluster inputs only ever reference constants,
-    PIs and other roots, so the fixpoint resolves in collapsed-depth
-    rounds.
+    A root's level is one more than the maximum level over its input
+    subtrees; constants and PIs are level 0.  Cluster inputs only ever
+    reference constants, PIs and other roots, so the fixpoint resolves
+    in collapsed-depth rounds.
     """
     level = np.zeros(aig.num_vars, dtype=np.int64)
     resolved = np.zeros(aig.num_vars, dtype=bool)
@@ -258,22 +261,29 @@ def _levelize_collapsed(aig: Aig, plan: BalancePlan):
         root_done |= newly
     if not root_done.all():
         missing = int(plan.roots[~root_done][0])
-        raise KeyError(missing)  # matches the scalar dict lookup
+        raise KeyError(missing)  # an input no root or PI defines
     return level
 
 
 def balance_reconstruct(
-    aig: Aig, plan: BalancePlan, machine: ParallelMachine
+    aig: Aig,
+    plan: BalancePlan,
+    machine: ParallelMachine,
+    order_rng: random.Random | None = None,
 ):
-    """Column-native twin of ``par_balance._reconstruct``.
+    """Level-wise parallel subtree reconstruction (PIs to POs).
 
-    Level-wise Huffman reconstruction.  Two-input subtrees — the vast
-    majority — finish in the first synchronized insertion pass of
-    their level and are handled entirely with array arithmetic;
-    deeper subtrees keep the scalar heaps.  Every batched hash-table
-    call, node allocation and work profile is issued in the scalar
-    batch order, so the rebuilt graph, the probe sequences and the
-    modeled times are bit-identical.
+    Within one level all subtrees are rebuilt together by synchronized
+    insertion passes, each combining every active subtree's two
+    minimum-delay operands through one batched hash-table call.
+    Two-input subtrees — the vast majority — finish in the first pass
+    of their level and are handled entirely with array arithmetic;
+    deeper subtrees keep per-subtree heaps.
+
+    ``order_rng`` shuffles each level's subtree order.  By Property 3
+    the delays produced are identical for every order (node counts may
+    differ through sharing, functions never do); the property tests
+    drive exactly this knob.
 
     Returns ``(new, mapped)``: the rebuilt (uncompacted) graph and the
     per-old-variable array of new literals.
@@ -299,19 +309,28 @@ def balance_reconstruct(
     if not plan.num_roots:
         return new, mapped
 
-    # Batch roots by level, preserving discovery order within a level
-    # (the scalar ``batches.setdefault(...).append`` order).
+    # Batch roots by level, preserving discovery order within a level.
     order = np.argsort(level[plan.roots], kind="stable")
     root_levels = level[plan.roots][order]
     bounds = np.flatnonzero(root_levels[1:] != root_levels[:-1]) + 1
+    fanin = plan.inputs
+    mutate = mutations.armed and mutations.active("b-flip-input")
     for batch_idx in np.split(order, bounds):
+        if order_rng is not None:
+            shuffled = batch_idx.tolist()
+            order_rng.shuffle(shuffled)
+            batch_idx = np.asarray(shuffled, dtype=np.int64)
         batch_roots = plan.roots[batch_idx]
         starts = plan.offsets[:-1][batch_idx]
         counts = plan.counts[batch_idx]
         n = int(batch_roots.shape[0])
+        if mutate:
+            # Complement the first operand of the first subtree.
+            fanin = fanin.copy()
+            fanin[starts[0]] ^= 1
+            mutate = False
         # Operand literals/delays of this level's inputs map through
         # the already-final entries of lower levels.
-        fanin = plan.inputs
         two = counts == 2
         da = np.empty(n, dtype=np.int64)
         la = np.empty(n, dtype=np.int64)
@@ -431,10 +450,9 @@ def refactor_survivor_keys(
 ) -> dict[tuple[int, int], int]:
     """Survivor fanin-pair map of ``_semi_sharing_refine``, columnwise.
 
-    Exactly the dict the scalar facade loop builds: ``{(f0, f1): var}``
-    over live ANDs not in ``replaced_nodes``, visited in ascending id
-    order (on duplicate keys the later variable wins, as in the scalar
-    loop).
+    ``{(f0, f1): var}`` over live ANDs not in ``replaced_nodes``,
+    visited in ascending id order (on duplicate keys the later
+    variable wins).
     """
     survivors = aig.live_and_array()
     if replaced_nodes:
@@ -461,10 +479,18 @@ def refactor_survivor_keys(
 # ----------------------------------------------------------------------
 
 
+#: Cone members per deletable-set sweep.  The sweep holds about ten
+#: int64 arrays of its member count; batching whole items up to this
+#: size keeps that transient small at every pass size (one 18k-member
+#: sweep raised ``rfc-deep``'s peak RSS by 1.7 MiB).  Results do not
+#: depend on it: every item's fixpoint is independent.
+_SWEEP_MEMBERS = 4096
+
+
 def refactor_deleted_sets(
     aig: Aig, nref, item_roots: list, item_cones: list
 ) -> list[set[int]]:
-    """Deletable node sets of many (root, cone) items in one sweep.
+    """Deletable node sets of many (root, cone) items, batched.
 
     The set semantics are exactly those of
     :func:`repro.commit.deref_cone` run per item on
@@ -475,71 +501,54 @@ def refactor_deleted_sets(
     returned, not just the sizes — the conflict resolver of the
     conflict-breaking refactoring pass needs the footprints themselves.
     """
-    num_items = len(item_cones)
-    if not num_items:
-        return []
+    sets: list[set[int]] = []
+    lo = 0
+    while lo < len(item_cones):
+        hi = lo + 1
+        size = len(item_cones[lo])
+        while hi < len(item_cones):
+            size += len(item_cones[hi])
+            if size > _SWEEP_MEMBERS:
+                break
+            hi += 1
+        sets.extend(
+            _deleted_sets_sweep(
+                aig, nref, item_roots[lo:hi], item_cones[lo:hi]
+            )
+        )
+        lo = hi
+    return sets
+
+
+def _deleted_sets_sweep(
+    aig: Aig, nref, item_roots: list, item_cones: list
+) -> list[set[int]]:
+    """:func:`refactor_deleted_sets` of one batch, in one fixpoint."""
     counts = np.fromiter(
         (len(cone) for cone in item_cones),
         dtype=np.int64,
-        count=num_items,
+        count=len(item_cones),
     )
     if counts.max() == 1:
         return [{root} for root in item_roots]
-    fan0, fan1, _ = aig.arrays()
-    offsets = np.concatenate(
-        (np.zeros(1, dtype=np.int64), np.cumsum(counts))
-    )
-    total = int(offsets[-1])
-    vars_flat = np.empty(total, dtype=np.int64)
+    vars_flat = np.empty(int(counts.sum()), dtype=np.int64)
     position = 0
     for cone in item_cones:
         upto = position + len(cone)
         vars_flat[position:upto] = list(cone)
         position = upto
-    item_of = np.repeat(np.arange(num_items, dtype=np.int64), counts)
-    # Per-item slot lookup as in :func:`rewrite_batched_mffc`: cone
-    # members are unique within an item, so (item, var) keys are
-    # globally unique and searchsorted resolves a fanin's slot (or
-    # proves it lies outside the cone).
-    stride = aig.num_vars
-    keys = item_of * stride + vars_flat
-    order = np.argsort(keys)
-    sorted_keys = keys[order]
-    dst_var = np.concatenate(
-        (fan0[vars_flat] >> 1, fan1[vars_flat] >> 1)
+    deleted = _deleted_mask(
+        aig, nref, np.asarray(item_roots, dtype=np.int64), vars_flat, counts
     )
-    dst_keys = np.concatenate((item_of, item_of)) * stride + dst_var
-    found = np.minimum(
-        np.searchsorted(sorted_keys, dst_keys), total - 1
-    )
-    inside = sorted_keys[found] == dst_keys
-    dst_slot = np.full(2 * total, -1, dtype=np.int64)
-    dst_slot[inside] = order[found[inside]]
-    need = np.asarray(nref)[vars_flat]
-    deleted = np.zeros(total, dtype=bool)
-    root_keys = (
-        np.arange(num_items, dtype=np.int64) * stride
-        + np.asarray(item_roots, dtype=np.int64)
-    )
-    root_slots = order[np.searchsorted(sorted_keys, root_keys)]
-    deleted[root_slots] = True
-    dec = np.zeros(total, dtype=np.int64)
-    frontier = root_slots
-    while frontier.size:
-        edges = np.concatenate((frontier, frontier + total))
-        dsts = dst_slot[edges]
-        dsts = dsts[dsts >= 0]
-        dec += np.bincount(dsts, minlength=total)
-        newly = (dec == need) & ~deleted & (need > 0)
-        frontier = np.flatnonzero(newly)
-        deleted[frontier] = True
-    slots = np.flatnonzero(deleted)
-    members = vars_flat[slots].tolist()
-    owners = item_of[slots].tolist()
-    sets: list[set[int]] = [set() for _ in range(num_items)]
-    for owner, member in zip(owners, members):
-        sets[owner].add(member)
-    return sets
+    # Slots are item-contiguous, so each item's members are one run of
+    # the compressed array.
+    members = vars_flat[deleted]
+    starts = np.cumsum(counts) - counts
+    bounds = np.cumsum(np.add.reduceat(deleted, starts, dtype=np.int64))
+    return [
+        set(members[start:stop].tolist())
+        for start, stop in zip([0] + bounds[:-1].tolist(), bounds.tolist())
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -552,18 +561,9 @@ def rewrite_batched_mffc(aig: Aig, nref, item_roots, members, counts):
 
     The cones come in CSR form: item ``i`` owns the next ``counts[i]``
     entries of the flat ``members`` array (its cone node ids, the root
-    included, in any order — the scalar walk's result is
-    order-independent), and ``item_roots[i]`` is its root.  Returns the
-    int64 array of per-item deleted-set sizes: the least fixpoint
-    seeded at the root of "every fanout reference comes from an
-    already-deleted member", with ``nref`` the PO-inclusive fanout
-    counts (double edges counted twice, exactly like the scalar
-    decrement walk).
-
-    The fixpoint is propagated frontier-style: each member's two fanin
-    edges are charged exactly once, when the member enters the deleted
-    set, so the whole batch costs O(total cone nodes) regardless of
-    cone depth.
+    included, in any order — the deleted set is order-independent),
+    and ``item_roots[i]`` is its root.  Returns the int64 array of
+    per-item deleted-set sizes (see :func:`_deleted_mask`).
     """
     counts = np.asarray(counts, dtype=np.int64)
     num_items = counts.size
@@ -587,47 +587,66 @@ def rewrite_batched_mffc(aig: Aig, nref, item_roots, members, counts):
             counts[multi],
         )
         return sizes
+    deleted = _deleted_mask(aig, nref, item_roots, vars_flat, counts)
+    starts = np.cumsum(counts) - counts
+    return np.add.reduceat(deleted, starts, dtype=np.int64)
+
+
+def _deleted_mask(aig: Aig, nref, item_roots, vars_flat, counts):
+    """Per-slot deleted flags of many cone-restricted deref fixpoints.
+
+    Item ``i`` owns the next ``counts[i]`` entries of ``vars_flat``
+    (unique cone members, its root ``item_roots[i]`` included).  A
+    member is deleted in the least fixpoint seeded at the root of
+    "every fanout reference comes from an already-deleted member of
+    the same item", with ``nref`` the PO-inclusive fanout counts
+    (double edges counted twice, exactly like the decrement walk of
+    :func:`repro.commit.deref_cone`).
+
+    The fixpoint is propagated frontier-style: each member's two fanin
+    edges are charged exactly once, when the member enters the deleted
+    set, so the whole batch costs O(total cone nodes) regardless of
+    cone depth.
+    """
     fan0, fan1, _ = aig.arrays()
-    offsets = np.concatenate(
-        (np.zeros(1, dtype=np.int64), np.cumsum(counts))
-    )
-    total = int(offsets[-1])
-    item_of = np.repeat(np.arange(num_items, dtype=np.int64), counts)
+    total = int(vars_flat.shape[0])
     # Per-item slot lookup: cone members are unique within an item, so
     # (item, var) keys are globally unique and searchsorted resolves a
     # fanin's slot (or proves it lies outside the cone).
     stride = aig.num_vars
-    keys = item_of * stride + vars_flat
-    order = np.argsort(keys)
-    sorted_keys = keys[order]
-    dst_var = np.concatenate(
-        (fan0[vars_flat] >> 1, fan1[vars_flat] >> 1)
+    item_base = np.repeat(
+        np.arange(counts.size, dtype=np.int64) * stride, counts
     )
-    dst_keys = np.concatenate((item_of, item_of)) * stride + dst_var
-    found = np.minimum(
-        np.searchsorted(sorted_keys, dst_keys), total - 1
-    )
-    inside = sorted_keys[found] == dst_keys
-    # dst_slot[e] for member slot s at edge positions s and s + total;
-    # -1 marks fanins outside the cone (never deletable from here).
-    dst_slot = np.full(2 * total, -1, dtype=np.int64)
-    dst_slot[inside] = order[found[inside]]
+    sorted_keys = item_base + vars_flat
+    order = np.argsort(sorted_keys)
+    sorted_keys = sorted_keys[order]
+    # Slot of each member's fanin 0 and fanin 1 in the same item, or
+    # -1 for fanins outside the cone (never deletable from here).  One
+    # side at a time keeps the temporaries at one entry per member.
+    fanin_slots = []
+    for fan in (fan0, fan1):
+        dst_keys = item_base + (fan[vars_flat] >> 1)
+        found = np.searchsorted(sorted_keys, dst_keys)
+        np.minimum(found, total - 1, out=found)
+        fanin_slots.append(
+            np.where(sorted_keys[found] == dst_keys, order[found], -1)
+        )
+        del dst_keys, found
+    del item_base
+    root_keys = np.arange(counts.size, dtype=np.int64) * stride + item_roots
+    frontier = order[np.searchsorted(sorted_keys, root_keys)]
+    del order, sorted_keys, root_keys
     need = np.asarray(nref)[vars_flat]
     deleted = np.zeros(total, dtype=bool)
-    root_keys = np.arange(num_items, dtype=np.int64) * stride + item_roots
-    root_slots = order[np.searchsorted(sorted_keys, root_keys)]
-    deleted[root_slots] = True
+    deleted[frontier] = True
     dec = np.zeros(total, dtype=np.int64)
-    frontier = root_slots
     while frontier.size:
-        edges = np.concatenate((frontier, frontier + total))
-        dsts = dst_slot[edges]
-        dsts = dsts[dsts >= 0]
-        dec += np.bincount(dsts, minlength=total)
-        newly = (dec == need) & ~deleted & (need > 0)
-        frontier = np.flatnonzero(newly)
+        for slots in fanin_slots:
+            dsts = slots[frontier]
+            dec += np.bincount(dsts[dsts >= 0], minlength=total)
+        frontier = np.flatnonzero((dec == need) & ~deleted & (need > 0))
         deleted[frontier] = True
-    return np.add.reduceat(deleted.astype(np.int64), offsets[:-1])
+    return deleted
 
 
 __all__ = [
@@ -636,7 +655,6 @@ __all__ = [
     "balance_collapse",
     "balance_finalize_pos",
     "balance_reconstruct",
-    "enabled_for",
     "refactor_deleted_sets",
     "refactor_survivor_keys",
     "rewrite_batched_mffc",

@@ -14,36 +14,28 @@ does not affect delay as long as topological dependencies hold):
    per subtree by combining its two minimum-delay operands through the
    shared GPU hash table (Figure 6).
 
-Every stage reports batch/work profiles to the
+Both stages run as column kernels
+(:func:`repro.algorithms.kernels.balance_collapse` and
+:func:`~repro.algorithms.kernels.balance_reconstruct`), which report
+batch/work profiles to the
 :class:`~repro.parallel.machine.ParallelMachine` for the cost model.
 """
 
 from __future__ import annotations
 
-import heapq
 import random
 
 from repro import observe
 from repro.aig.aig import Aig
-from repro.aig.literals import lit_compl, lit_not_cond, lit_var
 from repro.algorithms import kernels
 from repro.algorithms.common import PassResult
-from repro.algorithms.seq_balance import (
-    BALANCE_WORK_SCALE,
-    _internal_mask,
-    collect_cluster_inputs,
-)
-from repro.commit import InsertionSession
 from repro.engine.context import context_for
 from repro.engine.registry import (
     PassInvocation,
     register_command,
     register_pass,
 )
-from repro.parallel import backend
-from repro.parallel.frontier import gather_unique
 from repro.parallel.machine import ParallelMachine
-from repro.verify import mutations, sanitizer
 
 
 @register_pass(
@@ -65,36 +57,16 @@ def par_balance(
     nodes_before = aig.num_ands
     levels_before = context_for(aig).depth()
 
-    # Column-native fast path: same stages, same launches, same result
-    # (docs/ARCHITECTURE.md, "Column-native passes").  The scalar code
-    # below stays the semantic reference; ``order_rng`` exercises the
-    # Property-3 order-invariance and always takes it.
-    use_kernels = order_rng is None and kernels.enabled_for(aig)
-    if use_kernels:
-        with observe.span("b.collapse", "stage"):
-            plan = kernels.balance_collapse(aig, machine)
-        num_clusters = plan.num_roots
-        observe.count("b.clusters_collapsed", num_clusters)
-        with observe.span("b.reconstruct", "stage"):
-            new, mapped = kernels.balance_reconstruct(
-                aig, plan, machine
-            )
-        kernels.balance_finalize_pos(aig, new, mapped)
-    else:
-        with observe.span("b.collapse", "stage"):
-            clusters, inputs_of = _collapse(aig, machine)
-        num_clusters = len(clusters)
-        observe.count("b.clusters_collapsed", num_clusters)
-        with observe.span("b.reconstruct", "stage"):
-            new, lit_map = _reconstruct(
-                aig, clusters, inputs_of, machine, order_rng=order_rng
-            )
-        for index, po_lit in enumerate(aig.pos):
-            mapped_lit, _ = lit_map[lit_var(po_lit)]
-            new.add_po(
-                lit_not_cond(mapped_lit, lit_compl(po_lit)),
-                aig.po_name(index),
-            )
+    # Column-native stages (docs/ARCHITECTURE.md, "Column-native
+    # passes").
+    with observe.span("b.collapse", "stage"):
+        plan = kernels.balance_collapse(aig, machine)
+    observe.count("b.clusters_collapsed", plan.num_roots)
+    with observe.span("b.reconstruct", "stage"):
+        new, mapped = kernels.balance_reconstruct(
+            aig, plan, machine, order_rng=order_rng
+        )
+    kernels.balance_finalize_pos(aig, new, mapped)
     machine.host("b.finalize", aig.num_pos)
     result, _ = new.compact()
     return PassResult(
@@ -103,177 +75,10 @@ def par_balance(
         result.num_ands,
         levels_before,
         context_for(result).depth(),
-        details={"clusters": num_clusters},
+        details={"clusters": plan.num_roots},
     )
 
 
 @register_command("b", "gpu", description="level-wise parallel balancing")
 def _bind_b(invocation: PassInvocation) -> list[PassResult]:
     return [par_balance(invocation.aig, machine=invocation.machine)]
-
-
-def _collapse(
-    aig: Aig, machine: ParallelMachine
-) -> tuple[list[int], dict[int, list[int]]]:
-    """Frontier-driven cluster identification from POs towards PIs.
-
-    Returns the cluster roots (in discovery order) and each root's
-    input literal list.
-    """
-    internal = _internal_mask(aig)
-    # All balance kernels charge BALANCE_WORK_SCALE probe-equivalents
-    # per node operation, matching the sequential meter's units.
-    machine.launch_batch(
-        "b.mark_internal",
-        backend.const_profile(BALANCE_WORK_SCALE, max(aig.num_vars, 1)),
-    )
-
-    frontier, gather_work = gather_unique(
-        (lit_var(lit) for lit in aig.pos), keep=aig.is_and
-    )
-    machine.launch_batch(
-        "b.init_frontier",
-        backend.const_profile(BALANCE_WORK_SCALE, max(gather_work, 1)),
-    )
-    enqueued = set(frontier)
-    roots: list[int] = []
-    inputs_of: dict[int, list[int]] = {}
-    # Clusters partition the AND nodes (internal nodes have exactly one
-    # non-complemented fanout, so each belongs to one cluster): one
-    # guard over the whole collapse checks the partition empirically.
-    guard = sanitizer.batch("b.collapse")
-    while frontier:
-        works = []
-        next_candidates: list[int] = []
-        for root in frontier:
-            members: list[int] | None = (
-                [] if sanitizer.enabled else None
-            )
-            inputs, visited = collect_cluster_inputs(
-                aig, root, internal, members=members
-            )
-            if sanitizer.enabled:
-                guard.write(root, members)
-            inputs_of[root] = inputs
-            roots.append(root)
-            works.append((visited + len(inputs)) * BALANCE_WORK_SCALE)
-            next_candidates.extend(lit_var(fanin) for fanin in inputs)
-        machine.launch("b.collapse", works)
-        frontier, gather_work = gather_unique(
-            next_candidates,
-            keep=lambda var: aig.is_and(var) and var not in enqueued,
-        )
-        enqueued.update(frontier)
-        machine.launch_batch(
-            "b.gather_frontier",
-            backend.const_profile(
-                BALANCE_WORK_SCALE, max(len(next_candidates), 1)
-            ),
-        )
-    return roots, inputs_of
-
-
-def _reconstruct(
-    aig: Aig,
-    roots: list[int],
-    inputs_of: dict[int, list[int]],
-    machine: ParallelMachine,
-    order_rng: random.Random | None = None,
-) -> tuple[Aig, dict[int, tuple[int, int]]]:
-    """Level-wise parallel subtree reconstruction (PIs to POs).
-
-    ``order_rng`` randomizes the within-level subtree order; by
-    Property 3 the delays produced are identical for every order (node
-    counts may differ through sharing, functions never do).
-    """
-    # Levels of the collapsed network: a subtree's level is one more
-    # than the maximum level of the subtrees rooted at its inputs.
-    level_of: dict[int, int] = {0: 0}
-    for var in aig.pis:
-        level_of[var] = 0
-    for root in sorted(roots):  # id order is topological
-        level = 0
-        for fanin in inputs_of[root]:
-            level = max(level, level_of[lit_var(fanin)])
-        level_of[root] = level + 1
-    machine.launch_batch(
-        "b.levelize",
-        backend.const_profile(BALANCE_WORK_SCALE, max(len(roots), 1)),
-    )
-
-    batches: dict[int, list[int]] = {}
-    for root in roots:
-        batches.setdefault(level_of[root], []).append(root)
-
-    new = Aig(aig.name)
-    # All node allocation funnels through the commit layer's counted
-    # session (bulk column construction when available, bit-identical
-    # scalar fallback otherwise).
-    session = InsertionSession(new, expected=aig.num_ands * 2)
-    lit_map: dict[int, tuple[int, int]] = {0: (0, 0)}
-    for var in aig.pis:
-        lit_map[var] = (new.add_pi(), 0)
-
-    mutate = mutations.armed and mutations.active("b-flip-input")
-    for level in sorted(batches):
-        batch = batches[level]
-        if order_rng is not None:
-            batch = list(batch)
-            order_rng.shuffle(batch)
-        # Reconstruction table: per subtree, a min-heap of
-        # (delay, literal) operands still to be combined.
-        heaps = []
-        for root in batch:
-            operands = []
-            for fanin in inputs_of[root]:
-                mapped, delay = lit_map[lit_var(fanin)]
-                operands.append(
-                    (delay, lit_not_cond(mapped, lit_compl(fanin)))
-                )
-            if mutate and operands:
-                delay, literal = operands[0]
-                operands[0] = (delay, literal ^ 1)
-                mutate = False
-            heapq.heapify(operands)
-            heaps.append(operands)
-        machine.launch(
-            "b.init_recon_table",
-            [len(inputs_of[root]) * BALANCE_WORK_SCALE for root in batch],
-        )
-        # Synchronized insertion passes: one new node per subtree each.
-        # Each pass pops the two minimum-delay operands of every active
-        # subtree, creates all the combined nodes in one batched table
-        # call, and pushes the results back into the heaps.
-        while True:
-            pairs = []
-            popped = []
-            for heap in heaps:
-                if len(heap) < 2:
-                    continue
-                d0, l0 = heapq.heappop(heap)
-                d1, l1 = heapq.heappop(heap)
-                pairs.append((l0, l1))
-                popped.append((heap, d0, l0, d1, l1))
-            if not pairs:
-                break
-            merged_list, probes_list = session.insert_round(pairs)
-            works = []
-            for (heap, d0, l0, d1, l1), merged, probes in zip(
-                popped, merged_list, probes_list
-            ):
-                if merged == l0:
-                    heapq.heappush(heap, (d0, merged))
-                elif merged == l1:
-                    heapq.heappush(heap, (d1, merged))
-                elif merged <= 1:
-                    heapq.heappush(heap, (0, merged))
-                else:
-                    heapq.heappush(heap, (max(d0, d1) + 1, merged))
-                # Probe + heap maintenance, in probe-equivalents.
-                works.append((probes + 5) * BALANCE_WORK_SCALE)
-            machine.launch("b.insertion_pass", works)
-            observe.count("b.insertion_passes")
-        for root, heap in zip(batch, heaps):
-            delay, literal = heap[0]
-            lit_map[root] = (literal, delay)
-    return new, lit_map

@@ -215,15 +215,7 @@ def _semi_sharing_refine(
     replaced_nodes: set[int] = set()
     for job in kept:
         replaced_nodes.update(job.cut.cone)
-    if kernels.enabled_for(aig):
-        survivor_keys = kernels.refactor_survivor_keys(
-            aig, replaced_nodes
-        )
-    else:
-        survivor_keys = {}
-        for var in aig.and_vars():
-            if var not in replaced_nodes:
-                survivor_keys[aig.fanins(var)] = var
+    survivor_keys = kernels.refactor_survivor_keys(aig, replaced_nodes)
 
     rejected = [
         job for job in cones if job.gain is not None and job.gain < 0

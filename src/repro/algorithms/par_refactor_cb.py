@@ -26,16 +26,16 @@ The pipeline:
 2. **Prune + resynthesize**: each cone's deletable set is its
    cone-restricted MFFC (the nodes whose every reference dies with
    the root — computed batched by
-   :func:`repro.algorithms.kernels.refactor_deleted_sets` at or above
-   ``KERNEL_CUTOFF``).  An ELF-style gain bound (PAPERS.md) extends
-   the MFFC prune: any AND implementation of a function with ``s``
-   essential support variables needs at least ``s - 1`` nodes, so a
-   cone deleting fewer than that cannot win *without sharing* and
-   skips ISOP/factoring in the parallel stage.  Survivors are
-   resynthesized exactly like ``rf``; a depth guard (an exact DP over
-   the template) rejects any replacement that would raise the root's
-   level, which makes "never deeper than the input" a structural
-   guarantee of the pass.
+   :func:`repro.algorithms.kernels.refactor_deleted_sets`).  An
+   ELF-style gain bound (PAPERS.md) extends the MFFC prune: any AND
+   implementation of a function with ``s`` essential support
+   variables needs at least ``s - 1`` nodes, so a cone deleting
+   fewer than that cannot win *without sharing* and skips
+   ISOP/factoring in the parallel stage.  Survivors are resynthesized
+   exactly like ``rf``; a depth guard (an exact DP over the template)
+   rejects any replacement that would raise the root's level, which
+   makes "never deeper than the input" a structural guarantee of the
+   pass.
 3. **Resolve**: a deterministic commit-time conflict resolver orders
    the non-negative-gain candidates by (gain desc, root var asc) — a
    total order, so the outcome is independent of collection order —
@@ -79,8 +79,6 @@ from repro.commit import (
     CommitEngine,
     Footprint,
     RewritePlan,
-    deref_cone,
-    ref_cone_back,
     retire_unreachable,
 )
 from repro.engine.context import (
@@ -339,34 +337,23 @@ def _deletable_sets(
     """Fill ``job.deleted``: each cone's cone-restricted MFFC.
 
     Overlapping cones cannot delete their whole member set — a member
-    with readers outside the deletable set must survive.  The scalar
-    path runs :func:`~repro.commit.deref_cone` per
-    cone on the shared fanout counts (restored exactly afterwards);
-    the column path computes every set in one batched fixpoint.  Both
-    charge identical per-cone work, so the modeled time is
-    path-independent.
+    with readers outside the deletable set must survive.  Every set
+    comes from one batched fixpoint
+    (:func:`~repro.algorithms.kernels.refactor_deleted_sets`), with the
+    semantics of :func:`~repro.commit.deref_cone` run per cone on
+    pristine fanout counts; each cone is charged its member count.
     """
     if not cones:
         return
-    context = context_for(aig)
     machine.launch_batch(
         "rfc.ref_index", backend.const_profile(1, max(aig.num_vars, 1))
     )
-    if kernels.enabled_for(aig):
-        nref = context.fanout_counts_array()
-        sets = kernels.refactor_deleted_sets(
-            aig,
-            nref,
-            [job.cut.root for job in cones],
-            [job.cut.cone for job in cones],
-        )
-    else:
-        counts = context.fanout_counts()
-        sets = []
-        for job in cones:
-            deleted = deref_cone(aig, job.cut.root, job.cut.cone, counts)
-            ref_cone_back(aig, deleted, counts)
-            sets.append(deleted)
+    sets = kernels.refactor_deleted_sets(
+        aig,
+        context_for(aig).fanout_counts_array(),
+        [job.cut.root for job in cones],
+        [job.cut.cone for job in cones],
+    )
     for job, deleted in zip(cones, sets):
         job.deleted = deleted
     machine.launch("rfc.deref", [len(job.cut.cone) for job in cones])

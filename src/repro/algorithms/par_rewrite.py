@@ -148,13 +148,11 @@ def _match_stage(
     charged one unit per node plus ``CUT_EVAL_WORK`` per non-trivial
     cut, through one ``rw.match`` kernel record.
 
-    Per root the scalar scan visits its cuts in list order, sizes an
+    Per root the scan visits its cuts in list order, sizes an
     item's MFFC only when its gain bound (cone size minus template
     ANDs: the MFFC is a subset of the cone) reaches ``min_gain`` and
-    strictly beats the incumbent, and keeps strict improvements.  At or
-    above ``KERNEL_CUTOFF`` the sizing runs batched
-    (:func:`_select_batched`); otherwise one Python walk per item
-    (:func:`_select_scalar`).  Both give the same winners.
+    strictly beats the incumbent, and keeps strict improvements; the
+    sizing runs batched across roots (:func:`_select_batched`).
     """
     cols = enumerate_cuts_with_tables(
         aig, REWRITE_CUT_SIZE, MAX_CUTS_PER_NODE
@@ -167,8 +165,8 @@ def _match_stage(
     works = (1 + CUT_EVAL_WORK * evaluated[live]).tolist()
 
     # Candidate items in scan order: roots ascending, each root's cuts
-    # in list order (its rows are contiguous).  Blown-up cones are the
-    # ones the scalar cone walk rejects.
+    # in list order (its rows are contiguous).  Blown-up cones (over
+    # 64 nodes) are rejected.
     cone_len = np.diff(cols.cone_offsets)
     rows = np.flatnonzero(nontrivial & (cone_len <= 64))
     rows = rows[np.argsort(cols.root[rows], kind="stable")]
@@ -193,10 +191,7 @@ def _match_stage(
     rows = rows[eligible]
     items = (rows, which[eligible], item_ands[eligible], bound[eligible])
 
-    if kernels.enabled_for(aig):
-        winners = _select_batched(aig, cols, items)
-    else:
-        winners = _select_scalar(aig, cols, items)
+    winners = _select_batched(aig, cols, items)
     candidates: dict[int, tuple] = {}
     for root, row, slot, gain in winners:
         if gain >= min_gain:
@@ -206,62 +201,16 @@ def _match_stage(
     return candidates
 
 
-def _select_scalar(aig: Aig, cols, items) -> list[tuple]:
-    """Per-item Python MFFC walks over the eligible items.
-
-    Returns ``(root, row, match slot, est_gain)`` per root that sized
-    an item, roots ascending.  The walk is ``deref_cone`` against a
-    local decrement map; the fanin of a cone member is either a cone
-    member or a leaf, so "not a leaf" is the exact cone-membership
-    test.
-    """
-    rows, which, item_ands, bound = items
-    nref = context_for(aig).fanout_counts()  # read-only here
-    fan0 = aig._fanin0
-    fan1 = aig._fanin1
-    winners: list[tuple] = []
-    best = None
-    for root, row, slot, ands, limit, leaf_row in zip(
-        cols.root[rows].tolist(), rows.tolist(), which.tolist(),
-        item_ands.tolist(), bound.tolist(), cols.leaves[rows].tolist(),
-    ):
-        if best is not None and best[0] != root:
-            winners.append(best)
-            best = None
-        if best is not None and limit <= best[3]:
-            continue
-        stop = set(leaf_row)
-        deleted: set[int] = set()
-        dec: dict[int, int] = {}
-        stack = [root]
-        while stack:
-            var = stack.pop()
-            if var in deleted:
-                continue
-            deleted.add(var)
-            for fvar in (fan0[var] >> 1, fan1[var] >> 1):
-                count = dec.get(fvar, 0) + 1
-                dec[fvar] = count
-                if nref[fvar] == count and fvar not in stop:
-                    stack.append(fvar)
-        est_gain = len(deleted) - ands
-        if best is None or est_gain > best[3]:
-            best = (root, row, slot, est_gain)
-    if best is not None:
-        winners.append(best)
-    return winners
-
-
 def _select_batched(aig: Aig, cols, items) -> list[tuple]:
     """Column-native winner selection over the eligible items.
 
-    Replaces the per-item Python MFFC walk with one batched
-    decrement-fixpoint sweep per wave
+    One batched decrement-fixpoint sweep per wave
     (:func:`~repro.algorithms.kernels.rewrite_batched_mffc`): wave
     ``w`` sizes every root's ``w``-th eligible item at once, unless its
     bound cannot beat the best settled by wave ``w - 1`` — exactly the
-    scalar control flow, batched across roots.  Same result as
-    :func:`_select_scalar`.
+    per-root scan's control flow, batched across roots.  Returns
+    ``(root, row, match slot, est_gain)`` per root that sized an item,
+    roots ascending.
     """
     rows, which, item_ands, bound = items
     nref = context_for(aig).fanout_counts_array()  # read-only here

@@ -1,7 +1,7 @@
 """Version-keyed derived-state cache for one AIG (``GraphContext``).
 
 Every optimization pass needs the same derived state — levels, fanout
-counts, fanout adjacency, the PO fanout mask, the depth — and before
+counts, fanout degrees, the PO fanout mask, the depth — and before
 the engine existed each pass recomputed all of it from scratch on
 entry *and* exit, even though a sequence hands the very same graph
 object from one pass to the next.  ``GraphContext`` memoizes that
@@ -21,8 +21,8 @@ docs/OBSERVABILITY.md) and the per-context ``counters`` dict.
 Levels and fanout counts are int64 ndarrays owned by the context and
 handed out as ``memoryview`` twins (plain-int scalar indexing at list
 speed); :meth:`GraphContext.fanout_counts_array` exposes the ndarray
-itself to the column-native kernels.  Fanout lists and the PO mask
-are plain Python lists, the fanout degrees an int64 ndarray.
+itself to the column-native kernels.  The PO mask is a plain Python
+list, the fanout degrees an int64 ndarray.
 
 **Cached values are shared, not copied** — between calls and between
 a context and its :meth:`~GraphContext.fork`.  Callers must treat them
@@ -54,7 +54,6 @@ _SLOTS = (
     "_levels",
     "_fanout_counts",
     "_fanout_degrees",
-    "_fanout_lists",
     "_po_mask",
     "_depth",
 )
@@ -138,25 +137,14 @@ class GraphContext:
             entry = self._fanout_counts = (key, counts, memoryview(counts))
         return entry
 
-    def fanout_lists(self) -> list[list[int]]:
-        """Fanout adjacency, POs excluded (read-only, inner lists too)."""
-        key = self.aig._version
-        entry = self._cached("_fanout_lists", key)
-        if entry is None:
-            entry = self._fanout_lists = (
-                key, traversal.fanout_lists(self.aig)
-            )
-        return entry[1]
-
     def fanout_degrees(self):
         """Per-variable live-AND reader counts (int64 ndarray).
 
-        ``degrees[v] == len(fanout_lists()[v])`` for every variable:
-        POs excluded, a double edge (same node in both fanins) counts
-        once.  The column-native collapse kernel consumes these instead
-        of the Python adjacency lists — same derived state, same cache
-        key, same hit/miss accounting, a bincount sweep instead of
-        per-node list appends.  Read-only, like every derived value.
+        ``degrees[v]`` is the number of distinct live ANDs reading
+        ``v``: POs excluded, a double edge (same node in both fanins)
+        counts once.  The FFC test of ``rf``'s collapse reads
+        these reader counts instead of an adjacency list.  Read-only,
+        like every derived value.
         """
         aig = self.aig
         key = aig._version

@@ -1,9 +1,9 @@
 """Kernel-backend helpers for the parallel substrate.
 
 The simulated-GPU kernels run as whole-array NumPy code
-(:mod:`repro.parallel.vec`, :mod:`repro.algorithms.kernels`), with the
-per-item scalar loops kept below each site's size gate as the
-reference semantics.  Which side runs is decided by those gates alone
+(:mod:`repro.parallel.vec`, :mod:`repro.algorithms.kernels`).  The
+pass kernels have one path at every size.  The batched hash-table
+operations keep their per-item scalar loops below one size gate
 (docs/ARCHITECTURE.md, "Size gates"); both sides produce the same
 AIGs, probe counts, counters and modeled times.
 """

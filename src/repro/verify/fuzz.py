@@ -1,15 +1,16 @@
 """CEC-gated differential fuzzing of the parallel optimization engine.
 
 One fuzz *case* is a generated AIG plus a pass script.  The harness
-runs the case with the two size gates (``KERNEL_CUTOFF``,
-``vec._SCALAR_CUTOFF``) at their defaults and forced to ``0``
-(:func:`repro.verify.gates.forced_gates`), each under
-both sanitizer modes (off, and on in record mode with post-pass
-invariant auditing), then:
+runs the case with the size gate (``vec._SCALAR_CUTOFF``) at its
+default and forced to ``0`` (:func:`repro.verify.gates.forced_gates`),
+each under both sanitizer modes (off, and on in record mode with
+post-pass invariant auditing).  The column-native pass kernels run in
+every mode, so the sanitized runs check the pass path that runs at
+scale.  The harness then:
 
 * collects sanitizer conflicts and invariant violations per run;
-* compares the AIGER dumps of all runs — the vector paths promise
-  bit-identical results to their scalar references and the sanitizer
+* compares the AIGER dumps of all runs — the vector path promises
+  bit-identical results to its scalar reference and the sanitizer
   promises to be transparent, so every run of one case must produce
   the *same* AIG;
 * gates the result with combinational equivalence checking against the
@@ -41,8 +42,8 @@ from repro.verify.gates import forced_gates
 from repro.verify.invariants import AigInvariantError
 from repro.verify.sanitizer import RaceConflictError, Sanitizer
 
-#: Gate settings every case runs under: the defaults, and every gate
-#: forced to 0 (vector paths even on the fuzzer's small graphs).
+#: Gate settings every case runs under: the default, and the gate
+#: forced to 0 (the vector path even on the fuzzer's small graphs).
 GATE_MODES = (None, 0)
 
 #: Scripts sampled by the fuzzer — single passes plus interleavings

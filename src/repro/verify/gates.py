@@ -1,19 +1,19 @@
-"""Force every fast-path size gate to one value (differential checks).
+"""Force the fast-path size gate to one value (differential checks).
 
-Two sites keep a vectorized path next to a scalar reference, and a
-module-level size gate picks between them: the vector path runs at or
-above the gate.  ``kernels.KERNEL_CUTOFF`` switches the column-native
-pass kernels, and ``vec._SCALAR_CUTOFF`` the batched hash-table
-operations.  Every other hot loop has one path, run at every size.
-The gates are wall-clock heuristics only — both sides produce the
-same AIGs, probe counts, counters and modeled times — so forcing both
-of them to ``0`` (vector path everywhere) or to ``math.inf`` (scalar
-path everywhere) must leave every result unchanged.  The goldens
-check, the fuzzer and the parity tests use :func:`forced_gates` to
-prove exactly that (docs/ARCHITECTURE.md, "Size gates").
+One site keeps a vectorized path next to a scalar reference, picked by
+a module-level size gate: ``vec._SCALAR_CUTOFF`` switches the batched
+hash-table operations, and the vector path runs at or above it.  Every
+other hot loop, the column-native pass kernels included, has one path
+that runs at every size.  The gate is a wall-clock heuristic only —
+both sides produce the same AIGs, probe counts, counters and modeled
+times — so forcing it to ``0`` (vector path everywhere) or to
+``math.inf`` (scalar path everywhere) must leave every result
+unchanged.  The goldens check, the fuzzer and the parity tests use
+:func:`forced_gates` to prove exactly that (docs/ARCHITECTURE.md,
+"Size gates").
 
 :data:`GATES` is the one list of gates; ``tests/test_architecture.py``
-fails when a module under ``src/`` defines a gate that is missing here.
+fails when code under ``src/`` reads a gate that is missing here.
 """
 
 from __future__ import annotations
@@ -22,15 +22,12 @@ import importlib
 from contextlib import contextmanager
 
 #: ``(module, attribute)`` of every size gate.
-GATES = (
-    ("repro.algorithms.kernels", "KERNEL_CUTOFF"),
-    ("repro.parallel.vec", "_SCALAR_CUTOFF"),
-)
+GATES = (("repro.parallel.vec", "_SCALAR_CUTOFF"),)
 
 
 @contextmanager
 def forced_gates(value):
-    """Set both gates in :data:`GATES` to ``value``; restore on exit.
+    """Set every gate in :data:`GATES` to ``value``; restore on exit.
 
     ``0`` sends every site down its vector path, ``math.inf`` down its
     scalar path.  ``None`` leaves the gates at their defaults, so a

@@ -47,6 +47,11 @@ MUTATIONS: dict[str, tuple[str, str]] = {
         "cec",
         "balance reconstruction complements one cluster operand",
     ),
+    "b-overlap-clusters": (
+        "sanitizer",
+        "balance collapse grafts the first cluster's root into every "
+        "later cluster's member list (clusters must partition the ANDs)",
+    ),
     "rw-flip-root": (
         "cec",
         "rewriting commit aliases the old root to the complemented "

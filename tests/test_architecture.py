@@ -24,21 +24,24 @@ sequential references (see :data:`MUTATION_ALLOWED`).
 
 Two rules guard the single-backend design: the module-level size
 gates under ``src/`` (integer constants named ``*_CUTOFF`` or
-``*_MIN*``) must be exactly the entries of
-:data:`repro.verify.gates.GATES` — none missing, so the forced-gates
-differential covers each, and none stale; and no reference to the
-deleted backend switch or no-NumPy mode may come back.
+``*_MIN*`` that code under ``src/`` reads) must be exactly the entries
+of :data:`repro.verify.gates.GATES` — none missing, so the
+forced-gates differential covers each, and none stale; and no
+reference to the deleted backend switch or no-NumPy mode may come
+back.
 
 A last rule keeps the counter table of ``docs/OBSERVABILITY.md``
 complete: every counter name ``src/`` passes to ``observe.count`` as a
 literal (f-string placeholders kept as ``{expr}``) must appear in it.
 
-A tooling guard keeps the repository benchmark's ``cuts.enumerate_s``
-wrapper honest: it wraps every module-level binding that *is*
+Two tooling guards keep the repository benchmark's reads of the
+package honest.  Its ``cuts.enumerate_s`` wrapper wraps every
+module-level binding that *is*
 :func:`repro.aig.cuts.enumerate_cuts_with_tables`, so the rewriting
-pass must bind that very object (a rebinding would read 0 silently).
+pass must bind that very object (a rebinding would read 0 silently);
+and its run manifest imports ``repro.algorithms.kernels.KERNEL_CUTOFF``.
 
-Apart from that guard's deferred import, this file is pure text
+Apart from those guards' deferred imports, this file is pure text
 scanning (no ``repro`` import), so the CI lint job runs it without
 installing the package: ``python tests/test_architecture.py``.
 """
@@ -105,8 +108,17 @@ def _is_gate_name(name: str) -> bool:
 
 
 def find_size_gates() -> set[tuple[str, str]]:
-    """``(module, name)`` of every module-level size gate in ``src/``."""
-    gates: set[tuple[str, str]] = set()
+    """``(module, name)`` of every module-level size gate in ``src/``.
+
+    A gate is a module-level int constant with a gate-like name that
+    code under ``src/`` reads: by bare name in its own module, as an
+    attribute (``vec._SCALAR_CUTOFF``), or through a ``from`` import.
+    A constant nothing in ``src/`` reads switches no path (a value kept
+    for run manifests, say), so it is not a gate.
+    """
+    candidates: set[tuple[str, str]] = set()
+    own_reads: set[tuple[str, str]] = set()
+    foreign_reads: set[str] = set()
     src = REPO_ROOT / "src"
     for path in sorted(src.rglob("*.py")):
         module = ".".join(path.relative_to(src).with_suffix("").parts)
@@ -128,8 +140,21 @@ def find_size_gates() -> set[tuple[str, str]]:
                 if isinstance(target, ast.Name) and _is_gate_name(
                     target.id
                 ):
-                    gates.add((module, target.id))
-    return gates
+                    candidates.add((module, target.id))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                own_reads.add((module, node.id))
+            elif isinstance(node, ast.Attribute) and isinstance(
+                node.ctx, ast.Load
+            ):
+                foreign_reads.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                foreign_reads.update(alias.name for alias in node.names)
+    return {
+        (module, name)
+        for module, name in candidates
+        if (module, name) in own_reads or name in foreign_reads
+    }
 
 
 def listed_gates() -> set[tuple[str, str]]:
@@ -302,6 +327,16 @@ def test_rewrite_binds_the_exported_cut_enumerator() -> None:
         "repro.algorithms.par_rewrite must bind "
         "repro.aig.cuts.enumerate_cuts_with_tables itself: perfbench "
         "times cut enumeration by wrapping that object"
+    )
+
+
+def test_perfbench_manifest_constant_still_imports() -> None:
+    import importlib
+
+    kernels = importlib.import_module("repro.algorithms.kernels")
+    assert isinstance(getattr(kernels, "KERNEL_CUTOFF", None), int), (
+        "repro.algorithms.kernels.KERNEL_CUTOFF must stay importable: "
+        "perfbench reads it to fill its run manifest"
     )
 
 

@@ -1,11 +1,11 @@
-"""Fast-path parity: vector paths and scalar references are bit-identical.
+"""Fast-path parity: the vector path and its scalar reference agree.
 
-Two sites keep a vectorized path next to a scalar reference, selected
-only by a module-level size gate: the column-native pass kernels and
-the batched hash-table operations (docs/ARCHITECTURE.md, "Size
-gates").  This file runs whole scripts with both gates forced to ``0``
-(vector paths everywhere) and to ``math.inf`` (scalar references
-everywhere) through :func:`repro.verify.forced_gates`, and requires
+One site keeps a vectorized path next to a scalar reference, selected
+only by a module-level size gate: the batched hash-table operations
+(docs/ARCHITECTURE.md, "Size gates").  This file runs whole scripts
+with the gate forced to ``0`` (vector path everywhere) and to
+``math.inf`` (scalar reference everywhere) through
+:func:`repro.verify.forced_gates`, and requires
 identical serialized AIGs, identical ``hashtable.*`` counters and
 identical modeled times.  Only wall-clock may differ.
 """
@@ -110,7 +110,8 @@ def test_forced_gates_sets_and_restores_every_gate():
 
 
 def test_forced_gates_switch_every_pass_path():
-    """Gates at 0 reach the vector paths on a small graph; at inf none."""
+    """The gate at 0 reaches the vector path on a small graph; at inf
+    it does not.  The column kernels have no gate: they run either way."""
 
     def path_counters(gates):
         with forced_gates(gates):
@@ -128,15 +129,18 @@ def test_forced_gates_switch_every_pass_path():
             if key.startswith(("kernels.", "commit.bulk_nodes"))
         }
 
-    vector = path_counters(0)
-    for key in (
+    kernel_keys = (
         "kernels.b_singleton_clusters",
         "kernels.rf_degree_cones",
         "kernels.rw_sized_items",
-        "commit.bulk_nodes",
-    ):
+    )
+    vector = path_counters(0)
+    scalar = path_counters(math.inf)
+    assert vector.get("commit.bulk_nodes", 0) > 0
+    assert "commit.bulk_nodes" not in scalar
+    for key in kernel_keys:
         assert vector.get(key, 0) > 0, key
-    assert path_counters(math.inf) == {}
+        assert scalar.get(key) == vector[key], key
 
 
 def test_const_profile_and_launch_batch_equivalence():

@@ -1,6 +1,7 @@
 """Unit tests for AIGER reading and writing."""
 
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -17,7 +18,8 @@ from repro.aig.io_aiger import (
     write_aag,
     write_aig_binary,
 )
-from tests.conftest import assert_equivalent
+from repro.verify.invariants import check_invariants
+from tests.conftest import assert_equivalent, build_random_aig
 
 
 def test_ascii_roundtrip(tmp_path, seeded_aig):
@@ -155,6 +157,89 @@ def test_parse_rejects_non_integer_token():
         parse_aag("aag 3 2 0 1 1\n2\n4\n6\n6 x 2\n")
     with pytest.raises(AigerError, match=r"header"):
         parse_aag("aag 3 2 0 1 one\n2\n4\n6\n6 2 4\n")
+
+
+@pytest.mark.parametrize(
+    "text,match",
+    [
+        # Each used to parse: a 1-PI graph on variable -1, a PO and an
+        # AND row defining variable -2, and a misleading "variable 0
+        # exceeds declared maximum".
+        ("aag 1 1 0 1 0\n-2\n-2\n", r"negative literal in PI row \(line 2"),
+        ("aag 2 1 0 1 1\n2\n-4\n-4 2 2\n", r"negative .*PO row \(line 3"),
+        ("aag -5 0 0 0 0\n", r"negative count in AIGER header \(line 1"),
+    ],
+    ids=["pi-row", "po-and-rows", "header"],
+)
+def test_parse_rejects_negative_values(text, match):
+    with pytest.raises(AigerError, match=match):
+        parse_aag(text)
+
+
+def test_parse_rejects_negative_and_row_token():
+    with pytest.raises(AigerError, match=r"AND row \(line 4\): '6 -2 4'"):
+        parse_aag("aag 3 2 0 0 1\n2\n4\n6 -2 4\n")
+
+
+def test_read_aag_reports_non_ascii_bytes(tmp_path):
+    path = tmp_path / "high.aag"
+    path.write_bytes(b"aag 1 1 0 1 0\n2\n\xff2\n")
+    with pytest.raises(AigerError, match=r"non-ASCII byte 0xff .*line 3"):
+        read_aag(path)
+
+
+def test_binary_rejects_self_referencing_and(tmp_path):
+    # A zero delta makes an AND read its own output: a one-node cycle.
+    path = tmp_path / "cycle.aig"
+    path.write_bytes(b"aig 2 1 0 1 1\n4\n\x00\x02")
+    with pytest.raises(AigerError, match=r"literal 4 references undefined"):
+        read_aig_binary(path)
+
+
+def test_parse_sizes_storage_from_the_rows():
+    # The declared maximum may be sparse; storage follows the rows.
+    aig = parse_aag("aag 100000 1 0 1 0\n2\n2\n")
+    assert aig.num_pis == 1
+    assert len(aig._f0c.data) < 1000
+
+
+def _fuzz_variants(data: bytes, rng: random.Random, flips: int):
+    """Every proper prefix of ``data``, then ``flips`` single-byte flips."""
+    for cut in range(len(data)):
+        yield data[:cut]
+    for _ in range(flips):
+        position = rng.randrange(len(data))
+        flipped = bytearray(data)
+        flipped[position] ^= rng.randrange(1, 256)
+        yield bytes(flipped)
+
+
+def test_reader_fuzz_rejects_or_builds_valid_graphs(tmp_path):
+    """Truncated and byte-flipped files fail with ``AigerError`` or
+    read as a structurally valid graph — no other outcome."""
+    source = build_random_aig(3, num_pis=5, num_ands=24, locality=8)
+    ascii_path = tmp_path / "source.aag"
+    binary_path = tmp_path / "source.aig"
+    write_aag(source, ascii_path)
+    write_aig_binary(source, binary_path)
+    rng = random.Random(2026)
+    outcomes = {"rejected": 0, "read": 0}
+    for reader, source_path in (
+        (read_aag, ascii_path),
+        (read_aig_binary, binary_path),
+    ):
+        path = tmp_path / f"variant{source_path.suffix}"
+        variants = _fuzz_variants(source_path.read_bytes(), rng, 300)
+        for variant in variants:
+            path.write_bytes(variant)
+            try:
+                aig = reader(path)
+            except AigerError:
+                outcomes["rejected"] += 1
+                continue
+            check_invariants(aig)
+            outcomes["read"] += 1
+    assert outcomes["rejected"] > 0 and outcomes["read"] > 0
 
 
 def test_dump_is_reparseable(rand_aig):

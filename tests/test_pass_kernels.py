@@ -1,53 +1,62 @@
-"""Column-native pass kernels: kernel-vs-scalar bit-identity.
+"""Column-native pass kernels against their per-node oracles.
 
-The kernels in :mod:`repro.algorithms.kernels` are wall-clock-only
-rewrites of the balance/refactor/rewrite inner loops; the scalar pass
-code is their semantic reference.  This file forces the kernels on for
-small graphs (``KERNEL_CUTOFF = 0``) and asserts the two paths agree
-on everything observable — serialized AIGs, modeled times, machine
-records and every counter outside the kernel-path-only ``kernels.*``
-namespace — plus the fallback gates and direct unit parity for each
-kernel primitive.
+The kernels in :mod:`repro.algorithms.kernels` are the only production
+path of the balance/refactor/rewrite inner loops; the per-node loops
+they replaced live in ``tests/pass_reference.py``.  This file runs
+whole scripts once on the kernels and once with every kernel site
+swapped for its oracle (:func:`tests.pass_reference.oracle_paths`), and
+asserts the two agree on everything observable — serialized AIGs,
+modeled times, machine records and every counter outside the
+kernel-only ``kernels.*`` namespace — plus direct unit differentials
+for each kernel primitive, the sanitizer and the Property 3 knob.
 """
 
 from __future__ import annotations
+
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import observe
+from repro.aig.cuts import reconv_cut
 from repro.aig.io_aiger import dump_aag
 from repro.aig.mffc import mffc_size
 from repro.aig.traversal import fanout_counts, fanout_lists
-from repro.algorithms import kernels
+from repro.algorithms import common, kernels
+from repro.algorithms.par_balance import par_balance
 from repro.engine import run_script
 from repro.engine.context import context_for
 from repro.parallel.machine import ParallelMachine
 from repro.verify import sanitizer
 from repro.verify.sanitizer import Sanitizer
 from tests.conftest import build_random_aig
+from tests.pass_reference import (
+    oracle_paths,
+    reference_deleted_sets,
+    reference_ffc_cutter,
+    reference_par_balance,
+    reference_survivor_keys,
+)
 
 aig_seeds = st.integers(min_value=0, max_value=50_000)
 aig_sizes = st.integers(min_value=10, max_value=150)
 
-SCRIPTS = ("b", "rf", "rw")
+SCRIPTS = ("b", "rf", "rw", "rfc")
 
 
-def _run(aig, script: str, cutoff: int):
-    """Run ``script`` with the kernel gate at ``cutoff``; parity tuple."""
-    original = kernels.KERNEL_CUTOFF
-    kernels.KERNEL_CUTOFF = cutoff
+def _parity_tuple(run) -> tuple:
+    """Dump, counters, machine records and modeled time of ``run``."""
     observe.enable()
     machine = ParallelMachine()
     try:
-        result = run_script(aig, script, engine="gpu", machine=machine)
+        result = run(machine)
     finally:
-        kernels.KERNEL_CUTOFF = original
         _, registry = observe.disable()
     # ``kernels.*`` and the commit layer's bulk/serial throughput split
     # are wall-clock bookkeeping; both legitimately differ between the
-    # column-native and scalar pass paths.
+    # column kernels and the per-node oracles.
     counters = {
         key: value
         for key, value in registry.snapshot()["counters"].items()
@@ -60,17 +69,34 @@ def _run(aig, script: str, cutoff: int):
     return dump_aag(result.aig), counters, records, machine.total_time()
 
 
+def _run(aig, script: str, oracle: bool):
+    """Run ``script`` on the kernels or on the oracles; parity tuple."""
+
+    def run(machine):
+        if not oracle:
+            return run_script(aig, script, engine="gpu", machine=machine)
+        with oracle_paths():
+            return run_script(aig, script, engine="gpu", machine=machine)
+
+    return _parity_tuple(run)
+
+
+def _assert_parity(kernel: tuple, oracle: tuple) -> None:
+    assert kernel[0] == oracle[0], "serialized AIGs differ"
+    assert kernel[1] == oracle[1], "counters differ"
+    assert kernel[2] == oracle[2], "machine records differ"
+    assert kernel[3] == oracle[3], "modeled times differ"
+
+
 def _assert_kernel_parity(make_aig, script: str) -> None:
-    on = _run(make_aig(), script, cutoff=0)
-    off = _run(make_aig(), script, cutoff=1 << 60)
-    assert on[0] == off[0], "serialized AIGs differ"
-    assert on[1] == off[1], "counters differ"
-    assert on[2] == off[2], "machine records differ"
-    assert on[3] == off[3], "modeled times differ"
+    _assert_parity(
+        _run(make_aig(), script, oracle=False),
+        _run(make_aig(), script, oracle=True),
+    )
 
 
 # ----------------------------------------------------------------------
-# Kernel-vs-scalar script parity (hypothesis)
+# Kernel-vs-oracle script parity (hypothesis)
 # ----------------------------------------------------------------------
 
 
@@ -83,7 +109,7 @@ def test_kernel_parity_random(script, seed, size):
     )
 
 
-@pytest.mark.parametrize("script", SCRIPTS + ("resyn2",))
+@pytest.mark.parametrize("script", SCRIPTS + ("resyn2", "rfc_resyn"))
 def test_kernel_parity_deep(script):
     # Deeper/narrower shape than the default random graphs.
     _assert_kernel_parity(
@@ -92,40 +118,59 @@ def test_kernel_parity_deep(script):
     )
 
 
+def test_oracle_paths_swap_and_restore():
+    from tests.pass_reference import ORACLES
+
+    originals = [getattr(module, name) for module, name, _ in ORACLES]
+    with pytest.raises(RuntimeError):
+        with oracle_paths():
+            assert [
+                getattr(module, name) for module, name, _ in ORACLES
+            ] == [reference for _, _, reference in ORACLES]
+            raise RuntimeError("restore on error")
+    assert [getattr(module, name) for module, name, _ in ORACLES] == (
+        originals
+    )
+
+
 # ----------------------------------------------------------------------
-# Fallback gates
+# Verification hooks on the kernel path
 # ----------------------------------------------------------------------
 
 
-def test_cutoff_gate_keeps_small_graphs_scalar():
-    aig = build_random_aig(3, num_ands=64)
-    assert aig.num_ands < kernels.KERNEL_CUTOFF
-    assert not kernels.enabled_for(aig)
-
-
-def test_cutoff_gate_boundary(monkeypatch):
-    aig = build_random_aig(3, num_ands=64)
-    monkeypatch.setattr(kernels, "KERNEL_CUTOFF", 0)
-    assert kernels.enabled_for(aig)
-    monkeypatch.setattr(kernels, "KERNEL_CUTOFF", aig.num_ands)
-    assert kernels.enabled_for(aig)
-    monkeypatch.setattr(kernels, "KERNEL_CUTOFF", aig.num_ands + 1)
-    assert not kernels.enabled_for(aig)
-
-
-def test_sanitizer_runs_scalar_path(monkeypatch):
-    # Under the sanitizer the kernels must stay off even at cutoff 0;
-    # the pass still works and matches the kernel result.
-    monkeypatch.setattr(kernels, "KERNEL_CUTOFF", 0)
-    kernel_dump = _run(build_random_aig(5), "b", cutoff=0)[0]
-    aig = build_random_aig(5)
-    sanitizer.set_sanitizer(Sanitizer(on_conflict="record"))
+@pytest.mark.parametrize("script", SCRIPTS + ("resyn2",))
+def test_sanitizer_runs_kernel_path(script):
+    # The sanitizer is transparent on the kernels: no conflict, and the
+    # same AIG as an unsanitized kernel run and as the oracles.
+    plain = _run(build_random_aig(5), script, oracle=False)[0]
+    san = Sanitizer(on_conflict="record")
+    sanitizer.set_sanitizer(san)
     try:
-        assert not kernels.enabled_for(aig)
-        result = run_script(aig, "b", engine="gpu")
+        result = run_script(build_random_aig(5), script, engine="gpu")
     finally:
         sanitizer.set_sanitizer(None)
-    assert dump_aag(result.aig) == kernel_dump
+    assert san.num_conflicts == 0
+    assert san.counters["writes"] > 0
+    assert dump_aag(result.aig) == plain
+    assert plain == _run(build_random_aig(5), script, oracle=True)[0]
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_shuffled_balance_matches_oracle(seed):
+    # The Property 3 knob shuffles each level the same way on both
+    # paths (the shuffle consumes the rng by level size only).
+    def shuffled(balance):
+        return lambda machine: balance(
+            build_random_aig(11, num_ands=120),
+            machine=machine,
+            order_rng=random.Random(seed),
+        )
+
+    _assert_parity(
+        _parity_tuple(shuffled(par_balance)),
+        _parity_tuple(shuffled(reference_par_balance)),
+    )
 
 
 # ----------------------------------------------------------------------
@@ -235,15 +280,50 @@ def test_rewrite_batched_mffc_empty_and_singletons():
 def test_refactor_survivor_keys_matches_facade_walk():
     aig = build_random_aig(23, num_ands=90)
     live = list(aig.and_vars())
-    replaced = set(live[::7])
-    keys = kernels.refactor_survivor_keys(aig, replaced)
-    expected = {}
-    for var in aig.and_vars():
-        if var in replaced:
-            continue
-        expected[aig.fanins(var)] = var
-    assert keys == expected
-    # And with nothing replaced.
-    assert kernels.refactor_survivor_keys(aig, set()) == {
-        aig.fanins(var): var for var in aig.and_vars()
-    }
+    for replaced in (set(live[::7]), set()):
+        assert kernels.refactor_survivor_keys(
+            aig, replaced
+        ) == reference_survivor_keys(aig, replaced)
+
+
+@given(seed=aig_seeds)
+@settings(max_examples=10, deadline=None)
+def test_refactor_deleted_sets_match_deref_cone(seed):
+    # Plain reconvergence cuts overlap and cross fanout boundaries,
+    # exactly the cones of the conflict-breaking pass.
+    aig = build_random_aig(seed, num_ands=80)
+    nref = context_for(aig).fanout_counts_array()
+    roots = list(aig.and_vars())
+    cones = [reconv_cut(aig, root, 8).cone for root in roots]
+    expected = reference_deleted_sets(aig, nref, roots, cones)
+    assert kernels.refactor_deleted_sets(aig, nref, roots, cones) == (
+        expected
+    )
+    # Many small sweeps (one item alone when its cone exceeds the
+    # batch) give the same sets as one.
+    default = kernels._SWEEP_MEMBERS
+    kernels._SWEEP_MEMBERS = 7
+    try:
+        batched = kernels.refactor_deleted_sets(aig, nref, roots, cones)
+    finally:
+        kernels._SWEEP_MEMBERS = default
+    assert batched == expected
+    assert kernels.refactor_deleted_sets(aig, nref, [], []) == []
+    singles = [{root} for root in roots]
+    assert kernels.refactor_deleted_sets(aig, nref, roots, singles) == (
+        singles
+    )
+
+
+@given(seed=aig_seeds)
+@settings(max_examples=10, deadline=None)
+def test_ffc_cutter_matches_fanout_list_walk(seed):
+    aig = build_random_aig(seed, num_ands=80)
+    for limit in (4, 12, aig.num_vars + 2):
+        cut = common._ffc_cutter(aig, limit)
+        reference = reference_ffc_cutter(aig, limit)
+        for root in aig.and_vars():
+            got, want = cut(root), reference(root)
+            assert (got.cone, got.leaves, got.work) == (
+                want.cone, want.leaves, want.work
+            )

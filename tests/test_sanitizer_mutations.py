@@ -38,6 +38,7 @@ PASS_FOR = {
     "rfc-drop-conflict": par_refactor_cb,
     "rfc-stale-fanin": par_refactor_cb,
     "b-flip-input": par_balance,
+    "b-overlap-clusters": par_balance,
     "rw-flip-root": par_rewrite,
     "dedup-stale-level": par_rewrite,
     "dedup-skip-merge": par_rewrite,
