@@ -19,6 +19,7 @@ from repro.engine import pass_fn
 from repro.logic.isop import isop
 from repro.logic.npn import npn_canon
 from repro.logic.resyn import plan_resynthesis
+from repro.logic.truth import full_mask, var_table
 from repro.parallel.hashtable import HashTable
 
 
@@ -78,6 +79,33 @@ def test_bench_resynthesis_plan(benchmark):
         # Uncached: a repeat round would time plan-cache hits.
         for table in tables:
             plan_resynthesis.__wrapped__(table, 6)
+
+    benchmark(run)
+
+
+def _sparse_table(rng: random.Random, num_vars: int) -> int:
+    """OR of 1-10 random cubes: a cone-like function with a small SOP."""
+    mask = full_mask(num_vars)
+    table = 0
+    for _ in range(rng.randint(1, 10)):
+        cube = mask
+        for var in range(num_vars):
+            if rng.random() < 0.5:
+                continue
+            literal = var_table(var, num_vars)
+            cube &= literal if rng.random() < 0.5 else mask ^ literal
+        table |= cube
+    return table
+
+
+def test_bench_resynthesis_plan_12var(benchmark):
+    """12-input cones: most plan-cache misses of ``rfc_resyn`` on isqrt."""
+    rng = random.Random(12)
+    tables = [_sparse_table(rng, 12) for _ in range(32)]
+
+    def run():
+        for table in tables:
+            plan_resynthesis.__wrapped__(table, 12)
 
     benchmark(run)
 

@@ -512,6 +512,45 @@ class Aig:
         if self._strash.get(key) == var:
             del self._strash[key]
 
+    def mark_dead_batch(self, variables) -> None:
+        """:meth:`mark_dead` for many AND variables at once.
+
+        Same end state as one :meth:`mark_dead` per variable — dead
+        column, live count, ``_version`` and strash, tombstones
+        included — from one column write and one
+        :meth:`FlatStrash.delete_bulk`.  Raises before changing
+        anything when a variable is not an AND node.
+        """
+        variables = np.sort(np.asarray(variables, dtype=np.int64))
+        if not variables.size:
+            return
+        # Drop repeats without ``np.unique``: it imports ``numpy.ma`` on
+        # first use, about 1 MiB of peak RSS.
+        variables = variables[
+            np.concatenate(([True], variables[1:] != variables[:-1]))
+        ]
+        fanin0 = self._f0c.nparray()
+        if variables[0] < 0 or variables[-1] >= fanin0.shape[0]:
+            bad = variables[0] if variables[0] < 0 else variables[-1]
+            raise IndexError(f"variable {bad} out of range")
+        not_and = variables[fanin0[variables] < 0]
+        if not_and.size:
+            raise ValueError(
+                f"only AND nodes can be deleted, not var {not_and[0]}"
+            )
+        dead = self._deadc.nparray()
+        fresh = variables[~dead[variables]]
+        if not fresh.size:
+            return
+        self._version += int(fresh.size)
+        dead[fresh] = True
+        self._live_ands -= int(fresh.size)
+        lit0 = fanin0[fresh]
+        lit1 = self._f1c.nparray()[fresh]
+        self._strash.delete_bulk(
+            np.minimum(lit0, lit1), np.maximum(lit0, lit1), fresh
+        )
+
     def truncate(self, num_vars: int) -> None:
         """Physically remove all variables with id >= ``num_vars``.
 

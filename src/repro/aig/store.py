@@ -359,6 +359,40 @@ class FlatStrash:
             slot = slot[losers]
         self._used += filled
 
+    def delete_bulk(self, key0, key1, values) -> None:
+        """Delete every key whose live entry holds the paired value.
+
+        The ``(key, value)`` pairs (int64 arrays) must be pairwise
+        distinct.  The result equals ``del table[key]`` for each key
+        with ``table.get(key) == value``, in any order: a delete only
+        turns a slot into a tombstone, which every probe walks past, so
+        no delete moves another key's slot.  All probes advance
+        together, one slot per round.
+        """
+        table_k0 = _np.frombuffer(self._key0, dtype=_np.int64)
+        table_k1 = _np.frombuffer(self._key1, dtype=_np.int64)
+        table_v = _np.frombuffer(self._value, dtype=_np.int64)
+        mask = self._mask
+        slot = (_hash_pairs(key0, key1) & _np.uint64(mask)).astype(
+            _np.int64
+        )
+        pending = _np.arange(key0.shape[0], dtype=_np.int64)
+        hits = [pending[:0]]
+        while pending.size:
+            value = table_v[slot]
+            found = (
+                (value >= 0)
+                & (table_k0[slot] == key0[pending])
+                & (table_k1[slot] == key1[pending])
+            )
+            hits.append(slot[found & (value == values[pending])])
+            walk = ~found & (value != _EMPTY)
+            pending = pending[walk]
+            slot = (slot[walk] + 1) & mask
+        deleted = _np.concatenate(hits)
+        table_v[deleted] = _TOMB
+        self._size -= len(deleted)
+
     @classmethod
     def build_bulk(cls, key0, key1, values) -> "FlatStrash":
         """A fresh pre-sized table holding the given distinct keys.

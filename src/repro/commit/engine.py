@@ -331,8 +331,7 @@ class CommitEngine:
             f"{prefix}.delete_old",
             (delete_works or [0]) if self.pad_delete else delete_works,
         )
-        for member in deleted_all:
-            aig.mark_dead(member)
+        aig.mark_dead_batch(list(deleted_all))
 
         # Seed the hash table with every surviving AND node.  This is a
         # parallel kernel in both replace modes — what [9] serializes

@@ -39,6 +39,7 @@ without version bumps, so they are *not* memoized.
 
 from __future__ import annotations
 
+import weakref
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -62,15 +63,23 @@ _SLOTS = (
 class GraphContext:
     """Memoized derived state of one :class:`~repro.aig.aig.Aig`."""
 
-    __slots__ = ("aig", "counters") + _SLOTS
+    __slots__ = ("_aig", "counters") + _SLOTS
 
     def __init__(self, aig: "Aig") -> None:
-        self.aig = aig
+        # Weak: the AIG owns its context (``Aig._graph_context``), and
+        # a strong reference back would leave every dropped AIG to the
+        # cyclic collector, so peak memory would follow its timing.
+        self._aig = weakref.ref(aig)
         self.counters = {"hits": 0, "misses": 0}
         # Each slot holds (key, value) — (key, ndarray, memoryview) for
         # the fanout counts.
         for slot in _SLOTS:
             setattr(self, slot, None)
+
+    @property
+    def aig(self) -> "Aig":
+        """The AIG this context describes."""
+        return self._aig()
 
     def _cached(self, slot: str, key, count_miss: bool = True):
         """The slot's entry when its key matches (a hit), else None."""

@@ -84,8 +84,9 @@ def run_script(
 
     The resynthesis plan cache (:func:`repro.logic.resyn.plan_resynthesis`)
     is empty when the run starts and is emptied again when it ends, so
-    its hits, misses (``resyn.plan_hits`` / ``resyn.plan_misses``) and
-    memory belong to this run alone.
+    its hits, misses, evictions (``resyn.plan_hits`` /
+    ``resyn.plan_misses`` / ``resyn.plan_evictions``) and memory belong
+    to this run alone.
     """
     plan_resynthesis.cache_clear()
     try:
@@ -99,6 +100,11 @@ def run_script(
             observe.count("resyn.plan_hits", plans.hits)
         if plans.misses:
             observe.count("resyn.plan_misses", plans.misses)
+        # Every miss added a plan; those no longer held were evicted.
+        if plans.misses > plans.currsize:
+            observe.count(
+                "resyn.plan_evictions", plans.misses - plans.currsize
+            )
         plan_resynthesis.cache_clear()
 
 

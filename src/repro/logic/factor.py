@@ -8,6 +8,13 @@ with.  The implementation follows the classic GFACTOR scheme from MIS:
 * weak algebraic division;
 * literal factoring fallback when the quotient is a single cube.
 
+GFACTOR runs on mask cubes (:mod:`repro.logic.sop`): each cover's
+literal counts are bit-sliced count planes, the most frequent literal
+is found by narrowing a literal pool from the top plane down (its
+lowest set bit breaks count ties toward the smallest literal), and
+division is ``c & d == d`` / ``c & ~d``.  :func:`factor_cover` takes a
+frozenset cover and converts it; :func:`factor_masks` is the core.
+
 The result is a :class:`FactorNode` expression tree over the cover's
 variables; :func:`factored_to_aig` lowers the tree to AND-inverter
 logic (balanced n-ary decomposition) through any node-creation
@@ -20,13 +27,14 @@ from collections.abc import Callable
 
 from repro.logic.sop import (
     Cover,
-    Cube,
-    common_cube,
-    divide,
-    divide_by_cube,
-    is_cube_free,
-    literal_counts,
-    make_cube_free,
+    common_mask,
+    count_planes,
+    cover_masks,
+    cube_free_masks,
+    divide_by_mask,
+    divide_masks,
+    mask_literals,
+    most_frequent,
 )
 
 
@@ -124,90 +132,96 @@ def _flatten(children: list[FactorNode], kind: str) -> list[FactorNode]:
 
 def factor_cover(cover: Cover) -> FactorNode:
     """Factor a cover into a multi-level expression tree."""
+    return factor_masks(cover_masks(cover))
+
+
+def factor_masks(cover: list[int]) -> FactorNode:
+    """:func:`factor_cover` over mask cubes (see :mod:`repro.logic.sop`)."""
     if not cover:
         return FactorNode("const0")
-    if any(len(cube) == 0 for cube in cover):
+    if not all(cover):
         return FactorNode("const1")
-    return _gfactor(list(cover))
+    return _gfactor(cover)
 
 
-def _cube_node(cube: Cube) -> FactorNode:
-    return FactorNode.and_([FactorNode.lit(lit) for lit in sorted(cube)])
+def _cube_node(cube: int) -> FactorNode:
+    return FactorNode.and_(
+        [FactorNode.lit(literal) for literal in mask_literals(cube)]
+    )
 
 
-def _sop_node(cover: Cover) -> FactorNode:
+def _sop_node(cover: list[int]) -> FactorNode:
     return FactorNode.or_([_cube_node(cube) for cube in cover])
 
 
-def _gfactor(cover: Cover) -> FactorNode:
+def _gfactor(cover: list[int]) -> FactorNode:
     if len(cover) == 1:
         return _cube_node(cover[0])
-    divisor = _quick_divisor(cover)
+    planes = count_planes(cover)
+    divisor = _quick_divisor(cover, planes)
     if divisor is None:
         return _sop_node(cover)
-    quotient, _ = divide(cover, divisor)
+    quotient, _ = divide_masks(cover, divisor)
     if len(quotient) == 1:
-        return _literal_factor(cover, quotient[0] | _seed_cube(divisor))
-    quotient = make_cube_free(quotient)
-    divisor_new, remainder = divide(cover, quotient)
-    if not divisor_new:
-        # Division by the cube-free quotient failed to make progress;
-        # fall back to factoring out the best literal.
-        return _literal_factor(cover, _best_literal_cube(cover))
-    if is_cube_free(divisor_new):
+        return _literal_factor(cover, planes, quotient[0] | divisor[0])
+    quotient = cube_free_masks(quotient)
+    # Never empty: with ``c`` the cube divided out of the quotient and
+    # ``d`` any kernel cube, ``q * c * d`` is in the cover for every
+    # quotient cube ``q``, so ``c * d`` is in every partial quotient.
+    divisor_new, remainder = divide_masks(cover, quotient)
+    common = common_mask(divisor_new)
+    if not common:
         quotient_tree = _gfactor(quotient)
         divisor_tree = _gfactor(divisor_new)
         product = FactorNode.and_([divisor_tree, quotient_tree])
         if not remainder:
             return product
         return FactorNode.or_([product, _gfactor(remainder)])
-    return _literal_factor(cover, common_cube(divisor_new))
+    return _literal_factor(cover, planes, common)
 
 
-def _seed_cube(divisor: Cover) -> Cube:
-    """A cube providing literal candidates when the quotient is trivial."""
-    return divisor[0] if divisor else frozenset()
+def _literal_factor(
+    cover: list[int], planes: list[int], candidates: int
+) -> FactorNode:
+    """Factor out the most frequent repeated literal among ``candidates``
+    (any repeated literal when none of them repeats).
 
-
-def _best_literal_cube(cover: Cover) -> Cube:
-    counts = literal_counts(cover)
-    best = max(counts, key=lambda lit: (counts[lit], -lit))
-    return frozenset({best})
-
-
-def _literal_factor(cover: Cover, candidates: Cube) -> FactorNode:
-    """Factor out the most frequent literal among ``candidates``."""
-    counts = literal_counts(cover)
-    pool = [lit for lit in candidates if counts.get(lit, 0) > 1]
-    if not pool:
-        pool = [lit for lit, count in counts.items() if count > 1]
-    if not pool:
-        return _sop_node(cover)
-    literal = max(pool, key=lambda lit: (counts[lit], -lit))
-    quotient, remainder = divide_by_cube(cover, frozenset({literal}))
-    product = FactorNode.and_([FactorNode.lit(literal), _gfactor(quotient)])
+    ``planes`` are the cover's :func:`~repro.logic.sop.count_planes`;
+    the cover has a repeated literal, or it would have no divisor.
+    """
+    repeated = _repeated(planes)
+    literal = most_frequent(candidates & repeated or repeated, planes)
+    quotient, remainder = divide_by_mask(cover, literal)
+    product = FactorNode.and_(
+        [FactorNode.lit(literal.bit_length() - 1), _gfactor(quotient)]
+    )
     if not remainder:
         return product
     return FactorNode.or_([product, _gfactor(remainder)])
 
 
-def _quick_divisor(cover: Cover) -> Cover | None:
+def _quick_divisor(cover: list[int], planes: list[int]) -> list[int] | None:
     """A one-level-0 kernel of the cover, or None when none exists."""
-    counts = literal_counts(cover)
-    if not any(count > 1 for count in counts.values()):
+    repeated = _repeated(planes)
+    if not repeated:
         return None
-    kernel = list(cover)
-    while True:
-        counts = literal_counts(kernel)
-        repeated = [lit for lit, count in counts.items() if count > 1]
-        if not repeated:
-            break
-        literal = max(repeated, key=lambda lit: (counts[lit], -lit))
-        kernel, _ = divide_by_cube(kernel, frozenset({literal}))
-        kernel = make_cube_free(kernel)
+    kernel = cover
+    while repeated:
+        kernel, _ = divide_by_mask(kernel, most_frequent(repeated, planes))
+        kernel = cube_free_masks(kernel)
         if len(kernel) <= 1:
             return None
-    return kernel if len(kernel) > 1 else None
+        planes = count_planes(kernel)
+        repeated = _repeated(planes)
+    return kernel
+
+
+def _repeated(planes: list[int]) -> int:
+    """Literals in two or more cubes."""
+    repeated = 0
+    for plane in planes[1:]:
+        repeated |= plane
+    return repeated
 
 
 # ----------------------------------------------------------------------

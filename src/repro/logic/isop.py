@@ -7,23 +7,34 @@ lower bound L and upper bound U (L ⊆ f ⊆ U allowed), an irredundant
 cover sitting between the bounds; calling it with L = U = f yields an
 ISOP of f.
 
-One top-level call solves the same ``(L, U)`` subproblem many times
-over, so the recursion memoises its results in a dict that lives for
-that call only (a run-wide memo doubles peak RSS).  The memo returns
-the cover the repeated recursion would have rebuilt, cube order
-included.
+The recursion runs on narrow tables and emits mask cubes (see
+:mod:`repro.logic.sop`).  A subproblem's bounds are truncated to the
+width of their highest dependent variable — while both bounds repeat
+across the top half of the table, that half is dropped — so the split
+variable is always the top one and most subproblems touch a few words
+instead of the whole table.  The returned table is re-expanded by
+doubling.  One top-level call solves the same subproblem many times
+over, so results are memoised on ``(lower, upper, width)`` over the
+truncated tables in a dict the caller scopes (one call, or both
+polarities of one plan; a run-wide memo doubles peak RSS).  A result
+is a function of its key alone, so the memo returns the cover the
+repeated recursion would have rebuilt, cube order included.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from repro.logic.sop import Cover, cover_tt, mask_cover
+from repro.logic.truth import MAX_TT_VARS, full_mask
 
-from repro.logic.sop import Cover, cover_tt
-from repro.logic.truth import full_mask, var_table
+#: All-ones table of each width (``_FULL[w]`` has ``2^w`` bits).
+_FULL = tuple((1 << (1 << width)) - 1 for width in range(MAX_TT_VARS + 1))
 
-#: Per-variable split data ``(half, low, high)``: ``half = 2^i`` and
-#: ``low``/``high`` are the table positions where ``x_i`` is 0/1.
-_Splits = tuple[tuple[int, int, int], ...]
+_NO_CUBES: list[int] = []
+_TRUE_CUBE_ONLY: list[int] = [0]
+
+#: A memo of :func:`isop_cover`: ``(lower, upper, width)`` over the
+#: truncated tables -> (mask cover, table of the cover at ``width``).
+IsopMemo = dict[tuple[int, int, int], tuple[list[int], int]]
 
 
 def isop(table: int, num_vars: int) -> Cover:
@@ -33,91 +44,84 @@ def isop(table: int, num_vars: int) -> Cover:
     cheaply by callers via :func:`repro.logic.sop.cover_tt`); no cube or
     literal can be removed without changing the function.
     """
-    mask, splits = _split_masks(num_vars)
-    cover, _ = _isop(table, table, num_vars, mask, splits, {})
-    return cover
+    return mask_cover(isop_cover(table, table, num_vars, {}))
 
 
 def isop_with_dc(lower: int, upper: int, num_vars: int) -> Cover:
     """ISOP of any function f with ``lower ⊆ f ⊆ upper`` (don't-cares)."""
-    mask, splits = _split_masks(num_vars)
+    full_mask(num_vars)  # an unsupported width raises before bad bounds
     if lower & ~upper:
         raise ValueError("lower bound is not contained in upper bound")
-    cover, _ = _isop(lower, upper, num_vars, mask, splits, {})
+    return mask_cover(isop_cover(lower, upper, num_vars, {}))
+
+
+def isop_cover(
+    lower: int, upper: int, num_vars: int, memo: IsopMemo
+) -> list[int]:
+    """ISOP between the bounds as mask cubes; ``ValueError`` if the
+    width is unsupported.  Memoised covers are shared: never mutate
+    them."""
+    full_mask(num_vars)
+    cover, _ = _isop(lower, upper, num_vars, memo)
     return cover
 
 
-@lru_cache(maxsize=None)
-def _split_masks(num_vars: int) -> tuple[int, _Splits]:
-    """Full mask and split data of a width; ``ValueError`` if unsupported."""
-    mask = full_mask(num_vars)
-    splits = []
-    for index in range(num_vars):
-        high = var_table(index, num_vars)
-        splits.append((1 << index, mask ^ high, high))
-    return mask, tuple(splits)
-
-
 def _isop(
-    lower: int,
-    upper: int,
-    var_limit: int,
-    mask: int,
-    splits: _Splits,
-    memo: dict[tuple[int, int], tuple[Cover, int]],
-) -> tuple[Cover, int]:
-    """Recursive core: returns (cover, truth table of the cover).
+    lower: int, upper: int, width: int, memo: IsopMemo
+) -> tuple[list[int], int]:
+    """Recursive core: (mask cover, truth table of the cover at ``width``).
 
-    ``memo`` is keyed on the bounds alone: neither bound depends on a
-    variable at or above ``var_limit``, so the split variable, and with
-    it the whole result, is a function of ``(lower, upper)``.  Memoised
-    covers are shared, never mutated.
+    Neither bound depends on a variable at or above ``width``.
     """
     if lower == 0:
-        return [], 0
-    if upper == mask:
-        return [frozenset()], mask
-    known = memo.get((lower, upper))
-    if known is not None:
-        return known
-    # Split on the highest variable either bound still depends on: a
-    # table depends on x_i when its two cofactors differ, i.e. when
-    # shifting the x_i = 1 half onto the x_i = 0 half changes a bit.
-    for split in range(var_limit - 1, -1, -1):
-        half, low, high = splits[split]
-        if (lower ^ lower >> half) & low or (upper ^ upper >> half) & low:
+        return _NO_CUBES, 0
+    if upper == _FULL[width]:
+        return _TRUE_CUBE_ONLY, upper
+    entry_width = width
+    # Drop top halves both bounds repeat: afterwards the top variable,
+    # x_{width-1}, is the highest one either bound depends on.
+    while True:
+        if not width:
+            # Bounds are constant but neither 0 nor 1 — impossible.
+            raise AssertionError("non-constant bounds without support")
+        half = 1 << (width - 1)
+        low = _FULL[width - 1]
+        lower0 = lower & low
+        lower1 = lower >> half
+        upper0 = upper & low
+        upper1 = upper >> half
+        if lower0 != lower1 or upper0 != upper1:
             break
-    else:
-        # Bounds are constant but neither 0 nor 1 — impossible.
-        raise AssertionError("non-constant bounds without support")
-    lower0 = lower & low
-    lower0 |= lower0 << half
-    lower1 = lower & high
-    lower1 |= lower1 >> half
-    upper0 = upper & low
-    upper0 |= upper0 << half
-    upper1 = upper & high
-    upper1 |= upper1 >> half
-    # Minterms needed only on the x=0 (resp. x=1) side.
-    cover0, table0 = _isop(
-        lower0 & ~upper1, upper0, split, mask, splits, memo
-    )
-    cover1, table1 = _isop(
-        lower1 & ~upper0, upper1, split, mask, splits, memo
-    )
-    # What remains uncovered must be covered independently of x.
-    rest_lower = (lower0 & ~table0) | (lower1 & ~table1)
-    cover_star, table_star = _isop(
-        rest_lower, upper0 & upper1, split, mask, splits, memo
-    )
-    neg_literal = 2 * split + 1
-    pos_literal = 2 * split
-    cover: Cover = [cube | {neg_literal} for cube in cover0]
-    cover += [cube | {pos_literal} for cube in cover1]
-    cover += cover_star
-    result = (table0 & low) | (table1 & high) | table_star
-    memo[(lower, upper)] = cover, result
-    return cover, result
+        lower, upper, width = lower0, upper0, width - 1
+    key = (lower, upper, width)
+    known = memo.get(key)
+    if known is None:
+        split = width - 1
+        # Minterms needed only on the x=0 (resp. x=1) side.
+        cover0, table0 = _isop(lower0 & ~upper1, upper0, split, memo)
+        cover1, table1 = _isop(lower1 & ~upper0, upper1, split, memo)
+        # What remains uncovered must be covered independently of x.
+        cover_star, table_star = _isop(
+            (lower0 & ~table0) | (lower1 & ~table1),
+            upper0 & upper1,
+            split,
+            memo,
+        )
+        neg_literal = 1 << (2 * split + 1)
+        pos_literal = 1 << (2 * split)
+        cover = [cube | neg_literal for cube in cover0]
+        cover += [cube | pos_literal for cube in cover1]
+        cover += cover_star
+        known = (
+            cover,
+            table0 | table1 << half | table_star | table_star << half,
+        )
+        memo[key] = known
+    cover, table = known
+    while width < entry_width:
+        table |= table << (1 << width)
+        width += 1
+    return cover, table
 
 
 def isop_verified(table: int, num_vars: int) -> Cover:

@@ -4,7 +4,10 @@ This is the per-cone resynthesis pipeline shared by sequential and
 parallel refactoring (paper, Section III-B: one GPU thread runs exactly
 this per identified cone).  Both polarities of the function are
 factored and the cheaper factored form wins, mirroring ABC's practice
-of resynthesizing whichever of f / f' factors better.
+of resynthesizing whichever of f / f' factors better.  The planner
+runs the mask-cube core (:func:`repro.logic.isop.isop_cover` with one
+memo for both polarities, then :func:`repro.logic.factor.factor_masks`)
+without converting cubes to frozensets.
 
 :func:`plan_resynthesis` keeps the last :data:`PLAN_CACHE_ENTRIES`
 plans in one :func:`functools.lru_cache`; the script runner empties it
@@ -25,10 +28,10 @@ from repro.aig.aig import Aig
 from repro.logic.factor import (
     FactorNode,
     count_factored_ands,
-    factor_cover,
+    factor_masks,
     factored_to_aig,
 )
-from repro.logic.isop import isop
+from repro.logic.isop import IsopMemo, isop_cover
 from repro.logic.truth import full_mask, tt_support
 
 
@@ -122,23 +125,27 @@ def plan_resynthesis(
     module docstring.
     """
     support = tt_support(table, num_vars)
-    pos_cover = isop(table, num_vars)
-    neg_cover = isop(table ^ full_mask(num_vars), num_vars)
+    # One ISOP memo serves both polarities: a subproblem's cover is a
+    # function of its key alone.
+    memo: IsopMemo = {}
+    pos_cover = isop_cover(table, table, num_vars, memo)
+    neg_table = table ^ full_mask(num_vars)
+    neg_cover = isop_cover(neg_table, neg_table, num_vars, memo)
     if min(len(pos_cover), len(neg_cover)) > max_cubes:
         return None
     if len(pos_cover) > max_cubes:
         return _plan_single(neg_cover, True, support, num_vars)
     if len(neg_cover) > max_cubes:
         return _plan_single(pos_cover, False, support, num_vars)
-    pos_tree = factor_cover(pos_cover)
-    neg_tree = factor_cover(neg_cover)
+    pos_tree = factor_masks(pos_cover)
+    neg_tree = factor_masks(neg_cover)
     pos_cost = count_factored_ands(pos_tree)
     neg_cost = count_factored_ands(neg_tree)
     # Work in probe-equivalent units: truth tables cost one unit per
     # 64-bit word, ISOP/factoring one unit per cube literal.
     work = (
-        sum(len(cube) + 1 for cube in pos_cover)
-        + sum(len(cube) + 1 for cube in neg_cover)
+        _cover_work(pos_cover)
+        + _cover_work(neg_cover)
         + max(1, (1 << num_vars) >> 6)
     )
     if neg_cost < pos_cost:
@@ -146,14 +153,20 @@ def plan_resynthesis(
     return ResynPlan(pos_tree, False, pos_cost, support, work, num_vars)
 
 
+def _cover_work(cover: list[int]) -> int:
+    """One unit per cube plus one per literal of a mask cover."""
+    return sum(cube.bit_count() + 1 for cube in cover)
+
+
 def _plan_single(
-    cover, output_neg: bool, support: list[int], num_vars: int
+    cover: list[int], output_neg: bool, support: list[int], num_vars: int
 ) -> ResynPlan:
     """Plan from one polarity when the other polarity's cover blew up."""
-    tree = factor_cover(cover)
+    tree = factor_masks(cover)
     cost = count_factored_ands(tree)
-    work = sum(len(cube) + 1 for cube in cover)
-    return ResynPlan(tree, output_neg, cost, support, work, num_vars)
+    return ResynPlan(
+        tree, output_neg, cost, support, _cover_work(cover), num_vars
+    )
 
 
 def build_plan(plan: ResynPlan, leaf_lits: list[int], add_and) -> int:

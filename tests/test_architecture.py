@@ -73,7 +73,7 @@ ALLOWED = (
 #: ``repro.commit`` (receiver-qualified, so plain locals named e.g.
 #: ``add_and`` handed out *by* the commit layer still match nothing).
 FORBIDDEN_MUTATION = re.compile(
-    r"\.(kill|revive|set_alias|mark_dead|truncate"
+    r"\.(kill|revive|set_alias|mark_dead|mark_dead_batch|truncate"
     r"|add_and|add_raw_and|add_raw_and_batch|add_and_batch)\("
 )
 

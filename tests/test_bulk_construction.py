@@ -457,3 +457,99 @@ def test_compact_resolve_cycles_raise_identical_errors():
         }
         assert len(errors) == 1
         assert message in errors.pop()
+
+
+# ----------------------------------------------------------------------
+# Batched kills: Aig.mark_dead_batch / FlatStrash.delete_bulk
+# ----------------------------------------------------------------------
+
+
+def _strash_state(aig: Aig) -> tuple:
+    """Every slot of the strash (keys, values, tombstones) and its sizes."""
+    table = aig._strash
+    return (
+        table._key0.tobytes(),
+        table._key1.tobytes(),
+        table._value.tobytes(),
+        table._mask,
+        table._size,
+        table._used,
+    )
+
+
+def _kill_state(aig: Aig) -> tuple:
+    return (
+        _strash_state(aig),
+        aig._deadc.tolist(),
+        aig._version,
+        aig._live_ands,
+        dump_aag(aig),
+    )
+
+
+def _kill_case(seed: int) -> Aig:
+    """A random graph with tombstones already in its strash and raw
+    duplicates whose key belongs to another node."""
+    aig = build_random_aig(seed, num_pis=8, num_ands=150)
+    rng = random.Random(seed)
+    ands = list(aig.and_vars())
+    for var in rng.sample(ands, 10):
+        aig.mark_dead(var)
+    for var in rng.sample(ands, 6):
+        aig.add_raw_and(*aig.fanins(var))
+    return aig
+
+
+@pytest.mark.parametrize("seed", [41, 42, 43])
+@pytest.mark.parametrize("share", [0.0, 0.05, 0.4, 1.0])
+def test_mark_dead_batch_matches_per_node_loop(seed, share):
+    source = _kill_case(seed)
+    rng = random.Random(seed * 7)
+    everything = list(source.all_and_vars())
+    victims = rng.sample(everything, int(share * len(everything)))
+    victims += victims[:3]  # repeats and already-dead nodes are no-ops
+    loop = source.clone()
+    for var in victims:
+        loop.mark_dead(var)
+    batch = source.clone()
+    batch.mark_dead_batch(victims)
+    assert _kill_state(batch) == _kill_state(loop)
+
+
+def test_mark_dead_batch_rejects_non_and_nodes_unchanged():
+    aig = _kill_case(44)
+    before = _kill_state(aig)
+    with pytest.raises(ValueError, match="only AND nodes"):
+        aig.mark_dead_batch([next(aig.and_vars()), aig.pis[0]])
+    with pytest.raises(IndexError):
+        aig.mark_dead_batch([aig.num_vars])
+    assert _kill_state(aig) == before
+
+
+def test_delete_bulk_matches_per_key_deletes():
+    """Tombstones land on the same slots in any delete order."""
+    import numpy as np
+
+    rng = random.Random(17)
+    keys = _random_keys(rng, 900)
+    table = FlatStrash()
+    for value, key in enumerate(keys, start=1):
+        table[key] = value
+    doomed = rng.sample(range(len(keys)), 500)
+    # Half the pairs name a value the key does not hold: kept.
+    values = [
+        index + 1 if position % 2 else index + 2
+        for position, index in enumerate(doomed)
+    ]
+    reference = table.copy()
+    for index, value in zip(reversed(doomed), reversed(values)):
+        if reference.get(keys[index]) == value:
+            del reference[keys[index]]
+    table.delete_bulk(
+        np.array([keys[index][0] for index in doomed], dtype=np.int64),
+        np.array([keys[index][1] for index in doomed], dtype=np.int64),
+        np.array(values, dtype=np.int64),
+    )
+    assert table._value.tobytes() == reference._value.tobytes()
+    assert (table._size, table._used) == (reference._size, reference._used)
+    assert len(table) == len(keys) - 250

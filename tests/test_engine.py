@@ -20,8 +20,10 @@ Three groups:
 
 from __future__ import annotations
 
+import gc
 import json
 import random
+import weakref
 from pathlib import Path
 
 import pytest
@@ -239,6 +241,22 @@ def test_context_po_version_dependence(small_aig):
     assert context.po_fanout_mask() == traversal.po_fanout_mask(small_aig)
     assert list(context.fanout_counts()) != counts  # the new PO reference
     assert context.po_fanout_mask() != mask
+
+
+def test_dropped_graph_with_context_is_freed_without_cycle_collector(
+    small_aig,
+):
+    """AIG and context form no reference cycle: dropping the last
+    reference frees the clone at once, not at the next ``gc`` run."""
+    clone = clone_with_context(small_aig)
+    clone._graph_context.levels()
+    gone = weakref.ref(clone)
+    gc.disable()
+    try:
+        del clone
+        assert gone() is None
+    finally:
+        gc.enable()
 
 
 def test_context_fork_isolation(small_aig):

@@ -1,6 +1,8 @@
 """Unit and property tests for algebraic factoring."""
 
-from hypothesis import given, settings
+import random
+
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.aig.aig import Aig
@@ -11,8 +13,11 @@ from repro.logic.factor import (
     factored_to_aig,
 )
 from repro.logic.isop import isop
+from repro.logic.resyn import plan_resynthesis
 from repro.logic.sop import cover_num_literals, make_cube
 from repro.logic.truth import full_mask, simulate_cone
+from tests import factor_reference as reference
+from tests.test_sop_isop import cone_tables
 
 
 def tables(num_vars: int):
@@ -121,3 +126,76 @@ def test_to_string_renders():
     tree = factor_cover([make_cube([0, 2]), make_cube([0, 5])])
     text = tree.to_string()
     assert "a" in text and "+" in text
+
+
+# ----------------------------------------------------------------------
+# Differential: mask GFACTOR against the frozenset reference
+# ----------------------------------------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=cone_tables())
+@example(case=(0, 4))
+@example(case=(full_mask(4), 4))
+@example(case=(0, 0))
+@example(case=(1, 0))
+@example(case=(0xE8F1, 4))
+def test_factoring_matches_reference_node_for_node(case):
+    """Both polarities' trees, and the planner's chosen tree, equal the
+    reference pipeline's (frozenset ISOP, then frozenset GFACTOR)."""
+    table, num_vars = case
+    shape = reference.tree_shape
+    trees = {}
+    for function in (table, table ^ full_mask(num_vars)):
+        cover = reference.reference_isop(function, num_vars)
+        trees[function] = shape(reference.reference_factor(cover))
+        assert shape(factor_cover(cover)) == trees[function]
+    plan = plan_resynthesis.__wrapped__(table, num_vars)
+    if plan is not None:
+        function = table ^ full_mask(num_vars) if plan.output_neg else table
+        assert shape(plan.tree) == trees[function]
+
+
+def covers(max_literal: int = 11):
+    """Arbitrary covers: repeated cubes, empty cubes and cubes holding
+    both polarities of a variable included."""
+    cube = st.frozensets(
+        st.integers(min_value=0, max_value=max_literal), max_size=5
+    )
+    return st.lists(cube, max_size=10)
+
+
+@settings(max_examples=150, deadline=None)
+@given(cover=covers())
+@example(cover=[])
+@example(cover=[frozenset(), frozenset({0})])
+@example(cover=[frozenset({0, 2}), frozenset({0, 2}), frozenset({4})])
+def test_factoring_arbitrary_covers_matches_reference(cover):
+    assert reference.tree_shape(factor_cover(cover)) == reference.tree_shape(
+        reference.reference_factor(cover)
+    )
+
+
+def test_reference_never_takes_the_empty_divisor_fallback(monkeypatch):
+    """GFACTOR's "division by the cube-free quotient made no progress"
+    branch is unreachable: every kernel cube times the quotient's common
+    cube is in every partial quotient.  The mask core omits the branch;
+    this pins the argument on the reference, which keeps it."""
+
+    def unreachable(cover):
+        raise AssertionError(f"empty divisor fallback reached: {cover}")
+
+    monkeypatch.setattr(reference, "_best_literal_cube", unreachable)
+    rng = random.Random(22)
+    for _ in range(3000):
+        num_vars = rng.randint(1, 6)
+        cover = [
+            frozenset(
+                rng.randrange(2 * num_vars)
+                for _ in range(rng.randint(0, num_vars))
+            )
+            for _ in range(rng.randint(2, 9))
+        ]
+        reference.reference_factor(cover)
+        table = rng.getrandbits(1 << num_vars)
+        reference.reference_factor(reference.reference_isop(table, num_vars))

@@ -213,7 +213,9 @@ def _plan_counters(run) -> dict[str, int]:
     counters = registry.snapshot()["counters"]
     return {
         key: counters.get(key, 0)
-        for key in ("resyn.plan_hits", "resyn.plan_misses")
+        for key in (
+            "resyn.plan_hits", "resyn.plan_misses", "resyn.plan_evictions"
+        )
     }
 
 
@@ -232,6 +234,18 @@ def test_plan_counters_repeat_across_runs():
     assert counters[0] == counters[1]
     assert counters[0]["resyn.plan_hits"] > 0
     assert counters[0]["resyn.plan_misses"] > 0
+    # Every plan of this run fits in the cache: nothing was evicted.
+    assert counters[0]["resyn.plan_evictions"] == 0
+
+
+def test_plan_evictions_count_plans_the_lru_dropped():
+    counters = _plan_counters(
+        lambda: run_script(isqrt(10), "rfc_resyn", engine="gpu")
+    )
+    assert counters["resyn.plan_misses"] > PLAN_CACHE_ENTRIES
+    assert counters["resyn.plan_evictions"] == (
+        counters["resyn.plan_misses"] - PLAN_CACHE_ENTRIES
+    )
 
 
 def test_library_template_bypasses_plan_cache():

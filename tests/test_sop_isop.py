@@ -1,7 +1,9 @@
 """Unit and property tests for cube algebra and ISOP generation."""
 
+import random
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.logic.isop import isop, isop_verified, isop_with_dc
@@ -20,7 +22,9 @@ from repro.logic.sop import (
     make_cube,
     make_cube_free,
 )
-from repro.logic.truth import full_mask
+from repro.logic.truth import full_mask, var_table
+from tests import factor_reference as reference
+from tests.test_resyn import sparse_table
 
 
 def tables(num_vars: int):
@@ -178,3 +182,86 @@ def test_isop_xor_has_expected_cube_count():
     cover = isop(xor3, 3)
     assert len(cover) == 4
     assert cover_tt(cover, 3) == xor3
+
+
+# ----------------------------------------------------------------------
+# Differential: the mask core against the frozenset reference
+# ----------------------------------------------------------------------
+
+
+@st.composite
+def cone_tables(draw, max_vars: int = 12):
+    """(table, num_vars): a random or a sparse cone-like table."""
+    num_vars = draw(st.integers(min_value=0, max_value=max_vars))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    if draw(st.booleans()):
+        return rng.getrandbits(1 << num_vars), num_vars
+    return sparse_table(rng, num_vars), num_vars
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=cone_tables())
+@example(case=(0, 5))
+@example(case=(full_mask(5), 5))
+@example(case=(0, 0))
+@example(case=(1, 0))
+@example(case=(0b1010, 2))
+def test_isop_matches_reference_cube_for_cube(case):
+    table, num_vars = case
+    for function in (table, table ^ full_mask(num_vars)):
+        assert isop(function, num_vars) == reference.reference_isop(
+            function, num_vars
+        )
+
+
+@st.composite
+def dc_bounds(draw):
+    """(lower, upper, num_vars): a cone table and a random subset of it."""
+    upper, num_vars = draw(cone_tables(max_vars=10))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    return upper & rng.getrandbits(1 << num_vars), upper, num_vars
+
+
+#: x0 x1, the lower bound of an example whose upper bound also depends
+#: on x2 and x3.
+X0X1 = var_table(0, 4) & var_table(1, 4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(bounds=dc_bounds())
+@example(bounds=(0, 0b0110, 3))
+@example(bounds=(0b0110, full_mask(3), 3))
+@example(bounds=(1, 1, 0))
+@example(bounds=(X0X1, X0X1 | 1 << 0b1110, 4))
+def test_isop_with_dc_matches_reference(bounds):
+    assert isop_with_dc(*bounds) == reference.reference_isop_with_dc(*bounds)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    cover=st.lists(
+        st.frozensets(st.integers(min_value=0, max_value=9), max_size=5),
+        max_size=9,
+    ),
+    divisor=st.lists(
+        st.frozensets(st.integers(min_value=0, max_value=9), max_size=3),
+        min_size=1,
+        max_size=3,
+    ),
+)
+@example(cover=[], divisor=[frozenset()])
+@example(
+    cover=[frozenset({0, 4}), frozenset({0, 6}), frozenset({2, 4})],
+    divisor=[frozenset({4}), frozenset({6})],
+)
+def test_cube_algebra_matches_reference(cover, divisor):
+    """Arbitrary covers (duplicates and both polarities of a variable
+    included): every public helper answers like the reference."""
+    assert literal_counts(cover) == reference.literal_counts(cover)
+    assert common_cube(cover) == reference.common_cube(cover)
+    assert make_cube_free(cover) == reference.make_cube_free(cover)
+    assert is_cube_free(cover) == reference.is_cube_free(cover)
+    assert divide_by_cube(cover, divisor[0]) == reference.divide_by_cube(
+        cover, divisor[0]
+    )
+    assert divide(cover, divisor) == reference.divide(cover, divisor)
