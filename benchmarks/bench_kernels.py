@@ -6,6 +6,7 @@ with pytest-benchmark's statistics.
 """
 
 import random
+import sys
 
 import pytest
 
@@ -16,11 +17,13 @@ from repro.benchgen.arith import isqrt, multiplier
 from repro.benchgen.control import random_control
 from repro.cec.simulate import random_patterns, simulate
 from repro.engine import pass_fn
+from repro.engine.context import clone_with_context
 from repro.logic.isop import isop
 from repro.logic.npn import npn_canon
 from repro.logic.resyn import plan_resynthesis
 from repro.logic.truth import full_mask, var_table
 from repro.parallel.hashtable import HashTable
+from repro.parallel.machine import ParallelMachine
 
 
 def build_mult():
@@ -180,6 +183,26 @@ def _rewritten_graph():
         patch.setattr(Aig, "compact", capture)
         pass_fn("par_rewrite")(aig, run_cleanup=False)
     return captured["aig"], captured["alias"]
+
+
+def test_bench_rw_replace(benchmark):
+    """rw's serial replay on the resyn2-wide input (seed 1), zero gain.
+
+    The match stage runs once; every round replays its candidates on a
+    fresh clone, as one ``rwz`` pass would.
+    """
+    # The pass's module, resolved through the engine's registry.
+    rewrite = sys.modules[pass_fn("par_rewrite").__module__]
+    aig = enlarge(random_control(40, 4, 100, 1), 3)
+    candidates = rewrite._match_stage(aig, ParallelMachine(), 0)
+    benchmark.pedantic(
+        rewrite._replace_stage,
+        setup=lambda: (
+            (clone_with_context(aig), candidates, ParallelMachine(), 0),
+            {},
+        ),
+        rounds=10,
+    )
 
 
 def test_bench_dedup(benchmark):

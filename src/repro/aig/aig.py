@@ -508,9 +508,8 @@ class Aig:
         self._version += 1
         self._deadc.view[var] = True
         self._live_ands -= 1
-        key = lit_pair_key(self._f0c.view[var], self._f1c.view[var])
-        if self._strash.get(key) == var:
-            del self._strash[key]
+        f0, f1 = lit_pair_key(self._f0c.view[var], self._f1c.view[var])
+        self._strash.delete_entry(f0, f1, var)
 
     def mark_dead_batch(self, variables) -> None:
         """:meth:`mark_dead` for many AND variables at once.
@@ -566,9 +565,7 @@ class Aig:
         removed = 0
         for var in range(num_vars, self._f0c.size):
             if fan0[var] >= 0:
-                key = (fan0[var], fan1[var])
-                if self._strash.get(key) == var:
-                    del self._strash[key]
+                self._strash.delete_entry(fan0[var], fan1[var], var)
                 if not dead[var]:
                     removed += 1
             if fan0[var] == PI_FANIN:

@@ -193,7 +193,8 @@ class FlatStrash:
 
     Implements the subset of the ``dict`` protocol the AIG core uses:
     ``get`` / ``__setitem__`` / ``__delitem__`` / ``setdefault`` /
-    ``__contains__`` / ``__len__`` / ``copy``.  Deleting a missing key
+    ``__contains__`` / ``__len__`` / ``copy``, plus the value-checked
+    :meth:`delete_entry` / :meth:`delete_bulk`.  Deleting a missing key
     is a no-op (the core only deletes keys it just looked up).
     """
 
@@ -268,6 +269,16 @@ class FlatStrash:
     def __delitem__(self, key) -> None:
         slot, _ = self._find(key[0], key[1])
         if slot >= 0:
+            self._value[slot] = _TOMB
+            self._size -= 1
+
+    def delete_entry(self, k0: int, k1: int, value: int) -> None:
+        """Delete key ``(k0, k1)`` if its live entry holds ``value``.
+
+        ``get(key) == value`` then ``del table[key]`` in one probe.
+        """
+        slot, _ = self._find(k0, k1)
+        if slot >= 0 and self._value[slot] == value:
             self._value[slot] = _TOMB
             self._size -= 1
 

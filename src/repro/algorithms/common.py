@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from repro import observe
 from repro.aig.aig import Aig
 from repro.aig.cuts import CutResult, reconv_cut
-from repro.aig.literals import lit_compl, lit_not_cond, lit_var
+from repro.aig.literals import lit_var
 from repro.aig.mffc import RefCounts
 from repro.engine.context import context_for, resolved_fanout_counts
 from repro.logic.resyn import ResynPlan
@@ -61,7 +61,7 @@ class AliasView:
             target = alias.get(lit >> 1)
             if target is None:
                 return lit
-            lit = lit_not_cond(target, lit_compl(lit))
+            lit = target ^ (lit & 1)
 
     def is_and(self, var: int) -> bool:
         """True when ``var`` is a live (not killed) AND node."""

@@ -30,7 +30,6 @@ import numpy as np
 from repro import observe
 from repro.aig.aig import Aig
 from repro.aig.cuts import enumerate_cuts_with_tables
-from repro.aig.literals import lit_var, make_lit
 from repro.algorithms import kernels
 from repro.algorithms.common import (
     AliasView,
@@ -43,12 +42,12 @@ from repro.algorithms.seq_rewrite import (
     CUT_EVAL_WORK,
     MAX_CUTS_PER_NODE,
     REWRITE_CUT_SIZE,
-    _cone_nodes,
 )
 from repro.commit import (
     Footprint,
     apply_replacement,
-    deref_cone,
+    deref_walked,
+    walk_cone,
 )
 from repro.engine.context import clone_with_context, context_for
 from repro.engine.registry import (
@@ -56,7 +55,6 @@ from repro.engine.registry import (
     register_command,
     register_pass,
 )
-from repro.logic.truth import simulate_cone
 from repro.parallel import backend
 from repro.parallel.machine import ParallelMachine
 from repro.verify import sanitizer
@@ -266,6 +264,11 @@ def _replace_stage(
     the current (partially rewritten) graph and committing exactly like
     the sequential pass.  Returns (alias map, per-commit insertion
     works, host work units).
+
+    Each candidate's resolved cone is read once
+    (:func:`~repro.commit.walk_cone`): the walk yields the cone's
+    fanin pairs, which the dereference reuses, and the function the
+    re-match needs.
     """
     view = AliasView(aig)
     nref = resolved_fanout_counts(view)
@@ -279,39 +282,35 @@ def _replace_stage(
     # ([9]'s replacement loop), plus the per-pair evaluation below.
     host_work = aig.num_ands
 
+    alias = view.alias
+    dead = view.dead
     for root in sorted(candidates):
-        if not view.is_and(root) or root in view.alias or nref[root] == 0:
+        if not view.is_and(root) or root in alias or nref[root] == 0:
             host_work += 1
             continue
-        leaves, transform, template, _ = candidates[root]
         resolved_leaves: list[int] = []
-        seen: set[int] = set()
         stale = False
-        for var in leaves:
-            resolved = view.resolve(make_lit(var))
-            rvar = lit_var(resolved)
-            if rvar in view.dead:
+        for var in candidates[root][0]:
+            if var in alias:
+                var = view.resolve(var << 1) >> 1
+            if var in dead:
                 stale = True
                 break
-            if rvar not in seen:
-                seen.add(rvar)
-                resolved_leaves.append(rvar)
-        if stale or len(resolved_leaves) < 2 or root in seen:
+            if var not in resolved_leaves:
+                resolved_leaves.append(var)
+        if stale or len(resolved_leaves) < 2 or root in resolved_leaves:
             host_work += 2
             continue
         resolved_leaves.sort()
         try:
-            cone = _cone_nodes(view, root, seen)
-            table = simulate_cone(
-                view, make_lit(root), resolved_leaves
-            )
+            cone, table = walk_cone(view, root, resolved_leaves)
         except ValueError:
             host_work += 4
             continue
         # Re-match when resolution changed the cut's function.
         transform, template = match_function(table, resolved_leaves)
-        deleted = deref_cone(view, root, cone, nref)
-        leaf_lits = [make_lit(var) for var in resolved_leaves]
+        deleted = deref_walked(cone, root, nref)
+        leaf_lits = [var << 1 for var in resolved_leaves]
         gain, created = apply_replacement(
             view,
             nref,

@@ -12,11 +12,20 @@ library with factoring-quality entries.
 from __future__ import annotations
 
 from repro.aig.aig import Aig
-from repro.aig.literals import lit_compl, lit_not_cond, lit_var
 from repro.logic.npn import NpnTransform, npn_canon, npn_leaf_assignment
 from repro.logic.resyn import plan_resynthesis
 
-_TEMPLATES: dict[tuple[int, int], Aig] = {}
+#: A template compiled to a flat step program: its input count ``k``,
+#: one ``(slot0, compl0, slot1, compl1)`` quadruple per AND, then the
+#: output slot and its complement.  Slot 0 is constant false, slots
+#: ``1..k`` the template's inputs in ``pis`` order, and each AND's
+#: result takes the next slot.
+TemplateProgram = tuple[
+    int, tuple[tuple[int, int, int, int], ...], int, int
+]
+
+#: ``(canon, num_vars)`` -> the library template and its program.
+_TEMPLATES: dict[tuple[int, int], tuple[Aig, TemplateProgram]] = {}
 
 
 def library_template(canon: int, num_vars: int) -> Aig:
@@ -24,34 +33,33 @@ def library_template(canon: int, num_vars: int) -> Aig:
 
     The library outlives every run, so it plans through the uncached
     planner: the run-scoped plan cache, and its hit/miss counters, see
-    only the refactoring passes of the current run.
+    only the refactoring passes of the current run.  The template's
+    step program is compiled once, beside it.
     """
     key = (canon, num_vars)
-    template = _TEMPLATES.get(key)
-    if template is None:
+    entry = _TEMPLATES.get(key)
+    if entry is None:
         plan = plan_resynthesis.__wrapped__(canon, num_vars)
         if plan is None:  # unreachable for <= 4 inputs (<= 8 cubes)
             raise AssertionError("library function exceeded the cube cap")
-        template = _TEMPLATES[key] = plan.template
-    return template
+        entry = _TEMPLATES[key] = (
+            plan.template, compile_template(plan.template)
+        )
+    return entry[0]
 
 
-class RewriteCandidate:
-    """A library match for one cut of one node."""
-
-    __slots__ = ("leaves", "transform", "template", "est_gain")
-
-    def __init__(
-        self,
-        leaves: list[int],
-        transform: NpnTransform,
-        template: Aig,
-        est_gain: int,
-    ) -> None:
-        self.leaves = leaves
-        self.transform = transform
-        self.template = template
-        self.est_gain = est_gain
+def compile_template(template: Aig) -> TemplateProgram:
+    """Flatten ``template``'s live ANDs into a step program."""
+    slot_of = {0: 0}
+    for t_var in template.pis:
+        slot_of[t_var] = len(slot_of)
+    steps = []
+    for t_var in template.and_vars():
+        f0, f1 = template.fanins(t_var)
+        steps.append((slot_of[f0 >> 1], f0 & 1, slot_of[f1 >> 1], f1 & 1))
+        slot_of[t_var] = len(slot_of)
+    po_lit = template.pos[0]
+    return len(template.pis), tuple(steps), slot_of[po_lit >> 1], po_lit & 1
 
 
 def match_function(table: int, leaves: list[int]) -> tuple[NpnTransform, Aig]:
@@ -71,17 +79,22 @@ def instantiate_template(
 
     ``leaf_lits[v]`` realizes original cut variable ``v``; the NPN
     transform dictates which (possibly complemented) leaf feeds each
-    canonical input and whether the output complements.
+    canonical input and whether the output complements.  A library
+    template runs its stored program; any other template compiles on
+    the call.
     """
+    entry = _TEMPLATES.get((transform.canon, len(leaf_lits)))
+    if entry is not None and entry[0] is template:
+        num_inputs, steps, out_slot, out_compl = entry[1]
+    else:
+        num_inputs, steps, out_slot, out_compl = compile_template(template)
     inputs, out_neg = npn_leaf_assignment(transform, leaf_lits)
-    lit_map: dict[int, int] = {0: 0}
-    for t_var, literal in zip(template.pis, inputs):
-        lit_map[t_var] = literal
-    for t_var in template.and_vars():
-        f0, f1 = template.fanins(t_var)
-        n0 = lit_not_cond(lit_map[lit_var(f0)], lit_compl(f0))
-        n1 = lit_not_cond(lit_map[lit_var(f1)], lit_compl(f1))
-        lit_map[t_var] = add_and(n0, n1)
-    po_lit = template.pos[0]
-    root = lit_not_cond(lit_map[lit_var(po_lit)], lit_compl(po_lit))
+    if len(inputs) != num_inputs:
+        raise ValueError(
+            f"template has {num_inputs} inputs, transform {len(inputs)}"
+        )
+    lits = [0, *inputs]
+    for slot0, compl0, slot1, compl1 in steps:
+        lits.append(add_and(lits[slot0] ^ compl0, lits[slot1] ^ compl1))
+    root = lits[out_slot] ^ out_compl
     return root ^ 1 if out_neg else root

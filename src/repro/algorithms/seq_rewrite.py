@@ -24,14 +24,18 @@ from repro.algorithms.common import (
     resolved_fanout_counts,
 )
 from repro.algorithms.rewrite_lib import instantiate_template, match_function
-from repro.commit import apply_replacement, deref_cone, ref_cone_back
+from repro.commit import (
+    apply_replacement,
+    deref_walked,
+    ref_cone_back,
+    walk_cone,
+)
 from repro.engine.context import clone_with_context, context_for
 from repro.engine.registry import (
     PassInvocation,
     register_command,
     register_pass,
 )
-from repro.logic.truth import simulate_cone
 from repro.parallel.machine import SeqMeter
 
 #: Rewriting cut width (4-input cuts, as in ABC and NovelRewrite).
@@ -136,7 +140,7 @@ def _rewrite_node(
         return False, work
     est_gain, leaves, transform, template, cone = best
 
-    deleted = deref_cone(view, root, cone, nref)
+    deleted = deref_walked(cone, root, nref)
     leaf_lits = [make_lit(var) for var in leaves]
     gain, created = apply_replacement(
         view,
@@ -162,7 +166,8 @@ def _evaluate_cut(
 
     Returns ``(est_gain, leaves, transform, template, cone)`` or None
     when the cut is stale (leaves deleted by earlier replacements, or
-    the cone escapes the resolved cut).
+    the cone escapes the resolved cut).  ``cone`` is
+    :func:`~repro.commit.walk_cone`'s member-to-fanin-pair map.
     """
     leaves: list[int] = []
     seen: set[int] = set()
@@ -178,34 +183,12 @@ def _evaluate_cut(
         return None
     leaves.sort()
     try:
-        cone = _cone_nodes(view, root, seen)
-    except ValueError:
-        return None
-    try:
-        table = simulate_cone(view, make_lit(root), leaves)
+        cone, table = walk_cone(view, root, leaves)
     except ValueError:
         return None
     transform, template = match_function(table, leaves)
     # Exact freed-node count via dereference-then-restore.
-    deleted = deref_cone(view, root, cone, nref)
+    deleted = deref_walked(cone, root, nref)
     ref_cone_back(view, deleted, nref)
     est_gain = len(deleted) - template.num_ands
     return est_gain, leaves, transform, template, cone
-
-
-def _cone_nodes(view: AliasView, root: int, cut: set[int]) -> set[int]:
-    """AND variables between ``root`` and ``cut`` on the resolved graph."""
-    cone: set[int] = set()
-    stack = [root]
-    while stack:
-        var = stack.pop()
-        if var in cone or var in cut:
-            continue
-        if not view.is_and(var):
-            raise ValueError(f"cut does not cover var {var}")
-        cone.add(var)
-        if len(cone) > 64:
-            raise ValueError("cone blow-up: stale cut")
-        for fanin in view.fanins(var):
-            stack.append(lit_var(fanin))
-    return cone

@@ -7,9 +7,10 @@ footprints, and applies the wave through the batched survivor-table
 protocol — bulk column-native allocation when available, bit-identical
 scalar replay otherwise.  The scalar side
 (:func:`apply_replacement` / :func:`commit_replacement` plus the
-``deref_cone`` / ``ref_cone_back`` reference-count transaction) is the
-same discipline one replacement at a time, shared by the sequential
-passes and the serial lanes.
+``deref_cone`` / ``ref_cone_back`` reference-count transaction, and
+``walk_cone`` / ``deref_walked`` for rewriting's one-walk replay) is
+the same discipline one replacement at a time, shared by the
+sequential passes and the serial lanes.
 
 Counters: ``commit.plans``, ``commit.bulk_nodes``,
 ``commit.serial_replays``, ``commit.conflicts`` — excluded from
@@ -27,8 +28,10 @@ from repro.commit.replay import (
     apply_replacement,
     commit_replacement,
     deref_cone,
+    deref_walked,
     ref_cone_back,
     retire_unreachable,
+    walk_cone,
 )
 
 __all__ = [
@@ -39,8 +42,10 @@ __all__ = [
     "apply_replacement",
     "commit_replacement",
     "deref_cone",
+    "deref_walked",
     "insert_cone_templates",
     "ref_cone_back",
     "retire_unreachable",
     "seed_survivor_table",
+    "walk_cone",
 ]

@@ -10,7 +10,10 @@ roll back bit-exactly (truncate the speculative nodes, revive and
 re-reference the cone).
 
 :func:`deref_cone` / :func:`ref_cone_back` are the reference-count
-halves of that transaction; :func:`apply_replacement` is the gated
+halves of that transaction.  Rewriting reads its cone once:
+:func:`walk_cone` collects each member's resolved fanin pair and the
+root's truth table in one DFS, and :func:`deref_walked` dereferences
+from those pairs.  :func:`apply_replacement` is the gated
 commit (gain / same-root / level-cap rejection with full rollback) and
 :func:`commit_replacement` the unconditional variant for callers that
 prove profitability before touching the graph (resubstitution).
@@ -25,15 +28,89 @@ import numpy as np
 from repro import observe
 from repro.aig.literals import lit_var
 from repro.aig.mffc import RefCounts
+from repro.logic.truth import full_mask, var_table
 from repro.verify import mutations
 
 __all__ = [
     "apply_replacement",
     "commit_replacement",
     "deref_cone",
+    "deref_walked",
     "ref_cone_back",
     "retire_unreachable",
+    "walk_cone",
 ]
+
+
+#: Cone members past which a rewriting cut counts as blown up (stale).
+MAX_CONE_MEMBERS = 64
+
+
+def walk_cone(
+    view, root: int, leaves: list[int]
+) -> tuple[dict[int, tuple[int, int]], int]:
+    """One resolved DFS over the cone of ``root`` down to ``leaves``.
+
+    Returns ``(cone, table)``: ``cone`` maps every cone member (the
+    root included) to its alias-resolved fanin pair, and ``table`` is
+    the root's truth table with ``leaves[i]`` as input ``i`` — what
+    :func:`~repro.logic.truth.simulate_cone` computes.  A root among
+    the leaves has an empty cone.
+
+    Raises ``ValueError`` when the walk reaches a variable that is
+    neither a leaf nor a live AND of the view (the constant var 0
+    included: raw ANDs may keep constant fanins, and such a cone is
+    stale), or when the cone passes :data:`MAX_CONE_MEMBERS` members.
+    """
+    num_leaves = len(leaves)
+    mask = full_mask(num_leaves)
+    tables = {
+        leaf: var_table(position, num_leaves)
+        for position, leaf in enumerate(leaves)
+    }
+    cone: dict[int, tuple[int, int]] = {}
+    # The column buffers' scalar twins: the hot loop indexes them
+    # directly instead of calling ``Aig.fanins``.
+    fan0 = view.aig._f0c.view
+    fan1 = view.aig._f1c.view
+    alias = view.alias
+    dead = view.dead
+    stack = [root]
+    while stack:
+        var = stack[-1]
+        if var in tables:
+            stack.pop()
+            continue
+        pair = cone.get(var)
+        if pair is None:
+            f0 = fan0[var]
+            if f0 < 0 or var in dead:  # constant, PI or killed AND
+                raise ValueError(f"cut does not cover var {var}")
+            f1 = fan1[var]
+            if f0 >> 1 in alias:
+                f0 = view.resolve(f0)
+            if f1 >> 1 in alias:
+                f1 = view.resolve(f1)
+            cone[var] = (f0, f1)
+            if len(cone) > MAX_CONE_MEMBERS:
+                raise ValueError("cone blow-up: stale cut")
+        else:
+            f0, f1 = pair
+        t0 = tables.get(f0 >> 1)
+        t1 = tables.get(f1 >> 1)
+        if t0 is None or t1 is None:
+            if t0 is None:
+                stack.append(f0 >> 1)
+            if t1 is None:
+                stack.append(f1 >> 1)
+            continue
+        stack.pop()
+        if f0 & 1:
+            t0 ^= mask
+        if f1 & 1:
+            t1 ^= mask
+        tables[var] = t0 & t1
+    return cone, tables[root]
 
 
 def deref_cone(view, root: int, cone: set[int], nref: RefCounts) -> set[int]:
@@ -45,6 +122,22 @@ def deref_cone(view, root: int, cone: set[int], nref: RefCounts) -> set[int]:
     re-implemented over the cone's cut.  Returns the dereferenced set
     (the root included).  Shared by refactoring and rewriting.
     """
+    return _deref(view.fanins, root, cone, nref)
+
+
+def deref_walked(
+    cone: dict[int, tuple[int, int]], root: int, nref: RefCounts
+) -> set[int]:
+    """:func:`deref_cone` over :func:`walk_cone`'s collected pairs.
+
+    Valid while the view is unchanged since the walk: the pairs are
+    then exactly what ``view.fanins`` returns, so the dereferenced set
+    and its iteration order are the same.
+    """
+    return _deref(cone.__getitem__, root, cone, nref)
+
+
+def _deref(fanins, root: int, cone, nref: RefCounts) -> set[int]:
     deleted: set[int] = set()
     stack = [root]
     while stack:
@@ -52,8 +145,8 @@ def deref_cone(view, root: int, cone: set[int], nref: RefCounts) -> set[int]:
         if var in deleted:
             continue
         deleted.add(var)
-        for fanin in view.fanins(var):
-            fvar = lit_var(fanin)
+        for fanin in fanins(var):
+            fvar = fanin >> 1
             nref[fvar] -= 1
             if nref[fvar] == 0 and fvar in cone:
                 stack.append(fvar)
@@ -119,14 +212,15 @@ def apply_replacement(
 
     snapshot = aig.num_vars
     new_root = build(aig.add_and)
-    created = aig.num_vars - snapshot
+    end = aig.num_vars
+    created = end - snapshot
     gain = len(deleted) - created
 
     too_deep = False
     if level_cap is not None:
         # Created ids are contiguous and topological, so one ascending
         # sweep fills their caps.
-        for var in range(snapshot, aig.num_vars):
+        for var in range(snapshot, end):
             f0, f1 = aig.fanins(var)
             level_cap[var] = 1 + max(
                 level_cap[lit_var(f0)], level_cap[lit_var(f1)]
@@ -143,12 +237,7 @@ def apply_replacement(
         return None, created
 
     # Commit: account references of the new nodes, transfer the root's.
-    while len(nref) < aig.num_vars:
-        nref.append(0)
-    for var in range(snapshot, aig.num_vars):
-        f0, f1 = aig.fanins(var)
-        nref[lit_var(f0)] += 1
-        nref[lit_var(f1)] += 1
+    _ref_created(aig, nref, snapshot)
     if mutations.armed:
         if flip_mutation is not None and mutations.active(flip_mutation):
             new_root ^= 1
@@ -185,12 +274,7 @@ def commit_replacement(
     snapshot = aig.num_vars
     new_root = build(aig.add_and)
     created = aig.num_vars - snapshot
-    while len(nref) < aig.num_vars:
-        nref.append(0)
-    for var in range(snapshot, aig.num_vars):
-        f0, f1 = aig.fanins(var)
-        nref[lit_var(f0)] += 1
-        nref[lit_var(f1)] += 1
+    _ref_created(aig, nref, snapshot)
     nref[new_root >> 1] += nref[root]
     nref[root] = 0
     view.set_alias(root, new_root)
@@ -198,3 +282,13 @@ def commit_replacement(
         observe.count("commit.plans")
         observe.count("commit.serial_replays", created)
     return new_root
+
+
+def _ref_created(aig, nref: RefCounts, snapshot: int) -> None:
+    """Grow ``nref`` to the graph; count the created nodes' fanins."""
+    end = aig.num_vars
+    nref.extend([0] * (end - len(nref)))
+    for var in range(snapshot, end):
+        f0, f1 = aig.fanins(var)
+        nref[f0 >> 1] += 1
+        nref[f1 >> 1] += 1

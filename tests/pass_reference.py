@@ -13,9 +13,14 @@ of :mod:`repro.algorithms.kernels` became the only production path:
 * :func:`reference_survivor_keys` — ``rf``'s semi-sharing survivor map
   built through the ``Aig`` facade;
 * :func:`reference_deleted_sets` — ``rfc``'s deletable sets, one
-  :func:`~repro.commit.deref_cone` per cone.
+  :func:`~repro.commit.deref_cone` per cone;
+* :func:`reference_replace_stage` — ``rw``'s serial replay with a
+  membership walk (:func:`reference_cone_nodes`), a second walk for the
+  truth table (:func:`~repro.logic.truth.simulate_cone`), a third for
+  the dereference through ``view.fanins``, and the template built by
+  a per-call literal map (:func:`reference_instantiate_template`).
 
-:func:`oracle_paths` swaps all five into the passes at once, so a whole
+:func:`oracle_paths` swaps all six into the passes at once, so a whole
 script can run on the references; ``tests/test_pass_kernels.py``
 compares the two runs.
 """
@@ -30,20 +35,30 @@ from contextlib import contextmanager
 from repro import observe
 from repro.aig.aig import Aig
 from repro.aig.cuts import reconv_cut
-from repro.aig.literals import lit_compl, lit_not_cond, lit_var
+from repro.aig.literals import lit_compl, lit_not_cond, lit_var, make_lit
 from repro.aig.traversal import fanout_lists
 from repro.algorithms import common, kernels
-from repro.algorithms.common import PassResult
+from repro.algorithms.common import AliasView, PassResult
+from repro.algorithms.rewrite_lib import match_function
 from repro.algorithms.seq_balance import (
     BALANCE_WORK_SCALE,
     _internal_mask,
     collect_cluster_inputs,
 )
-from repro.commit import InsertionSession, deref_cone, ref_cone_back
+from repro.commit import (
+    Footprint,
+    InsertionSession,
+    apply_replacement,
+    deref_cone,
+    ref_cone_back,
+)
 from repro.engine.context import context_for
+from repro.logic.npn import npn_leaf_assignment
+from repro.logic.truth import simulate_cone
 from repro.parallel import backend
 from repro.parallel.frontier import gather_unique
 from repro.parallel.machine import ParallelMachine
+from repro.verify import sanitizer
 
 # ----------------------------------------------------------------------
 # b: the whole pass
@@ -261,6 +276,137 @@ def reference_select(aig: Aig, cols, items) -> list[tuple]:
 
 
 # ----------------------------------------------------------------------
+# rw: serial replay
+# ----------------------------------------------------------------------
+
+
+def reference_cone_nodes(view, root: int, cut: set[int]) -> set[int]:
+    """AND variables between ``root`` and ``cut`` on the resolved graph."""
+    cone: set[int] = set()
+    stack = [root]
+    while stack:
+        var = stack.pop()
+        if var in cone or var in cut:
+            continue
+        if not view.is_and(var):
+            raise ValueError(f"cut does not cover var {var}")
+        cone.add(var)
+        if len(cone) > 64:
+            raise ValueError("cone blow-up: stale cut")
+        for fanin in view.fanins(var):
+            stack.append(lit_var(fanin))
+    return cone
+
+
+def reference_instantiate_template(template, transform, leaf_lits, add_and):
+    """``instantiate_template`` walking the template through a literal map."""
+    inputs, out_neg = npn_leaf_assignment(transform, leaf_lits)
+    lit_map: dict[int, int] = {0: 0}
+    for t_var, literal in zip(template.pis, inputs):
+        lit_map[t_var] = literal
+    for t_var in template.and_vars():
+        f0, f1 = template.fanins(t_var)
+        n0 = lit_not_cond(lit_map[lit_var(f0)], lit_compl(f0))
+        n1 = lit_not_cond(lit_map[lit_var(f1)], lit_compl(f1))
+        lit_map[t_var] = add_and(n0, n1)
+    po_lit = template.pos[0]
+    root = lit_not_cond(lit_map[lit_var(po_lit)], lit_compl(po_lit))
+    return root ^ 1 if out_neg else root
+
+
+def reference_replace_stage(
+    aig: Aig,
+    candidates: dict[int, tuple],
+    machine: ParallelMachine,
+    min_gain: int,
+    cases: set[str] | None = None,
+) -> tuple[dict[int, int], list[int], int]:
+    """``par_rewrite._replace_stage`` with three walks per candidate.
+
+    ``cases``, when given, collects which replay situations the run
+    met, so a test can prove its pinned examples reach them.
+    """
+    view = AliasView(aig)
+    nref = common.resolved_fanout_counts(view)
+    guard = sanitizer.batch("rw.replace")
+    insert_works: list[int] = []
+    host_work = aig.num_ands
+    noted = cases if cases is not None else set()
+
+    for root in sorted(candidates):
+        if not view.is_and(root) or root in view.alias or nref[root] == 0:
+            host_work += 1
+            continue
+        leaves, transform, template, _ = candidates[root]
+        resolved_leaves: list[int] = []
+        seen: set[int] = set()
+        stale = False
+        for var in leaves:
+            resolved = view.resolve(make_lit(var))
+            rvar = lit_var(resolved)
+            if cases is not None:
+                hops, flips, hop = 0, 0, var
+                while hop in view.alias:
+                    flips |= view.alias[hop] & 1
+                    hop = view.alias[hop] >> 1
+                    hops += 1
+                if hops >= 2 and flips:
+                    noted.add("complemented-alias-chain")
+            if rvar in view.dead:
+                stale = True
+                noted.add("dead-leaf")
+                break
+            if rvar not in seen:
+                seen.add(rvar)
+                resolved_leaves.append(rvar)
+            else:
+                noted.add("merged-leaves")
+        if root in seen:
+            noted.add("root-among-leaves")
+        if stale or len(resolved_leaves) < 2 or root in seen:
+            host_work += 2
+            continue
+        resolved_leaves.sort()
+        try:
+            cone = reference_cone_nodes(view, root, seen)
+            table = simulate_cone(
+                view, make_lit(root), resolved_leaves
+            )
+        except ValueError as error:
+            noted.add(
+                "cone-blow-up" if "blow-up" in str(error)
+                else "constant-in-cone" if str(error).endswith(" 0")
+                else "cone-escape"
+            )
+            host_work += 4
+            continue
+        # Re-match when resolution changed the cut's function.
+        transform, template = match_function(table, resolved_leaves)
+        deleted = deref_cone(view, root, cone, nref)
+        leaf_lits = [make_lit(var) for var in resolved_leaves]
+        gain, created = apply_replacement(
+            view,
+            nref,
+            root,
+            deleted,
+            lambda add_and: reference_instantiate_template(
+                template, transform, leaf_lits, add_and
+            ),
+            min_gain,
+            flip_mutation="rw-flip-root",
+        )
+        host_work += len(deleted) + 4
+        if gain is None:
+            noted.add("rejected")
+            continue
+        insert_works.append(created + 1)
+        if sanitizer.enabled:
+            Footprint(deleted).register(guard, root)
+
+    return view.alias, insert_works, host_work
+
+
+# ----------------------------------------------------------------------
 # rf: FFC test and survivor keys
 # ----------------------------------------------------------------------
 
@@ -329,6 +475,7 @@ _par_rewrite = importlib.import_module("repro.algorithms.par_rewrite")
 ORACLES = (
     (_par_balance, "par_balance", reference_par_balance),
     (_par_rewrite, "_select_batched", reference_select),
+    (_par_rewrite, "_replace_stage", reference_replace_stage),
     (common, "_ffc_cutter", reference_ffc_cutter),
     (kernels, "refactor_survivor_keys", reference_survivor_keys),
     (kernels, "refactor_deleted_sets", reference_deleted_sets),

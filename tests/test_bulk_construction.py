@@ -23,6 +23,7 @@ import pytest
 from repro.aig import store
 from repro.aig.aig import Aig, resolve_aliases
 from repro.aig.io_aiger import dump_aag
+from repro.aig.literals import lit_pair_key
 from repro.aig.store import FlatStrash, _hash_pairs
 from repro.benchgen.control import random_control
 from tests.conftest import build_random_aig
@@ -524,6 +525,77 @@ def test_mark_dead_batch_rejects_non_and_nodes_unchanged():
     with pytest.raises(IndexError):
         aig.mark_dead_batch([aig.num_vars])
     assert _kill_state(aig) == before
+
+
+# ----------------------------------------------------------------------
+# Single kills: one strash probe
+# ----------------------------------------------------------------------
+
+
+def _two_probe_mark_dead(aig: Aig, var: int) -> None:
+    """``Aig.mark_dead`` as a ``get`` probe, then a ``del`` probe."""
+    if not aig.is_and(var):
+        raise ValueError(f"only AND nodes can be deleted, not var {var}")
+    if aig._deadc.view[var]:
+        return
+    aig._version += 1
+    aig._deadc.view[var] = True
+    aig._live_ands -= 1
+    key = lit_pair_key(*aig.fanins(var))
+    if aig._strash.get(key) == var:
+        del aig._strash[key]
+
+
+@pytest.mark.parametrize("seed", [51, 52, 53])
+@pytest.mark.parametrize("share", [0.05, 0.5, 0.9])
+def test_mark_dead_matches_two_probe_sequence(seed, share):
+    """Tombstone-heavy tables, repeats, raw duplicates and dead nodes."""
+    source = _kill_case(seed)
+    rng = random.Random(seed * 11)
+    everything = list(source.all_and_vars())
+    victims = rng.sample(everything, int(share * len(everything)))
+    victims += rng.sample(victims, len(victims) // 4)  # repeated kills
+    single = source.clone()
+    double = source.clone()
+    for var in victims:
+        single.mark_dead(var)
+        _two_probe_mark_dead(double, var)
+        assert _kill_state(single) == _kill_state(double), var
+
+
+def test_mark_dead_keeps_the_slot_of_a_different_var():
+    aig = Aig()
+    a, b = aig.add_pi(), aig.add_pi()
+    kept = aig.add_and(a, b)
+    copy = aig.add_raw_and(a, b)  # same key, not in the strash
+    aig.add_po(kept)
+    aig.add_po(copy)
+    before = _strash_state(aig)
+    aig.mark_dead(copy >> 1)
+    assert _strash_state(aig) == before
+    assert aig.find_and(a, b) == kept
+    aig.mark_dead(kept >> 1)
+    assert aig.find_and(a, b) is None
+    assert aig._strash._size == before[4] - 1
+
+
+def test_delete_entry_matches_get_then_delete():
+    rng = random.Random(23)
+    keys = _random_keys(rng, 700)
+    table = FlatStrash()
+    for value, key in enumerate(keys, start=1):
+        table[key] = value
+    for key in rng.sample(keys, 300):  # tombstones before the deletes
+        del table[key]
+    reference = table.copy()
+    for _ in range(900):
+        index = rng.randrange(len(keys))
+        value = index + 1 + rng.choice((0, 0, 1))  # some hold another var
+        table.delete_entry(*keys[index], value)
+        if reference.get(keys[index]) == value:
+            del reference[keys[index]]
+        assert table._value.tobytes() == reference._value.tobytes()
+    assert (table._size, table._used) == (reference._size, reference._used)
 
 
 def test_delete_bulk_matches_per_key_deletes():

@@ -19,9 +19,9 @@ from repro.algorithms.common import AliasView
 from repro.algorithms.seq_rewrite import (
     MAX_CUTS_PER_NODE,
     REWRITE_CUT_SIZE,
-    _cone_nodes,
 )
 from repro.benchgen.arith import isqrt
+from repro.commit import walk_cone
 from repro.logic.truth import simulate_cone
 from tests.conftest import build_random_aig
 from tests.cut_reference import reference_cuts_with_tables
@@ -330,7 +330,10 @@ def test_enumerate_cuts_with_tables_matches_cone_walks(
             leaves = sorted(cut)
             assert table == simulate_cone(aig, make_lit(root), leaves)
             try:
-                walked = _cone_nodes(view, root, set(leaves))
+                walked, walked_table = walk_cone(view, root, leaves)
             except ValueError:
                 continue  # blown-up cone: the walk refuses, sets differ
-            assert cone == walked
+            assert cone == set(walked)
+            assert table == walked_table
+            for var, pair in walked.items():
+                assert pair == aig.fanins(var)
