@@ -12,9 +12,12 @@ import pytest
 
 from repro.aig.aig import Aig
 from repro.aig.cuts import enumerate_cuts_with_tables, reconv_cut
+from repro.aig.io_aiger import read_aig_binary, write_aig_binary
+from repro.algorithms import kernels
 from repro.benchgen import double, enlarge
 from repro.benchgen.arith import isqrt, multiplier
 from repro.benchgen.control import random_control
+from repro.benchgen.random_aig import mtm_random
 from repro.cec.simulate import random_patterns, simulate
 from repro.engine import pass_fn
 from repro.engine.context import clone_with_context
@@ -214,3 +217,24 @@ def test_bench_dedup(benchmark):
         setup=lambda: ((aig.clone(), dict(alias)), {}),
         rounds=20,
     )
+
+
+@pytest.fixture(scope="module")
+def b_xl_file(tmp_path_factory):
+    """The b-xl benchmark input (seed 1, ~58k ANDs) as binary AIGER."""
+    path = tmp_path_factory.mktemp("b-xl") / "input.aig"
+    write_aig_binary(
+        enlarge(mtm_random(36, 2300, 10, 1, locality=48), 4), path
+    )
+    return path
+
+
+def test_bench_read_aiger(benchmark, b_xl_file):
+    benchmark(read_aig_binary, b_xl_file)
+
+
+def test_bench_balance_levelize(benchmark, b_xl_file):
+    """Levels of the collapsed network ``b`` builds on the b-xl input."""
+    aig = read_aig_binary(b_xl_file)
+    plan = kernels.balance_collapse(aig, ParallelMachine())
+    benchmark(kernels._levelize_collapsed, aig, plan)

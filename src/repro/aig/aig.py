@@ -84,6 +84,33 @@ def resolve_aliases(alias: dict[int, int], num_vars: int) -> np.ndarray:
     return final
 
 
+def fold_free(fanin0, fanin1) -> bool:
+    """Whether ``add_and`` over these fanin pairs, in order, would
+    create every one of them as a fresh node.
+
+    True when no pair has a constant fanin, no pair is ``x & x`` or
+    ``x & !x``, and no two pairs share a strash key -- the no-fold
+    precondition of the bulk builds that hand columns to
+    :meth:`Aig._from_flat`.  Empty arrays pass; literals of 2**31 or
+    more fail, since the check packs each key into one int64.
+    """
+    if not fanin0.shape[0]:
+        return True
+    if int(fanin0.min()) < 2 or int(fanin1.min()) < 2:
+        return False  # constant fanin: add_and folds
+    if bool(((fanin0 >> 1) == (fanin1 >> 1)).any()):
+        return False  # x & x or x & !x
+    key_lo = np.minimum(fanin0, fanin1)
+    key_hi = np.maximum(fanin0, fanin1)
+    if int(key_hi.max()) >= 1 << 31:
+        # Keys too wide to pack into one int64 word (more than 2**30
+        # variables): not proven, so callers take their exact path.
+        return False
+    keys = np.sort((key_lo << 32) | key_hi)
+    # A repeated key: the strash would return the first node.
+    return not bool((keys[1:] == keys[:-1]).any())
+
+
 class Aig:
     """A combinational And-Inverter Graph.
 
@@ -759,22 +786,8 @@ class Aig:
         of0 = f0a[old_vars]
         of1 = f1a[old_vars]
         del f0a, f1a, fan0, fan1
-        if kept:
-            if int(of0.min()) < 2 or int(of1.min()) < 2:
-                return None  # constant fanin: scalar add_and folds
-            if bool(((of0 >> 1) == (of1 >> 1)).any()):
-                return None  # x & x or x & !x
-            key_lo = np.minimum(of0, of1)
-            key_hi = np.maximum(of0, of1)
-            sort = np.lexsort((key_hi, key_lo))
-            lo = key_lo[sort]
-            hi = key_hi[sort]
-            if bool(
-                ((lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1])).any()
-            ):
-                return None  # duplicate key: scalar strash reuses
-            # Peak memory: drop each temporary once it is dead.
-            del key_lo, key_hi, sort, lo, hi
+        if not fold_free(of0, of1):
+            return None
         new_var = np.full(num, -1, dtype=np.int64)
         new_var[0] = 0
         pi_vars = self._pic.nparray()
@@ -836,10 +849,14 @@ class Aig:
         """Assemble an Aig from complete column arrays.
 
         The bulk producers (:meth:`_compact_bulk`,
-        :func:`repro.benchgen.enlarge._double_bulk`) hand in fully
-        remapped fanin columns plus the live AND keys; the strash is
-        populated with one :meth:`FlatStrash.build_bulk`.  Version
-        counters end up exactly where the equivalent scalar
+        :func:`repro.benchgen.enlarge._double_bulk` and
+        :func:`repro.aig.io_aiger.read_aig_binary`) hand in fully
+        remapped fanin columns plus the live AND keys, which must pass
+        :func:`fold_free`.  Fresh int64 column arrays that own their
+        data become the columns without a copy (the producer hands
+        them over), and the strash is populated with one
+        :meth:`FlatStrash.build_bulk`.
+        Version counters end up exactly where the equivalent scalar
         ``add_pi``/``add_and``/``add_po`` build would leave them.
         """
         new = cls.__new__(cls)

@@ -103,12 +103,23 @@ class Column:
     # ------------------------------------------------------------------
 
     def adopt(self, values) -> None:
-        """Replace the contents with a copy of ``values`` (any sequence).
+        """Replace the contents with ``values`` (any sequence).
 
-        The values go into a fresh buffer: holders of old views keep
-        seeing the superseded snapshot.
+        A contiguous ndarray of the column's dtype that owns its data
+        becomes the buffer itself, without a copy: the caller hands it
+        over.  Anything else, a view into another array included, is
+        copied into a fresh buffer.  Either way holders of old views
+        keep seeing the superseded snapshot.
         """
-        self.data = _np.array(values, dtype=self.data.dtype)
+        if (
+            isinstance(values, _np.ndarray)
+            and values.flags.owndata
+            and values.flags.c_contiguous
+            and values.dtype == self.data.dtype
+        ):
+            self.data = values
+        else:
+            self.data = _np.array(values, dtype=self.data.dtype)
         self.view = memoryview(self.data)
         self.size = len(values)
 

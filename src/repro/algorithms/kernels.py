@@ -41,6 +41,7 @@ import numpy as np
 
 from repro import observe
 from repro.aig.aig import Aig
+from repro.aig.cuts import _segments
 from repro.algorithms.seq_balance import (
     BALANCE_WORK_SCALE,
     collect_cluster_inputs,
@@ -233,34 +234,70 @@ def balance_collapse(aig: Aig, machine: ParallelMachine) -> BalancePlan:
 
 
 def _levelize_collapsed(aig: Aig, plan: BalancePlan):
-    """Levels of the collapsed network (pull-based wave fixpoint).
+    """Levels of the collapsed network (push-based wavefront).
 
     A root's level is one more than the maximum level over its input
-    subtrees; constants and PIs are level 0.  Cluster inputs only ever
-    reference constants, PIs and other roots, so the fixpoint resolves
-    in collapsed-depth rounds.
+    subtrees; constants and PIs are level 0.  Each round levels the
+    roots whose root inputs are all levelled and releases their
+    consumers through a reverse CSR, so the rounds together touch each
+    input a constant number of times instead of once per collapsed
+    level.  An input that is neither a constant, a PI nor a root never
+    resolves: ``KeyError`` of the first unlevelled root in plan order.
     """
     level = np.zeros(aig.num_vars, dtype=np.int64)
-    resolved = np.zeros(aig.num_vars, dtype=bool)
-    resolved[0] = True
-    resolved[aig.pi_array()] = True
-    if not plan.num_roots:
+    num_roots = plan.num_roots
+    if not num_roots:
         return level
-    invars = plan.inputs >> 1
-    seg_starts = plan.offsets[:-1]
-    root_done = np.zeros(plan.num_roots, dtype=bool)
-    while True:
-        ready = np.logical_and.reduceat(resolved[invars], seg_starts)
-        newly = ready & ~root_done
-        if not newly.any():
-            break
-        seg_max = np.maximum.reduceat(level[invars], seg_starts)
-        targets = plan.roots[newly]
-        level[targets] = seg_max[newly] + 1
-        resolved[targets] = True
-        root_done |= newly
-    if not root_done.all():
-        missing = int(plan.roots[~root_done][0])
+    # Each temporary below is dropped once dead: on b-xl this set-up is
+    # close to the pass's peak RSS.  Plan index of each input's root;
+    # -1 for constants and PIs, and num_roots (a dependency nothing
+    # releases) for anything else.
+    producer = np.full(aig.num_vars, num_roots, dtype=np.int64)
+    producer[0] = -1
+    producer[aig.pi_array()] = -1
+    producer[plan.roots] = np.arange(num_roots, dtype=np.int64)
+    source = producer[plan.inputs >> 1]
+    del producer
+    pending = np.add.reduceat(
+        source >= 0, plan.offsets[:-1], dtype=np.int64
+    )
+    # Reverse CSR: the inputs each root produces, grouped by that root,
+    # as the plan index of the cluster each one belongs to.
+    edges = np.flatnonzero((source >= 0) & (source < num_roots))
+    keys = source[edges]
+    del source
+    order = np.argsort(keys, kind="stable")
+    release_counts = np.bincount(keys, minlength=num_roots)
+    del keys
+    edges = edges[order]
+    del order
+    released_by = np.searchsorted(plan.offsets, edges, side="right")
+    released_by -= 1
+    del edges
+    release_starts = np.cumsum(release_counts) - release_counts
+    done = np.zeros(num_roots, dtype=bool)
+    ready = np.flatnonzero(pending == 0)
+    while ready.size:
+        counts = plan.counts[ready]
+        inputs = plan.inputs[_segments(plan.offsets[ready], counts)] >> 1
+        heads = np.cumsum(counts) - counts
+        level[plan.roots[ready]] = (
+            np.maximum.reduceat(level[inputs], heads) + 1
+        )
+        done[ready] = True
+        released = released_by[
+            _segments(release_starts[ready], release_counts[ready])
+        ]
+        np.subtract.at(pending, released, 1)
+        # A root released twice this round is ready once.  Not
+        # ``np.unique``: it imports ``numpy.ma`` on first use, about
+        # 1 MiB of peak RSS.
+        ready = np.sort(released[pending[released] == 0])
+        ready = np.concatenate(
+            (ready[:1], ready[1:][ready[1:] != ready[:-1]])
+        )
+    if not done.all():
+        missing = int(plan.roots[~done][0])
         raise KeyError(missing)  # an input no root or PI defines
     return level
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.aig.aig import CONST_FANIN, PI_FANIN, Aig
+from repro.aig.aig import CONST_FANIN, PI_FANIN, Aig, fold_free
 from repro.aig.literals import lit_compl, lit_not_cond, lit_var
 
 
@@ -68,18 +68,8 @@ def _double_bulk(aig: Aig) -> Aig | None:
     and_rows = np.flatnonzero(fan0 >= 0)
     src_k0 = fan0[and_rows]
     src_k1 = fan1[and_rows]
-    if and_rows.size:
-        if int(src_k0.min()) < 2 or int(src_k1.min()) < 2:
-            return None  # constant fanin: the replay would fold
-        if bool(((src_k0 >> 1) == (src_k1 >> 1)).any()):
-            return None  # x & x or x & !x
-        key_lo = np.minimum(src_k0, src_k1)
-        key_hi = np.maximum(src_k0, src_k1)
-        sort = np.lexsort((key_hi, key_lo))
-        lo = key_lo[sort]
-        hi = key_hi[sort]
-        if bool(((lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1])).any()):
-            return None  # duplicate key: the replay would strash-hit
+    if not fold_free(src_k0, src_k1):
+        return None
     num = aig.num_vars
     num_pis = aig.num_pis
     num_ands = and_rows.shape[0]

@@ -262,6 +262,8 @@ class VecHashTable(HashTable):
         if n == 0:
             return [], []
         if n < _SCALAR_CUTOFF:
+            if observe.enabled:
+                observe.count("path.vec.insert_batch.scalar")
             out = []
             works = []
             for (k0, k1), value in zip(keys, values):
@@ -269,6 +271,8 @@ class VecHashTable(HashTable):
                 out.append(int(resident))
                 works.append(probes)
             return out, works
+        if observe.enabled:
+            observe.count("path.vec.insert_batch.vector")
         key0, key1 = _as_key_arrays(keys)
         vals = np.asarray(values, dtype=np.int64)
         res = np.empty(n, dtype=np.int64)
@@ -312,10 +316,14 @@ def _as_key_arrays(keys) -> tuple[np.ndarray, np.ndarray]:
 def seed_batch(node_table, lits0, lits1, variables):
     """Vectorized :meth:`NodeHashTable.seed` over parallel lists."""
     if len(variables) < _SCALAR_CUTOFF:
+        if observe.enabled:
+            observe.count("path.vec.seed_batch.scalar")
         return [
             node_table.seed(int(lit0), int(lit1), int(var))
             for lit0, lit1, var in zip(lits0, lits1, variables)
         ]
+    if observe.enabled:
+        observe.count("path.vec.seed_batch.vector")
     arr0 = np.asarray(lits0, dtype=np.int64)
     arr1 = np.asarray(lits1, dtype=np.int64)
     keys = np.stack(
@@ -339,6 +347,8 @@ def get_or_create_batch(node_table, pairs, alloc, alloc_batch=None):
     if n == 0:
         return [], []
     if n < _SCALAR_CUTOFF:
+        if observe.enabled:
+            observe.count("path.vec.get_or_create_batch.scalar")
         literals = []
         works = []
         for lit0, lit1 in pairs:
@@ -348,6 +358,8 @@ def get_or_create_batch(node_table, pairs, alloc, alloc_batch=None):
             literals.append(int(literal))
             works.append(probes)
         return literals, works
+    if observe.enabled:
+        observe.count("path.vec.get_or_create_batch.vector")
     arr = np.asarray(pairs, dtype=np.int64).reshape(n, 2)
     lits, probes = goc_batch_arrays(
         node_table, arr[:, 0], arr[:, 1], alloc, alloc_batch
@@ -366,6 +378,8 @@ def goc_batch_arrays(node_table, lits0, lits1, alloc, alloc_batch=None):
     """
     n = lits0.shape[0]
     if n < _SCALAR_CUTOFF:
+        if observe.enabled:
+            observe.count("path.vec.goc_batch_arrays.scalar")
         out = np.empty(n, dtype=np.int64)
         works = np.empty(n, dtype=np.int64)
         for index in range(n):
@@ -375,6 +389,8 @@ def goc_batch_arrays(node_table, lits0, lits1, alloc, alloc_batch=None):
             out[index] = literal
             works[index] = probes
         return out, works
+    if observe.enabled:
+        observe.count("path.vec.goc_batch_arrays.vector")
     table = node_table._table
     key0 = np.minimum(lits0, lits1)
     key1 = np.maximum(lits0, lits1)

@@ -6,6 +6,8 @@ of :mod:`repro.algorithms.kernels` became the only production path:
 
 * :func:`reference_par_balance` — the whole ``b`` pass with the
   frontier-set collapse and the heap-per-subtree reconstruction;
+* :func:`reference_levelize_collapsed` — the collapsed network's
+  levels as a pull fixpoint over every cluster input per round;
 * :func:`reference_select` — ``rw``'s winner selection with one
   Python MFFC walk per item;
 * :func:`reference_ffc_cutter` — ``rf``'s FFC test walking the Python
@@ -20,9 +22,10 @@ of :mod:`repro.algorithms.kernels` became the only production path:
   the dereference through ``view.fanins``, and the template built by
   a per-call literal map (:func:`reference_instantiate_template`).
 
-:func:`oracle_paths` swaps all six into the passes at once, so a whole
-script can run on the references; ``tests/test_pass_kernels.py``
-compares the two runs.
+:func:`oracle_paths` swaps the six pass sites into the passes at once,
+so a whole script can run on the references; ``tests/test_pass_kernels.py``
+compares the two runs, and compares the levelize oracle (which the
+whole-pass balance reference does not call) directly.
 """
 
 from __future__ import annotations
@@ -31,6 +34,8 @@ import heapq
 import importlib
 import random
 from contextlib import contextmanager
+
+import numpy as np
 
 from repro import observe
 from repro.aig.aig import Aig
@@ -224,6 +229,37 @@ def _reconstruct(
             delay, literal = heap[0]
             lit_map[root] = (literal, delay)
     return new, lit_map
+
+
+def reference_levelize_collapsed(aig: Aig, plan) -> np.ndarray:
+    """``kernels._levelize_collapsed`` as the pull-based wave fixpoint.
+
+    Every round reduces over *all* cluster inputs, so the cost is the
+    collapsed depth times the inputs.
+    """
+    level = np.zeros(aig.num_vars, dtype=np.int64)
+    resolved = np.zeros(aig.num_vars, dtype=bool)
+    resolved[0] = True
+    resolved[aig.pi_array()] = True
+    if not plan.num_roots:
+        return level
+    invars = plan.inputs >> 1
+    seg_starts = plan.offsets[:-1]
+    root_done = np.zeros(plan.num_roots, dtype=bool)
+    while True:
+        ready = np.logical_and.reduceat(resolved[invars], seg_starts)
+        newly = ready & ~root_done
+        if not newly.any():
+            break
+        seg_max = np.maximum.reduceat(level[invars], seg_starts)
+        targets = plan.roots[newly]
+        level[targets] = seg_max[newly] + 1
+        resolved[targets] = True
+        root_done |= newly
+    if not root_done.all():
+        missing = int(plan.roots[~root_done][0])
+        raise KeyError(missing)  # an input no root or PI defines
+    return level
 
 
 # ----------------------------------------------------------------------

@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import observe
-from repro.aig.io_aiger import dump_aag
+from repro.aig.io_aiger import dump_aag, read_aig_binary, write_aig_binary
 from repro.benchgen.suite import load_benchmark
 from repro.engine import run_script
 from repro.parallel import backend
@@ -109,24 +109,31 @@ def test_forced_gates_sets_and_restores_every_gate():
         ] == defaults
 
 
-def test_forced_gates_switch_every_pass_path():
+def test_forced_gates_switch_every_pass_path(tmp_path):
     """The gate at 0 reaches the vector path on a small graph; at inf
-    it does not.  The column kernels have no gate: they run either way."""
+    it does not.  The column kernels have no gate: they run either way.
+    The ``path.*`` counters name the path each site took, and the
+    binary reader's path depends on the file alone."""
+    bulk_file = tmp_path / "bulk.aig"
+    write_aig_binary(build_random_aig(3, num_ands=120), bulk_file)
+    # x & x: the AND folds, so the reader replays.
+    replay_file = tmp_path / "replay.aig"
+    replay_file.write_bytes(b"aig 2 1 0 1 1\n4\n\x02\x00")
 
     def path_counters(gates):
         with forced_gates(gates):
             observe.enable()
             try:
+                read_aig_binary(replay_file)
                 run_script(
-                    build_random_aig(3, num_ands=120), "b; rw; rf",
-                    engine="gpu",
+                    read_aig_binary(bulk_file), "b; rw; rf", engine="gpu"
                 )
             finally:
                 _, registry = observe.disable()
         return {
             key: value
             for key, value in registry.snapshot()["counters"].items()
-            if key.startswith(("kernels.", "commit.bulk_nodes"))
+            if key.startswith(("kernels.", "commit.bulk_nodes", "path."))
         }
 
     kernel_keys = (
@@ -141,6 +148,22 @@ def test_forced_gates_switch_every_pass_path():
     for key in kernel_keys:
         assert vector.get(key, 0) > 0, key
         assert scalar.get(key) == vector[key], key
+    for counters in (vector, scalar):
+        assert counters["path.aiger_read.bulk"] == 1
+        assert counters["path.aiger_read.replay"] == 1
+    vector_sites = {
+        key.removesuffix(".vector")
+        for key in vector
+        if key.startswith("path.vec.")
+    }
+    scalar_sites = {
+        key.removesuffix(".scalar")
+        for key in scalar
+        if key.startswith("path.vec.")
+    }
+    assert vector_sites and vector_sites == scalar_sites
+    assert all(f"{site}.vector" in vector for site in vector_sites)
+    assert all(f"{site}.scalar" in scalar for site in scalar_sites)
 
 
 def test_const_profile_and_launch_batch_equivalence():

@@ -21,7 +21,7 @@ import random
 import pytest
 
 from repro.aig import store
-from repro.aig.aig import Aig, resolve_aliases
+from repro.aig.aig import Aig, fold_free, resolve_aliases
 from repro.aig.io_aiger import dump_aag
 from repro.aig.literals import lit_pair_key
 from repro.aig.store import FlatStrash, _hash_pairs
@@ -260,11 +260,31 @@ def test_double_fast_path_gate_rejects_foldable_graphs():
     a = folding.add_pi()
     folding.add_po(folding.add_raw_and(a, 1))  # constant fanin
     assert enlarge_mod._double_bulk(folding) is None
+
     # Every rejected graph still doubles correctly via the loop.
     for aig in (dead, dupes, shared, folding):
         doubled = enlarge_mod.double(aig)
         assert doubled.num_pis == 2 * aig.num_pis
         assert doubled.num_pos == 2 * aig.num_pos
+
+
+@pytest.mark.parametrize(
+    "pairs, expected",
+    [
+        ([], True),
+        ([(2, 4), (4, 7), (3, 6)], True),
+        ([(2, 4), (4, 2)], False),  # same key, fanins swapped
+        ([(1, 4)], False),  # constant fanin
+        ([(4, 4)], False),  # x & x
+        ([(4, 5)], False),  # x & !x
+        ([(2, 1 << 31)], False),  # too wide to pack: not proven
+    ],
+)
+def test_fold_free_cases(pairs, expected):
+    import numpy as np
+
+    arr = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    assert fold_free(arr[:, 0].copy(), arr[:, 1].copy()) is expected
 
 
 # ----------------------------------------------------------------------

@@ -244,8 +244,9 @@ def _cleanup_outcome(run, case, sanitize: bool, gates):
         _, registry = observe.disable()
         sanitizer.set_sanitizer(None)
     # Table batching and strash growth are wall-clock details: the
-    # eviction rounds of one batch and of per-level batches differ.
-    ignored = ("strash.", "sanitizer.vec_eviction_rounds")
+    # eviction rounds of one batch and of per-level batches differ, and
+    # so do the gate sides (``path.*``) those batch sizes take.
+    ignored = ("strash.", "sanitizer.vec_eviction_rounds", "path.")
     counters = {
         name: value
         for name, value in registry.counters.items()

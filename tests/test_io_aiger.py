@@ -4,10 +4,14 @@ import os
 import random
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
+from repro import observe
 from repro.aig.io_aiger import (
     AigerError,
     dump_aag,
@@ -19,6 +23,7 @@ from repro.aig.io_aiger import (
     write_aig_binary,
 )
 from repro.verify.invariants import check_invariants
+from tests.aiger_reference import reference_read_aig_binary
 from tests.conftest import assert_equivalent, build_random_aig
 
 
@@ -216,7 +221,8 @@ def _fuzz_variants(data: bytes, rng: random.Random, flips: int):
 
 def test_reader_fuzz_rejects_or_builds_valid_graphs(tmp_path):
     """Truncated and byte-flipped files fail with ``AigerError`` or
-    read as a structurally valid graph — no other outcome."""
+    read as a structurally valid graph — no other outcome.  The binary
+    reader also matches the byte-wise oracle on every variant."""
     source = build_random_aig(3, num_pis=5, num_ands=24, locality=8)
     ascii_path = tmp_path / "source.aag"
     binary_path = tmp_path / "source.aig"
@@ -232,6 +238,8 @@ def test_reader_fuzz_rejects_or_builds_valid_graphs(tmp_path):
         variants = _fuzz_variants(source_path.read_bytes(), rng, 300)
         for variant in variants:
             path.write_bytes(variant)
+            if reader is read_aig_binary:
+                _assert_oracle_parity(path)
             try:
                 aig = reader(path)
             except AigerError:
@@ -399,3 +407,226 @@ def test_binary_header_claims_are_checked_before_allocation(tmp_path):
         env=env, capture_output=True, text=True, timeout=120, check=True,
     )
     assert int(out.stdout) < 16 * 1024
+
+
+# ----------------------------------------------------------------------
+# The binary reader against the byte-wise oracle
+# ----------------------------------------------------------------------
+
+
+def _varint(value: int, pad: int = 0) -> bytes:
+    """LEB128 bytes of ``value``, stretched by ``pad`` zero groups."""
+    groups = []
+    while True:
+        groups.append(value & 0x7F)
+        value >>= 7
+        if not value:
+            break
+    groups.extend([0] * pad)
+    return bytes([group | 0x80 for group in groups[:-1]] + groups[-1:])
+
+
+def _raw_binary(num_pis, deltas, po_lits, tail=b"", pad=None) -> bytes:
+    """A binary AIGER file with the given deltas, written as is.
+
+    ``pad = (index, groups)`` writes delta ``index`` non-canonically,
+    ``groups`` zero groups longer than needed.
+    """
+    num_ands = len(deltas) // 2
+    out = [
+        f"aig {num_pis + num_ands} {num_pis} 0 {len(po_lits)} "
+        f"{num_ands}\n".encode("ascii")
+    ]
+    out.extend(f"{lit}\n".encode("ascii") for lit in po_lits)
+    for index, delta in enumerate(deltas):
+        extra = pad[1] if pad is not None and pad[0] == index else 0
+        out.append(_varint(delta, extra))
+    out.append(tail)
+    return b"".join(out)
+
+
+#: Two PIs, ``x1 & x2`` and ``(x1 & x2) & !x1``: nothing folds.
+BULK_FILE = _raw_binary(2, [2, 2, 2, 3], [9])
+#: The same graph with its first delta stretched to 12 bytes.
+PADDED_BULK_FILE = _raw_binary(2, [2, 2, 2, 3], [9], pad=(0, 11))
+#: ``x1 & x2`` twice: the second AND is a strash hit.
+DUPLICATE_FILE = _raw_binary(2, [2, 2, 4, 2], [6, 9])
+#: ``x2 & 0``: a constant fanin.
+CONSTANT_FANIN_FILE = _raw_binary(2, [2, 4], [6])
+#: ``!x2 & x2``, complemented on the way out, and a symbol table.
+XOR_FILE = _raw_binary(2, [3, 1], [7, 1], tail=b"i0 a\no0 z\nc\nhi\n")
+#: No ANDs at all, constant and PI outputs.
+ZERO_AND_FILE = _raw_binary(2, [], [0, 1, 5])
+#: AND 1 reads its own output; AND 2's data runs out after that.
+SELF_BEFORE_TRUNCATION_FILE = (
+    b"aig 4 1 0 0 3\n\x02\x00\x00\x01\x80\x80"
+)
+#: The second delta runs out of data.
+TRUNCATED_FILE = b"aig 3 2 0 0 1\n\x02\x80\x80"
+#: A first delta of 2**65 (a ten-byte varint): far below literal 0.
+OVERSIZED_DELTA_FILE = _raw_binary(1, [2**65, 0], [4])
+#: A first delta one past the output literal: fanin literal -1.
+NEGATIVE_DELTA_FILE = _raw_binary(1, [5, 0], [4])
+#: A bad PO row, reported before the AND data's undefined fanin.
+PO_ROW_FIRST_FILE = b"aig 2 1 0 1 1\nx\n\x00\x80"
+
+#: (file, path the new reader takes, or None when it must raise).
+READER_EXAMPLES = (
+    (BULK_FILE, "bulk"),
+    (PADDED_BULK_FILE, "bulk"),
+    (ZERO_AND_FILE, "bulk"),
+    (DUPLICATE_FILE, "replay"),
+    (CONSTANT_FANIN_FILE, "replay"),
+    (XOR_FILE, "replay"),
+    (SELF_BEFORE_TRUNCATION_FILE, None),
+    (TRUNCATED_FILE, None),
+    (OVERSIZED_DELTA_FILE, None),
+    (NEGATIVE_DELTA_FILE, None),
+    (PO_ROW_FIRST_FILE, None),
+)
+
+
+def _read_outcome(reader, path):
+    """Everything a reader's graph exposes, or its ``AigerError``."""
+    try:
+        aig = reader(path)
+    except AigerError as error:
+        return ("AigerError", str(error))
+    fan0, fan1, dead = (column.tolist() for column in aig.arrays())
+    return (
+        dump_aag(aig),
+        fan0,
+        fan1,
+        dead,
+        aig.pis,
+        aig.pos,
+        aig._version,
+        aig._po_version,
+        aig.num_ands,
+        aig.name,
+        [aig.pi_name(index) for index in range(aig.num_pis)],
+        [aig.po_name(index) for index in range(aig.num_pos)],
+        [aig.find_and(*aig.fanins(var)) for var in aig.and_vars()],
+    )
+
+
+def _assert_oracle_parity(path) -> None:
+    assert _read_outcome(read_aig_binary, path) == _read_outcome(
+        reference_read_aig_binary, path
+    )
+
+
+@st.composite
+def binary_aiger_files(draw):
+    """Raw or written binary AIGER bytes, then optionally damaged."""
+    if draw(st.booleans()):
+        source = build_random_aig(
+            draw(st.integers(min_value=0, max_value=10**6)),
+            num_pis=draw(st.integers(min_value=1, max_value=6)),
+            num_ands=draw(st.integers(min_value=0, max_value=30)),
+            locality=8,
+        )
+        with tempfile.TemporaryDirectory() as folder:
+            path = Path(folder) / "written.aig"
+            write_aig_binary(source, path)
+            data = path.read_bytes()
+    else:
+        num_pis = draw(st.integers(min_value=0, max_value=4))
+        num_ands = draw(st.integers(min_value=0, max_value=10))
+        deltas = []
+        for index in range(num_ands):
+            out = 2 * (num_pis + 1 + index)
+            # Fanins drawn over every defined literal: constants,
+            # x & x, x & !x and repeated keys all come up.
+            in0 = draw(st.integers(min_value=0, max_value=out - 1))
+            in1 = draw(st.integers(min_value=0, max_value=in0))
+            deltas.extend([out - in0, in0 - in1])
+        for _ in range(draw(st.integers(min_value=0, max_value=2))):
+            if deltas:
+                position = draw(st.integers(0, len(deltas) - 1))
+                deltas[position] = draw(
+                    st.integers(min_value=0, max_value=2**70)
+                )
+        top = 2 * (num_pis + num_ands) + 1
+        po_lits = draw(
+            st.lists(st.integers(min_value=0, max_value=top), max_size=4)
+        )
+        pad = None
+        if deltas and draw(st.booleans()):
+            pad = (
+                draw(st.integers(0, len(deltas) - 1)),
+                draw(st.integers(min_value=1, max_value=10)),
+            )
+        tail = draw(st.sampled_from([b"", b"i0 a\no0 z\nc\nnote\n"]))
+        data = _raw_binary(num_pis, deltas, po_lits, tail, pad)
+    damage = draw(st.sampled_from(["none", "truncate", "flip"]))
+    if damage == "truncate":
+        data = data[: draw(st.integers(0, len(data)))]
+    elif damage == "flip":
+        flipped = bytearray(data)
+        for _ in range(draw(st.integers(min_value=1, max_value=3))):
+            position = draw(st.integers(0, len(data) - 1))
+            flipped[position] ^= draw(st.integers(1, 255))
+        data = bytes(flipped)
+    return data
+
+
+@settings(
+    max_examples=300,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=binary_aiger_files())
+@example(data=BULK_FILE)
+@example(data=PADDED_BULK_FILE)
+@example(data=ZERO_AND_FILE)
+@example(data=DUPLICATE_FILE)
+@example(data=CONSTANT_FANIN_FILE)
+@example(data=XOR_FILE)
+@example(data=SELF_BEFORE_TRUNCATION_FILE)
+@example(data=TRUNCATED_FILE)
+@example(data=OVERSIZED_DELTA_FILE)
+@example(data=NEGATIVE_DELTA_FILE)
+@example(data=PO_ROW_FIRST_FILE)
+def test_binary_reader_matches_oracle(tmp_path, data):
+    """Same graph (dump, columns, versions, names, strash lookups) or
+    the same ``AigerError`` message as the byte-wise reader."""
+    path = tmp_path / "case.aig"
+    path.write_bytes(data)
+    _assert_oracle_parity(path)
+
+
+@pytest.mark.parametrize("data,expected", READER_EXAMPLES)
+def test_reader_examples_reach_their_path(tmp_path, data, expected):
+    path = tmp_path / "case.aig"
+    path.write_bytes(data)
+    observe.enable()
+    try:
+        try:
+            read_aig_binary(path)
+            outcome = None
+        except AigerError as error:
+            outcome = str(error)
+    finally:
+        _, registry = observe.disable()
+    counters = registry.snapshot()["counters"]
+    if expected is None:
+        assert outcome is not None
+        assert not counters
+    else:
+        assert outcome is None
+        assert counters == {f"path.aiger_read.{expected}": 1}
+
+
+def test_reader_errors_keep_the_byte_wise_precedence(tmp_path):
+    path = tmp_path / "case.aig"
+    for data, message in (
+        (SELF_BEFORE_TRUNCATION_FILE, "literal 6 references undefined"),
+        (TRUNCATED_FILE, "unexpected end of binary AIGER data"),
+        (OVERSIZED_DELTA_FILE, f"literal {4 - 2**65} references"),
+        (NEGATIVE_DELTA_FILE, "literal -1 references undefined"),
+        (PO_ROW_FIRST_FILE, r"non-integer PO row \(line 2\)"),
+    ):
+        path.write_bytes(data)
+        with pytest.raises(AigerError, match=message):
+            read_aig_binary(path)

@@ -15,8 +15,9 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import observe
@@ -36,6 +37,7 @@ from tests.pass_reference import (
     oracle_paths,
     reference_deleted_sets,
     reference_ffc_cutter,
+    reference_levelize_collapsed,
     reference_par_balance,
     reference_survivor_keys,
 )
@@ -54,13 +56,15 @@ def _parity_tuple(run) -> tuple:
         result = run(machine)
     finally:
         _, registry = observe.disable()
-    # ``kernels.*`` and the commit layer's bulk/serial throughput split
-    # are wall-clock bookkeeping; both legitimately differ between the
-    # column kernels and the per-node oracles.
+    # ``kernels.*``, the commit layer's bulk/serial throughput split
+    # and the gate sites' ``path.*`` tallies are wall-clock
+    # bookkeeping; all legitimately differ between the column kernels
+    # and the per-node oracles (a kernel calls ``goc_batch_arrays``
+    # where its oracle calls ``get_or_create_batch``).
     counters = {
         key: value
         for key, value in registry.snapshot()["counters"].items()
-        if not key.startswith(("kernels.", "commit."))
+        if not key.startswith(("kernels.", "commit.", "path."))
     }
     records = [
         (type(record).__name__, vars(record))
@@ -176,6 +180,69 @@ def test_shuffled_balance_matches_oracle(seed):
 # ----------------------------------------------------------------------
 # Kernel primitives against their scalar references
 # ----------------------------------------------------------------------
+
+
+def _drop_cluster(plan, index: int):
+    """``plan`` without cluster ``index``: its root defines nothing."""
+    keep = np.ones(plan.num_roots, dtype=bool)
+    keep[index] = False
+    counts = plan.counts[keep]
+    offsets = np.zeros(counts.shape[0] + 1, dtype=np.int64)
+    offsets[1:] = np.cumsum(counts)
+    inputs = plan.inputs[np.repeat(keep, plan.counts)]
+    return kernels.BalancePlan(plan.roots[keep], counts, offsets, inputs)
+
+
+def _levelize_outcome(levelize, aig, plan):
+    try:
+        return levelize(aig, plan).tolist()
+    except KeyError as error:
+        return ("KeyError", error.args)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=aig_seeds,
+    size=aig_sizes,
+    drop=st.none() | st.integers(min_value=0, max_value=10**6),
+    retarget=st.none()
+    | st.tuples(
+        st.integers(min_value=0, max_value=10**6),
+        st.integers(min_value=0, max_value=10**6),
+    ),
+)
+@example(seed=0, size=60, drop=None, retarget=None)
+@example(seed=1, size=120, drop=10**6, retarget=None)
+@example(seed=2, size=80, drop=None, retarget=(0, 10**6))
+def test_levelize_matches_pull_oracle(seed, size, drop, retarget):
+    """The wavefront levelize equals the pull fixpoint, including the
+    ``KeyError`` for a dropped root or an input retargeted to any
+    variable (an internal AND, a cycle, a constant or a PI)."""
+    aig = build_random_aig(seed, num_ands=size, locality=8)
+    plan = kernels.balance_collapse(aig, ParallelMachine())
+    if retarget is not None:
+        position, var = retarget
+        plan.inputs[position % plan.inputs.shape[0]] = 2 * (
+            var % aig.num_vars
+        )
+    if drop is not None:
+        # The last-discovered root sits nearest the PIs: dropping it
+        # strands the clusters above it.
+        plan = _drop_cluster(plan, plan.num_roots - 1 - drop % plan.num_roots)
+    assert _levelize_outcome(
+        kernels._levelize_collapsed, aig, plan
+    ) == _levelize_outcome(reference_levelize_collapsed, aig, plan)
+
+
+def test_levelize_reports_first_stranded_root():
+    aig = build_random_aig(1, num_ands=120, locality=8)
+    plan = kernels.balance_collapse(aig, ParallelMachine())
+    stranded = _drop_cluster(plan, plan.num_roots - 1)
+    with pytest.raises(KeyError) as kernel_error:
+        kernels._levelize_collapsed(aig, stranded)
+    with pytest.raises(KeyError) as oracle_error:
+        reference_levelize_collapsed(aig, stranded)
+    assert kernel_error.value.args == oracle_error.value.args
 
 
 @settings(max_examples=10, deadline=None)

@@ -157,6 +157,28 @@ def test_column_adopt_copies_and_reserve():
     assert np.shares_memory(col.nparray(), col.data)
 
 
+def test_column_adopt_takes_only_owning_arrays_without_copy():
+    import numpy as np
+
+    owned = np.arange(6, dtype=np.int64)
+    col = Column("int")
+    col.adopt(owned)
+    assert col.data is owned  # handed over, no copy
+    other = Column("int")
+    other.adopt(np.arange(6, dtype=np.int64))
+    view = other.nparray()
+    assert not view.flags.owndata
+    col.adopt(view)
+    col.view[0] = 77
+    assert list(other.slice()) == [0, 1, 2, 3, 4, 5]  # not shared
+    assert not np.shares_memory(col.data, other.data)
+    wide = np.arange(4, dtype=np.int32)
+    col.adopt(wide)
+    assert col.data.dtype == np.int64 and col.data is not wide
+    col.adopt(np.arange(8, dtype=np.int64)[::2])
+    assert list(col.slice()) == [0, 2, 4, 6]
+
+
 # ----------------------------------------------------------------------
 # Facade exactness: object API <-> array indices
 # ----------------------------------------------------------------------
