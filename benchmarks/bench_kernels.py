@@ -13,18 +13,21 @@ import pytest
 from repro.aig.aig import Aig
 from repro.aig.cuts import enumerate_cuts_with_tables, reconv_cut
 from repro.aig.io_aiger import read_aig_binary, write_aig_binary
+from repro.aig.traversal import aig_levels_array
 from repro.algorithms import kernels
 from repro.benchgen import double, enlarge
 from repro.benchgen.arith import isqrt, multiplier
 from repro.benchgen.control import random_control
 from repro.benchgen.random_aig import mtm_random
 from repro.cec.simulate import random_patterns, simulate
-from repro.engine import pass_fn
+from repro.commit.engine import InsertionSession
+from repro.engine import pass_fn, run_script
 from repro.engine.context import clone_with_context
 from repro.logic.isop import isop
 from repro.logic.npn import npn_canon
 from repro.logic.resyn import plan_resynthesis
 from repro.logic.truth import full_mask, var_table
+from repro.parallel import vec
 from repro.parallel.hashtable import HashTable
 from repro.parallel.machine import ParallelMachine
 
@@ -238,3 +241,64 @@ def test_bench_balance_levelize(benchmark, b_xl_file):
     aig = read_aig_binary(b_xl_file)
     plan = kernels.balance_collapse(aig, ParallelMachine())
     benchmark(kernels._levelize_collapsed, aig, plan)
+
+
+@pytest.fixture(scope="module")
+def b_xl_small_rounds(b_xl_file):
+    """The get-or-create rounds of ``b`` on the b-xl input that fall
+    below the vector table's gate, as recorded from one run: per-level
+    rounds (literal arrays) and deep-subtree rounds (pair lists).
+    Returns the rounds and the largest variable they reference."""
+    rounds = []
+    by_arrays = InsertionSession.insert_round_arrays
+    by_pairs = InsertionSession.insert_round
+
+    def record_arrays(self, l0, l1):
+        if l0.shape[0] < vec._SCALAR_CUTOFF:
+            rounds.append(("arrays", (l0.copy(), l1.copy())))
+        return by_arrays(self, l0, l1)
+
+    def record_pairs(self, pairs):
+        if len(pairs) < vec._SCALAR_CUTOFF:
+            rounds.append(("pairs", list(pairs)))
+        return by_pairs(self, pairs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(InsertionSession, "insert_round_arrays", record_arrays)
+        patch.setattr(InsertionSession, "insert_round", record_pairs)
+        run_script(read_aig_binary(b_xl_file), "b", engine="gpu")
+    top = 0
+    for kind, data in rounds:
+        if kind == "arrays":
+            top = max(top, int(data[0].max()), int(data[1].max()))
+        else:
+            top = max(top, max(max(pair) for pair in data))
+    return rounds, top >> 1
+
+
+def test_bench_goc_small_batches(benchmark, b_xl_small_rounds):
+    """``b``'s below-gate insertion rounds on b-xl (seed 1), replayed in
+    order through one fresh insertion session.  The graph starts with
+    enough PIs for every recorded literal, so hits and misses follow
+    the replayed keys alone."""
+    rounds, top = b_xl_small_rounds
+
+    def setup():
+        aig = Aig("replay")
+        aig.add_pi_batch(top)
+        return (InsertionSession(aig, expected=2 * top),), {}
+
+    def run(session):
+        for kind, data in rounds:
+            if kind == "arrays":
+                session.insert_round_arrays(*data)
+            else:
+                session.insert_round(data)
+
+    benchmark.pedantic(run, setup=setup, rounds=10)
+
+
+def test_bench_aig_levels_deep(benchmark, b_xl_file):
+    """Levels of the b-xl input (133 levels deep): one wave, then the
+    id-order scan."""
+    benchmark(aig_levels_array, read_aig_binary(b_xl_file))

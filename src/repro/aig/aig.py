@@ -24,6 +24,7 @@ which is how cone replacement is expressed).
 
 from __future__ import annotations
 
+from array import array
 from collections.abc import Iterable, Iterator
 
 import numpy as np
@@ -294,11 +295,15 @@ class Aig:
         zip(lits0, lits1)]`` — same fanin canonicalization, same
         variable numbering — except that validation runs up front, so
         a bad literal raises before any node is created.  Returns an
-        int64 ndarray of result literals.
+        int64 ndarray of result literals; two plain lists (the small
+        batches of the commit layer's fused get-or-create loop) are
+        appended row by row without NumPy set-up and return a list.
         """
         count = len(lits0)
         if len(lits1) != count:
             raise ValueError("literal arrays differ in length")
+        if type(lits0) is list and type(lits1) is list:
+            return self._add_raw_and_list(lits0, lits1)
         arr0 = np.ascontiguousarray(lits0, dtype=np.int64)
         arr1 = np.ascontiguousarray(lits1, dtype=np.int64)
         size = self._f0c.size
@@ -316,6 +321,37 @@ class Aig:
         self._deadc.extend_zeros(count)
         self._live_ands += count
         return (np.arange(size, size + count, dtype=np.int64) << 1)
+
+    def _add_raw_and_list(self, lits0: list, lits1: list) -> list:
+        """:meth:`add_raw_and_batch` over two plain int lists."""
+        size = self._f0c.size
+        for lit0, lit1 in zip(lits0, lits1):
+            for lit in (lit0, lit1):
+                if lit < 0 or (lit >> 1) >= size:
+                    raise ValueError(
+                        f"literal {lit} references an unknown variable"
+                    )
+        count = len(lits0)
+        need = size + count
+        columns = (self._f0c, self._f1c, self._deadc)
+        for column in columns:
+            column.reserve(need)
+        view0 = self._f0c.view
+        view1 = self._f1c.view
+        dead = self._deadc.view
+        row = size
+        for lit0, lit1 in zip(lits0, lits1):
+            if lit0 > lit1:
+                lit0, lit1 = lit1, lit0
+            view0[row] = lit0
+            view1[row] = lit1
+            dead[row] = False
+            row += 1
+        for column in columns:
+            column.size = need
+        self._version += count
+        self._live_ands += count
+        return list(range(2 * size, 2 * need, 2))
 
     def add_pi_batch(self, count: int):
         """Create ``count`` unnamed primary inputs at once.
@@ -741,7 +777,9 @@ class Aig:
         # Only a resolve map can close a cycle: stored fanins always
         # point to lower ids.
         expanded = bytearray(num) if final is not None else None
-        order: list[int] = []
+        # Completion order as int64 rows, not a list of boxed ints: on
+        # a large graph this list is alive at the compaction peak.
+        order = array("q")
         complete = order.append
         for po_lit in pos:
             root = po_lit >> 1
@@ -782,7 +820,7 @@ class Aig:
         num_pis = self._pic.size
         f0a = np.asarray(fan0)[:num]
         f1a = np.asarray(fan1)[:num]
-        old_vars = np.fromiter(order, dtype=np.int64, count=kept)
+        old_vars = np.frombuffer(order, dtype=np.int64)
         of0 = f0a[old_vars]
         of1 = f1a[old_vars]
         del f0a, f1a, fan0, fan1

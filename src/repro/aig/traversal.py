@@ -4,9 +4,9 @@ All functions work on live nodes only and exploit the id-order-is-
 topological invariant of :class:`repro.aig.aig.Aig`, so every pass here
 is a single linear scan — the same access pattern the paper's flat GPU
 arrays are designed for.  Levels and fanout counts run on those arrays
-at every graph size (wave-front propagation, ``np.bincount``); only a
-graph deeper than :data:`_VEC_MAX_WAVES` levels falls back to the
-scalar level scan.
+at every graph size (wave-front propagation, ``np.bincount``); once
+the level waves of a deep, narrow graph settle too few nodes each, a
+scalar scan in id order finishes the levels the waves left open.
 
 These are the *raw* recomputation primitives.  Passes read derived
 state through :class:`repro.engine.context.GraphContext`, which
@@ -18,13 +18,22 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro import observe
 from repro.aig.aig import Aig
 from repro.aig.literals import lit_var
 
-#: Wave cap for the vectorized level propagation: deep, narrow graphs
-#: (many waves, few nodes each) are faster on the scalar scan, so the
-#: array path bails out and restarts scalar instead of crawling.
-_VEC_MAX_WAVES = 96
+#: Keep propagating waves while one settles at least 1/_WAVE_YIELD of
+#: the nodes still waiting; below that, finish with the id-order scan.
+#: On the ``b-xl`` input a wave costs ~6-9 ns per waiting node
+#: (gathers, masks and compaction over the whole waiting set) and the
+#: scan ~0.20 us per node it visits, so a wave pays for itself once it
+#: settles about 1/23-1/35 of the waiting nodes.  The switch is
+#: irrevocable and the yield of a wide graph rises as its waiting set
+#: drains (``resyn2-wide``: 16% to 46% over its first six waves), so
+#: the threshold sits below that break-even.  Deep graphs (``b-xl``,
+#: ``rf_resyn-large``, ``rfc-deep``) settle 0.4-2% in their first wave
+#: and go to the scan right after it.
+_WAVE_YIELD = 46
 
 
 def aig_levels(aig: Aig) -> list[int]:
@@ -34,60 +43,63 @@ def aig_levels(aig: Aig) -> list[int]:
     plus the maximum fanin level — the paper's "delay of a node".
     Dead nodes get level 0.
     """
-    levels = _aig_levels_vec(aig)
-    if levels is not None:
-        return levels
-    levels = [0] * aig.num_vars
-    fan0 = aig._fanin0
-    fan1 = aig._fanin1
-    dead = aig._dead
-    for var in range(aig.num_vars):
-        f0 = fan0[var]
-        if f0 < 0 or dead[var]:
-            continue
-        l0 = levels[f0 >> 1]
-        l1 = levels[fan1[var] >> 1]
-        levels[var] = (l0 if l0 >= l1 else l1) + 1
-    return levels
+    return aig_levels_array(aig).tolist()
 
 
-def _aig_levels_vec(aig: Aig) -> list[int] | None:
-    """Wave-front level propagation on the flat arrays.
+def aig_levels_array(aig: Aig) -> np.ndarray:
+    """:func:`aig_levels` as an int64 ndarray — no list round-trip.
 
-    Each wave assigns the level of every AND whose fanins are already
-    levelled — one wave per level of the graph.  Returns None when the
-    graph turns out to be deeper than :data:`_VEC_MAX_WAVES` (the
-    scalar linear scan is faster there).
+    Wave-front propagation on the flat arrays: each wave assigns the
+    level of every AND whose fanins are already levelled, one wave per
+    level of the graph.  When a wave settles too few of the waiting
+    nodes (:data:`_WAVE_YIELD`), the rest are finished by one scan in
+    id order (ids are topological), keeping the levels already fixed.
     """
     f0, f1, dead = aig.arrays()
     levels = np.zeros(aig.num_vars, dtype=np.int64)
     active = np.flatnonzero((f0 >= 0) & ~dead)
     if active.size == 0:
-        return levels.tolist()
+        return levels
     v0 = f0[active] >> 1
     v1 = f1[active] >> 1
     # A var is "settled" once its final level is known: constants, PIs
     # and dead rows start settled at level 0.
     settled = (f0 < 0) | dead
-    for _ in range(_VEC_MAX_WAVES):
+    while True:
         ready = settled[v0] & settled[v1]
         wave = active[ready]
         levels[wave] = (
             np.maximum(levels[v0[ready]], levels[v1[ready]]) + 1
         )
-        settled[wave] = True
+        waiting = active.size
+        if wave.size == waiting:
+            if observe.enabled:
+                observe.count("path.aig_levels.waves")
+            return levels
         keep = ~ready
         active = active[keep]
-        if active.size == 0:
-            return levels.tolist()
+        if wave.size * _WAVE_YIELD < waiting:
+            break
+        settled[wave] = True
         v0 = v0[keep]
         v1 = v1[keep]
-    return None
+    if observe.enabled:
+        observe.count("path.aig_levels.scan")
+    # Scan the unsettled rest in id order through memoryviews: every
+    # fanin is either settled or an earlier row of this scan.
+    lv = memoryview(levels)
+    fan0 = aig._fanin0
+    fan1 = aig._fanin1
+    for var in memoryview(active):
+        l0 = lv[fan0[var] >> 1]
+        l1 = lv[fan1[var] >> 1]
+        lv[var] = (l0 if l0 >= l1 else l1) + 1
+    return levels
 
 
 def aig_depth(aig: Aig) -> int:
     """The delay/level of the AIG: maximum PO driver level."""
-    levels = aig_levels(aig)
+    levels = memoryview(aig_levels_array(aig))
     depth = 0
     for lit in aig.pos:
         level = levels[lit_var(lit)]

@@ -334,9 +334,10 @@ def balance_reconstruct(
     )
 
     new = Aig(aig.name)
-    # Counted allocation through the commit layer: whole miss chunks go
-    # through the batch constructor (``commit.bulk_nodes``), stragglers
-    # through the scalar path (``commit.serial_replays``).
+    # Counted allocation through the commit layer: each round's misses
+    # go through the batch constructor (``commit.bulk_nodes``), the
+    # vector path's growth replays one at a time
+    # (``commit.serial_replays``).
     session = InsertionSession(new, expected=aig.num_ands * 2)
     mapped = np.zeros(aig.num_vars, dtype=np.int64)
     delay = np.zeros(aig.num_vars, dtype=np.int64)

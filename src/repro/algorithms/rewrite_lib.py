@@ -11,6 +11,7 @@ library with factoring-quality entries.
 
 from __future__ import annotations
 
+from repro import observe
 from repro.aig.aig import Aig
 from repro.logic.npn import NpnTransform, npn_canon, npn_leaf_assignment
 from repro.logic.resyn import plan_resynthesis
@@ -33,18 +34,24 @@ def library_template(canon: int, num_vars: int) -> Aig:
 
     The library outlives every run, so it plans through the uncached
     planner: the run-scoped plan cache, and its hit/miss counters, see
-    only the refactoring passes of the current run.  The template's
+    only the refactoring passes of the current run.  For the same
+    reason the build runs with counting paused: its work (a strash
+    rehash of the template, say) belongs to no run, and would
+    otherwise be billed to whichever run asks first.  The template's
     step program is compiled once, beside it.
     """
     key = (canon, num_vars)
     entry = _TEMPLATES.get(key)
     if entry is None:
-        plan = plan_resynthesis.__wrapped__(canon, num_vars)
-        if plan is None:  # unreachable for <= 4 inputs (<= 8 cubes)
-            raise AssertionError("library function exceeded the cube cap")
-        entry = _TEMPLATES[key] = (
-            plan.template, compile_template(plan.template)
-        )
+        with observe.paused():
+            plan = plan_resynthesis.__wrapped__(canon, num_vars)
+            if plan is None:  # unreachable for <= 4 inputs (<= 8 cubes)
+                raise AssertionError(
+                    "library function exceeded the cube cap"
+                )
+            entry = _TEMPLATES[key] = (
+                plan.template, compile_template(plan.template)
+            )
     return entry[0]
 
 

@@ -14,12 +14,12 @@ paper).  A pass hands the engine a list of
    templates one node per plan per synchronized round through the
    shared table, and redirect the old roots.
 
-Node allocation funnels through an :class:`InsertionSession`: whole
-miss chunks go through the column-native batch constructor (counted
-as ``commit.bulk_nodes``); batches below the vector table's size gate
-and growth replays allocate one node at a time (counted as
-``commit.serial_replays``) — same ids in the same order either way,
-wall-clock only.
+Node allocation funnels through an :class:`InsertionSession`: the
+misses of a batch (a vector chunk, or a whole batch below the vector
+table's size gate) go through the batch constructor in one call
+(counted as ``commit.bulk_nodes``); the vector path's growth replays
+allocate one node at a time (counted as ``commit.serial_replays``) —
+same ids in the same order either way, wall-clock only.
 """
 
 from __future__ import annotations
@@ -72,7 +72,8 @@ class InsertionSession:
     Builds the scalar ``alloc`` and the chunked ``alloc_batch``
     callbacks the batched table operations expect, instrumented with
     the layer's throughput counters: ``commit.bulk_nodes`` for nodes
-    created through the column-native batch constructor,
+    created through the batch constructor (column arrays above the
+    vector table's gate, plain lists below it),
     ``commit.serial_replays`` for nodes created one at a time.  The
     two paths produce the same ids in the same order (the
     :mod:`repro.parallel.vec` contract), so the split is
@@ -100,11 +101,15 @@ class InsertionSession:
             return aig.add_raw_and(key0, key1) >> 1
 
         # Whole miss chunks allocate through the batch constructor —
-        # same ids in the same order.
+        # same ids in the same order.  The fused small-batch loop
+        # hands over plain lists and reads back a list.
         def alloc_batch(key0, key1):
             if observe.enabled:
                 observe.count("commit.bulk_nodes", len(key0))
-            return aig.add_raw_and_batch(key0, key1) >> 1
+            created = aig.add_raw_and_batch(key0, key1)
+            if type(created) is list:
+                return [lit >> 1 for lit in created]
+            return created >> 1
 
         self.alloc = alloc
         self.alloc_batch = alloc_batch

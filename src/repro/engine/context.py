@@ -104,7 +104,7 @@ class GraphContext:
         key = self.aig._version
         entry = self._cached("_levels", key)
         if entry is None:
-            levels = np.array(traversal.aig_levels(self.aig), np.int64)
+            levels = traversal.aig_levels_array(self.aig)
             entry = self._levels = (key, memoryview(levels))
         return entry[1]
 

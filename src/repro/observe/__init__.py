@@ -35,7 +35,8 @@ Instrumentation sites follow two idioms::
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from contextlib import contextmanager
+from typing import Any, Callable, Iterator
 
 from repro.observe.metrics import MetricsRegistry
 from repro.observe.spans import Span, SpanHandle, Tracer
@@ -95,6 +96,23 @@ def disable() -> tuple[Tracer | None, MetricsRegistry | None]:
     if tracer is not None:
         tracer.finish()
     return tracer, registry
+
+
+@contextmanager
+def paused() -> Iterator[None]:
+    """Suspend counting for process-wide work that no run owns.
+
+    Inside the block ``enabled`` is False and counters are dropped, so
+    a one-time build (the rewrite library) is not billed to whichever
+    run happens to trigger it; spans keep recording.
+    """
+    global enabled, _metrics
+    saved = enabled, _metrics
+    enabled, _metrics = False, None
+    try:
+        yield
+    finally:
+        enabled, _metrics = saved
 
 
 def tracer() -> Tracer | None:

@@ -187,8 +187,10 @@ class NodeHashTable:
     Keys are canonical fanin pairs; values are node variable ids.  The
     trivial-AND folding rules are applied before any table access, like
     the GPU node-creation kernel does.  The batched calls run the
-    vectorized kernels of :mod:`repro.parallel.vec`; the per-item
-    :meth:`seed` / :meth:`get_or_create` are their scalar reference.
+    kernels of :mod:`repro.parallel.vec`; the per-item :meth:`seed` /
+    :meth:`get_or_create` are their scalar reference (``seed`` also
+    serves small seed batches; ``get_or_create`` only the tests'
+    differentials).
     """
 
     def __init__(self, expected: int = 1024) -> None:

@@ -4,8 +4,11 @@ Every kernel here executes one of the already-batched operations of
 :mod:`repro.parallel.hashtable` as whole-array NumPy code while
 reproducing the scalar per-item loop **bit-identically**: same table
 layouts, same per-item probe counts, same allocation order, same
-``hashtable.*`` counters.  Below :data:`_SCALAR_CUTOFF` items the
-scalar loop itself runs (docs/ARCHITECTURE.md, "Size gates").
+``hashtable.*`` counters.  Below :data:`_SCALAR_CUTOFF` items a scalar
+loop runs instead (docs/ARCHITECTURE.md, "Size gates"): the inherited
+per-item loop for inserts and seeds, and for get-or-create the fused
+loop :func:`goc_small`, which replays the per-item sequence in one
+pass over the table.
 
 The interesting kernel is batched hash insertion.  The scalar loop
 resolves same-key (and same-slot) conflicts deterministically in batch
@@ -44,20 +47,22 @@ from __future__ import annotations
 import numpy as np
 
 from repro import observe
+from repro.parallel import hashtable
 from repro.parallel.hashtable import HashTable
 from repro.verify import sanitizer
 
 _EMPTY = -1
 
 #: Below this batch size the whole-array set-up cost exceeds the scalar
-#: loop; fall back to the inherited per-item path, which is the same
-#: table layout and the same counters either way (pure wall-clock
-#: heuristic, never a semantic switch).  Crossover evidence: on the
-#: ``rfc-deep`` benchmark workload (seed 1) the serial retry lane makes
-#: 526 ``get_or_create_batch`` calls (median 2.5 items, max 28) and 196
-#: ``insert_batch`` calls (median 5), and forcing this gate to 0 cost
-#: +1.4 to +6.4% ``opt_s`` in five paired perfbench runs on a 2-vCPU
-#: VM.
+#: loop; fall back to the per-item path (the fused :func:`goc_small`
+#: for get-or-create), which is the same table layout and the same
+#: counters either way (pure wall-clock heuristic, never a semantic
+#: switch).  Crossover evidence: on the ``rfc-deep`` benchmark workload
+#: (seed 1) the serial retry lane makes 526 ``get_or_create_batch``
+#: calls (median 2.5 items, max 28) and 196 ``insert_batch`` calls
+#: (median 5); against the fused loop, forcing this gate to 0 cost
+#: +2.1 to +23.5% ``opt_s`` in five of six paired perfbench runs on a
+#: 2-vCPU VM (median +5.2%, one pair -13.3%).
 _SCALAR_CUTOFF = 512
 
 
@@ -68,8 +73,11 @@ def _count(name: str, value: int) -> None:
         observe.count(name, value)
 
 
-#: Multiplicative hashing constant — must match ``hashtable._MIX``.
-_MIX = np.uint64(0x9E3779B97F4A7C15)
+#: The scalar table's multiplicative hashing constant and 64-bit wrap,
+#: as Python ints (:func:`goc_small`) and as a NumPy scalar.
+_MIX_INT = hashtable._MIX
+_MASK64 = hashtable._MASK64
+_MIX = np.uint64(_MIX_INT)
 _SHIFT = np.uint64(31)
 
 
@@ -131,9 +139,9 @@ class VecHashTable(HashTable):
     def _alloc_slots(self, capacity: int) -> None:
         """Allocate the slot arrays plus their memoryview twins.
 
-        The NumPy arrays serve the vectorized paths; the inherited
-        scalar operations (used below :data:`_SCALAR_CUTOFF` and by the
-        growth-replay in :func:`get_or_create_batch`) go through
+        The NumPy arrays serve the vectorized paths; the scalar ones
+        (the inherited per-item operations and :func:`goc_small`, used
+        below :data:`_SCALAR_CUTOFF` and for growth replays) go through
         ``self._key0``/``self._key1``/``self._value``, which here are
         *memoryviews* of the same buffers — scalar indexing on a
         memoryview speaks plain Python ints at close to list speed,
@@ -339,8 +347,8 @@ def get_or_create_batch(node_table, pairs, alloc, alloc_batch=None):
     ``alloc`` is invoked in batch order for exactly the items the
     scalar loop would have allocated, so fresh node ids — which feed
     later hash keys — are assigned identically.  ``alloc_batch``, when
-    provided, allocates a whole miss chunk in one call (same order,
-    same ids — a pure wall-clock path).  Returns
+    provided, allocates all of a chunk's misses in one call (same
+    order, same ids — a pure wall-clock path).  Returns
     ``(literals, probe_works)`` as plain lists.
     """
     n = len(pairs)
@@ -349,15 +357,7 @@ def get_or_create_batch(node_table, pairs, alloc, alloc_batch=None):
     if n < _SCALAR_CUTOFF:
         if observe.enabled:
             observe.count("path.vec.get_or_create_batch.scalar")
-        literals = []
-        works = []
-        for lit0, lit1 in pairs:
-            literal, probes = node_table.get_or_create(
-                int(lit0), int(lit1), alloc
-            )
-            literals.append(int(literal))
-            works.append(probes)
-        return literals, works
+        return goc_small(node_table, pairs, alloc, alloc_batch)
     if observe.enabled:
         observe.count("path.vec.get_or_create_batch.vector")
     arr = np.asarray(pairs, dtype=np.int64).reshape(n, 2)
@@ -373,22 +373,23 @@ def goc_batch_arrays(node_table, lits0, lits1, alloc, alloc_batch=None):
     Takes two parallel int64 literal arrays and returns
     ``(literals, probe_works)`` as int64 ndarrays — the column-native
     pass kernels feed these straight into ``launch_batch`` without a
-    list round-trip.  Below :data:`_SCALAR_CUTOFF` the inherited
-    scalar path runs item by item (same layouts, same counters).
+    list round-trip.  Below :data:`_SCALAR_CUTOFF` the fused scalar
+    loop :func:`goc_small` runs (same layouts, same counters).
     """
     n = lits0.shape[0]
     if n < _SCALAR_CUTOFF:
         if observe.enabled:
             observe.count("path.vec.goc_batch_arrays.scalar")
-        out = np.empty(n, dtype=np.int64)
-        works = np.empty(n, dtype=np.int64)
-        for index in range(n):
-            literal, probes = node_table.get_or_create(
-                int(lits0[index]), int(lits1[index]), alloc
-            )
-            out[index] = literal
-            works[index] = probes
-        return out, works
+        lits, works = goc_small(
+            node_table,
+            zip(lits0.tolist(), lits1.tolist()),
+            alloc,
+            alloc_batch,
+        )
+        return (
+            np.array(lits, dtype=np.int64),
+            np.array(works, dtype=np.int64),
+        )
     if observe.enabled:
         observe.count("path.vec.goc_batch_arrays.vector")
     table = node_table._table
@@ -414,10 +415,13 @@ def goc_batch_arrays(node_table, lits0, lits1, alloc, alloc_batch=None):
             # Growth is imminent, and its scalar timing depends on
             # whether the *next* item misses (growth happens inside
             # insert, after the lookup probed the old layout).  Replay
-            # one item scalar to keep the sequence exact, then resume.
+            # one item through the fused loop to keep the sequence
+            # exact (a miss allocates through ``alloc``), then resume.
             index = int(pending[start])
-            lit, work = node_table.get_or_create(
-                int(lits0[index]), int(lits1[index]), alloc
+            (lit,), (work,) = goc_small(
+                node_table,
+                ((int(key0[index]), int(key1[index])),),
+                alloc,
             )
             lits[index] = lit
             probes[index] = work
@@ -432,6 +436,122 @@ def goc_batch_arrays(node_table, lits0, lits1, alloc, alloc_batch=None):
         probes[chunk] = cprb
         start = stop
     return lits, probes
+
+
+def goc_small(node_table, pairs, alloc, alloc_batch=None):
+    """Fused per-item :meth:`NodeHashTable.get_or_create` loop.
+
+    One Python loop over the table's memoryview twins replays the
+    scalar sequence item by item — the fold rules in their order, the
+    lookup walk, the insert's growth check — but hashes and walks each
+    key once: a miss claims the empty slot its lookup stopped on
+    (the insert would walk the same path to it) unless the insert
+    would grow the table first, in which case it walks the new layout.
+    Misses hold a negative sentinel (as in :func:`_goc_chunk`), so a
+    later duplicate in the batch hits it; node ids are allocated at
+    the end in batch order, through one ``alloc_batch`` call when
+    given (plain lists in, var ids out) and ``alloc`` per miss
+    otherwise, and patched over the sentinels.  ``pairs`` is an
+    iterable of Python-int literal pairs; returns
+    ``(literals, probe_works)`` as lists.
+    """
+    table = node_table._table
+    tkey0, tkey1, tvalue = table._key0, table._key1, table._value
+    mask = len(tvalue) - 1
+    limit = len(tvalue) * table._load_factor
+    size = table._size
+    lits = []
+    works = []
+    miss0 = []
+    miss1 = []
+    miss_slots = []
+    shared = []  # positions in ``lits`` holding a sentinel
+    lookups = 0
+    total = 0
+    for key0, key1 in pairs:
+        if key0 > key1:
+            key0, key1 = key1, key0
+        # Trivial-AND folding, in the scalar rule order.
+        if key0 == 0 or key0 == 1 or key0 == key1 or key0 == (key1 ^ 1):
+            if key0 == 0:
+                lits.append(0)
+            elif key0 == 1:
+                lits.append(key1)
+            elif key0 == key1:
+                lits.append(key0)
+            else:
+                lits.append(0)
+            works.append(0)
+            continue
+        lookups += 1
+        # ``hashtable._hash_key``; its final 64-bit wrap is implied by
+        # the slot mask.
+        hashed = (key0 * _MIX_INT + key1) & _MASK64
+        hashed ^= hashed >> 31
+        hashed = (hashed * _MIX_INT) & _MASK64
+        slot = hashed & mask
+        probes = 1
+        value = tvalue[slot]
+        while value != _EMPTY and (
+            tkey0[slot] != key0 or tkey1[slot] != key1
+        ):
+            slot = (slot + 1) & mask
+            probes += 1
+            value = tvalue[slot]
+        if value != _EMPTY:
+            total += probes
+            works.append(probes)
+            if value < 0:
+                shared.append(len(lits))
+                lits.append(value)
+            else:
+                lits.append(value << 1)
+            continue
+        more = probes
+        if size + 1 > limit:
+            table._size = size
+            table._grow()
+            tkey0, tkey1, tvalue = table._key0, table._key1, table._value
+            mask = len(tvalue) - 1
+            limit = len(tvalue) * table._load_factor
+            if miss_slots:
+                # The rehash moved this batch's sentinels: re-find them.
+                held = np.flatnonzero(table._avalue < _EMPTY)
+                moved = np.empty(len(miss_slots), dtype=np.int64)
+                moved[-(table._avalue[held] + 2)] = held
+                miss_slots = moved.tolist()
+            slot = hashed & mask
+            more = 1
+            while tvalue[slot] != _EMPTY:
+                slot = (slot + 1) & mask
+                more += 1
+        sentinel = -2 - len(miss_slots)
+        tkey0[slot] = key0
+        tkey1[slot] = key1
+        tvalue[slot] = sentinel
+        size += 1
+        miss0.append(key0)
+        miss1.append(key1)
+        miss_slots.append(slot)
+        shared.append(len(lits))
+        lits.append(sentinel)
+        works.append(probes + more)
+        total += probes + more
+    table._size = size
+    if miss_slots:
+        if alloc_batch is not None:
+            created = alloc_batch(miss0, miss1)
+        else:
+            created = [alloc(k0, k1) for k0, k1 in zip(miss0, miss1)]
+        for slot, var in zip(miss_slots, created):
+            tvalue[slot] = var
+        for pos in shared:
+            lits[pos] = created[-2 - lits[pos]] << 1
+    if observe.enabled:
+        _count("hashtable.lookups", lookups)
+        _count("hashtable.inserts", len(miss_slots))
+        _count("hashtable.probes", total)
+    return lits, works
 
 
 def _goc_chunk(table, key0, key1, alloc, alloc_batch=None):

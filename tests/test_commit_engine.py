@@ -299,36 +299,55 @@ def test_insertion_session_gate_parity(seed, num_pairs, rounds):
     assert aag_v == aag_s
 
 
+def _session_counters(gates, pairs):
+    """One-round session run under observe: outputs, graph, counters."""
+    observe.enable()
+    try:
+        out, aag = run_session(gates, pairs, rounds=1)
+    finally:
+        _, registry = observe.disable()
+    return out, aag, registry.snapshot()["counters"]
+
+
 def test_insertion_session_bulk_allocation_above_cutoff():
-    """A big round above the vector table's gate allocates whole miss
-    chunks through the batch constructor — and still matches the
-    scalar allocation."""
+    """A big round above the vector table's gate takes the vector path
+    and allocates whole miss chunks through the batch constructor; the
+    scalar side takes the fused loop.  Both land the same nodes in the
+    same order."""
     pairs = session_pairs(60, 900, seed=3)
     assert len(pairs) >= vec._SCALAR_CUTOFF
-    observe.enable()
-    out_v, aag_v = run_session(None, pairs, rounds=1)
-    _, registry = observe.disable()
-    counters = registry.snapshot()["counters"]
+    out_v, aag_v, counters = _session_counters(None, pairs)
+    out_s, aag_s, scalar_counters = _session_counters(math.inf, pairs)
+    assert counters["path.vec.get_or_create_batch.vector"] == 1
+    assert "path.vec.get_or_create_batch.scalar" not in counters
     assert counters.get("commit.bulk_nodes", 0) > 0
-    observe.enable()
-    out_s, aag_s = run_session(math.inf, pairs, rounds=1)
-    _, registry = observe.disable()
-    scalar_counters = registry.snapshot()["counters"]
-    assert scalar_counters.get("commit.bulk_nodes", 0) == 0
-    assert scalar_counters["commit.serial_replays"] > 0
+    assert scalar_counters["path.vec.get_or_create_batch.scalar"] == 1
+    assert "path.vec.get_or_create_batch.vector" not in scalar_counters
+
+    def created(snapshot):
+        return snapshot.get("commit.bulk_nodes", 0) + snapshot.get(
+            "commit.serial_replays", 0
+        )
+
+    assert created(counters) == created(scalar_counters) > 0
     assert out_v == out_s
     assert aag_v == aag_s
 
 
-def test_session_below_gate_never_bulk_allocates(monkeypatch):
-    monkeypatch.setattr(vec, "_SCALAR_CUTOFF", 10**9)
+def test_session_below_gate_allocates_in_one_call(monkeypatch):
+    """Below the gate the fused loop allocates each round's misses
+    through one batch-constructor call: no serial replays, and the
+    same graph as the vector path."""
     pairs = session_pairs(60, 900, seed=3)
-    observe.enable()
-    run_session(None, pairs, rounds=1)
-    _, registry = observe.disable()
-    counters = registry.snapshot()["counters"]
-    assert counters.get("commit.bulk_nodes", 0) == 0
-    assert counters["commit.serial_replays"] > 0
+    out_v, aag_v, _ = _session_counters(0, pairs)
+    monkeypatch.setattr(vec, "_SCALAR_CUTOFF", 10**9)
+    out_s, aag_s, counters = _session_counters(None, pairs)
+    assert counters["path.vec.get_or_create_batch.scalar"] == 1
+    assert not any(key.endswith(".vector") for key in counters)
+    assert counters["commit.bulk_nodes"] == counters["hashtable.inserts"]
+    assert "commit.serial_replays" not in counters
+    assert out_s == out_v
+    assert aag_s == aag_v
 
 
 # ----------------------------------------------------------------------

@@ -429,3 +429,29 @@ def test_committed_baseline_matches_schema():
         assert {"name", "script", "engine", "scale", "nodes_after",
                 "levels_after", "modeled_time", "wall_time",
                 "passes"} <= set(case)
+
+
+def test_library_build_stays_out_of_run_counters(tmp_path, monkeypatch):
+    """Two in-process ``resyn2`` runs, each on a fresh read of the same
+    file, count exactly the same events, although only the first one
+    builds the process-wide rewrite library."""
+    from repro.aig.io_aiger import read_aig_binary, write_aig_binary
+    from repro.algorithms import rewrite_lib
+    from repro.benchgen.arith import multiplier
+
+    monkeypatch.setattr(rewrite_lib, "_TEMPLATES", {})
+    path = tmp_path / "in.aig"
+    # The 4-bit multiplier reaches library classes whose template build
+    # rehashes its strash table.
+    write_aig_binary(multiplier(4), path)
+    snapshots = []
+    for _ in range(2):
+        aig = read_aig_binary(path)
+        observe.enable()
+        try:
+            run_script(aig, "resyn2", engine="gpu")
+        finally:
+            _, registry = observe.disable()
+        snapshots.append(registry.snapshot()["counters"])
+    assert rewrite_lib._TEMPLATES
+    assert snapshots[0] == snapshots[1]

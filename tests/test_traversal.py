@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro import observe
 from repro.aig import traversal
 from repro.aig.aig import Aig
 from repro.aig.literals import lit_var
@@ -188,14 +189,107 @@ def _random_deep_aig(seed, depth, width):
     return aig
 
 
+def _wide_then_deep_aig(seed, width, depth):
+    """A balanced tree over ``width`` PIs under a ``depth``-AND spine.
+
+    The tree's waves settle a large share of the waiting nodes; the
+    spine's settle one node each, so the level rule switches to the
+    scan in the middle.  A tenth of the tree is marked dead while the
+    tree above still reads it (dead fanins).
+    """
+    rng = random.Random(seed)
+    aig = Aig(f"wide{seed}")
+    layer = [aig.add_pi() for _ in range(width)]
+    tree = []
+    while len(layer) > 1:
+        layer = [
+            aig.add_raw_and(layer[i], layer[i + 1] ^ rng.randrange(2))
+            for i in range(0, len(layer) - 1, 2)
+        ]
+        tree.extend(layer)
+    spine = layer[0]
+    for _ in range(depth):
+        spine = aig.add_raw_and(spine, rng.choice(tree) ^ 1)
+    aig.add_po(spine)
+    for lit in rng.sample(tree[:-1], len(tree) // 10):
+        aig.mark_dead(lit >> 1)
+    return aig
+
+
+def _level_rule(aig):
+    """The wave whose yield sends ``aig_levels`` to the scan, or None.
+
+    Wave ``k`` settles exactly the live ANDs at level ``k``; the rule
+    switches after the first wave that settles fewer than
+    1/_WAVE_YIELD of the ANDs still waiting.  ``None`` means every
+    level is answered by a wave.
+    """
+    levels = _reference_levels(aig)
+    live = [
+        levels[var]
+        for var in range(aig.num_vars)
+        if aig.is_and(var) and not aig.is_dead(var)
+    ]
+    for k in range(1, max(live, default=0) + 1):
+        waiting = sum(level >= k for level in live)
+        settled = sum(level == k for level in live)
+        if settled * traversal._WAVE_YIELD < waiting:
+            return k
+    return None
+
+
+def _levels_path(aig):
+    """``aig_levels`` under observe, and the ``path.aig_levels.*`` it
+    counted."""
+    observe.enable()
+    try:
+        levels = aig_levels(aig)
+    finally:
+        _, registry = observe.disable()
+    counters = registry.snapshot()["counters"]
+    paths = {
+        key.removeprefix("path.aig_levels.")
+        for key in counters
+        if key.startswith("path.aig_levels.")
+    }
+    return levels, paths
+
+
 @pytest.mark.parametrize(
     "seed,depth,width", [(1, 0, 0), (2, 3, 2), (3, 40, 6), (4, 300, 1)]
 )
 def test_levels_and_fanouts_match_linear_scan(seed, depth, width):
     aig = _random_deep_aig(seed, depth, width)
-    deep = depth > traversal._VEC_MAX_WAVES
-    # The wave path answers shallow graphs and gives up on deep ones,
-    # where aig_levels falls back to its scalar scan.
-    assert (traversal._aig_levels_vec(aig) is None) == deep
-    assert aig_levels(aig) == _reference_levels(aig)
+    levels, paths = _levels_path(aig)
+    assert levels == _reference_levels(aig)
+    if aig.num_ands:
+        switch = _level_rule(aig)
+        assert paths == ({"waves"} if switch is None else {"scan"})
+    else:
+        assert paths == set()
     assert fanout_counts(aig) == _reference_fanout_counts(aig)
+
+
+@pytest.mark.parametrize(
+    "shape,switch",
+    [("waves", None), ("first", 1), ("middle", "middle")],
+)
+def test_level_waves_switch_to_scan_on_low_yield(shape, switch):
+    """Wide graphs stay on waves, deep ones scan after the first wave,
+    and a wide graph under a deep spine switches in the middle; the
+    scan keeps the levels the waves fixed."""
+    if shape == "waves":
+        aig = _wide_then_deep_aig(5, 256, 0)
+    elif shape == "first":
+        aig = _random_deep_aig(6, 400, 1)
+    else:
+        aig = _wide_then_deep_aig(7, 256, 300)
+    expected = _level_rule(aig)
+    if switch == "middle":
+        assert expected is not None and expected > 1
+    else:
+        assert expected == switch
+    levels, paths = _levels_path(aig)
+    assert paths == ({"waves"} if switch is None else {"scan"})
+    assert levels == _reference_levels(aig)
+    assert any(aig.is_dead(var) for var in range(aig.num_vars))

@@ -14,12 +14,17 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro import observe
+from repro.aig.aig import Aig
 from repro.parallel import vec
 from repro.parallel.hashtable import HashTable, NodeHashTable, _hash_key
 from repro.parallel.vec import VecHashTable
+from repro.verify import forced_gates
 
 
 @pytest.fixture
@@ -175,62 +180,166 @@ def test_mixed_op_fuzz_differential(seed):
     assert counters["scalar"] == counters["vector"]
 
 
+#: The batched get-or-create sides the per-item loop is the oracle
+#: for: the list API with per-miss ``alloc``, the list API with
+#: ``alloc_batch`` (plain lists below the gate) and the array API.
+_GOC_SIDES = ("alloc", "alloc_batch", "arrays")
+
+
+def _goc_run(side, gates, num_pis, expected, seeds, batches):
+    """Seed a NodeHashTable and run ``batches`` through one side.
+
+    Nodes are allocated in an Aig over ``num_pis`` PIs, so allocation
+    order is the Aig's fanin columns and an unknown literal raises
+    ``ValueError`` exactly where the allocator would.  Returns the
+    per-batch ``(literals, probes)``, the table dump, the fanin
+    columns, the ``hashtable.*`` counters and whether (and, for the
+    batched sides, after how many nodes of that batch) a batch raised.
+    """
+    aig = Aig("goc")
+    for _ in range(num_pis):
+        aig.add_pi()
+
+    def alloc(key0, key1):
+        return aig.add_raw_and(key0, key1) >> 1
+
+    def alloc_batch(key0, key1):
+        created = aig.add_raw_and_batch(key0, key1)
+        if type(created) is list:
+            return [lit >> 1 for lit in created]
+        return created >> 1
+
+    table = NodeHashTable(expected=expected)
+    lits0 = [lit0 for lit0, _ in seeds]
+    lits1 = [lit1 for _, lit1 in seeds]
+    variables = list(range(500, 500 + len(seeds)))
+    outs = []
+    raised = None
+    observe.enable()
+    try:
+        with forced_gates(gates):
+            if side == "oracle":
+                outs.append(
+                    [
+                        table.seed(lit0, lit1, var)
+                        for lit0, lit1, var in zip(lits0, lits1, variables)
+                    ]
+                )
+            else:
+                outs.append(table.seed_batch(lits0, lits1, variables))
+            for pairs in batches:
+                before = aig.num_vars
+                try:
+                    if side == "oracle":
+                        items = [
+                            table.get_or_create(lit0, lit1, alloc)
+                            for lit0, lit1 in pairs
+                        ]
+                        got = (
+                            [literal for literal, _ in items],
+                            [probes for _, probes in items],
+                        )
+                    elif side == "arrays":
+                        arr = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+                        lits, probes = vec.goc_batch_arrays(
+                            table, arr[:, 0], arr[:, 1], alloc, alloc_batch
+                        )
+                        got = (lits.tolist(), probes.tolist())
+                    else:
+                        got = table.get_or_create_batch(
+                            pairs,
+                            alloc,
+                            alloc_batch if side == "alloc_batch" else None,
+                        )
+                except ValueError:
+                    raised = aig.num_vars - before
+                    break
+                outs.append(got)
+    finally:
+        _, registry = observe.disable()
+    fanins = (aig._f0c.tolist(), aig._f1c.tolist())
+    if raised is not None:
+        return outs, None, fanins, None, raised
+    return outs, table._table.dump(), fanins, _counters(registry), None
+
+
+def _goc_differential(num_pis, expected, seeds, batches):
+    """Every batched side, at the default gate and with the gate forced
+    to 0, against the per-item loop: literals, probes, slot layout,
+    allocation order and ``hashtable.*`` counters."""
+    oracle = _goc_run("oracle", None, num_pis, expected, seeds, batches)
+    for gates in (None, 0):
+        for side in _GOC_SIDES:
+            got = _goc_run(side, gates, num_pis, expected, seeds, batches)
+            where = (side, gates)
+            if oracle[4] is not None:
+                # A bad literal raises in the same batch; allocating
+                # the batch's misses in one call validates them first.
+                assert got[4] is not None, where
+                assert got[0] == oracle[0], where
+                if side != "alloc":
+                    assert got[4] == 0, where
+                continue
+            assert got[4] is None, where
+            assert got[0] == oracle[0], where
+            assert got[1] == oracle[1], where
+            assert got[2] == oracle[2], where
+            assert got[3] == oracle[3], where
+    return oracle
+
+
 @pytest.mark.parametrize("seed", range(60))
 def test_node_table_get_or_create_fuzz(seed):
     """NodeHashTable batches against per-item seed/get_or_create."""
-    results = []
-    for batched in (False, True):
-        rng = random.Random(seed)
-        observe.enable()
-        table = NodeHashTable(expected=rng.choice([4, 256]))
-        next_var = [100]
-
-        def alloc(key0, key1):
-            next_var[0] += 1
-            return next_var[0]
-
-        outs = []
-        litspace = rng.choice([6, 50, 800])
-        m0 = rng.randrange(0, 50)
-        lits0 = [rng.randrange(litspace) for _ in range(m0)]
-        lits1 = [rng.randrange(litspace) for _ in range(m0)]
-        variables = list(range(500, 500 + m0))
-        if batched:
-            outs.append(table.seed_batch(lits0, lits1, variables))
-        else:
-            outs.append(
-                [
-                    table.seed(lit0, lit1, var)
-                    for lit0, lit1, var in zip(lits0, lits1, variables)
-                ]
-            )
-        for _ in range(rng.randrange(1, 8)):
-            m = rng.randrange(0, rng.choice([8, 60, 900]))
-            pairs = [
+    rng = random.Random(seed)
+    expected = rng.choice([4, 256])
+    litspace = rng.choice([6, 50, 800])
+    m0 = rng.randrange(0, 50)
+    seeds = [
+        (rng.randrange(litspace), rng.randrange(litspace))
+        for _ in range(m0)
+    ]
+    batches = []
+    for _ in range(rng.randrange(1, 8)):
+        m = rng.randrange(0, rng.choice([8, 60, 900]))
+        batches.append(
+            [
                 (rng.randrange(litspace), rng.randrange(litspace))
                 for _ in range(m)
             ]
-            if batched:
-                outs.append(table.get_or_create_batch(pairs, alloc))
-                continue
-            items = [
-                table.get_or_create(lit0, lit1, alloc)
-                for lit0, lit1 in pairs
-            ]
-            outs.append(
-                (
-                    [literal for literal, _ in items],
-                    [probes for _, probes in items],
-                )
-            )
-        _, registry = observe.disable()
-        results.append(
-            (outs, table._table.dump(), next_var[0], _counters(registry))
         )
+    _goc_differential(litspace // 2, expected, seeds, batches)
 
-    (outs_s, dump_s, alloc_s, counters_s) = results[0]
-    (outs_b, dump_b, alloc_b, counters_b) = results[1]
-    assert outs_s == outs_b
-    assert dump_s == dump_b
-    assert alloc_s == alloc_b
-    assert counters_s == counters_b
+
+def _growth_batch():
+    """Eleven distinct misses into a 16-slot table (room for 8), then
+    a repeat of the first: the ninth miss grows the table with eight
+    sentinels already placed, and the repeat must find the moved one."""
+    pairs = [(2 * a, 2 * a + 3) for a in range(1, 12)]
+    return [pairs + [pairs[0], pairs[8]]]
+
+
+_LIT = st.integers(min_value=0, max_value=41)
+_PAIRS = st.lists(st.tuples(_LIT, _LIT), max_size=40)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    expected=st.sampled_from([4, 256]),
+    seeds=st.lists(st.tuples(_LIT, _LIT), max_size=12),
+    batches=st.lists(_PAIRS, min_size=1, max_size=5),
+)
+@example(expected=4, seeds=[], batches=_growth_batch())
+@example(expected=4, seeds=[(6, 8)], batches=[[(6, 8), (10, 12), (12, 10)]])
+@example(expected=4, seeds=[], batches=[[(4, 6), (6, 4)], [(4, 6)]])
+@example(expected=4, seeds=[], batches=[[(0, 9), (9, 0), (4, 6)]])
+@example(expected=4, seeds=[], batches=[[(1, 9), (9, 1), (4, 6)]])
+@example(expected=4, seeds=[], batches=[[(9, 9), (4, 6), (4, 4)]])
+@example(expected=4, seeds=[], batches=[[(8, 9), (4, 6), (9, 8)]])
+@example(expected=4, seeds=[], batches=[[(4, 6), (8, 10), (4, 90)]])
+def test_node_table_get_or_create_cases(expected, seeds, batches):
+    """Crafted and generated batches through every batched side: growth
+    after sentinels are placed, create-then-hit, each fold rule and an
+    unknown literal (which raises before a batched side creates any
+    node)."""
+    _goc_differential(21, expected, seeds, batches)
