@@ -13,11 +13,10 @@ The package provides:
   paper's) balancing, refactoring and rewriting, the dedup/dangling
   cleanup pass and the sequence runner (``resyn2``, ``rf_resyn``, ...);
 * :mod:`repro.cec` — simulation- and SAT-based combinational
-  equivalence checking;
+  equivalence checking, plus a small ROBDD package the tests use as
+  an independent oracle for its verdicts;
 * :mod:`repro.benchgen` — parametric benchmark circuit generators and
   the named evaluation suite;
-* :mod:`repro.mapping` — k-LUT technology mapping and structural
-  choice computation (the paper's motivating downstream consumer);
 * :mod:`repro.experiments` — drivers regenerating every table and
   figure of the paper's evaluation section, plus the cost-model
   calibration procedure.

@@ -10,13 +10,6 @@ from repro.algorithms.dedup import dedup_and_dangling
 from repro.algorithms.par_balance import par_balance
 from repro.algorithms.par_refactor import DEFAULT_CUT_SIZE, par_refactor
 from repro.algorithms.par_rewrite import par_rewrite
-from repro.algorithms.resub import (
-    RESUB_CUT_SIZE,
-    ResubMatch,
-    find_resub,
-    par_resub,
-    seq_resub,
-)
 from repro.algorithms.rewrite_lib import (
     instantiate_template,
     library_template,
@@ -25,19 +18,13 @@ from repro.algorithms.rewrite_lib import (
 from repro.algorithms.seq_balance import seq_balance
 from repro.algorithms.seq_refactor import seq_refactor
 from repro.algorithms.seq_rewrite import seq_rewrite
-from repro.algorithms.sop_balance import seq_sop_balance
 
 __all__ = [
     "AliasView",
     "DEFAULT_CUT_SIZE",
     "PassResult",
     "collapse_into_ffcs",
-    "RESUB_CUT_SIZE",
-    "ResubMatch",
     "dedup_and_dangling",
-    "find_resub",
-    "par_resub",
-    "seq_resub",
     "instantiate_template",
     "library_template",
     "match_function",
@@ -47,5 +34,4 @@ __all__ = [
     "seq_balance",
     "seq_refactor",
     "seq_rewrite",
-    "seq_sop_balance",
 ]

@@ -12,10 +12,9 @@ a fresh, dense AIG.
 This module also hosts the cone-collection machinery the refactoring
 family shares: :class:`ConeJob` (one cone flowing through a
 resynthesis pipeline) and :func:`collapse_into_ffcs` (the level-wise
-disjoint-FFC partition of the paper's Section III-B, used by ``rf``
-and by resubstitution's donor harvest).  The conflict-breaking pass
-(:mod:`repro.algorithms.par_refactor_cb`) reuses :class:`ConeJob` with
-its own overlapping-cone collector.
+disjoint-FFC partition of the paper's Section III-B, used by ``rf``).
+The conflict-breaking pass (:mod:`repro.algorithms.par_refactor_cb`)
+reuses :class:`ConeJob` with its own overlapping-cone collector.
 """
 
 from __future__ import annotations

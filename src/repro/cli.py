@@ -9,12 +9,11 @@ Subcommands::
     repro-aig opt    --list-passes
     repro-aig cec    left.aag right.aag
     repro-aig export circuit.aag --format verilog -o circuit.v
-    repro-aig map    circuit.aag -k 6 [--choices]
     repro-aig table1 | table2 | table3 | fig7 | fig8   [--quick] [...]
 
 ``opt`` accepts the named sequences (``resyn2``, ``rf_resyn``,
 ``rfc_resyn``, ``resyn``) or any semicolon script of
-b/rw/rwz/rf/rfz/rs/rfc (``rfc`` is conflict-breaking parallel
+b/rw/rwz/rf/rfz/rfc (``rfc`` is conflict-breaking parallel
 refactoring); the table/figure subcommands regenerate the paper's
 exhibits (see EXPERIMENTS.md).
 """
@@ -129,15 +128,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_export.add_argument("-o", "--output", required=True)
     p_export.set_defaults(handler=_cmd_export)
-
-    p_map = sub.add_parser("map", help="k-LUT technology mapping")
-    p_map.add_argument("input")
-    p_map.add_argument("-k", type=int, default=6)
-    p_map.add_argument(
-        "--choices", action="store_true",
-        help="map with structural choices (original + GPU resyn2)",
-    )
-    p_map.set_defaults(handler=_cmd_map)
 
     for name, help_text in (
         ("table1", "normalized sequential-part runtimes (Table I)"),
@@ -314,28 +304,6 @@ def _cmd_export(args: argparse.Namespace) -> int:
         handle.write(text)
     print(f"wrote {args.output} ({args.format})")
     return 0
-
-
-def _cmd_map(args: argparse.Namespace) -> int:
-    from repro.mapping.choices import map_with_choices
-    from repro.mapping.lut_map import lut_map, verify_mapping
-
-    aig = read_aiger(args.input)
-    if args.choices:
-        optimized = run_script(aig, "resyn2", engine="gpu").aig
-        network, union = map_with_choices([optimized, aig], k=args.k)
-        reference = union
-    else:
-        network = lut_map(aig, k=args.k)
-        reference = aig
-    stats = network.stats()
-    verified = verify_mapping(reference, network)
-    print(
-        f"{args.k}-LUT mapping: {stats['luts']} LUTs, depth "
-        f"{stats['depth']}, {stats['edges']} edges "
-        f"(verify: {'ok' if verified else 'FAILED'})"
-    )
-    return 0 if verified else 1
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:

@@ -5,12 +5,11 @@ Passes describe graph changes as :class:`RewritePlan`\\ s (with typed
 :class:`CommitEngine`, which resolves conflicts, registers sanitizer
 footprints, and applies the wave through the batched survivor-table
 protocol — bulk column-native allocation when available, bit-identical
-scalar replay otherwise.  The scalar side
-(:func:`apply_replacement` / :func:`commit_replacement` plus the
-``deref_cone`` / ``ref_cone_back`` reference-count transaction, and
-``walk_cone`` / ``deref_walked`` for rewriting's one-walk replay) is
-the same discipline one replacement at a time, shared by the
-sequential passes and the serial lanes.
+scalar replay otherwise.  The scalar side (:func:`apply_replacement`
+plus the ``deref_cone`` / ``ref_cone_back`` reference-count
+transaction, and ``walk_cone`` / ``deref_walked`` for rewriting's
+one-walk replay) is the same discipline one replacement at a time,
+shared by the sequential passes and the serial lanes.
 
 Counters: ``commit.plans``, ``commit.bulk_nodes``,
 ``commit.serial_replays``, ``commit.conflicts`` — excluded from
@@ -26,7 +25,6 @@ from repro.commit.engine import (
 from repro.commit.plan import Footprint, RewritePlan
 from repro.commit.replay import (
     apply_replacement,
-    commit_replacement,
     deref_cone,
     deref_walked,
     ref_cone_back,
@@ -40,7 +38,6 @@ __all__ = [
     "InsertionSession",
     "RewritePlan",
     "apply_replacement",
-    "commit_replacement",
     "deref_cone",
     "deref_walked",
     "insert_cone_templates",

@@ -14,9 +14,7 @@ halves of that transaction.  Rewriting reads its cone once:
 :func:`walk_cone` collects each member's resolved fanin pair and the
 root's truth table in one DFS, and :func:`deref_walked` dereferences
 from those pairs.  :func:`apply_replacement` is the gated
-commit (gain / same-root / level-cap rejection with full rollback) and
-:func:`commit_replacement` the unconditional variant for callers that
-prove profitability before touching the graph (resubstitution).
+commit (gain / same-root / level-cap rejection with full rollback).
 """
 
 from __future__ import annotations
@@ -33,7 +31,6 @@ from repro.verify import mutations
 
 __all__ = [
     "apply_replacement",
-    "commit_replacement",
     "deref_cone",
     "deref_walked",
     "ref_cone_back",
@@ -251,37 +248,6 @@ def apply_replacement(
         observe.count("commit.plans")
         observe.count("commit.serial_replays", created)
     return gain, created
-
-
-def commit_replacement(
-    view,
-    nref: RefCounts,
-    root: int,
-    removed: set[int],
-    build: Callable[[Callable[[int, int], int]], int],
-) -> int:
-    """Unconditionally land one replacement (no gates, no rollback).
-
-    For callers that establish profitability *before* mutating the
-    graph (resubstitution checks its exact gain against the nominal
-    new-node cost first): kill ``removed``, build the new root, account
-    references, transfer the old root's count and alias it.  Returns
-    the new root literal.
-    """
-    aig = view.aig
-    for var in removed:
-        view.kill(var)
-    snapshot = aig.num_vars
-    new_root = build(aig.add_and)
-    created = aig.num_vars - snapshot
-    _ref_created(aig, nref, snapshot)
-    nref[new_root >> 1] += nref[root]
-    nref[root] = 0
-    view.set_alias(root, new_root)
-    if observe.enabled:
-        observe.count("commit.plans")
-        observe.count("commit.serial_replays", created)
-    return new_root
 
 
 def _ref_created(aig, nref: RefCounts, snapshot: int) -> None:

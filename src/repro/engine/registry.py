@@ -43,12 +43,11 @@ NAMED_SEQUENCES = {
     "rfc_resyn": "b; rfc; b; rfc; b",
 }
 
-#: The builtin script commands.  ``rs`` (resubstitution) and ``rfc``
-#: (conflict-breaking refactoring) are this library's extensions
-#: implementing the paper's stated future work; the other five
-#: commands are the paper's.  Plugins may extend the live set (see
+#: The builtin script commands.  ``rfc`` (conflict-breaking
+#: refactoring) is this library's extension; the other five commands
+#: are the paper's.  Plugins may extend the live set (see
 #: :func:`command_names`).
-VALID_COMMANDS = ("b", "rw", "rwz", "rf", "rfz", "rs", "rfc")
+VALID_COMMANDS = ("b", "rw", "rwz", "rf", "rfz", "rfc")
 
 #: Default maximum refactoring cut size (the paper's setting).
 DEFAULT_MAX_CUT_SIZE = 12
@@ -155,11 +154,9 @@ def _ensure_builtin() -> None:
     import repro.algorithms.par_refactor  # noqa: F401
     import repro.algorithms.par_refactor_cb  # noqa: F401
     import repro.algorithms.par_rewrite  # noqa: F401
-    import repro.algorithms.resub  # noqa: F401
     import repro.algorithms.seq_balance  # noqa: F401
     import repro.algorithms.seq_refactor  # noqa: F401
     import repro.algorithms.seq_rewrite  # noqa: F401
-    import repro.algorithms.sop_balance  # noqa: F401
 
 
 def pass_fn(name: str) -> Callable:

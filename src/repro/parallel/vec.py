@@ -184,6 +184,30 @@ class VecHashTable(HashTable):
             if observe.enabled:
                 observe.count("hashtable.rehash_probes", int(path.sum()))
 
+    def _drop_sentinels(self, rehashed: bool) -> None:
+        """Take a failed get-or-create batch's sentinels back out.
+
+        Sentinels sit in slots that were empty before the batch, so
+        clearing them restores the table exactly.  When a growth
+        rehashed them among the resident keys (``rehashed``), clearing
+        could cut a resident's probe chain, so the residents are
+        placed afresh at the current capacity instead.
+        """
+        held = self._avalue < _EMPTY
+        if not rehashed:
+            self._akey0[held] = _EMPTY
+            self._akey1[held] = _EMPTY
+            self._avalue[held] = _EMPTY
+            self._size -= int(held.sum())
+            return
+        used = np.flatnonzero(self._avalue >= 0)
+        key0 = self._akey0[used]
+        key1 = self._akey1[used]
+        values = self._avalue[used]
+        self._alloc_slots(self._avalue.shape[0])
+        self._stable_place(key0, key1, values)
+        self._size = used.shape[0]
+
     def _room(self) -> int:
         """Inserts guaranteed not to trigger the scalar growth check."""
         return (
@@ -451,14 +475,16 @@ def goc_small(node_table, pairs, alloc, alloc_batch=None):
     later duplicate in the batch hits it; node ids are allocated at
     the end in batch order, through one ``alloc_batch`` call when
     given (plain lists in, var ids out) and ``alloc`` per miss
-    otherwise, and patched over the sentinels.  ``pairs`` is an
-    iterable of Python-int literal pairs; returns
+    otherwise, and patched over the sentinels; if that allocation
+    raises, the sentinels leave the table before the error propagates.
+    ``pairs`` is an iterable of Python-int literal pairs; returns
     ``(literals, probe_works)`` as lists.
     """
     table = node_table._table
     tkey0, tkey1, tvalue = table._key0, table._key1, table._value
-    mask = len(tvalue) - 1
-    limit = len(tvalue) * table._load_factor
+    capacity = len(tvalue)
+    mask = capacity - 1
+    limit = capacity * table._load_factor
     size = table._size
     lits = []
     works = []
@@ -539,10 +565,14 @@ def goc_small(node_table, pairs, alloc, alloc_batch=None):
         total += probes + more
     table._size = size
     if miss_slots:
-        if alloc_batch is not None:
-            created = alloc_batch(miss0, miss1)
-        else:
-            created = [alloc(k0, k1) for k0, k1 in zip(miss0, miss1)]
+        try:
+            if alloc_batch is not None:
+                created = alloc_batch(miss0, miss1)
+            else:
+                created = [alloc(k0, k1) for k0, k1 in zip(miss0, miss1)]
+        except BaseException:
+            table._drop_sentinels(len(tvalue) != capacity)
+            raise
         for slot, var in zip(miss_slots, created):
             tvalue[slot] = var
         for pos in shared:
@@ -559,7 +589,8 @@ def _goc_chunk(table, key0, key1, alloc, alloc_batch=None):
 
     Misses insert a per-group negative sentinel value during stable
     placement; node ids are then allocated in batch order and patched
-    over the sentinels (in the table slots and the results).  A miss
+    over the sentinels (in the table slots and the results); if an
+    allocation raises, the unpatched sentinels leave the table.  A miss
     costs double its path length — the scalar loop pays the probe path
     once for the lookup and once more for the insert; intra-batch
     duplicates of a missing key pay it once (their lookup finds the
@@ -579,19 +610,25 @@ def _goc_chunk(table, key0, key1, alloc, alloc_batch=None):
     # scalar loop.
     variables = np.empty(reps.shape[0], dtype=np.int64)
     tvalue = table._avalue
-    if alloc_batch is not None:
-        miss_pos = np.flatnonzero(miss)
-        if miss_pos.size:
-            created = alloc_batch(
-                key0[reps[miss_pos]], key1[reps[miss_pos]]
-            )
-            variables[miss_pos] = created
-            tvalue[slot[miss_pos]] = created
-    else:
-        for pos in np.flatnonzero(miss).tolist():
-            var = alloc(int(key0[reps[pos]]), int(key1[reps[pos]]))
-            variables[pos] = var
-            tvalue[slot[pos]] = var
+    try:
+        if alloc_batch is not None:
+            miss_pos = np.flatnonzero(miss)
+            if miss_pos.size:
+                created = alloc_batch(
+                    key0[reps[miss_pos]], key1[reps[miss_pos]]
+                )
+                variables[miss_pos] = created
+                tvalue[slot[miss_pos]] = created
+        else:
+            for pos in np.flatnonzero(miss).tolist():
+                var = alloc(int(key0[reps[pos]]), int(key1[reps[pos]]))
+                variables[pos] = var
+                tvalue[slot[pos]] = var
+    except BaseException:
+        # A chunk never grows the table; misses already allocated
+        # one by one keep their (real) values.
+        table._drop_sentinels(False)
+        raise
     shared = res <= -2
     if shared.any():
         res[shared] = variables[-(res[shared] + 2)]

@@ -3,7 +3,7 @@
 The unified pass engine (:mod:`repro.engine`) is the single
 registration and dispatch point for the optimization passes.  Direct
 imports of the pass modules (``repro.algorithms.par_*`` / ``seq_*`` /
-``sop_*`` / ``resub`` / ``dedup``) are only allowed
+``dedup``) are only allowed
 
 * inside ``src/repro/algorithms/`` itself (the passes share helpers
   and the package ``__init__`` re-exports them),
@@ -28,7 +28,10 @@ gates under ``src/`` (integer constants named ``*_CUTOFF`` or
 of :data:`repro.verify.gates.GATES` — none missing, so the
 forced-gates differential covers each, and none stale; and no
 reference to the deleted backend switch or no-NumPy mode may come
-back.
+back.  Likewise no reference to the retired extensions (the LUT mapper
+package, resubstitution, SOP balancing and their unconditional replay
+commit) may come back to the code, test, benchmark, script or example
+trees.
 
 A last rule keeps the counter table of ``docs/OBSERVABILITY.md``
 complete: every counter name ``src/`` passes to ``observe.count`` as a
@@ -59,7 +62,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 #: directories (covers ``from repro.algorithms.X import`` and
 #: ``import repro.algorithms.X`` alike, plus importlib strings).
 FORBIDDEN = re.compile(
-    r"repro\.algorithms\.(par_|seq_|sop_|resub\b|dedup\b)"
+    r"repro\.algorithms\.(par_|seq_|dedup\b)"
 )
 
 #: Directories whose files may reference pass modules directly.
@@ -86,7 +89,6 @@ MUTATION_ALLOWED = (
     "src/repro/algorithms/common.py",
     "src/repro/algorithms/dedup.py",
     "src/repro/algorithms/seq_balance.py",
-    "src/repro/algorithms/sop_balance.py",
 )
 
 
@@ -95,6 +97,16 @@ MUTATION_ALLOWED = (
 FORBIDDEN_BACKEND = re.compile(
     r"\b(use_" r"numpy|HAVE_" r"NUMPY|HAS_" r"NUMPY|REPRO_" r"BACKEND)\b"
 )
+
+#: Names of the retired extension modules and their replay helper,
+#: spelled in pieces so this file does not match itself.
+FORBIDDEN_EXTENSION = re.compile(
+    r"\brepro\.map" r"ping\b|\balgorithms\.re" r"sub\b"
+    r"|\balgorithms\.sop" r"_balance\b|\bcommit_re" r"placement\b"
+)
+
+#: Trees the retired-extension guard scans.
+EXTENSION_SCAN = ("src", "tests", "benchmarks", "scripts", "examples")
 
 #: The forced-gates helper, the one place that lists the size gates.
 GATES_FILE = REPO_ROOT / "src" / "repro" / "verify" / "gates.py"
@@ -182,17 +194,30 @@ def find_gate_mismatches() -> list[str]:
     ]
 
 
+def _grep(pattern: re.Pattern, trees: tuple[str, ...]) -> list[str]:
+    """``file:line: text`` of every line under ``trees`` that matches."""
+    violations: list[str] = []
+    for tree in trees:
+        for path in sorted((REPO_ROOT / tree).rglob("*.py")):
+            relative = path.relative_to(REPO_ROOT).as_posix()
+            for number, line in enumerate(
+                path.read_text(encoding="utf-8").splitlines(), start=1
+            ):
+                if pattern.search(line):
+                    violations.append(
+                        f"{relative}:{number}: {line.strip()}"
+                    )
+    return violations
+
+
 def find_backend_references() -> list[str]:
     """Leftover references to the deleted backend switch in ``src/``."""
-    violations: list[str] = []
-    for path in sorted((REPO_ROOT / "src").rglob("*.py")):
-        relative = path.relative_to(REPO_ROOT).as_posix()
-        for number, line in enumerate(
-            path.read_text(encoding="utf-8").splitlines(), start=1
-        ):
-            if FORBIDDEN_BACKEND.search(line):
-                violations.append(f"{relative}:{number}: {line.strip()}")
-    return violations
+    return _grep(FORBIDDEN_BACKEND, ("src",))
+
+
+def find_extension_references() -> list[str]:
+    """References to the retired extensions in the scanned trees."""
+    return _grep(FORBIDDEN_EXTENSION, EXTENSION_SCAN)
 
 
 def _counter_name(node: ast.expr) -> str | None:
@@ -308,6 +333,14 @@ def test_no_backend_switch_references() -> None:
     )
 
 
+def test_no_retired_extension_references() -> None:
+    violations = find_extension_references()
+    assert not violations, (
+        "references to the retired mapping / resubstitution / SOP "
+        "balancing extensions:\n" + "\n".join(violations)
+    )
+
+
 def test_every_counter_is_documented() -> None:
     assert find_counter_names()
     undocumented = find_undocumented_counters()
@@ -377,6 +410,12 @@ def main() -> int:
         failed = True
         print("backend-switch conformance FAILED:", file=sys.stderr)
         for violation in backend_references:
+            print(f"  {violation}", file=sys.stderr)
+    extension_references = find_extension_references()
+    if extension_references:
+        failed = True
+        print("retired-extension conformance FAILED:", file=sys.stderr)
+        for violation in extension_references:
             print(f"  {violation}", file=sys.stderr)
     undocumented = find_undocumented_counters()
     if undocumented:

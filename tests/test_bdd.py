@@ -112,21 +112,39 @@ def test_bdd_matches_simulation(seed):
         assert simulated == decided
 
 
-def test_bdd_equivalent_cross_checks_sat_verdicts():
-    """BDD oracle agrees with the SAT-based checker."""
-    from repro.algorithms.seq_rewrite import seq_rewrite
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=100_000),
+    pis=st.integers(min_value=2, max_value=10),
+    size=st.integers(min_value=5, max_value=100),
+    po=st.integers(min_value=0, max_value=1_000),
+)
+def test_bdd_equivalent_cross_checks_sat_verdicts(seed, pis, size, po):
+    """The BDD oracle and the SAT-based checker agree on the parallel
+    scripts' outputs and on a copy with one PO complemented."""
     from repro.cec.equivalence import CecStatus, check_equivalence
+    from repro.engine import run_script
 
-    aig = build_random_aig(17, num_ands=100)
-    optimized = seq_rewrite(aig, zero_gain=True).aig
-    assert bdd_equivalent(aig, optimized)
-    assert check_equivalence(aig, optimized).status is CecStatus.EQUIVALENT
-    mutated = optimized.clone()
-    mutated.set_po(0, mutated.pos[0] ^ 1)
-    assert not bdd_equivalent(aig, mutated)
-    assert (
-        check_equivalence(aig, mutated).status is CecStatus.NOT_EQUIVALENT
-    )
+    aig = build_random_aig(seed, num_pis=pis, num_ands=size)
+    for script in ("resyn2", "rfc_resyn"):
+        optimized = run_script(aig, script, engine="gpu").aig
+        mutated = optimized.clone()
+        index = po % mutated.num_pos
+        mutated.set_po(index, mutated.pos[index] ^ 1)
+        for other, equivalent in ((optimized, True), (mutated, False)):
+            assert bdd_equivalent(aig, other) is equivalent
+            verdict = check_equivalence(aig, other)
+            assert verdict.status is (
+                CecStatus.EQUIVALENT
+                if equivalent
+                else CecStatus.NOT_EQUIVALENT
+            )
+            if not equivalent:
+                cex = verdict.counterexample
+                failing = verdict.failing_output
+                assert evaluate(aig, cex)[failing] != (
+                    evaluate(other, cex)[failing]
+                )
 
 
 def test_bdd_equivalent_interface_mismatch():

@@ -77,12 +77,14 @@ def test_export_verilog_and_dot(aig_file, tmp_path, capsys):
     assert dot.read_text().startswith("digraph")
 
 
-def test_map_subcommand(aig_file, capsys):
+def test_removed_map_subcommand_is_a_usage_error(aig_file, capsys):
     aig, path = aig_file
-    assert main(["map", str(path), "-k", "4"]) == 0
-    out = capsys.readouterr().out
-    assert "LUT mapping" in out
-    assert "verify: ok" in out
+    with pytest.raises(SystemExit) as exit_info:
+        main(["map", str(path), "-k", "4"])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage: repro-aig" in err
+    assert "invalid choice: 'map'" in err
 
 
 def test_verify_subcommand_clean(aig_file, capsys):

@@ -7,7 +7,6 @@ from repro.aig.validate import check_aig
 from repro.algorithms.par_balance import par_balance
 from repro.algorithms.par_refactor import par_refactor
 from repro.algorithms.par_rewrite import par_rewrite
-from repro.algorithms.resub import par_resub, seq_resub
 from repro.algorithms.seq_balance import seq_balance
 from repro.algorithms.seq_refactor import seq_refactor
 from repro.algorithms.seq_rewrite import seq_rewrite
@@ -21,8 +20,6 @@ ALL_PASSES = [
     par_refactor,
     seq_rewrite,
     par_rewrite,
-    seq_resub,
-    par_resub,
 ]
 
 

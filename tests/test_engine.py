@@ -424,6 +424,15 @@ def test_parse_script_rejects_unknown_command():
         parse_script("b; frobnicate; rw")
 
 
+def test_parse_script_rejects_removed_rs_command():
+    with pytest.raises(ValueError) as error:
+        parse_script("b; rs")
+    named, valid = str(error.value).split("; valid: ")
+    assert named == "unknown command 'rs'"
+    assert "'rs'" not in valid
+    assert all(repr(command) in valid for command in VALID_COMMANDS)
+
+
 def test_parse_script_resolves_named_sequences():
     assert parse_script("resyn2") == [
         "b", "rw", "rf", "b", "rw", "rwz", "b", "rfz", "rwz", "b"

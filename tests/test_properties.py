@@ -46,57 +46,45 @@ def test_par_balance_matches_seq_levels(seed, size):
     assert_equivalent(aig, par.aig)
 
 
-#: A known Property 3 counterexample: ``par_balance`` reaches 12 levels
-#: (98 ANDs) where ``seq_balance`` reaches 11 (88 ANDs).
-PROPERTY3_COUNTEREXAMPLE = {"seed": 75638, "size": 100}
+#: Known Property 3 counterexamples, ``(seed, size)`` of
+#: ``build_random_aig`` -> ``((par levels, par ANDs), (seq levels, seq
+#: ANDs))`` after ``par_balance`` and ``seq_balance``.  ``par_balance``
+#: ends deeper on the first and third and shallower on the second; the
+#: random property test drew the last two.
+PROPERTY3_COUNTEREXAMPLES = {
+    (75638, 100): ((12, 98), (11, 88)),
+    (107, 33): ((5, 29), (6, 30)),
+    (13581, 65): ((9, 63), (8, 53)),
+}
 
-#: The same tie-break class the other way round: ``par_balance``
-#: reaches 5 levels (29 ANDs) where ``seq_balance`` reaches 6 (30 ANDs).
-#: The random property test drew it.
-PROPERTY3_SHALLOWER_COUNTEREXAMPLE = {"seed": 107, "size": 33}
 
-PROPERTY3_XFAIL = pytest.mark.xfail(
+@pytest.mark.xfail(
     strict=True,
     reason=(
-        "one cluster holds a duplicate input and a complementary pair "
-        "(x and !x); whether they fold depends on the Huffman "
+        "a cluster holds a duplicate input and/or a complementary "
+        "pair (x and !x); whether they fold depends on the Huffman "
         "tie-break by literal id, so reconstruction order changes the "
         "balanced depth"
     ),
 )
-
-
-def _counterexample_aig(case: dict):
-    return build_random_aig(case["seed"], num_ands=case["size"])
-
-
-@PROPERTY3_XFAIL
-def test_par_balance_matches_seq_levels_counterexample():
-    aig = _counterexample_aig(PROPERTY3_COUNTEREXAMPLE)
+@pytest.mark.parametrize("seed,size", list(PROPERTY3_COUNTEREXAMPLES))
+def test_par_balance_matches_seq_levels_counterexample(seed, size):
+    aig = build_random_aig(seed, num_ands=size)
     assert par_balance(aig).levels_after == seq_balance(aig).levels_after
 
 
-@PROPERTY3_XFAIL
-def test_par_balance_matches_seq_levels_shallower_counterexample():
-    aig = _counterexample_aig(PROPERTY3_SHALLOWER_COUNTEREXAMPLE)
-    assert par_balance(aig).levels_after == seq_balance(aig).levels_after
-
-
-def test_par_balance_counterexample_stays_equivalent():
-    """The counterexample costs depth, never correctness."""
-    aig = _counterexample_aig(PROPERTY3_COUNTEREXAMPLE)
-    result = par_balance(aig)
-    check_aig(result.aig)
-    assert_equivalent(aig, result.aig)
-
-
-def test_par_balance_shallower_counterexample_stays_equivalent():
-    """Shallower than ``seq_balance``, and still the same function."""
-    aig = _counterexample_aig(PROPERTY3_SHALLOWER_COUNTEREXAMPLE)
-    result = par_balance(aig)
-    check_aig(result.aig)
-    assert_equivalent(aig, result.aig)
-    assert (result.levels_after, result.nodes_after) == (5, 29)
+@pytest.mark.parametrize("seed,size", list(PROPERTY3_COUNTEREXAMPLES))
+def test_par_balance_counterexample_stays_equivalent(seed, size):
+    """A counterexample costs (or saves) depth, never correctness."""
+    aig = build_random_aig(seed, num_ands=size)
+    par = par_balance(aig)
+    check_aig(par.aig)
+    assert_equivalent(aig, par.aig)
+    seq = seq_balance(aig)
+    assert (
+        (par.levels_after, par.nodes_after),
+        (seq.levels_after, seq.nodes_after),
+    ) == PROPERTY3_COUNTEREXAMPLES[seed, size]
 
 
 @settings(max_examples=10, deadline=None)

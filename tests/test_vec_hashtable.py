@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 from repro import observe
 from repro.aig.aig import Aig
+from repro.commit import InsertionSession
 from repro.parallel import vec
 from repro.parallel.hashtable import HashTable, NodeHashTable, _hash_key
 from repro.parallel.vec import VecHashTable
@@ -343,3 +344,73 @@ def test_node_table_get_or_create_cases(expected, seeds, batches):
     unknown literal (which raises before a batched side creates any
     node)."""
     _goc_differential(21, expected, seeds, batches)
+
+
+# ----------------------------------------------------------------------
+# A failed get-or-create batch leaves no sentinel behind
+# ----------------------------------------------------------------------
+
+
+def _session(num_pis: int, expected: int = 64) -> InsertionSession:
+    aig = Aig()
+    for _ in range(num_pis):
+        aig.add_pi()
+    return InsertionSession(aig, expected=expected)
+
+
+def _assert_table_matches_graph(session: InsertionSession) -> None:
+    """Every resident is a node of the graph under its own key, and the
+    table finds it: no sentinel, no lost probe chain, no stale size."""
+    table = session.table._table
+    entries = table.dump()
+    assert table.size == len(entries)
+    for key0, key1, var in entries:
+        assert 0 < var < session.aig.num_vars
+        assert session.aig.fanins(var) == (key0, key1)
+        assert table.lookup(key0, key1)[0] == var
+
+
+@pytest.mark.parametrize("gates", [None, 0])
+def test_failed_batch_leaves_no_sentinel(gates):
+    """The unknown literal raises before any node is created; the
+    batch's other miss must not stay behind as a negative literal."""
+    session = _session(4)
+    with forced_gates(gates):
+        with pytest.raises(ValueError):
+            session.insert_round([(2, 4), (6, 90)])
+        assert session.aig.num_vars == 5
+        assert session.table._table.lookup(2, 4)[0] is None
+        _assert_table_matches_graph(session)
+        # As on a table that never saw the failed batch.
+        assert session.insert_round([(2, 4)]) == ([10], [2])
+        _assert_table_matches_graph(session)
+
+
+@pytest.mark.parametrize("gates", [None, 0])
+def test_failed_batch_after_growth_keeps_residents(gates):
+    """A failing batch whose misses grow the table mid-batch: the
+    residents stay reachable and a retry of the valid pairs builds the
+    same literals as a session that never saw the failure.  Here the
+    rehash puts a resident behind a sentinel on one probe chain, so
+    merely clearing the sentinels would lose that resident."""
+    first = [(16, 26), (7, 20), (42, 57)]
+    valid = [
+        (16, 41), (13, 51), (3, 37), (2, 11), (10, 30),
+        (25, 28), (13, 20), (17, 48), (10, 42), (2, 38),
+    ]
+    failed = _session(30, expected=4)
+    clean = _session(30, expected=4)
+    with forced_gates(gates):
+        failed.insert_round(first)
+        clean.insert_round(first)
+        before = failed.aig.num_vars
+        with pytest.raises(ValueError):
+            failed.insert_round(valid + [(6, 900)])
+        if gates is None:
+            # One fused loop: validation precedes every allocation.
+            assert failed.aig.num_vars == before
+        _assert_table_matches_graph(failed)
+        got, _ = failed.insert_round(valid)
+        want, _ = clean.insert_round(valid)
+    assert got == want
+    _assert_table_matches_graph(failed)
