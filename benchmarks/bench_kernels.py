@@ -27,7 +27,7 @@ from repro.logic.isop import isop
 from repro.logic.npn import npn_canon
 from repro.logic.resyn import plan_resynthesis
 from repro.logic.truth import full_mask, var_table
-from repro.parallel import vec
+from repro.parallel import hashtable
 from repro.parallel.hashtable import HashTable
 from repro.parallel.machine import ParallelMachine
 
@@ -120,14 +120,15 @@ def test_bench_resynthesis_plan_12var(benchmark):
 
 
 def test_bench_hashtable_insert_lookup(benchmark):
-    pairs = [(i * 3 % 1021, i * 7 % 2039) for i in range(2000)]
+    """2,000 raw-key inserts, then the same keys again as hits."""
+    key0 = [i * 3 % 1021 for i in range(2000)]
+    key1 = [i * 7 % 2039 for i in range(2000)]
+    values = list(range(2000))
 
     def run():
         table = HashTable(expected=4096)
-        for index, (key0, key1) in enumerate(pairs):
-            table.insert(key0, key1, index)
-        for key0, key1 in pairs:
-            table.lookup(key0, key1)
+        table.insert_batch(key0, key1, values)
+        table.insert_batch(key0, key1, values)
 
     benchmark(run)
 
@@ -246,34 +247,22 @@ def test_bench_balance_levelize(benchmark, b_xl_file):
 @pytest.fixture(scope="module")
 def b_xl_small_rounds(b_xl_file):
     """The get-or-create rounds of ``b`` on the b-xl input that fall
-    below the vector table's gate, as recorded from one run: per-level
-    rounds (literal arrays) and deep-subtree rounds (pair lists).
-    Returns the rounds and the largest variable they reference."""
+    below the table's gate, as recorded from one run: per-level rounds
+    (literal arrays) and deep-subtree rounds (literal lists).  Returns
+    the rounds and the largest variable they reference."""
     rounds = []
-    by_arrays = InsertionSession.insert_round_arrays
-    by_pairs = InsertionSession.insert_round
+    insert_round = InsertionSession.insert_round
 
-    def record_arrays(self, l0, l1):
-        if l0.shape[0] < vec._SCALAR_CUTOFF:
-            rounds.append(("arrays", (l0.copy(), l1.copy())))
-        return by_arrays(self, l0, l1)
-
-    def record_pairs(self, pairs):
-        if len(pairs) < vec._SCALAR_CUTOFF:
-            rounds.append(("pairs", list(pairs)))
-        return by_pairs(self, pairs)
+    def record(self, lits0, lits1):
+        if len(lits0) < hashtable._SCALAR_CUTOFF:
+            rounds.append((lits0.copy(), lits1.copy()))
+        return insert_round(self, lits0, lits1)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(InsertionSession, "insert_round_arrays", record_arrays)
-        patch.setattr(InsertionSession, "insert_round", record_pairs)
+        patch.setattr(InsertionSession, "insert_round", record)
         run_script(read_aig_binary(b_xl_file), "b", engine="gpu")
-    top = 0
-    for kind, data in rounds:
-        if kind == "arrays":
-            top = max(top, int(data[0].max()), int(data[1].max()))
-        else:
-            top = max(top, max(max(pair) for pair in data))
-    return rounds, top >> 1
+    top = max(max(max(lits0), max(lits1)) for lits0, lits1 in rounds)
+    return rounds, int(top) >> 1
 
 
 def test_bench_goc_small_batches(benchmark, b_xl_small_rounds):
@@ -289,11 +278,8 @@ def test_bench_goc_small_batches(benchmark, b_xl_small_rounds):
         return (InsertionSession(aig, expected=2 * top),), {}
 
     def run(session):
-        for kind, data in rounds:
-            if kind == "arrays":
-                session.insert_round_arrays(*data)
-            else:
-                session.insert_round(data)
+        for lits0, lits1 in rounds:
+            session.insert_round(lits0, lits1)
 
     benchmark.pedantic(run, setup=setup, rounds=10)
 

@@ -26,7 +26,7 @@ melts long before that.  This module provides the two primitives the
 Bulk construction (docs/ARCHITECTURE.md, "Bulk construction") rides on
 that determinism contract: :meth:`FlatStrash.build_bulk` and every
 occupancy rebuild place whole key arrays at once with NumPy (grouped
-probe rounds in the style of :class:`repro.parallel.vec.VecHashTable`),
+probe rounds in the style of :class:`repro.parallel.hashtable.HashTable`),
 at every size.  They hash with :func:`_hash_pairs`, an exact NumPy
 replica of CPython's tuple hash, so a key lands on the chain the
 scalar :meth:`FlatStrash._find` walks.

@@ -22,7 +22,7 @@ a level's keys are two gathers and its folds one vector test.  Merge
 decisions follow the scalar sequence exactly — the first node in
 (level, DFS order) with a key wins, across levels too (a fold can give
 a node the key of a node one level below) — and one
-:meth:`~repro.parallel.vec.VecHashTable.insert_batch` of every
+:meth:`~repro.parallel.hashtable.HashTable.insert_batch` of every
 non-folded key, in that order, yields the per-item probe counts the
 per-level launches charge: the table never deletes, so one batch
 probes exactly like the level-by-level inserts.
@@ -38,7 +38,7 @@ from repro.engine.context import resolved_levels
 from repro.engine.registry import register_pass
 from repro.parallel import backend
 from repro.parallel.machine import ParallelMachine
-from repro.parallel.vec import VecHashTable
+from repro.parallel.hashtable import HashTable
 from repro.verify import mutations, sanitizer
 from repro.verify.invariants import (
     check_dedup_complete,
@@ -130,7 +130,7 @@ def _merge_levels(
     hop1 = final[lits1 >> 1] ^ (lits1 & 1)
     del lits0, lits1
 
-    table = VecHashTable(expected=max(aig.num_ands * 2, 64))
+    table = HashTable(expected=max(aig.num_ands * 2, 64))
     stride = 2 * aig.num_vars  # literals are below it: lo * stride + hi
     winner_of: dict[int, int] = {}
     claim = winner_of.setdefault
@@ -205,8 +205,7 @@ def _merge_levels(
     # Probe counts: one sequential-order insert of every kept key; a
     # folded node charges one unit.
     _, probes = table.insert_batch(
-        np.stack((key_lo[:filled], key_hi[:filled]), axis=1),
-        seq[key_pos[:filled]],
+        key_lo[:filled], key_hi[:filled], seq[key_pos[:filled]]
     )
     works = np.ones(seq.shape[0], dtype=np.int64)
     works[key_pos[:filled]] = probes

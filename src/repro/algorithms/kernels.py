@@ -335,9 +335,7 @@ def balance_reconstruct(
 
     new = Aig(aig.name)
     # Counted allocation through the commit layer: each round's misses
-    # go through the batch constructor (``commit.bulk_nodes``), the
-    # vector path's growth replays one at a time
-    # (``commit.serial_replays``).
+    # go through the batch constructor (``commit.bulk_nodes``).
     session = InsertionSession(new, expected=aig.num_ands * 2)
     mapped = np.zeros(aig.num_vars, dtype=np.int64)
     delay = np.zeros(aig.num_vars, dtype=np.int64)
@@ -412,7 +410,7 @@ def balance_reconstruct(
             l0[position] = hl0
             d1[position] = hd1
             l1[position] = hl1
-        merged, probes = session.insert_round_arrays(l0, l1)
+        merged, probes = session.insert_round(l0, l1)
         d_new = np.select(
             [merged == l0, merged == l1, merged <= 1],
             [d0, d1, np.zeros(n, dtype=np.int64)],
@@ -428,7 +426,8 @@ def balance_reconstruct(
         observe.count("b.insertion_passes")
         # Remaining passes only ever involve the deep subtrees.
         while True:
-            pairs = []
+            lits0 = []
+            lits1 = []
             popped = []
             for position in sorted(heaps):
                 heap = heaps[position]
@@ -436,14 +435,14 @@ def balance_reconstruct(
                     continue
                 hd0, hl0 = heapq.heappop(heap)
                 hd1, hl1 = heapq.heappop(heap)
-                pairs.append((hl0, hl1))
+                lits0.append(hl0)
+                lits1.append(hl1)
                 popped.append((heap, hd0, hl0, hd1, hl1))
-            if not pairs:
+            if not popped:
                 break
-            merged_list, probes_list = session.insert_round(pairs)
-            works = []
-            for (heap, hd0, hl0, hd1, hl1), got, cost in zip(
-                popped, merged_list, probes_list
+            merged_arr, probes_arr = session.insert_round(lits0, lits1)
+            for (heap, hd0, hl0, hd1, hl1), got in zip(
+                popped, merged_arr.tolist()
             ):
                 if got == hl0:
                     heapq.heappush(heap, (hd0, got))
@@ -453,8 +452,10 @@ def balance_reconstruct(
                     heapq.heappush(heap, (0, got))
                 else:
                     heapq.heappush(heap, (max(hd0, hd1) + 1, got))
-                works.append((cost + 5) * BALANCE_WORK_SCALE)
-            machine.launch("b.insertion_pass", works)
+            machine.launch(
+                "b.insertion_pass",
+                ((probes_arr + 5) * BALANCE_WORK_SCALE).tolist(),
+            )
             observe.count("b.insertion_passes")
         # Commit the level's results: array roots finished in pass 1,
         # heap roots hold their single remaining operand.

@@ -15,11 +15,9 @@ paper).  A pass hands the engine a list of
    shared table, and redirect the old roots.
 
 Node allocation funnels through an :class:`InsertionSession`: the
-misses of a batch (a vector chunk, or a whole batch below the vector
-table's size gate) go through the batch constructor in one call
-(counted as ``commit.bulk_nodes``); the vector path's growth replays
-allocate one node at a time (counted as ``commit.serial_replays``) —
-same ids in the same order either way, wall-clock only.
+misses of every table batch (a vector chunk, a whole batch below the
+table's size gate, or the one item of a growth replay) go through the
+batch constructor in one call, counted as ``commit.bulk_nodes``.
 """
 
 from __future__ import annotations
@@ -32,7 +30,7 @@ from repro.aig.aig import Aig
 from repro.aig.literals import lit_compl, lit_not_cond, lit_var, make_lit
 from repro.commit.plan import RewritePlan
 from repro.parallel import backend
-from repro.parallel.hashtable import NodeHashTable
+from repro.parallel.hashtable import HashTable
 from repro.parallel.machine import ParallelMachine
 from repro.verify import mutations, sanitizer
 
@@ -49,91 +47,67 @@ Account = Callable[[str, list[int]], None]
 
 def seed_survivor_table(
     aig: Aig, machine: ParallelMachine, launch_name: str
-) -> NodeHashTable:
+) -> HashTable:
     """Hash table seeded with every live AND node of ``aig``.
 
     Dead (replaced) nodes must already be marked; the sweep visits the
     survivors in ascending id order, so the table layout — and
     therefore every downstream probe count — is deterministic.
     """
-    table = NodeHashTable(expected=max(aig.num_ands * 2, 64))
+    table = HashTable(expected=max(aig.num_ands * 2, 64))
     survivors = aig.live_and_array()
     fan0, fan1, _ = aig.arrays()
     seed_works = table.seed_batch(
         fan0[survivors], fan1[survivors], survivors
     )
-    machine.launch(launch_name, seed_works or [0])
+    machine.launch(launch_name, seed_works.tolist() or [0])
     return table
 
 
 class InsertionSession:
     """Counted node allocation into one graph through one hash table.
 
-    Builds the scalar ``alloc`` and the chunked ``alloc_batch``
-    callbacks the batched table operations expect, instrumented with
-    the layer's throughput counters: ``commit.bulk_nodes`` for nodes
-    created through the batch constructor (column arrays above the
-    vector table's gate, plain lists below it),
-    ``commit.serial_replays`` for nodes created one at a time.  The
-    two paths produce the same ids in the same order (the
-    :mod:`repro.parallel.vec` contract), so the split is
-    wall-clock-only and excluded from parity like ``kernels.*``.
+    The table knows keys, slots and probes; the session adds what it
+    cannot know: the graph the new nodes land in, and the layer's
+    ``commit.bulk_nodes`` count of nodes created through the batch
+    constructor.
     """
 
-    __slots__ = ("aig", "table", "alloc", "alloc_batch")
+    __slots__ = ("aig", "table")
 
     def __init__(
         self,
         aig: Aig,
         expected: int | None = None,
-        table: NodeHashTable | None = None,
+        table: HashTable | None = None,
     ) -> None:
         self.aig = aig
         if table is None:
-            table = NodeHashTable(
+            table = HashTable(
                 expected=expected if expected is not None else 64
             )
         self.table = table
 
-        def alloc(key0: int, key1: int) -> int:
-            if observe.enabled:
-                observe.count("commit.serial_replays")
-            return aig.add_raw_and(key0, key1) >> 1
+    def insert_round(self, lits0, lits1):
+        """One synchronized batched get-or-create round over two
+        literal columns; returns ``(literals, probes)`` int64 arrays."""
+        return self.table.get_or_create(lits0, lits1, self._alloc)
 
-        # Whole miss chunks allocate through the batch constructor —
-        # same ids in the same order.  The fused small-batch loop
-        # hands over plain lists and reads back a list.
-        def alloc_batch(key0, key1):
-            if observe.enabled:
-                observe.count("commit.bulk_nodes", len(key0))
-            created = aig.add_raw_and_batch(key0, key1)
-            if type(created) is list:
-                return [lit >> 1 for lit in created]
-            return created >> 1
-
-        self.alloc = alloc
-        self.alloc_batch = alloc_batch
-
-    def insert_round(
-        self, pairs: list[tuple[int, int]]
-    ) -> tuple[list[int], list[int]]:
-        """One synchronized batched get-or-create round."""
-        return self.table.get_or_create_batch(
-            pairs, self.alloc, self.alloc_batch
-        )
-
-    def insert_round_arrays(self, l0, l1):
-        """Array-native round for callers that already hold columns."""
-        from repro.parallel import vec
-
-        return vec.goc_batch_arrays(
-            self.table, l0, l1, self.alloc, self.alloc_batch
-        )
+    def _alloc(self, key0, key1):
+        # The table hands over plain lists (below its gate, and for
+        # one-item growth replays) or column arrays (vector chunks) and
+        # reads back var ids in the same form.
+        if observe.enabled:
+            observe.count("commit.bulk_nodes", len(key0))
+        created = self.aig.add_raw_and_batch(key0, key1)
+        if type(created) is list:
+            return [lit >> 1 for lit in created]
+        return created >> 1
 
 
 def insert_cone_templates(
     aig: Aig,
-    table: NodeHashTable,
+    table: HashTable,
     states: list[tuple[Aig, dict[int, int], list[int]]],
     machine: ParallelMachine,
     launch_name: str,
@@ -147,7 +121,7 @@ def insert_cone_templates(
     map pre-seeded with the leaf bindings, and the template's AND
     variables in topological (id) order.  Each round batches one node
     from every still-active cone through
-    :meth:`~repro.parallel.hashtable.NodeHashTable.get_or_create_batch`;
+    :meth:`~repro.parallel.hashtable.HashTable.get_or_create`;
     fanin literals only reference earlier rounds, so the whole round is
     one synchronized table operation.  ``lit_map`` entries are filled in
     place; returns the number of insertion rounds.
@@ -170,7 +144,8 @@ def insert_cone_templates(
     )
     round_index = 0
     while True:
-        pairs = []
+        lits0 = []
+        lits1 = []
         active = []
         for template, lit_map, order in states:
             if round_index >= len(order):
@@ -179,16 +154,17 @@ def insert_cone_templates(
             f0, f1 = template.fanins(t_var)
             n0 = lit_not_cond(lit_map[lit_var(f0)], lit_compl(f0))
             n1 = lit_not_cond(lit_map[lit_var(f1)], lit_compl(f1))
-            if corrupt and round_index == 0 and not pairs:
+            if corrupt and round_index == 0 and not lits0:
                 n0 ^= 1  # stale fanin: wrong polarity read of the leaf
-            pairs.append((n0, n1))
+            lits0.append(n0)
+            lits1.append(n1)
             active.append((lit_map, t_var))
-        if not pairs:
+        if not lits0:
             break
-        literals, probes_list = session.insert_round(pairs)
-        for (lit_map, t_var), literal in zip(active, literals):
+        literals, probes = session.insert_round(lits0, lits1)
+        for (lit_map, t_var), literal in zip(active, literals.tolist()):
             lit_map[t_var] = literal
-        account(launch_name, [probes + 1 for probes in probes_list])
+        account(launch_name, (probes + 1).tolist())
         round_index += 1
     return round_index
 

@@ -4,7 +4,7 @@ from repro.parallel.frontier import (
     gather_unique,
     partition_by_flag,
 )
-from repro.parallel.hashtable import HashTable, NodeHashTable
+from repro.parallel.hashtable import HashTable
 from repro.parallel.machine import (
     HostRecord,
     KernelRecord,
@@ -18,7 +18,6 @@ __all__ = [
     "HostRecord",
     "KernelRecord",
     "MachineConfig",
-    "NodeHashTable",
     "ParallelMachine",
     "SeqMeter",
     "gather_unique",

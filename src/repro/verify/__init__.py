@@ -13,7 +13,7 @@ Three layers (see ``docs/VERIFICATION.md``):
   harness behind ``repro-aig fuzz`` / ``repro-aig verify``.
 
 :mod:`repro.verify.gates` forces the one remaining size gate
-(``vec._SCALAR_CUTOFF``) to a value (:func:`forced_gates`), turning
+(``hashtable._SCALAR_CUTOFF``) to a value (:func:`forced_gates`), turning
 the vector-vs-scalar contract into a differential the goldens check,
 the fuzzer and the parity tests run.
 

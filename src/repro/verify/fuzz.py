@@ -1,7 +1,7 @@
 """CEC-gated differential fuzzing of the parallel optimization engine.
 
 One fuzz *case* is a generated AIG plus a pass script.  The harness
-runs the case with the size gate (``vec._SCALAR_CUTOFF``) at its
+runs the case with the size gate (``hashtable._SCALAR_CUTOFF``) at its
 default and forced to ``0`` (:func:`repro.verify.gates.forced_gates`),
 each under both sanitizer modes (off, and on in record mode with
 post-pass invariant auditing).  The column-native pass kernels run in

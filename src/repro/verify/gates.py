@@ -1,14 +1,15 @@
 """Force the fast-path size gate to one value (differential checks).
 
-One site keeps a vectorized path next to a scalar reference, picked by
-a module-level size gate: ``vec._SCALAR_CUTOFF`` switches the batched
-hash-table operations, and the vector path runs at or above it.  Every
-other hot loop, the column-native pass kernels included, has one path
-that runs at every size.  The gate is a wall-clock heuristic only —
-both sides produce the same AIGs, probe counts, counters and modeled
-times — so forcing it to ``0`` (vector path everywhere) or to
-``math.inf`` (scalar path everywhere) must leave every result
-unchanged.  The goldens check, the fuzzer and the parity tests use
+One site keeps a vectorized path next to a scalar loop, picked by a
+module-level size gate: ``hashtable._SCALAR_CUTOFF`` switches the hash
+table's batched get-or-create between its vector chunks (at or above
+the gate) and its fused per-item loop.  Every other hot loop, the
+table's inserts and seeds and the column-native pass kernels included,
+has one path that runs at every size.  The gate is a wall-clock
+heuristic only — both sides produce the same AIGs, probe counts,
+counters and modeled times — so forcing it to ``0`` (vector path
+everywhere) or to ``math.inf`` (scalar path everywhere) must leave
+every result unchanged.  The goldens check, the fuzzer and the parity tests use
 :func:`forced_gates` to prove exactly that (docs/ARCHITECTURE.md,
 "Size gates").
 
@@ -22,7 +23,7 @@ import importlib
 from contextlib import contextmanager
 
 #: ``(module, attribute)`` of every size gate.
-GATES = (("repro.parallel.vec", "_SCALAR_CUTOFF"),)
+GATES = (("repro.parallel.hashtable", "_SCALAR_CUTOFF"),)
 
 
 @contextmanager

@@ -23,7 +23,7 @@ from repro.aig.literals import (
 )
 from repro.parallel import backend
 from repro.parallel.machine import ParallelMachine
-from repro.parallel.vec import VecHashTable
+from repro.parallel.hashtable import HashTable
 from repro.verify import sanitizer
 from repro.verify.invariants import check_dedup_complete, check_no_dead_refs
 
@@ -99,7 +99,7 @@ def reference_dedup(
         for var in live:
             buckets.setdefault(levels[var], []).append(var)
         batches = [buckets[level] for level in sorted(buckets)]
-        table = VecHashTable(expected=max(aig.num_ands * 2, 64))
+        table = HashTable(expected=max(aig.num_ands * 2, 64))
         duplicates = 0
         for batch in batches:
             guard = sanitizer.batch("dedup.level")
@@ -122,9 +122,11 @@ def reference_dedup(
                 keys.append(lit_pair_key(r0, r1))
                 values.append(var)
                 positions.append(position)
-            winners, probes_list = table.insert_batch(keys, values)
+            winners, probes_list = table.insert_batch(
+                [key0 for key0, _ in keys], [key1 for _, key1 in keys], values
+            )
             for position, var, winner, probes in zip(
-                positions, values, winners, probes_list
+                positions, values, winners.tolist(), probes_list.tolist()
             ):
                 works[position] = probes
                 if winner != var:

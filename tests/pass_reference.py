@@ -209,7 +209,11 @@ def _reconstruct(
                 popped.append((heap, d0, l0, d1, l1))
             if not pairs:
                 break
-            merged_list, probes_list = session.insert_round(pairs)
+            merged_arr, probes_arr = session.insert_round(
+                [l0 for l0, _ in pairs], [l1 for _, l1 in pairs]
+            )
+            merged_list = merged_arr.tolist()
+            probes_list = probes_arr.tolist()
             works = []
             for (heap, d0, l0, d1, l1), merged, probes in zip(
                 popped, merged_list, probes_list

@@ -33,6 +33,11 @@ package, resubstitution, SOP balancing and their unconditional replay
 commit) may come back to the code, test, benchmark, script or example
 trees.
 
+The batched hash table owns its slot state: no module under ``src/``
+other than ``repro/parallel/hashtable.py`` may touch the table's slot
+arrays (``._table``, ``._akey0``, ``._akey1``, ``._avalue``), and none
+may import the per-item oracle ``tests/hashtable_reference.py``.
+
 A last rule keeps the counter table of ``docs/OBSERVABILITY.md``
 complete: every counter name ``src/`` passes to ``observe.count`` as a
 literal (f-string placeholders kept as ``{expr}``) must appear in it.
@@ -108,6 +113,16 @@ FORBIDDEN_EXTENSION = re.compile(
 #: Trees the retired-extension guard scans.
 EXTENSION_SCAN = ("src", "tests", "benchmarks", "scripts", "examples")
 
+#: The hash table's slot state, which only its own module may touch.
+TABLE_STATE = re.compile(r"\._(table|akey0|akey1|avalue)\b")
+
+#: The one module allowed to touch :data:`TABLE_STATE`.
+TABLE_MODULE = "src/repro/parallel/hashtable.py"
+
+#: An import of the hash table's per-item test oracle, which ``src/``
+#: must not use.
+TABLE_ORACLE = re.compile(r"^\s*(from|import)\s.*\bhashtable_reference\b")
+
 #: The forced-gates helper, the one place that lists the size gates.
 GATES_FILE = REPO_ROOT / "src" / "repro" / "verify" / "gates.py"
 
@@ -124,7 +139,8 @@ def find_size_gates() -> set[tuple[str, str]]:
 
     A gate is a module-level int constant with a gate-like name that
     code under ``src/`` reads: by bare name in its own module, as an
-    attribute (``vec._SCALAR_CUTOFF``), or through a ``from`` import.
+    attribute (``hashtable._SCALAR_CUTOFF``), or through a ``from``
+    import.
     A constant nothing in ``src/`` reads switches no path (a value kept
     for run manifests, say), so it is not a gate.
     """
@@ -218,6 +234,16 @@ def find_backend_references() -> list[str]:
 def find_extension_references() -> list[str]:
     """References to the retired extensions in the scanned trees."""
     return _grep(FORBIDDEN_EXTENSION, EXTENSION_SCAN)
+
+
+def find_table_reach_ins() -> list[str]:
+    """Slot-state access outside the table module, and imports of the
+    table's test oracle, in ``src/``."""
+    return [
+        violation
+        for violation in _grep(TABLE_STATE, ("src",))
+        if not violation.startswith(f"{TABLE_MODULE}:")
+    ] + _grep(TABLE_ORACLE, ("src",))
 
 
 def _counter_name(node: ast.expr) -> str | None:
@@ -341,6 +367,15 @@ def test_no_retired_extension_references() -> None:
     )
 
 
+def test_hash_table_state_stays_in_its_module() -> None:
+    violations = find_table_reach_ins()
+    assert not violations, (
+        "hash-table slot state touched outside "
+        f"{TABLE_MODULE}, or its test oracle imported by src/:\n"
+        + "\n".join(violations)
+    )
+
+
 def test_every_counter_is_documented() -> None:
     assert find_counter_names()
     undocumented = find_undocumented_counters()
@@ -417,6 +452,16 @@ def main() -> int:
         print("retired-extension conformance FAILED:", file=sys.stderr)
         for violation in extension_references:
             print(f"  {violation}", file=sys.stderr)
+    table_reach_ins = find_table_reach_ins()
+    if table_reach_ins:
+        failed = True
+        print("hash-table encapsulation FAILED:", file=sys.stderr)
+        for violation in table_reach_ins:
+            print(f"  {violation}", file=sys.stderr)
+        print(
+            f"go through the public methods of {TABLE_MODULE}",
+            file=sys.stderr,
+        )
     undocumented = find_undocumented_counters()
     if undocumented:
         failed = True

@@ -146,15 +146,16 @@ def test_forced_gates_switch_every_pass_path(tmp_path):
     scalar, scalar_aag = path_counters(math.inf)
     # Below the gate, misses also land through the batch constructor
     # (the fused small-batch loop), so ``commit.bulk_nodes`` shows up
-    # on both sides; the ``path.vec.*`` counters name the side taken.
+    # on both sides; the ``path.hashtable.*`` counters name the side
+    # taken.
     assert vector.get("commit.bulk_nodes", 0) > 0
     assert vector_aag == scalar_aag
     assert not any(
-        key.startswith("path.vec.") and key.endswith(".scalar")
+        key.startswith("path.hashtable.") and key.endswith(".scalar")
         for key in vector
     )
     assert not any(
-        key.startswith("path.vec.") and key.endswith(".vector")
+        key.startswith("path.hashtable.") and key.endswith(".vector")
         for key in scalar
     )
     for key in kernel_keys:
@@ -166,12 +167,12 @@ def test_forced_gates_switch_every_pass_path(tmp_path):
     vector_sites = {
         key.removesuffix(".vector")
         for key in vector
-        if key.startswith("path.vec.")
+        if key.startswith("path.hashtable.")
     }
     scalar_sites = {
         key.removesuffix(".scalar")
         for key in scalar
-        if key.startswith("path.vec.")
+        if key.startswith("path.hashtable.")
     }
     assert vector_sites and vector_sites == scalar_sites
     assert all(f"{site}.vector" in vector for site in vector_sites)

@@ -7,10 +7,9 @@ Covers the pieces every pass now shares:
 * the scalar replay gates of :func:`repro.commit.apply_replacement` —
   min-gain rejection, level-cap (never-worse depth) rejection, and
   bit-exact rollback;
-* :class:`repro.commit.InsertionSession` bulk-vs-scalar parity — the
-  batch constructor and the per-node scalar allocation must produce
-  the same ids in the same order (only the ``commit.bulk_nodes`` /
-  ``commit.serial_replays`` wall-clock split may differ);
+* :class:`repro.commit.InsertionSession` gate parity — the table's
+  vector chunks and its fused small-batch loop must allocate the same
+  ids in the same order, all through the batch constructor;
 * a plan-level wave commit applied with every size gate forced to 0
   and to infinity, producing identical graphs and alias maps.
 """
@@ -36,7 +35,7 @@ from repro.commit import (
     apply_replacement,
     deref_cone,
 )
-from repro.parallel import vec
+from repro.parallel import hashtable
 from repro.parallel.machine import ParallelMachine
 from repro.verify import forced_gates
 
@@ -278,9 +277,11 @@ def run_session(gates, pairs, rounds: int):
     outputs = []
     with forced_gates(gates):
         for index in range(0, len(pairs), chunk):
-            outputs.append(
-                session.insert_round(pairs[index : index + chunk])
+            part = pairs[index : index + chunk]
+            lits, probes = session.insert_round(
+                [l0 for l0, _ in part], [l1 for _, l1 in part]
             )
+            outputs.append((lits.tolist(), probes.tolist()))
     aig.add_po(make_lit(aig.num_vars - 1))
     return outputs, dump_aag(aig)
 
@@ -310,39 +311,36 @@ def _session_counters(gates, pairs):
 
 
 def test_insertion_session_bulk_allocation_above_cutoff():
-    """A big round above the vector table's gate takes the vector path
-    and allocates whole miss chunks through the batch constructor; the
+    """A big round above the table's gate takes the vector path and
+    allocates whole miss chunks through the batch constructor; the
     scalar side takes the fused loop.  Both land the same nodes in the
-    same order."""
+    same order, every one through the batch constructor."""
     pairs = session_pairs(60, 900, seed=3)
-    assert len(pairs) >= vec._SCALAR_CUTOFF
+    assert len(pairs) >= hashtable._SCALAR_CUTOFF
     out_v, aag_v, counters = _session_counters(None, pairs)
     out_s, aag_s, scalar_counters = _session_counters(math.inf, pairs)
-    assert counters["path.vec.get_or_create_batch.vector"] == 1
-    assert "path.vec.get_or_create_batch.scalar" not in counters
-    assert counters.get("commit.bulk_nodes", 0) > 0
-    assert scalar_counters["path.vec.get_or_create_batch.scalar"] == 1
-    assert "path.vec.get_or_create_batch.vector" not in scalar_counters
-
-    def created(snapshot):
-        return snapshot.get("commit.bulk_nodes", 0) + snapshot.get(
-            "commit.serial_replays", 0
-        )
-
-    assert created(counters) == created(scalar_counters) > 0
+    assert counters["path.hashtable.get_or_create.vector"] == 1
+    assert "path.hashtable.get_or_create.scalar" not in counters
+    assert scalar_counters["path.hashtable.get_or_create.scalar"] == 1
+    assert "path.hashtable.get_or_create.vector" not in scalar_counters
+    for snapshot in (counters, scalar_counters):
+        assert snapshot["commit.bulk_nodes"] == snapshot["hashtable.inserts"]
+        assert "commit.serial_replays" not in snapshot
+    inserts = counters["hashtable.inserts"]
+    assert inserts == scalar_counters["hashtable.inserts"] > 0
     assert out_v == out_s
     assert aag_v == aag_s
 
 
 def test_session_below_gate_allocates_in_one_call(monkeypatch):
     """Below the gate the fused loop allocates each round's misses
-    through one batch-constructor call: no serial replays, and the
-    same graph as the vector path."""
+    through one batch-constructor call, and builds the same graph as
+    the vector path."""
     pairs = session_pairs(60, 900, seed=3)
     out_v, aag_v, _ = _session_counters(0, pairs)
-    monkeypatch.setattr(vec, "_SCALAR_CUTOFF", 10**9)
+    monkeypatch.setattr(hashtable, "_SCALAR_CUTOFF", 10**9)
     out_s, aag_s, counters = _session_counters(None, pairs)
-    assert counters["path.vec.get_or_create_batch.scalar"] == 1
+    assert counters["path.hashtable.get_or_create.scalar"] == 1
     assert not any(key.endswith(".vector") for key in counters)
     assert counters["commit.bulk_nodes"] == counters["hashtable.inserts"]
     assert "commit.serial_replays" not in counters

@@ -1,116 +1,151 @@
-"""Unit tests for the batched linear-probing hash table."""
+"""Unit tests for the batched linear-probing hash table.
+
+Each case runs :class:`repro.parallel.hashtable.HashTable` next to the
+per-item oracle ``tests/hashtable_reference.py`` and checks both the
+expected result and that the two tables agree (results, probes and
+slot layout).
+"""
+
+import numpy as np
 
 from repro.aig.aig import Aig
-from repro.parallel.hashtable import HashTable, NodeHashTable
+from repro.parallel.hashtable import HashTable
+from tests import hashtable_reference as reference
+
+
+def _twins(expected: int = 1024):
+    table = HashTable(expected=expected)
+    oracle = reference.HashTable(expected=expected)
+    assert table.capacity == oracle.capacity
+    return table, oracle
+
+
+def _insert(table, oracle, keys, values):
+    """One batch through both tables; returns the production result as
+    lists after checking it against the oracle."""
+    key0 = [key for key, _ in keys]
+    key1 = [key for _, key in keys]
+    resident, probes = table.insert_batch(key0, key1, values)
+    got = (resident.tolist(), probes.tolist())
+    assert got == oracle.insert_batch(keys, values)
+    assert table.dump() == oracle.dump()
+    assert table.size == oracle.size
+    return got
+
+
+def _alloc_into(aig):
+    def alloc(key0, key1):
+        return [lit >> 1 for lit in aig.add_raw_and_batch(key0, key1)]
+
+    return alloc
 
 
 def test_insert_then_lookup():
-    table = HashTable()
-    value, probes = table.insert(2, 4, 10)
+    table, oracle = _twins()
+    (value,), (probes,) = _insert(table, oracle, [(2, 4)], [10])
     assert value == 10
     assert probes >= 1
-    found, _ = table.lookup(2, 4)
-    assert found == 10
+    # Re-inserting a resident key reads its value back.
+    assert _insert(table, oracle, [(2, 4)], [77])[0] == [10]
 
 
 def test_duplicate_insert_returns_resident():
-    table = HashTable()
-    table.insert(2, 4, 10)
-    value, _ = table.insert(2, 4, 99)
-    assert value == 10  # first writer wins, like atomicCAS
+    table, oracle = _twins()
+    _insert(table, oracle, [(2, 4)], [10])
+    values, _ = _insert(table, oracle, [(2, 4)], [99])
+    assert values == [10]  # first writer wins, like atomicCAS
     assert table.size == 1
 
 
 def test_lookup_missing():
+    aig = Aig()
+    a, b = aig.add_pi(), aig.add_pi()
     table = HashTable()
-    value, probes = table.lookup(1, 2)
-    assert value is None
-    assert probes >= 1
+    oracle = reference.HashTable()
+    literals, probes = table.get_or_create([a], [b], _alloc_into(aig))
+    assert probes.tolist() == [2]  # lookup miss + insert, one probe each
+    assert oracle.lookup(a, b) == (None, 1)
+    assert literals.tolist() == [aig.num_vars * 2 - 2]
 
 
 def test_growth_preserves_entries():
-    table = HashTable(expected=4)
-    pairs = [(i * 2, i * 2 + 4, i) for i in range(500)]
-    for key0, key1, value in pairs:
-        table.insert(key0, key1, value)
+    table, oracle = _twins(expected=4)
+    keys = [(i * 2, i * 2 + 4) for i in range(500)]
+    values = list(range(500))
+    _insert(table, oracle, keys, values)
     assert table.size == 500
     assert table.capacity >= 1000
-    for key0, key1, value in pairs:
-        assert table.lookup(key0, key1)[0] == value
+    assert _insert(table, oracle, keys, [-1] * 500)[0] == values
 
 
 def test_dump_returns_all_pairs():
-    table = HashTable()
-    expected = set()
-    for index in range(50):
-        table.insert(index, index + 1, index * 3)
-        expected.add((index, index + 1, index * 3))
-    assert set(table.dump()) == expected
+    table, oracle = _twins()
+    keys = [(index, index + 1) for index in range(50)]
+    values = [index * 3 for index in range(50)]
+    _insert(table, oracle, keys, values)
+    assert set(table.dump()) == {
+        (key0, key1, value) for (key0, key1), value in zip(keys, values)
+    }
 
 
 def test_batch_operations():
-    table = HashTable()
-    keys = [(1, 2), (3, 4), (1, 2)]
-    values, works = table.insert_batch(keys, [10, 20, 30])
+    table, oracle = _twins()
+    values, works = _insert(
+        table, oracle, [(1, 2), (3, 4), (1, 2)], [10, 20, 30]
+    )
     assert values == [10, 20, 10]
     assert len(works) == 3
     assert sorted(table.dump()) == [(1, 2, 10), (3, 4, 20)]
-    assert table.lookup(3, 4)[0] == 20
-    assert table.lookup(9, 9)[0] is None
+    empty = table.insert_batch([], [], [])
+    assert [part.tolist() for part in empty] == [[], []]
 
 
 def test_probe_counts_reflect_collisions():
-    table = HashTable(expected=64)
-    total_probes = 0
-    for index in range(40):
-        _, probes = table.insert(index, index, index)
-        total_probes += probes
-    assert total_probes >= 40  # at least one probe each
+    table, oracle = _twins(expected=64)
+    keys = [(index, index) for index in range(40)]
+    _, probes = _insert(table, oracle, keys, list(range(40)))
+    assert sum(probes) >= 40  # at least one probe each
 
 
 def test_deterministic_across_runs():
     def run():
-        table = HashTable(expected=16)
-        out = []
-        for index in range(100):
-            value, _ = table.insert(index % 7, index % 11, index)
-            out.append(value)
+        table, oracle = _twins(expected=16)
+        keys = [(index % 7, index % 11) for index in range(100)]
+        out, _ = _insert(table, oracle, keys, list(range(100)))
         return out, table.dump()
 
     assert run() == run()
 
 
 # ----------------------------------------------------------------------
-# NodeHashTable
+# Sharing-aware node creation
 # ----------------------------------------------------------------------
 
 
 def test_node_table_folding_rules():
     aig = Aig()
     a = aig.add_pi()
-    table = NodeHashTable()
-
-    def alloc(key0, key1):
-        return aig.add_raw_and(key0, key1) >> 1
-
-    assert table.get_or_create(a, 0, alloc)[0] == 0
-    assert table.get_or_create(a, 1, alloc)[0] == a
-    assert table.get_or_create(a, a, alloc)[0] == a
-    assert table.get_or_create(a, a ^ 1, alloc)[0] == 0
+    table = HashTable()
+    literals, probes = table.get_or_create(
+        [a, a, a, a], [0, 1, a, a ^ 1], _alloc_into(aig)
+    )
+    assert literals.tolist() == [0, a, a, 0]
+    assert probes.tolist() == [0, 0, 0, 0]
     assert aig.num_ands == 0  # nothing allocated
+    assert table.size == 0
 
 
 def test_node_table_shares_nodes():
     aig = Aig()
     a, b = aig.add_pi(), aig.add_pi()
-    table = NodeHashTable()
-
-    def alloc(key0, key1):
-        return aig.add_raw_and(key0, key1) >> 1
-
-    first, _ = table.get_or_create(a, b, alloc)
-    second, _ = table.get_or_create(b, a, alloc)
-    assert first == second
+    table = HashTable()
+    alloc = _alloc_into(aig)
+    first, _ = table.get_or_create([a], [b], alloc)
+    second, _ = table.get_or_create([b], [a], alloc)
+    assert first.tolist() == second.tolist()
+    assert aig.num_ands == 1
+    both, _ = table.get_or_create(np.array([a, b]), np.array([b, a]), alloc)
+    assert both.tolist() == first.tolist() * 2
     assert aig.num_ands == 1
 
 
@@ -118,11 +153,15 @@ def test_node_table_seeding():
     aig = Aig()
     a, b = aig.add_pi(), aig.add_pi()
     existing = aig.add_and(a, b)
-    table = NodeHashTable()
-    table.seed(a, b, existing >> 1)
+    table = HashTable()
+    oracle = reference.HashTable()
+    probes = table.seed_batch([b], [a], [existing >> 1])
+    assert probes.tolist() == [oracle.seed(b, a, existing >> 1)]
+    assert table.dump() == oracle.dump()
 
     def alloc(key0, key1):
         raise AssertionError("should reuse the seeded node")
 
-    literal, _ = table.get_or_create(a, b, alloc)
-    assert literal == existing
+    literals, _ = table.get_or_create([a], [b], alloc)
+    assert literals.tolist() == [existing]
+    assert oracle.get_or_create(a, b, alloc)[0] == existing

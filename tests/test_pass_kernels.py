@@ -59,8 +59,8 @@ def _parity_tuple(run) -> tuple:
     # ``kernels.*``, the commit layer's bulk/serial throughput split
     # and the gate sites' ``path.*`` tallies are wall-clock
     # bookkeeping; all legitimately differ between the column kernels
-    # and the per-node oracles (a kernel calls ``goc_batch_arrays``
-    # where its oracle calls ``get_or_create_batch``).
+    # and the per-node oracles (a kernel hands a level's first pass to
+    # the table as one batch where its oracle makes smaller ones).
     counters = {
         key: value
         for key, value in registry.snapshot()["counters"].items()
