@@ -24,7 +24,7 @@ def _run_with_gain_mode(aig, semi_sharing: bool):
         return par_refactor(aig)
     import sys
 
-    # The registry hands out the function; ablation stubbing needs the
+    # pass_fn hands out the function; ablation stubbing needs the
     # module object owning its globals.
     module = sys.modules[par_refactor.__module__]
     original = module._semi_sharing_refine

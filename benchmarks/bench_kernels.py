@@ -173,22 +173,22 @@ def test_bench_enumerate_cuts_with_tables(benchmark, shape):
 def _rewritten_graph():
     """The graph and alias map one ``rw`` pass hands to its cleanup.
 
-    Runs ``par_rewrite`` without cleanup on the resyn2-wide input
-    (seed 1) and keeps a copy of what its final ``compact`` receives.
+    Runs ``par_rewrite`` on the resyn2-wide input (seed 1) and keeps a
+    copy of what its ``dedup_and_dangling`` call receives.
     """
     aig = enlarge(random_control(40, 4, 100, 1), 3)
+    rewrite = sys.modules[pass_fn("par_rewrite").__module__]
+    cleanup = rewrite.dedup_and_dangling
     captured = {}
-    compact = Aig.compact
 
-    def capture(self, resolve=None):
-        if resolve and not captured:
-            captured["aig"] = self.clone()
-            captured["alias"] = dict(resolve)
-        return compact(self, resolve)
+    def capture(working, alias, *args, **kwargs):
+        captured["aig"] = working.clone()
+        captured["alias"] = dict(alias)
+        return cleanup(working, alias, *args, **kwargs)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(Aig, "compact", capture)
-        pass_fn("par_rewrite")(aig, run_cleanup=False)
+        patch.setattr(rewrite, "dedup_and_dangling", capture)
+        pass_fn("par_rewrite")(aig)
     return captured["aig"], captured["alias"]
 
 
@@ -198,7 +198,7 @@ def test_bench_rw_replace(benchmark):
     The match stage runs once; every round replays its candidates on a
     fresh clone, as one ``rwz`` pass would.
     """
-    # The pass's module, resolved through the engine's registry.
+    # The pass's module, resolved through the engine's command table.
     rewrite = sys.modules[pass_fn("par_rewrite").__module__]
     aig = enlarge(random_control(40, 4, 100, 1), 3)
     candidates = rewrite._match_stage(aig, ParallelMachine(), 0)

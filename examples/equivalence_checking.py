@@ -22,7 +22,7 @@ def break_one_gate(aig: Aig) -> Aig:
     f0, f1 = broken.fanins(victim)
     # Rebuild the node's cone with a flipped fanin by aliasing it.
     replacement = broken.add_raw_and(f0 ^ 1, f1)
-    compacted, _ = broken.compact(resolve={victim: replacement << 0})
+    compacted = broken.compact(resolve={victim: replacement << 0})
     return compacted
 
 

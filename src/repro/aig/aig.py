@@ -649,9 +649,7 @@ class Aig:
         key = lit_pair_key(self._f0c.view[var], self._f1c.view[var])
         self._strash.setdefault(key, var)
 
-    def compact(
-        self, resolve: dict[int, int] | None = None
-    ) -> tuple["Aig", dict[int, int]]:
+    def compact(self, resolve: dict[int, int] | None = None) -> "Aig":
         """Rebuild the AIG keeping only logic reachable from the POs.
 
         Parameters
@@ -666,9 +664,8 @@ class Aig:
 
         Returns
         -------
-        (new_aig, var_map):
-            The compacted AIG and a map from old live variable id to new
-            literal.
+        Aig
+            The compacted AIG.
         """
         final = (
             resolve_aliases(resolve, self._f0c.size) if resolve else None
@@ -678,25 +675,26 @@ class Aig:
             return bulk
         new = Aig(self.name, capacity=self._f0c.size)
         new._strash.reserve(self._live_ands)
-        var_map: dict[int, int] = {0: CONST0}
+        # Old variable id -> new literal, for every node built so far.
+        memo: dict[int, int] = {0: CONST0}
         pi_names = self._pi_names
         for index, var in enumerate(self._pic.slice()):
-            var_map[var] = new.add_pi(pi_names[index])
+            memo[var] = new.add_pi(pi_names[index])
 
         fan0, fan1, pos = self._resolved_columns(final)
         size = self._f0c.size
 
         def build(lit: int) -> int:
             root = lit_var(lit)
-            if root in var_map:
-                return lit_not_cond(var_map[root], lit_compl(lit))
+            if root in memo:
+                return lit_not_cond(memo[root], lit_compl(lit))
             # Iterative post-order DFS (recursion would overflow on
             # deep arithmetic AIGs such as dividers).
             stack = [root]
             expanded: set[int] = set()
             while stack:
                 var = stack[-1]
-                if var in var_map:
+                if var in memo:
                     stack.pop()
                     continue
                 if not 0 <= var < size:
@@ -707,8 +705,8 @@ class Aig:
                         f"reached non-AND unmapped variable {var}"
                     )
                 f1 = fan1[var]
-                n0 = var_map.get(f0 >> 1)
-                n1 = var_map.get(f1 >> 1)
+                n0 = memo.get(f0 >> 1)
+                n1 = memo.get(f1 >> 1)
                 if n0 is None or n1 is None:
                     # Everything pushed above a var's first visit is
                     # built before it is reached again, unless the var
@@ -724,13 +722,13 @@ class Aig:
                         stack.append(f1 >> 1)
                     continue
                 stack.pop()
-                var_map[var] = new.add_and(n0 ^ (f0 & 1), n1 ^ (f1 & 1))
-            return lit_not_cond(var_map[root], lit_compl(lit))
+                memo[var] = new.add_and(n0 ^ (f0 & 1), n1 ^ (f1 & 1))
+            return lit_not_cond(memo[root], lit_compl(lit))
 
         po_names = self._po_names
         for index, po_lit in enumerate(pos):
             new.add_po(build(po_lit), po_names[index])
-        return new, var_map
+        return new
 
     def _resolved_columns(self, final=None) -> tuple:
         """Scalar twins ``(fanin0, fanin1, pos)``, resolved through ``final``.
@@ -861,14 +859,7 @@ class Aig:
             and_k1,
             1 + num_pis + np.arange(kept, dtype=np.int64),
         )
-        var_map: dict[int, int] = {0: CONST0}
-        var_map.update(
-            zip(self._pic.slice(), range(2, 2 * num_pis + 2, 2))
-        )
-        var_map.update(
-            zip(order, range(2 * (num_pis + 1), 2 * total, 2))
-        )
-        return new, var_map
+        return new
 
     @classmethod
     def _from_flat(
@@ -977,7 +968,7 @@ def aig_from_pos(
     scratch.clear_pos()
     for lit in po_lits:
         scratch.add_po(lit)
-    new, _ = scratch.compact()
+    new = scratch.compact()
     if name is not None:
         new.name = name
     return new

@@ -24,7 +24,7 @@ def _sanitize(name: str) -> str:
 
 def to_verilog(aig: Aig, module_name: str | None = None) -> str:
     """Render the AIG as a structural Verilog module."""
-    compacted, _ = aig.compact()
+    compacted = aig.compact()
     module = _sanitize(module_name or compacted.name or "aig")
     pi_names = [
         _sanitize(compacted.pi_name(index) or f"pi{index}")
@@ -89,7 +89,7 @@ def to_dot(aig: Aig, name: str | None = None) -> str:
     Complemented edges are dashed; PIs are boxes, POs inverted houses,
     AND nodes circles — the conventional AIG drawing style.
     """
-    compacted, _ = aig.compact()
+    compacted = aig.compact()
     graph = _sanitize(name or compacted.name or "aig")
     lines = [f"digraph {graph} {{", "  rankdir=BT;"]
     lines.append('  const0 [label="0", shape=square];')

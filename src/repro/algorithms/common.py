@@ -80,10 +80,6 @@ class AliasView:
             f1 = self.resolve(f1)
         return f0, f1
 
-    def resolved_pos(self) -> list[int]:
-        """Primary output literals after alias resolution."""
-        return [self.resolve(lit) for lit in self.aig.pos]
-
     def set_alias(self, var: int, lit: int) -> None:
         """Redirect ``var`` to ``lit`` (resolved; self-loops rejected)."""
         resolved = self.resolve(lit)

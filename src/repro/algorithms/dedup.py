@@ -35,7 +35,6 @@ import numpy as np
 from repro import observe
 from repro.aig.aig import Aig, resolve_aliases
 from repro.engine.context import resolved_levels
-from repro.engine.registry import register_pass
 from repro.parallel import backend
 from repro.parallel.machine import ParallelMachine
 from repro.parallel.hashtable import HashTable
@@ -46,11 +45,6 @@ from repro.verify.invariants import (
 )
 
 
-@register_pass(
-    "dedup",
-    engine="gpu",
-    description="de-duplication and dangling-node cleanup",
-)
 def dedup_and_dangling(
     aig: Aig,
     alias: dict[int, int],
@@ -88,7 +82,7 @@ def dedup_and_dangling(
             check_dedup_complete(aig, alias, resolve)
             check_no_dead_refs(aig, alias, resolve)
         del final
-        result, _ = aig.compact(resolve=alias)
+        result = aig.compact(resolve=alias)
         # Result compaction is the parallel dump of the hash table to a
         # dense array (Section III-E); host only stitches the PO list.
         machine.launch_batch(

@@ -30,17 +30,9 @@ from repro.aig.aig import Aig
 from repro.algorithms import kernels
 from repro.algorithms.common import PassResult
 from repro.engine.context import context_for
-from repro.engine.registry import (
-    PassInvocation,
-    register_command,
-    register_pass,
-)
 from repro.parallel.machine import ParallelMachine
 
 
-@register_pass(
-    "par_balance", engine="gpu", description="level-wise parallel balancing"
-)
 def par_balance(
     aig: Aig,
     machine: ParallelMachine | None = None,
@@ -68,7 +60,7 @@ def par_balance(
         )
     kernels.balance_finalize_pos(aig, new, mapped)
     machine.host("b.finalize", aig.num_pos)
-    result, _ = new.compact()
+    result = new.compact()
     return PassResult(
         result,
         nodes_before,
@@ -77,8 +69,3 @@ def par_balance(
         context_for(result).depth(),
         details={"clusters": plan.num_roots},
     )
-
-
-@register_command("b", "gpu", description="level-wise parallel balancing")
-def _bind_b(invocation: PassInvocation) -> list[PassResult]:
-    return [par_balance(invocation.aig, machine=invocation.machine)]

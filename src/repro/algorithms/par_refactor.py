@@ -43,11 +43,6 @@ from repro.algorithms.common import (
 from repro.algorithms.dedup import dedup_and_dangling
 from repro.commit import CommitEngine, Footprint, RewritePlan
 from repro.engine.context import clone_with_context, context_for
-from repro.engine.registry import (
-    PassInvocation,
-    register_command,
-    register_pass,
-)
 from repro.logic.resyn import plan_resynthesis
 from repro.logic.truth import simulate_cone
 from repro.parallel import backend
@@ -59,17 +54,11 @@ __all__ = ["par_refactor"]
 DEFAULT_CUT_SIZE = 12
 
 
-@register_pass(
-    "par_refactor",
-    engine="gpu",
-    description="disjoint-FFC parallel refactoring",
-)
 def par_refactor(
     aig: Aig,
     max_cut_size: int = DEFAULT_CUT_SIZE,
     machine: ParallelMachine | None = None,
     replace_mode: str = "parallel",
-    run_cleanup: bool = True,
 ) -> PassResult:
     """One pass of parallel refactoring; returns the compacted result."""
     if replace_mode not in ("parallel", "sequential"):
@@ -101,14 +90,7 @@ def par_refactor(
     # resolving the outputs — the only sequential part of the proposed
     # framework (Table I's "rf (proposed)" row).
     machine.host("rf.postprocess", len(kept) + working.num_pos)
-    if run_cleanup:
-        result = dedup_and_dangling(working, alias, machine)
-    else:
-        result, _ = working.compact(resolve=alias)
-        machine.launch_batch(
-            "rf.compact",
-            backend.const_profile(1, max(result.num_ands, 1)),
-        )
+    result = dedup_and_dangling(working, alias, machine)
     return PassResult(
         result,
         nodes_before,
@@ -120,24 +102,6 @@ def par_refactor(
             "replaced": len(kept),
         },
     )
-
-
-@register_command(
-    "rf", "gpu", description="parallel refactoring (zero gain built in)"
-)
-@register_command(
-    "rfz", "gpu", description="parallel refactoring (zero gain built in)"
-)
-def _bind_rf(invocation: PassInvocation) -> list[PassResult]:
-    # GPU refactoring's gain is a lower bound, so zero-gain
-    # replacements are always accepted: rf == rfz, one pass each.
-    return [
-        par_refactor(
-            invocation.aig,
-            max_cut_size=invocation.max_cut_size,
-            machine=invocation.machine,
-        )
-    ]
 
 
 # ----------------------------------------------------------------------

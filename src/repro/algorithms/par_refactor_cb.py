@@ -74,7 +74,7 @@ from repro.aig.literals import lit_var, make_lit
 from repro.algorithms import kernels
 from repro.algorithms.common import AliasView, ConeJob, PassResult
 from repro.algorithms.dedup import dedup_and_dangling
-from repro.algorithms.seq_refactor import _try_replace, seq_refactor
+from repro.algorithms.seq_refactor import _try_replace
 from repro.commit import (
     CommitEngine,
     Footprint,
@@ -87,11 +87,6 @@ from repro.engine.context import (
     resolved_fanout_counts,
     resolved_levels,
 )
-from repro.engine.registry import (
-    PassInvocation,
-    register_command,
-    register_pass,
-)
 from repro.logic.resyn import plan_resynthesis
 from repro.logic.truth import simulate_cone, tt_support
 from repro.parallel import backend
@@ -103,16 +98,10 @@ from repro.verify import sanitizer
 DEFAULT_CUT_SIZE = 12
 
 
-@register_pass(
-    "par_refactor_cb",
-    engine="gpu",
-    description="conflict-breaking parallel refactoring",
-)
 def par_refactor_cb(
     aig: Aig,
     max_cut_size: int = DEFAULT_CUT_SIZE,
     machine: ParallelMachine | None = None,
-    run_cleanup: bool = True,
     candidate_permutation_seed: int | None = None,
 ) -> PassResult:
     """One pass of conflict-breaking refactoring; returns the result.
@@ -200,14 +189,7 @@ def par_refactor_cb(
     # Host post-processing: replacement list assembly and PO
     # resolution, as in ``rf``.
     machine.host("rfc.postprocess", len(wave) + working.num_pos)
-    if run_cleanup:
-        result = dedup_and_dangling(working, final_alias, machine)
-    else:
-        result, _ = working.compact(resolve=final_alias)
-        machine.launch_batch(
-            "rfc.compact",
-            backend.const_profile(1, max(result.num_ands, 1)),
-        )
+    result = dedup_and_dangling(working, final_alias, machine)
     return PassResult(
         result,
         nodes_before,
@@ -223,40 +205,6 @@ def par_refactor_cb(
             "replaced": len(wave) + serial_committed,
         },
     )
-
-
-@register_command(
-    "rfc",
-    "gpu",
-    description="conflict-breaking refactoring (zero gain built in)",
-)
-def _bind_rfc(invocation: PassInvocation) -> list[PassResult]:
-    return [
-        par_refactor_cb(
-            invocation.aig,
-            max_cut_size=invocation.max_cut_size,
-            machine=invocation.machine,
-        )
-    ]
-
-
-@register_command(
-    "rfc",
-    "seq",
-    description="refactoring, conflict-free twin (zero gain)",
-)
-def _bind_rfc_seq(invocation: PassInvocation) -> list[PassResult]:
-    # The sequential engine serializes *every* commit — i.e. it breaks
-    # every conflict — so rfc's twin is zero-gain sequential
-    # refactoring over the same unrestricted reconvergence cuts.
-    return [
-        seq_refactor(
-            invocation.aig,
-            max_cut_size=invocation.max_cut_size,
-            zero_gain=True,
-            meter=invocation.meter,
-        )
-    ]
 
 
 # ----------------------------------------------------------------------

@@ -50,26 +50,14 @@ from repro.commit import (
     walk_cone,
 )
 from repro.engine.context import clone_with_context, context_for
-from repro.engine.registry import (
-    PassInvocation,
-    register_command,
-    register_pass,
-)
-from repro.parallel import backend
 from repro.parallel.machine import ParallelMachine
 from repro.verify import sanitizer
 
 
-@register_pass(
-    "par_rewrite",
-    engine="gpu",
-    description="NovelRewrite-style parallel rewriting",
-)
 def par_rewrite(
     aig: Aig,
     zero_gain: bool = False,
     machine: ParallelMachine | None = None,
-    run_cleanup: bool = True,
 ) -> PassResult:
     """One pass of parallel rewriting; returns the compacted result."""
     machine = machine if machine is not None else ParallelMachine()
@@ -89,15 +77,7 @@ def par_rewrite(
         machine.host("rw.replace_seq", host_work)
     observe.count("rw.replaced", len(replaced))
 
-    view_alias = replaced  # alias map produced by the commit loop
-    if run_cleanup:
-        result = dedup_and_dangling(working, view_alias, machine)
-    else:
-        result, _ = working.compact(resolve=view_alias)
-        machine.launch_batch(
-            "rw.compact",
-            backend.const_profile(1, max(result.num_ands, 1)),
-        )
+    result = dedup_and_dangling(working, replaced, machine)
     return PassResult(
         result,
         nodes_before,
@@ -106,30 +86,9 @@ def par_rewrite(
         context_for(result).depth(),
         details={
             "candidates": len(candidates),
-            "replaced": len(view_alias),
+            "replaced": len(replaced),
         },
     )
-
-
-@register_command("rw", "gpu", description="parallel rewriting")
-def _bind_rw(invocation: PassInvocation) -> list[PassResult]:
-    return [
-        par_rewrite(
-            invocation.aig, zero_gain=False, machine=invocation.machine
-        )
-    ]
-
-
-@register_command("rwz", "gpu", description="parallel rewriting x2")
-def _bind_rwz(invocation: PassInvocation) -> list[PassResult]:
-    # Two passes per rwz command (paper: "GPU resyn2 (rwz x2)").
-    first = par_rewrite(
-        invocation.aig, zero_gain=True, machine=invocation.machine
-    )
-    second = par_rewrite(
-        first.aig, zero_gain=True, machine=invocation.machine
-    )
-    return [first, second]
 
 
 def _match_stage(

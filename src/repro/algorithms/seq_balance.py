@@ -21,11 +21,6 @@ from repro.aig.aig import Aig
 from repro.aig.literals import lit_compl, lit_not_cond, lit_var
 from repro.algorithms.common import PassResult
 from repro.engine.context import context_for
-from repro.engine.registry import (
-    PassInvocation,
-    register_command,
-    register_pass,
-)
 from repro.parallel.machine import SeqMeter
 
 #: Probe-equivalent cost of one balance node operation.  Balancing is
@@ -36,7 +31,6 @@ from repro.parallel.machine import SeqMeter
 BALANCE_WORK_SCALE = 26
 
 
-@register_pass("seq_balance", engine="seq", description="AND-balancing")
 def seq_balance(aig: Aig, meter: SeqMeter | None = None) -> PassResult:
     """Balance an AIG; returns the rebuilt network and statistics."""
     meter = meter if meter is not None else SeqMeter()
@@ -74,7 +68,7 @@ def seq_balance(aig: Aig, meter: SeqMeter | None = None) -> PassResult:
         new.add_po(
             lit_not_cond(mapped, lit_compl(po_lit)), aig.po_name(index)
         )
-    result, _ = new.compact()
+    result = new.compact()
     return PassResult(
         result,
         nodes_before,
@@ -83,11 +77,6 @@ def seq_balance(aig: Aig, meter: SeqMeter | None = None) -> PassResult:
         context_for(result).depth(),
         details={"clusters": clusters},
     )
-
-
-@register_command("b", "seq", description="AND-balancing")
-def _bind_b(invocation: PassInvocation) -> list[PassResult]:
-    return [seq_balance(invocation.aig, meter=invocation.meter)]
 
 
 def _internal_mask(aig: Aig) -> list[bool]:

@@ -29,11 +29,6 @@ from repro.algorithms.common import (
 )
 from repro.commit import apply_replacement, deref_cone
 from repro.engine.context import clone_with_context, context_for
-from repro.engine.registry import (
-    PassInvocation,
-    register_command,
-    register_pass,
-)
 from repro.logic.resyn import build_plan, plan_resynthesis
 from repro.logic.truth import simulate_cone
 from repro.parallel.machine import SeqMeter
@@ -42,9 +37,6 @@ from repro.parallel.machine import SeqMeter
 DEFAULT_CUT_SIZE = 12
 
 
-@register_pass(
-    "seq_refactor", engine="seq", description="cut-based refactoring"
-)
 def seq_refactor(
     aig: Aig,
     max_cut_size: int = DEFAULT_CUT_SIZE,
@@ -78,7 +70,7 @@ def seq_refactor(
         if gain is not None:
             replaced += 1
 
-    result, _ = working.compact(resolve=view.alias)
+    result = working.compact(resolve=view.alias)
     return PassResult(
         result,
         nodes_before,
@@ -87,30 +79,6 @@ def seq_refactor(
         context_for(result).depth(),
         details={"attempted": attempted, "replaced": replaced},
     )
-
-
-@register_command("rf", "seq", description="refactoring (positive gain)")
-def _bind_rf(invocation: PassInvocation) -> list[PassResult]:
-    return [
-        seq_refactor(
-            invocation.aig,
-            max_cut_size=invocation.max_cut_size,
-            zero_gain=False,
-            meter=invocation.meter,
-        )
-    ]
-
-
-@register_command("rfz", "seq", description="refactoring (zero gain)")
-def _bind_rfz(invocation: PassInvocation) -> list[PassResult]:
-    return [
-        seq_refactor(
-            invocation.aig,
-            max_cut_size=invocation.max_cut_size,
-            zero_gain=True,
-            meter=invocation.meter,
-        )
-    ]
 
 
 def _try_replace(

@@ -31,11 +31,6 @@ from repro.commit import (
     walk_cone,
 )
 from repro.engine.context import clone_with_context, context_for
-from repro.engine.registry import (
-    PassInvocation,
-    register_command,
-    register_pass,
-)
 from repro.parallel.machine import SeqMeter
 
 #: Rewriting cut width (4-input cuts, as in ABC and NovelRewrite).
@@ -52,9 +47,6 @@ MAX_CUTS_PER_NODE = 8
 CUT_EVAL_WORK = 120
 
 
-@register_pass(
-    "seq_rewrite", engine="seq", description="DAG-aware cut rewriting"
-)
 def seq_rewrite(
     aig: Aig,
     zero_gain: bool = False,
@@ -91,7 +83,7 @@ def seq_rewrite(
         if committed:
             replaced += 1
 
-    result, _ = working.compact(resolve=view.alias)
+    result = working.compact(resolve=view.alias)
     return PassResult(
         result,
         nodes_before,
@@ -100,20 +92,6 @@ def seq_rewrite(
         context_for(result).depth(),
         details={"attempted": attempted, "replaced": replaced},
     )
-
-
-@register_command("rw", "seq", description="rewriting (positive gain)")
-def _bind_rw(invocation: PassInvocation) -> list[PassResult]:
-    return [
-        seq_rewrite(invocation.aig, zero_gain=False, meter=invocation.meter)
-    ]
-
-
-@register_command("rwz", "seq", description="rewriting (zero gain)")
-def _bind_rwz(invocation: PassInvocation) -> list[PassResult]:
-    return [
-        seq_rewrite(invocation.aig, zero_gain=True, meter=invocation.meter)
-    ]
 
 
 def _rewrite_node(

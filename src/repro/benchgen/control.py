@@ -67,5 +67,5 @@ def random_control(
         previous = current
     for index, literal in enumerate(previous):
         aig.add_po(literal, f"o{index}")
-    compacted, _ = aig.compact()
+    compacted = aig.compact()
     return compacted

@@ -72,5 +72,5 @@ def mtm_random(
         aig.add_po(literal, f"o{index}")
     if rest:
         aig.add_po(rest[0], "oxor")
-    compacted, _ = aig.compact()
+    compacted = aig.compact()
     return compacted

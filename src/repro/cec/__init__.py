@@ -2,7 +2,7 @@
 and a ROBDD package as an independent oracle."""
 
 from repro.cec.bdd import BddManager, bdd_equivalent, build_bdds
-from repro.cec.cnf import CnfMapping, encode_aig
+from repro.cec.cnf import CnfMapping
 from repro.cec.equivalence import (
     CecResult,
     CecStatus,
@@ -29,7 +29,6 @@ __all__ = [
     "SatResult",
     "SatSolver",
     "check_equivalence",
-    "encode_aig",
     "evaluate",
     "miter",
     "random_patterns",

@@ -1,16 +1,16 @@
-"""Tseitin encoding of AIGs into CNF.
+"""Tseitin encoding of AIGs into CNF: the AIG-to-CNF variable map.
 
-Each live AND node ``v = a & b`` contributes the three standard clauses
-``(¬v ∨ a)``, ``(¬v ∨ b)``, ``(v ∨ ¬a ∨ ¬b)``.  The constant node maps
-to a CNF variable forced false with a unit clause, so complemented
-constant fanins need no special casing.
+Each encoded AND node ``v = a & b`` contributes the three standard
+clauses ``(¬v ∨ a)``, ``(¬v ∨ b)``, ``(v ∨ ¬a ∨ ¬b)``.  The constant
+node maps to a CNF variable forced false with a unit clause, so
+complemented constant fanins need no special casing.
+:class:`repro.cec.equivalence.FraigSweeper` encodes cones lazily
+through one :class:`CnfMapping`.
 """
 
 from __future__ import annotations
 
-from repro.aig.aig import Aig
 from repro.aig.literals import lit_compl, lit_var
-from repro.cec.sat import SatSolver
 
 
 class CnfMapping:
@@ -18,43 +18,8 @@ class CnfMapping:
 
     def __init__(self) -> None:
         self.var_map: dict[int, int] = {}
-        self.num_clauses = 0
 
     def cnf_lit(self, aig_lit: int) -> int:
         """CNF literal (DIMACS signed int) for an AIG literal."""
         cnf_var = self.var_map[lit_var(aig_lit)]
         return -cnf_var if lit_compl(aig_lit) else cnf_var
-
-
-def encode_aig(
-    aig: Aig,
-    solver: SatSolver,
-    pi_vars: list[int] | None = None,
-) -> CnfMapping:
-    """Encode all live nodes of ``aig`` into ``solver``.
-
-    ``pi_vars`` optionally supplies pre-existing CNF variables for the
-    PIs (in PI order) — that is how a miter shares its inputs between
-    the two sides.  Returns the mapping for querying PO literals.
-    """
-    mapping = CnfMapping()
-    const_var = solver.new_var()
-    solver.add_clause([-const_var])
-    mapping.num_clauses += 1
-    mapping.var_map[0] = const_var
-    if pi_vars is None:
-        pi_vars = [solver.new_var() for _ in range(aig.num_pis)]
-    if len(pi_vars) != aig.num_pis:
-        raise ValueError("pi_vars length does not match the PI count")
-    for aig_var, cnf_var in zip(aig.pis, pi_vars):
-        mapping.var_map[aig_var] = cnf_var
-    for var in aig.and_vars():
-        node = solver.new_var()
-        mapping.var_map[var] = node
-        lit0 = mapping.cnf_lit(aig.fanin0(var))
-        lit1 = mapping.cnf_lit(aig.fanin1(var))
-        solver.add_clause([-node, lit0])
-        solver.add_clause([-node, lit1])
-        solver.add_clause([node, -lit0, -lit1])
-        mapping.num_clauses += 3
-    return mapping

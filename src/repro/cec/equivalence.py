@@ -232,7 +232,7 @@ class FraigSweeper:
         self._encode_cone(lit_var(lit))
         self.sat_queries += 1
         result = self.solver.solve(
-            assumptions=[self._cnf_lit(lit)],
+            assumptions=[self.mapping.cnf_lit(lit)],
             conflict_limit=self.conflict_limit,
         )
         if result is SatResult.UNSAT:
@@ -256,8 +256,8 @@ class FraigSweeper:
         """SAT-prove ``lit_a == lit_b`` in the swept AIG."""
         self._encode_cone(lit_var(lit_a))
         self._encode_cone(lit_var(lit_b))
-        cnf_a = self._cnf_lit(lit_a)
-        cnf_b = self._cnf_lit(lit_b)
+        cnf_a = self.mapping.cnf_lit(lit_a)
+        cnf_b = self.mapping.cnf_lit(lit_b)
         self.sat_queries += 2
         first = self.solver.solve(
             assumptions=[cnf_a, -cnf_b], conflict_limit=self.conflict_limit
@@ -274,10 +274,6 @@ class FraigSweeper:
                 self.unknowns += 1
             return False
         return True
-
-    def _cnf_lit(self, lit: int) -> int:
-        cnf_var = self.mapping.var_map[lit_var(lit)]
-        return -cnf_var if lit_compl(lit) else cnf_var
 
     def _encode_cone(self, root: int) -> None:
         """Lazily Tseitin-encode the cone of ``root`` in the swept AIG."""
@@ -304,8 +300,8 @@ class FraigSweeper:
             stack.pop()
             node = self.solver.new_var()
             self.mapping.var_map[var] = node
-            lit0 = self._cnf_lit(f0)
-            lit1 = self._cnf_lit(f1)
+            lit0 = self.mapping.cnf_lit(f0)
+            lit1 = self.mapping.cnf_lit(f1)
             self.solver.add_clause([-node, lit0])
             self.solver.add_clause([-node, lit1])
             self.solver.add_clause([node, -lit0, -lit1])

@@ -26,7 +26,7 @@ import sys
 from repro import observe
 from repro.aig.io_aiger import read_aiger, write_aag
 from repro.benchgen.suite import SUITE_ORDER, load_benchmark
-from repro.engine import list_commands, list_passes, parse_script, run_script
+from repro.engine import COMMANDS, list_passes, parse_script, run_script
 from repro.cec.equivalence import CecStatus, check_equivalence
 from repro.experiments import tables
 from repro.observe import export
@@ -67,7 +67,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_opt.add_argument("input", nargs="?")
     p_opt.add_argument(
         "--list-passes", action="store_true",
-        help="list the registered passes and script commands, then exit",
+        help="list the passes and script commands, then exit",
     )
     p_opt.add_argument("-c", "--script", default="resyn2")
     p_opt.add_argument("--engine", choices=["seq", "gpu"], default="gpu")
@@ -171,7 +171,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 def _cmd_opt(args: argparse.Namespace) -> int:
     if args.list_passes:
-        _print_pass_registry()
+        _print_pass_table()
         return 0
     if args.input is None:
         print("error: input file required (or use --list-passes)",
@@ -233,18 +233,14 @@ def _cmd_opt(args: argparse.Namespace) -> int:
     return 0
 
 
-def _print_pass_registry() -> None:
-    """Print the registered passes and script-command bindings."""
+def _print_pass_table() -> None:
+    """Print the pass entry points and the script-command table."""
     print("passes:")
-    for spec in list_passes():
-        print(f"  {spec.name:<18}[{spec.engine:<3}]  {spec.description}")
+    for row in list_passes():
+        print(f"  {row.name:<18}[{row.engine:<3}]  {row.description}")
     print("script commands:")
-    for spec in sorted(
-        list_commands(), key=lambda spec: (spec.command, spec.engine)
-    ):
-        print(
-            f"  {spec.command:<4}[{spec.engine}]  {spec.description}"
-        )
+    for row in COMMANDS:
+        print(f"  {row.command:<4}[{row.engine}]  {row.description}")
 
 
 def _cmd_cec(args: argparse.Namespace) -> int:

@@ -1,15 +1,17 @@
-"""Unified pass engine: registry, scheduler, and derived-state cache.
+"""Unified pass engine: command table, scheduler, and derived-state cache.
 
 The engine is the single dispatch point for optimization passes:
 
-* :mod:`repro.engine.registry` — the :class:`~repro.engine.registry.Pass`
-  protocol, the named pass registry, and the script-command bindings
-  every consumer (CLI, fuzz harness, experiments) resolves through.
+* :mod:`repro.engine.registry` — the fixed command table
+  (:func:`~repro.engine.registry.run_command`: what each script command
+  runs on each engine), the named sequences, and the by-name lookup of
+  the pass entry points every consumer (CLI, fuzz harness,
+  experiments) resolves through.
 * :mod:`repro.engine.scheduler` — runs parsed scripts over an AIG,
   tagging observe spans per command.
 * :mod:`repro.engine.context` — :class:`~repro.engine.context.GraphContext`,
-  the version-keyed cache of derived graph state (levels, fanouts,
-  depth) shared by consecutive passes.
+  the version-keyed cache of derived graph state (levels, fanout
+  counts, depth) shared by consecutive passes.
 
 See docs/ARCHITECTURE.md for the layer diagram.
 """
@@ -22,23 +24,14 @@ from repro.engine.context import (
     resolved_levels,
 )
 from repro.engine.registry import (
+    COMMANDS,
     DEFAULT_MAX_CUT_SIZE,
     NAMED_SEQUENCES,
     VALID_COMMANDS,
-    CommandSpec,
-    Pass,
-    PassInvocation,
-    PassSpec,
-    command_binder,
-    command_names,
-    list_commands,
     list_passes,
     parse_script,
     pass_fn,
-    register_command,
-    register_pass,
-    unregister_command,
-    unregister_pass,
+    run_command,
 )
 from repro.engine.scheduler import SequenceResult, run_script
 
@@ -48,23 +41,14 @@ __all__ = [
     "context_for",
     "resolved_fanout_counts",
     "resolved_levels",
+    "COMMANDS",
     "DEFAULT_MAX_CUT_SIZE",
     "NAMED_SEQUENCES",
     "VALID_COMMANDS",
-    "CommandSpec",
-    "Pass",
-    "PassInvocation",
-    "PassSpec",
-    "command_binder",
-    "command_names",
-    "list_commands",
     "list_passes",
     "parse_script",
     "pass_fn",
-    "register_command",
-    "register_pass",
-    "unregister_command",
-    "unregister_pass",
+    "run_command",
     "SequenceResult",
     "run_script",
 ]

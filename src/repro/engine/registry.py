@@ -1,34 +1,22 @@
-"""Pass registry: one registration point for every optimization pass.
+"""Command table: the fixed script commands and the passes they run.
 
-Before the engine existed, every consumer — the sequence runner, the
-CLI, the fuzz harness, the experiment drivers — imported pass functions
-directly, so adding or swapping a pass meant touching all of them.  Now
-each pass module registers itself here:
+A script (``"b; rw; rf"``, or a named sequence such as ``resyn2``) is a
+list of commands from :data:`VALID_COMMANDS`.  :func:`run_command` is
+the one table of what each command means on each engine, all twelve
+(command, engine) rows side by side, exactly as the paper specifies
+them (GPU ``rwz`` runs two rewriting passes, GPU ``rf`` == ``rfz``,
+...).  :func:`pass_fn` looks up the eight pass entry points by name
+for callers that run a single pass (experiment drivers, benchmarks).
 
-* :func:`register_pass` names a pass entry point (``par_balance``,
-  ``seq_rewrite``, ``dedup`` ...) with its engine and a one-line
-  description; consumers fetch it by name through :func:`pass_fn`.
-* :func:`register_command` binds a script command (``b``, ``rw``,
-  ``rwz``, ...) on one engine to a *binder* — a callable receiving a
-  :class:`PassInvocation` and returning the list of
-  :class:`~repro.algorithms.common.PassResult` steps the command
-  produces.  The binder owns the command's semantics (GPU ``rwz`` runs
-  two rewriting passes, GPU ``rf`` == ``rfz``, ...), exactly as the
-  paper specifies them.
-
-Registration is triggered lazily: the first lookup imports the builtin
-pass modules (:func:`_ensure_builtin`), whose module-level decorators
-populate the tables.  This breaks the import cycle — the engine never
-imports algorithm modules at import time — and keeps plugin passes
-first-class: registering a new pass + command from any module makes it
-reachable from ``repro-aig opt`` with no other change (see
-docs/ARCHITECTURE.md and the plugin test in ``tests/test_engine.py``).
+The pass modules import :mod:`repro.engine.context`, so this module
+imports them on first use rather than at load time
+(:func:`_pass_functions`).  :func:`list_passes` imports all eight;
+a timed harness calls it to load every pass before its clocks start.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Protocol
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.aig.aig import Aig
@@ -43,177 +31,179 @@ NAMED_SEQUENCES = {
     "rfc_resyn": "b; rfc; b; rfc; b",
 }
 
-#: The builtin script commands.  ``rfc`` (conflict-breaking
-#: refactoring) is this library's extension; the other five commands
-#: are the paper's.  Plugins may extend the live set (see
-#: :func:`command_names`).
+#: The script commands.  ``rfc`` (conflict-breaking refactoring) is
+#: this library's extension; the other five commands are the paper's.
 VALID_COMMANDS = ("b", "rw", "rwz", "rf", "rfz", "rfc")
 
 #: Default maximum refactoring cut size (the paper's setting).
 DEFAULT_MAX_CUT_SIZE = 12
 
 
-@dataclass
-class PassInvocation:
-    """Everything a command binder may need to run its pass(es).
-
-    The scheduler fills in the engine-appropriate timing sink: GPU
-    binders receive ``machine``, sequential binders ``meter``.
-    """
-
-    aig: "Aig"
-    max_cut_size: int = DEFAULT_MAX_CUT_SIZE
-    machine: "ParallelMachine | None" = None
-    meter: "SeqMeter | None" = None
-
-
-class Pass(Protocol):
-    """A registered pass entry point.
-
-    Any callable taking an AIG first and returning a
-    :class:`~repro.algorithms.common.PassResult` qualifies; the keyword
-    surface varies per pass (``machine=``, ``meter=``,
-    ``max_cut_size=``, ...), which is why script commands go through
-    binders rather than a uniform call.
-    """
-
-    def __call__(self, aig: "Aig", *args, **kwargs) -> "PassResult":
-        ...  # pragma: no cover - protocol
-
-
-@dataclass(frozen=True)
-class PassSpec:
-    """Registry record of one pass entry point."""
+class PassRow(NamedTuple):
+    """One pass entry point, as ``repro-aig opt --list-passes`` shows it."""
 
     name: str
-    fn: Callable
-    engine: str  # "seq" | "gpu" | "any"
+    engine: str  # "seq" | "gpu"
     description: str
 
 
-@dataclass(frozen=True)
-class CommandSpec:
-    """Registry record of one (command, engine) binding."""
+class CommandRow(NamedTuple):
+    """One (command, engine) row of :func:`run_command`, for the listing."""
 
     command: str
     engine: str  # "seq" | "gpu"
-    binder: Callable  # PassInvocation -> list[PassResult]
     description: str
 
 
-_PASSES: dict[str, PassSpec] = {}
-_COMMANDS: dict[tuple[str, str], CommandSpec] = {}
-_builtin_loaded = False
+#: The pass entry points :func:`pass_fn` resolves.
+PASSES = (
+    PassRow("dedup", "gpu", "de-duplication and dangling-node cleanup"),
+    PassRow("par_balance", "gpu", "level-wise parallel balancing"),
+    PassRow("par_refactor", "gpu", "disjoint-FFC parallel refactoring"),
+    PassRow(
+        "par_refactor_cb", "gpu", "conflict-breaking parallel refactoring"
+    ),
+    PassRow("par_rewrite", "gpu", "NovelRewrite-style parallel rewriting"),
+    PassRow("seq_balance", "seq", "AND-balancing"),
+    PassRow("seq_refactor", "seq", "cut-based refactoring"),
+    PassRow("seq_rewrite", "seq", "DAG-aware cut rewriting"),
+)
+
+#: The rows of :func:`run_command`, sorted by command then engine.
+COMMANDS = (
+    CommandRow("b", "gpu", "level-wise parallel balancing"),
+    CommandRow("b", "seq", "AND-balancing"),
+    CommandRow("rf", "gpu", "parallel refactoring (zero gain built in)"),
+    CommandRow("rf", "seq", "refactoring (positive gain)"),
+    CommandRow(
+        "rfc", "gpu", "conflict-breaking refactoring (zero gain built in)"
+    ),
+    CommandRow("rfc", "seq", "refactoring, conflict-free twin (zero gain)"),
+    CommandRow("rfz", "gpu", "parallel refactoring (zero gain built in)"),
+    CommandRow("rfz", "seq", "refactoring (zero gain)"),
+    CommandRow("rw", "gpu", "parallel rewriting"),
+    CommandRow("rw", "seq", "rewriting (positive gain)"),
+    CommandRow("rwz", "gpu", "parallel rewriting x2"),
+    CommandRow("rwz", "seq", "rewriting (zero gain)"),
+)
 
 
-def register_pass(
-    name: str, engine: str = "any", description: str = ""
-) -> Callable:
-    """Decorator registering a pass entry point under ``name``."""
+def _pass_functions() -> dict[str, Callable]:
+    """The entry point of every row of :data:`PASSES`, by name."""
+    from repro.algorithms.dedup import dedup_and_dangling
+    from repro.algorithms.par_balance import par_balance
+    from repro.algorithms.par_refactor import par_refactor
+    from repro.algorithms.par_refactor_cb import par_refactor_cb
+    from repro.algorithms.par_rewrite import par_rewrite
+    from repro.algorithms.seq_balance import seq_balance
+    from repro.algorithms.seq_refactor import seq_refactor
+    from repro.algorithms.seq_rewrite import seq_rewrite
 
-    def decorator(fn: Callable) -> Callable:
-        _PASSES[name] = PassSpec(name, fn, engine, description)
-        return fn
-
-    return decorator
-
-
-def register_command(
-    command: str, engine: str, description: str = ""
-) -> Callable:
-    """Decorator binding script ``command`` on ``engine`` to a binder."""
-
-    def decorator(binder: Callable) -> Callable:
-        _COMMANDS[(engine, command)] = CommandSpec(
-            command, engine, binder, description
-        )
-        return binder
-
-    return decorator
-
-
-def unregister_command(command: str, engine: str) -> None:
-    """Remove a command binding (plugin teardown; builtin-safe no-op)."""
-    _COMMANDS.pop((engine, command), None)
-
-
-def unregister_pass(name: str) -> None:
-    """Remove a registered pass (plugin teardown)."""
-    _PASSES.pop(name, None)
-
-
-def _ensure_builtin() -> None:
-    """Import the builtin pass modules once, populating the registry."""
-    global _builtin_loaded
-    if _builtin_loaded:
-        return
-    _builtin_loaded = True
-    # Module-level decorators in each file do the actual registration.
-    import repro.algorithms.dedup  # noqa: F401
-    import repro.algorithms.par_balance  # noqa: F401
-    import repro.algorithms.par_refactor  # noqa: F401
-    import repro.algorithms.par_refactor_cb  # noqa: F401
-    import repro.algorithms.par_rewrite  # noqa: F401
-    import repro.algorithms.seq_balance  # noqa: F401
-    import repro.algorithms.seq_refactor  # noqa: F401
-    import repro.algorithms.seq_rewrite  # noqa: F401
+    return {
+        "dedup": dedup_and_dangling,
+        "par_balance": par_balance,
+        "par_refactor": par_refactor,
+        "par_refactor_cb": par_refactor_cb,
+        "par_rewrite": par_rewrite,
+        "seq_balance": seq_balance,
+        "seq_refactor": seq_refactor,
+        "seq_rewrite": seq_rewrite,
+    }
 
 
 def pass_fn(name: str) -> Callable:
-    """The registered pass entry point named ``name``."""
-    _ensure_builtin()
-    spec = _PASSES.get(name)
-    if spec is None:
-        known = ", ".join(sorted(_PASSES))
-        raise KeyError(f"unknown pass {name!r}; registered: {known}")
-    return spec.fn
+    """The pass entry point named ``name``; raises KeyError."""
+    functions = _pass_functions()
+    if name not in functions:
+        known = ", ".join(sorted(functions))
+        raise KeyError(f"unknown pass {name!r}; known: {known}")
+    return functions[name]
 
 
-def list_passes() -> list[PassSpec]:
-    """All registered passes, builtin registration order first."""
-    _ensure_builtin()
-    return list(_PASSES.values())
+def list_passes() -> tuple[PassRow, ...]:
+    """Every pass entry point; imports all eight pass modules."""
+    _pass_functions()
+    return PASSES
 
 
-def list_commands() -> list[CommandSpec]:
-    """All registered (command, engine) bindings."""
-    _ensure_builtin()
-    return list(_COMMANDS.values())
+def run_command(
+    command: str,
+    engine: str,
+    aig: "Aig",
+    max_cut_size: int = DEFAULT_MAX_CUT_SIZE,
+    machine: "ParallelMachine | None" = None,
+    meter: "SeqMeter | None" = None,
+) -> "list[PassResult]":
+    """Run script ``command`` on ``engine``; return its pass results.
 
-
-def command_names() -> tuple[str, ...]:
-    """Valid script commands: builtins first, then plugin commands."""
-    _ensure_builtin()
-    names = list(VALID_COMMANDS)
-    for spec in _COMMANDS.values():
-        if spec.command not in names:
-            names.append(spec.command)
-    return tuple(names)
-
-
-def command_binder(command: str, engine: str) -> Callable:
-    """The binder for ``command`` on ``engine``; raises ValueError."""
-    _ensure_builtin()
-    spec = _COMMANDS.get((engine, command))
-    if spec is None:
-        raise ValueError(
-            f"command {command!r} is not bound on engine {engine!r}"
-        )
-    return spec.binder
+    GPU passes charge ``machine`` and sequential passes ``meter``.
+    Raises ValueError for a (command, engine) pair outside the table.
+    """
+    fn = _pass_functions()
+    if engine == "gpu":
+        if command == "b":
+            return [fn["par_balance"](aig, machine=machine)]
+        if command == "rw":
+            return [fn["par_rewrite"](aig, zero_gain=False, machine=machine)]
+        if command == "rwz":
+            # Two passes per rwz command (paper: "GPU resyn2 (rwz x2)").
+            first = fn["par_rewrite"](aig, zero_gain=True, machine=machine)
+            second = fn["par_rewrite"](
+                first.aig, zero_gain=True, machine=machine
+            )
+            return [first, second]
+        if command in ("rf", "rfz"):
+            # GPU refactoring's gain is a lower bound, so zero-gain
+            # replacements are always accepted: rf == rfz, one pass each.
+            return [
+                fn["par_refactor"](
+                    aig, max_cut_size=max_cut_size, machine=machine
+                )
+            ]
+        if command == "rfc":
+            return [
+                fn["par_refactor_cb"](
+                    aig, max_cut_size=max_cut_size, machine=machine
+                )
+            ]
+    elif engine == "seq":
+        if command == "b":
+            return [fn["seq_balance"](aig, meter=meter)]
+        if command in ("rw", "rwz"):
+            return [
+                fn["seq_rewrite"](
+                    aig, zero_gain=command == "rwz", meter=meter
+                )
+            ]
+        if command in ("rf", "rfz", "rfc"):
+            # The sequential engine serializes *every* commit -- it
+            # breaks every conflict -- so rfc's twin is zero-gain
+            # sequential refactoring over the same unrestricted
+            # reconvergence cuts.
+            return [
+                fn["seq_refactor"](
+                    aig,
+                    max_cut_size=max_cut_size,
+                    zero_gain=command != "rf",
+                    meter=meter,
+                )
+            ]
+    raise ValueError(
+        f"command {command!r} is not defined on engine {engine!r}"
+    )
 
 
 def parse_script(script: str) -> list[str]:
     """Split a script into commands, resolving named sequences.
 
     Unknown commands raise ``ValueError`` naming the command and the
-    valid set (builtins plus any registered plugin commands).
+    valid set.
     """
-    valid = command_names()
     script = NAMED_SEQUENCES.get(script.strip(), script)
     commands = [token.strip() for token in script.split(";") if token.strip()]
     for command in commands:
-        if command not in valid:
+        if command not in VALID_COMMANDS:
             raise ValueError(
-                f"unknown command {command!r}; valid: {valid}"
+                f"unknown command {command!r}; valid: {VALID_COMMANDS}"
             )
     return commands

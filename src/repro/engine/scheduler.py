@@ -1,20 +1,19 @@
-"""Script scheduler: runs parsed scripts through the pass registry.
+"""Script scheduler: runs parsed scripts through the command table.
 
 The scheduler owns everything a script run shares across commands — the
 timing sink (:class:`~repro.parallel.machine.ParallelMachine` or
 :class:`~repro.parallel.machine.SeqMeter`), the observe spans, the
-invariant auditing — and delegates each command's semantics to the
-binder registered for it (:mod:`repro.engine.registry`).  Each pass
-reads its derived state through the AIG's attached
+invariant auditing — and runs each command through
+:func:`~repro.engine.registry.run_command`.  Each pass reads its derived
+state through the AIG's attached
 :class:`~repro.engine.context.GraphContext`, so consecutive commands in
 a script reuse levels and fanouts instead of recomputing them.
 
-The control flow is the exact shape the pre-engine ``run_sequence``
-had, preserved step for step because the observable trace depends on
-it: one span per command, the sequential engine's metered host event
-(``seq.{command}``), the GPU engine's machine tag set *before* the
-command span opens, and per-step invariant audits following the race
-sanitizer's switch.
+Both engines share one command loop, whose shape the observable trace
+depends on: one span per command, the sequential engine's metered host
+event (``seq.{command}``), the GPU engine's machine tag set *before*
+the command span opens, and per-step invariant audits following the
+race sanitizer's switch.
 """
 
 from __future__ import annotations
@@ -27,9 +26,8 @@ from repro import observe
 from repro.aig.aig import Aig
 from repro.engine.registry import (
     DEFAULT_MAX_CUT_SIZE,
-    PassInvocation,
-    command_binder,
     parse_script,
+    run_command,
 )
 from repro.logic.resyn import plan_resynthesis
 from repro.parallel.machine import ParallelMachine, SeqMeter
@@ -122,26 +120,37 @@ def _run_commands(
     check = (
         sanitizer.enabled if verify_invariants is None else verify_invariants
     )
-    if engine == "seq":
+    # Each engine keeps its own timing sink and ignores the other's.
+    if engine == "gpu":
+        machine = machine if machine is not None else ParallelMachine()
+        meter = None
+    elif engine == "seq":
+        machine = None
         meter = meter if meter is not None else SeqMeter()
-        result = SequenceResult(aig, meter=meter)
-        with observe.span(
-            "run_sequence", "sequence", script=script, engine="seq"
-        ):
-            for index, command in enumerate(commands):
-                binder = command_binder(command, "seq")
-                with observe.span(
-                    command, "pass", engine="seq", index=index
-                ) as pass_span:
-                    wall_start = time.perf_counter()
+    else:
+        raise ValueError(f"unknown engine {engine!r} (use 'seq' or 'gpu')")
+    result = SequenceResult(aig, machine=machine, meter=meter)
+    with observe.span(
+        "run_sequence", "sequence", script=script, engine=engine
+    ):
+        for index, command in enumerate(commands):
+            if machine is not None:
+                machine.set_tag(command)
+            with observe.span(
+                command, "pass", engine=engine, index=index
+            ) as pass_span:
+                wall_start = time.perf_counter()
+                if meter is not None:
                     metered_before = meter.time()
-                    steps = binder(
-                        PassInvocation(
-                            result.aig,
-                            max_cut_size=max_cut_size,
-                            meter=meter,
-                        )
-                    )
+                steps = run_command(
+                    command,
+                    engine,
+                    result.aig,
+                    max_cut_size=max_cut_size,
+                    machine=machine,
+                    meter=meter,
+                )
+                if meter is not None:
                     # The sequential engine has no machine trace, so
                     # the pass's metered time advances the modeled
                     # clock through one explicit host event.
@@ -150,50 +159,18 @@ def _run_commands(
                         "host",
                         modeled=meter.time() - metered_before,
                     )
-                    _annotate_pass(pass_span, steps[0], steps[-1])
-                    for step in steps:
-                        result.steps.append((command, step))
-                        result.aig = step.aig
-                        if check:
-                            check_invariants(step.aig, require_reachable=True)
-                    result.walls.append(
-                        (command, time.perf_counter() - wall_start)
-                    )
-        return result
-    if engine == "gpu":
-        machine = machine if machine is not None else ParallelMachine()
-        result = SequenceResult(aig, machine=machine)
-        with observe.span(
-            "run_sequence", "sequence", script=script, engine="gpu"
-        ):
-            for index, command in enumerate(commands):
-                binder = command_binder(command, "gpu")
-                machine.set_tag(command)
-                with observe.span(
-                    command, "pass", engine="gpu", index=index
-                ) as pass_span:
-                    wall_start = time.perf_counter()
-                    steps = binder(
-                        PassInvocation(
-                            result.aig,
-                            max_cut_size=max_cut_size,
-                            machine=machine,
-                        )
-                    )
-                    for step in steps:
-                        result.steps.append((command, step))
-                        result.aig = step.aig
-                        if check:
-                            check_invariants(
-                                step.aig, require_reachable=True
-                            )
-                    _annotate_pass(pass_span, steps[0], steps[-1])
-                    result.walls.append(
-                        (command, time.perf_counter() - wall_start)
-                    )
+                for step in steps:
+                    result.steps.append((command, step))
+                    result.aig = step.aig
+                    if check:
+                        check_invariants(step.aig, require_reachable=True)
+                _annotate_pass(pass_span, steps[0], steps[-1])
+                result.walls.append(
+                    (command, time.perf_counter() - wall_start)
+                )
+    if machine is not None:
         machine.set_tag("")
-        return result
-    raise ValueError(f"unknown engine {engine!r} (use 'seq' or 'gpu')")
+    return result
 
 
 def _annotate_pass(pass_span, first: PassResult, last: PassResult) -> None:

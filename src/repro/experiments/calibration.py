@@ -33,7 +33,7 @@ from repro.parallel.machine import (
     SeqMeter,
 )
 
-# Pass entry points resolve through the engine registry.
+# Pass entry points resolve through the engine's command table.
 par_balance = pass_fn("par_balance")
 seq_balance = pass_fn("seq_balance")
 seq_refactor = pass_fn("seq_refactor")

@@ -36,7 +36,7 @@ from repro.experiments.metrics import (
 )
 from repro.parallel.machine import MachineConfig, ParallelMachine, SeqMeter
 
-# Pass entry points resolve through the engine registry — the
+# Pass entry points resolve through the engine's command table — the
 # experiments layer holds no direct pass imports.
 par_balance = pass_fn("par_balance")
 par_refactor = pass_fn("par_refactor")

@@ -43,6 +43,25 @@ def assert_equivalent(left: Aig, right: Aig, width: int = 256) -> None:
     )
 
 
+def capture_cleanup_input(monkeypatch, module) -> dict:
+    """Record what ``module``'s pass hands to its dedup cleanup.
+
+    After the pass runs, the returned dict holds a clone of the
+    pre-cleanup graph (``"aig"``) and the alias map (``"alias"``) of
+    the pass's one ``dedup_and_dangling`` call.
+    """
+    captured: dict = {}
+    cleanup = module.dedup_and_dangling
+
+    def capture(aig, alias, *args, **kwargs):
+        captured["aig"] = aig.clone()
+        captured["alias"] = dict(alias)
+        return cleanup(aig, alias, *args, **kwargs)
+
+    monkeypatch.setattr(module, "dedup_and_dangling", capture)
+    return captured
+
+
 @pytest.fixture
 def rand_aig() -> Aig:
     return build_random_aig(7)

@@ -140,7 +140,7 @@ def reference_dedup(
         if sanitizer.enabled:
             check_dedup_complete(aig, alias, resolve)
             check_no_dead_refs(aig, alias, resolve)
-        result, _ = reference_compact(aig, alias)
+        result = reference_compact(aig, alias)
         machine.launch_batch(
             "dedup.compact",
             backend.const_profile(1, max(result.num_ands, 1)),
@@ -200,14 +200,12 @@ def _remove_dangling(
         machine.launch("dedup.dangling", works)
 
 
-def reference_compact(
-    aig: Aig, resolve: dict[int, int]
-) -> tuple[Aig, dict[int, int]]:
+def reference_compact(aig: Aig, resolve: dict[int, int]) -> Aig:
     """Scalar ``compact(resolve=...)``: chase chains, rebuild by add_and."""
     new = Aig(aig.name, capacity=aig.num_vars)
-    var_map: dict[int, int] = {0: CONST0}
+    memo: dict[int, int] = {0: CONST0}
     for index, var in enumerate(aig.pis):
-        var_map[var] = new.add_pi(aig.pi_name(index))
+        memo[var] = new.add_pi(aig.pi_name(index))
     size = aig.num_vars
 
     def resolve_lit(lit: int) -> int:
@@ -224,20 +222,20 @@ def reference_compact(
     def build(lit: int) -> int:
         lit = resolve_lit(lit)
         root = lit_var(lit)
-        if root in var_map:
-            return lit_not_cond(var_map[root], lit_compl(lit))
+        if root in memo:
+            return lit_not_cond(memo[root], lit_compl(lit))
         stack = [root]
         expanded: set[int] = set()
         while stack:
             var = stack[-1]
-            if var in var_map:
+            if var in memo:
                 stack.pop()
                 continue
             f0, f1 = aig.fanins(var)
             f0 = resolve_lit(f0)
             f1 = resolve_lit(f1)
-            n0 = var_map.get(f0 >> 1)
-            n1 = var_map.get(f1 >> 1)
+            n0 = memo.get(f0 >> 1)
+            n1 = memo.get(f1 >> 1)
             if n0 is None or n1 is None:
                 if var in expanded:
                     raise ValueError(
@@ -250,9 +248,9 @@ def reference_compact(
                     stack.append(f1 >> 1)
                 continue
             stack.pop()
-            var_map[var] = new.add_and(n0 ^ (f0 & 1), n1 ^ (f1 & 1))
-        return lit_not_cond(var_map[root], lit_compl(lit))
+            memo[var] = new.add_and(n0 ^ (f0 & 1), n1 ^ (f1 & 1))
+        return lit_not_cond(memo[root], lit_compl(lit))
 
     for index, po_lit in enumerate(aig.pos):
         new.add_po(build(po_lit), aig.po_name(index))
-    return new, var_map
+    return new

@@ -93,7 +93,7 @@ def reference_par_balance(
             aig.po_name(index),
         )
     machine.host("b.finalize", aig.num_pos)
-    result, _ = new.compact()
+    result = new.compact()
     return PassResult(
         result,
         nodes_before,

@@ -164,8 +164,14 @@ def test_truncate_rejects_pi_range():
 def test_compact_drops_unreachable():
     aig, (a, b, c, ab, abc) = make_chain()
     aig.add_and(a, c)  # dangling
-    compacted, var_map = aig.compact()
+    compacted = aig.compact()
     assert compacted.num_ands == 2
+    # The dangling node was the last one built, so the reachable nodes
+    # keep their ids and fanins and only its row is gone.
+    assert compacted.num_vars == aig.num_vars - 1
+    assert compacted.pos == [abc]
+    assert compacted.fanins(abc >> 1) == aig.fanins(abc >> 1)
+    assert compacted.fanins(ab >> 1) == aig.fanins(ab >> 1)
     check_aig(compacted)
     assert_equivalent(aig, compacted)
 
@@ -176,7 +182,7 @@ def test_compact_resolves_aliases():
     old = aig.add_and(a, b)
     aig.add_po(old)
     replacement = aig.add_and(a ^ 1, b ^ 1)
-    compacted, _ = aig.compact(resolve={old >> 1: replacement ^ 1})
+    compacted = aig.compact(resolve={old >> 1: replacement ^ 1})
     # f = !(!a & !b) = a | b now.
     from repro.cec.simulate import evaluate
 
@@ -225,7 +231,7 @@ def test_compact_on_deep_chain_does_not_recurse():
         lit = aig.add_and(lit, other) ^ 1
         other = lit ^ 1
     aig.add_po(lit)
-    compacted, _ = aig.compact()
+    compacted = aig.compact()
     check_aig(compacted)
 
 

@@ -1,18 +1,25 @@
 """Architecture conformance: pass dispatch goes through the engine.
 
-The unified pass engine (:mod:`repro.engine`) is the single
-registration and dispatch point for the optimization passes.  Direct
-imports of the pass modules (``repro.algorithms.par_*`` / ``seq_*`` /
-``dedup``) are only allowed
+The unified pass engine (:mod:`repro.engine`) is the single dispatch
+point for the optimization passes: one fixed command table
+(``repro.engine.registry.run_command``) and one scheduler loop.
+Direct imports of the pass modules (``repro.algorithms.par_*`` /
+``seq_*`` / ``dedup``) are only allowed
 
 * inside ``src/repro/algorithms/`` itself (the passes share helpers
   and the package ``__init__`` re-exports them),
-* inside ``src/repro/engine/`` (the registry's lazy builtin loader),
+* inside ``src/repro/engine/`` (the command table's deferred imports),
 * and under ``tests/`` (white-box unit tests of individual passes).
 
 Everything else — the CLI, experiments, benchmarks, verification,
 scripts — must resolve passes by name via ``repro.engine.pass_fn`` or
 run scripts through ``repro.engine.run_script``.
+
+The dependency runs one way: the command table imports the passes,
+and a module under ``src/repro/algorithms/`` imports nothing of the
+engine but :mod:`repro.engine.context`.  The retired runtime plugin
+registry (its decorators, teardown helpers and invocation record) may
+not come back to the code, test, benchmark, script or example trees.
 
 A second rule guards the transactional commit layer
 (:mod:`repro.commit`): pass modules describe graph changes as plans
@@ -110,8 +117,18 @@ FORBIDDEN_EXTENSION = re.compile(
     r"|\balgorithms\.sop" r"_balance\b|\bcommit_re" r"placement\b"
 )
 
-#: Trees the retired-extension guard scans.
+#: Trees the retired-extension and retired-registry guards scan.
 EXTENSION_SCAN = ("src", "tests", "benchmarks", "scripts", "examples")
+
+#: Names of the retired plugin registry, spelled in pieces so this
+#: file does not match itself.
+FORBIDDEN_REGISTRY = re.compile(
+    r"\bregister_" r"pass\b|\bregister_" r"command\b|\bunregister_"
+    r"|\bPass" r"Invocation\b"
+)
+
+#: The one engine module the pass modules may import.
+ENGINE_CONTEXT = "repro.engine.context"
 
 #: The hash table's slot state, which only its own module may touch.
 TABLE_STATE = re.compile(r"\._(table|akey0|akey1|avalue)\b")
@@ -234,6 +251,52 @@ def find_backend_references() -> list[str]:
 def find_extension_references() -> list[str]:
     """References to the retired extensions in the scanned trees."""
     return _grep(FORBIDDEN_EXTENSION, EXTENSION_SCAN)
+
+
+def find_registry_references() -> list[str]:
+    """References to the retired plugin registry in the scanned trees."""
+    return _grep(FORBIDDEN_REGISTRY, EXTENSION_SCAN)
+
+
+def _engine_imports(tree: ast.AST) -> list[tuple[int, str]]:
+    """``(line, module)`` of every engine module ``tree`` imports."""
+    found: list[tuple[int, str]] = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            if node.module == "repro.engine":
+                # ``from repro.engine import x``: x is a submodule or a
+                # name the package re-exports from the table/scheduler.
+                modules = [
+                    f"repro.engine.{alias.name}" for alias in node.names
+                ]
+            else:
+                modules = [node.module]
+        else:
+            continue
+        found.extend(
+            (node.lineno, module)
+            for module in modules
+            if module == "repro.engine"
+            or module.startswith("repro.engine.")
+        )
+    return found
+
+
+def find_pass_engine_imports() -> list[str]:
+    """Pass-module imports of any engine module but the context."""
+    violations: list[str] = []
+    algorithms = REPO_ROOT / "src" / "repro" / "algorithms"
+    for path in sorted(algorithms.glob("*.py")):
+        relative = path.relative_to(REPO_ROOT).as_posix()
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        violations.extend(
+            f"{relative}:{line}: imports {module}"
+            for line, module in _engine_imports(tree)
+            if module != ENGINE_CONTEXT
+        )
+    return violations
 
 
 def find_table_reach_ins() -> list[str]:
@@ -367,6 +430,23 @@ def test_no_retired_extension_references() -> None:
     )
 
 
+def test_no_retired_registry_references() -> None:
+    violations = find_registry_references()
+    assert not violations, (
+        "references to the retired plugin registry (the command table "
+        "in repro.engine.registry is fixed):\n" + "\n".join(violations)
+    )
+
+
+def test_pass_modules_import_only_the_engine_context() -> None:
+    violations = find_pass_engine_imports()
+    assert not violations, (
+        f"pass modules may import only {ENGINE_CONTEXT} from the "
+        "engine (the command table imports them):\n"
+        + "\n".join(violations)
+    )
+
+
 def test_hash_table_state_stays_in_its_module() -> None:
     violations = find_table_reach_ins()
     assert not violations, (
@@ -452,6 +532,26 @@ def main() -> int:
         print("retired-extension conformance FAILED:", file=sys.stderr)
         for violation in extension_references:
             print(f"  {violation}", file=sys.stderr)
+    registry_references = find_registry_references()
+    if registry_references:
+        failed = True
+        print("retired-registry conformance FAILED:", file=sys.stderr)
+        for violation in registry_references:
+            print(f"  {violation}", file=sys.stderr)
+        print(
+            "add commands to the fixed table in repro.engine.registry",
+            file=sys.stderr,
+        )
+    pass_engine_imports = find_pass_engine_imports()
+    if pass_engine_imports:
+        failed = True
+        print("pass-engine dependency FAILED:", file=sys.stderr)
+        for violation in pass_engine_imports:
+            print(f"  {violation}", file=sys.stderr)
+        print(
+            f"pass modules may import only {ENGINE_CONTEXT}",
+            file=sys.stderr,
+        )
     table_reach_ins = find_table_reach_ins()
     if table_reach_ins:
         failed = True

@@ -1,16 +1,17 @@
 """Unit tests for simulation, Tseitin encoding and equivalence checking."""
 
+import random
+
 import pytest
 
 from repro.aig.aig import Aig
-from repro.cec.cnf import encode_aig
 from repro.cec.equivalence import (
     CecStatus,
     FraigSweeper,
     check_equivalence,
     miter,
 )
-from repro.cec.sat import SatResult, SatSolver
+from repro.cec.sat import SatResult
 from repro.cec.simulate import (
     evaluate,
     random_patterns,
@@ -86,37 +87,33 @@ def test_random_patterns_deterministic():
 
 
 def test_tseitin_consistency_with_simulation():
+    """The sweeper's lazy Tseitin encoding agrees with simulation."""
     aig = build_random_aig(5, num_pis=5, num_ands=40)
-    solver = SatSolver()
-    mapping = encode_aig(aig, solver)
-    # Force a PI assignment and compare the PO values with simulation.
-    assignment = [True, False, True, True, False]
-    assumptions = []
-    for var, value in zip(aig.pis, assignment):
-        cnf_var = mapping.var_map[var]
-        assumptions.append(cnf_var if value else -cnf_var)
-    assert solver.solve(assumptions=assumptions) is SatResult.SAT
-    simulated = evaluate(aig, assignment)
-    for po_index, po_lit in enumerate(aig.pos):
-        cnf_lit = mapping.cnf_lit(po_lit)
-        value = solver.model_value(abs(cnf_lit))
-        if cnf_lit < 0:
-            value = not value
-        assert value == simulated[po_index]
-
-
-def test_encode_shared_pis():
-    left = xor_aig()
-    right = xor_aig_alt()
-    solver = SatSolver()
-    map_left = encode_aig(left, solver)
-    pi_vars = [map_left.var_map[var] for var in left.pis]
-    map_right = encode_aig(right, solver, pi_vars=pi_vars)
-    # left XOR output != right XOR output must be UNSAT.
-    lit_l = map_left.cnf_lit(left.pos[0])
-    lit_r = map_right.cnf_lit(right.pos[0])
-    assert solver.solve(assumptions=[lit_l, -lit_r]) is SatResult.UNSAT
-    assert solver.solve(assumptions=[-lit_l, lit_r]) is SatResult.UNSAT
+    sweeper = FraigSweeper(aig)
+    swept, po_lits = sweeper.run()
+    for lit in po_lits:
+        sweeper._encode_cone(lit >> 1)
+    mapping = sweeper.mapping
+    rng = random.Random(5)
+    for _ in range(8):
+        # Force a PI assignment and compare the PO values with
+        # simulation of the source graph.
+        assignment = [rng.random() < 0.5 for _ in range(aig.num_pis)]
+        assumptions = []
+        for var, value in zip(swept.pis, assignment):
+            cnf_var = mapping.var_map.get(var)
+            if cnf_var is not None:
+                assumptions.append(cnf_var if value else -cnf_var)
+        assert sweeper.solver.solve(assumptions=assumptions) is (
+            SatResult.SAT
+        )
+        simulated = evaluate(aig, assignment)
+        for po_index, po_lit in enumerate(po_lits):
+            cnf_lit = mapping.cnf_lit(po_lit)
+            value = sweeper.solver.model_value(abs(cnf_lit))
+            if cnf_lit < 0:
+                value = not value
+            assert value == simulated[po_index]
 
 
 # ----------------------------------------------------------------------

@@ -108,7 +108,7 @@ def test_machine_records_dedup_tag():
 
 def test_noop_on_clean_aig(seeded_aig):
     reference = seeded_aig.clone()
-    compacted, _ = seeded_aig.compact()
+    compacted = seeded_aig.compact()
     result = dedup_and_dangling(seeded_aig, {})
     assert result.num_ands == compacted.num_ands
     assert_equivalent(reference, result)

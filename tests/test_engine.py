@@ -13,16 +13,21 @@ Three groups:
   cache: hit/miss accounting, invalidation on every mutating operation
   (appends included), fork isolation, the passes leaving shared fork
   entries intact, and the grow-in-place ``arrays()`` path.
-* **Registry/plugin** — script parsing errors, pass lookup, and an
-  end-to-end plugin test registering a custom pass + command and
-  driving it through ``repro-aig opt``.
+* **Command table** — every (command, engine) row runs the pass its
+  semantics name with the right gain mode, step count and timing sink;
+  script parsing errors, pass lookup, and the ``--list-passes``
+  listing.
 """
 
 from __future__ import annotations
 
 import gc
+import importlib
 import json
+import os
 import random
+import subprocess
+import sys
 import weakref
 from pathlib import Path
 
@@ -31,22 +36,19 @@ import pytest
 from repro import observe
 from repro.aig import traversal
 from repro.aig.io_aiger import dump_aag, write_aag
-from repro.algorithms.common import PassResult
 from repro.benchgen.control import random_control
 from repro.benchgen.random_aig import mtm_random
 from repro.cli import main as cli_main
 from repro.engine import (
+    COMMANDS,
     VALID_COMMANDS,
     GraphContext,
     clone_with_context,
     context_for,
     parse_script,
     pass_fn,
-    register_command,
-    register_pass,
+    run_command,
     run_script,
-    unregister_command,
-    unregister_pass,
 )
 from repro.verify import forced_gates
 from tests.conftest import build_random_aig
@@ -409,12 +411,130 @@ def test_resolved_helpers_match_scalar_references(seed):
 
 
 # ----------------------------------------------------------------------
-# Registry: lookup, parsing, CLI plugin path
+# Command table: the twelve rows, lookup, parsing, listing
 # ----------------------------------------------------------------------
+
+#: Every pass the command table lists: its module and entry point.
+_PASSES = {
+    "dedup": ("repro.algorithms.dedup", "dedup_and_dangling"),
+    "par_balance": ("repro.algorithms.par_balance", "par_balance"),
+    "par_refactor": ("repro.algorithms.par_refactor", "par_refactor"),
+    "par_refactor_cb": (
+        "repro.algorithms.par_refactor_cb", "par_refactor_cb"
+    ),
+    "par_rewrite": ("repro.algorithms.par_rewrite", "par_rewrite"),
+    "seq_balance": ("repro.algorithms.seq_balance", "seq_balance"),
+    "seq_refactor": ("repro.algorithms.seq_refactor", "seq_refactor"),
+    "seq_rewrite": ("repro.algorithms.seq_rewrite", "seq_rewrite"),
+}
+
+#: Each (command, engine) row: the passes it runs, in order, with the
+#: gain mode each is called with (None: the pass has no such switch).
+_ROWS = {
+    ("b", "gpu"): [("par_balance", None)],
+    ("rw", "gpu"): [("par_rewrite", False)],
+    ("rwz", "gpu"): [("par_rewrite", True), ("par_rewrite", True)],
+    ("rf", "gpu"): [("par_refactor", None)],
+    ("rfz", "gpu"): [("par_refactor", None)],
+    ("rfc", "gpu"): [("par_refactor_cb", None)],
+    ("b", "seq"): [("seq_balance", None)],
+    ("rw", "seq"): [("seq_rewrite", False)],
+    ("rwz", "seq"): [("seq_rewrite", True)],
+    ("rf", "seq"): [("seq_refactor", False)],
+    ("rfz", "seq"): [("seq_refactor", True)],
+    ("rfc", "seq"): [("seq_refactor", True)],
+}
+
+
+def test_command_listing_matches_the_table():
+    rows = [(row.command, row.engine) for row in COMMANDS]
+    assert sorted(rows) == rows
+    assert set(rows) == set(_ROWS)
+    assert {command for command, _ in rows} == set(VALID_COMMANDS)
+
+
+@pytest.mark.parametrize(
+    "command,engine", sorted(_ROWS), ids="-".join
+)
+def test_command_table_row(command, engine, monkeypatch):
+    """One script command runs the passes its row names, nothing else."""
+    calls = []
+    for name, (module_name, attribute) in _PASSES.items():
+        module = importlib.import_module(module_name)
+        original = getattr(module, attribute)
+
+        def recording(aig, *args, _name=name, _original=original, **kw):
+            calls.append((_name, kw))
+            return _original(aig, *args, **kw)
+
+        monkeypatch.setattr(module, attribute, recording)
+    aig = build_random_aig(13, num_ands=80)
+    result = run_script(aig, command, engine=engine, max_cut_size=7)
+    expected = _ROWS[(command, engine)]
+    assert [name for name, _ in calls] == [name for name, _ in expected]
+    assert result.steps and all(
+        step_command == command for step_command, _ in result.steps
+    )
+    assert len(result.steps) == len(expected)
+    assert result.aig is result.steps[-1][1].aig
+    for (_, kw), (name, zero_gain) in zip(calls, expected):
+        assert kw.get("zero_gain") == zero_gain
+        if engine == "gpu":
+            assert kw["machine"] is result.machine
+            assert "meter" not in kw
+        else:
+            assert kw["meter"] is result.meter
+            assert "machine" not in kw
+        if "refactor" in name:
+            assert kw["max_cut_size"] == 7
+    # Each step of a multi-pass command feeds the next.
+    for (_, first), (_, second) in zip(result.steps, result.steps[1:]):
+        assert second.nodes_before == first.nodes_after
+
+
+def test_unknown_engine_is_rejected():
+    aig = build_random_aig(5, num_ands=20)
+    with pytest.raises(ValueError, match="unknown engine 'cpu'"):
+        run_script(aig, "b", engine="cpu")
+    with pytest.raises(ValueError, match="not defined on engine 'cpu'"):
+        run_command("b", "cpu", aig)
+
+
+def test_seq_rfc_is_zero_gain_seq_refactoring():
+    aig = build_random_aig(17, num_ands=120)
+    rfc = run_script(aig.clone(), "rfc", engine="seq")
+    rfz = run_script(aig.clone(), "rfz", engine="seq")
+    assert dump_aag(rfc.aig) == dump_aag(rfz.aig)
+    assert rfc.modeled_time() == rfz.modeled_time()
+
+
+def test_list_passes_imports_every_pass_module():
+    """``list_passes()`` loads all eight pass modules (perfbench calls it
+    so that no timed region pays for an import)."""
+    program = (
+        "import sys\n"
+        "from repro.engine import list_passes\n"
+        f"modules = {sorted(module for module, _ in _PASSES.values())!r}\n"
+        "before = [m for m in modules if m in sys.modules]\n"
+        "list_passes()\n"
+        "after = [m for m in modules if m in sys.modules]\n"
+        "print(len(before), len(after))\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    out = subprocess.run(
+        [sys.executable, "-c", program],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert out.stdout.split() == ["0", str(len(_PASSES))]
 
 
 def test_pass_fn_known_and_unknown():
-    assert callable(pass_fn("par_balance"))
+    for name, (module, attribute) in _PASSES.items():
+        assert pass_fn(name) is getattr(
+            importlib.import_module(module), attribute
+        )
     with pytest.raises(KeyError, match="unknown pass 'bogus'"):
         pass_fn("bogus")
 
@@ -442,9 +562,11 @@ def test_parse_script_resolves_named_sequences():
 def test_cli_list_passes(capsys):
     assert cli_main(["opt", "--list-passes"]) == 0
     out = capsys.readouterr().out
-    assert "par_balance" in out
-    assert "seq_rewrite" in out
-    assert "rwz" in out
+    passes, commands = out.split("script commands:")
+    for name in _PASSES:
+        assert f"  {name} " in passes
+    for command, engine in _ROWS:
+        assert f"  {command:<4}[{engine}]" in commands
 
 
 def test_cli_opt_requires_input(capsys):
@@ -459,44 +581,3 @@ def test_cli_opt_reports_unknown_command(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "unknown command 'nope'" in err
     assert "'rwz'" in err  # the valid set is listed
-
-
-def test_plugin_pass_end_to_end(tmp_path, capsys):
-    """A pass registered by a plugin is runnable via ``repro-aig opt``."""
-
-    @register_pass("plugin_noop", engine="gpu", description="no-op")
-    def plugin_noop(aig, machine=None):
-        depth = context_for(aig).depth()
-        nodes = aig.num_ands
-        return PassResult(
-            aig=clone_with_context(aig),
-            nodes_before=nodes,
-            nodes_after=nodes,
-            levels_before=depth,
-            levels_after=depth,
-        )
-
-    @register_command("noop", "gpu", description="plugin no-op")
-    def _bind_noop(invocation):
-        return [pass_fn("plugin_noop")(
-            invocation.aig, machine=invocation.machine
-        )]
-
-    try:
-        assert "noop" in parse_script("b; noop")
-        aig = build_random_aig(9, num_ands=50)
-        path = tmp_path / "plugin.aag"
-        write_aag(aig, path)
-        code = cli_main(
-            ["opt", str(path), "-c", "noop", "--engine", "gpu"]
-        )
-        assert code == 0
-        assert "noop" in capsys.readouterr().out
-        result = run_script(aig.clone(), "noop", engine="gpu")
-        assert dump_aag(result.aig) == dump_aag(aig)
-        assert [command for command, _ in result.steps] == ["noop"]
-    finally:
-        unregister_command("noop", "gpu")
-        unregister_pass("plugin_noop")
-    with pytest.raises(ValueError, match="unknown command 'noop'"):
-        parse_script("noop")

@@ -55,7 +55,7 @@ def test_verilog_sanitizes_names():
 
 def test_verilog_random_aig_has_all_nodes():
     aig = build_random_aig(5)
-    compacted, _ = aig.compact()
+    compacted = aig.compact()
     text = to_verilog(aig)
     assert text.count(" & ") == compacted.num_ands
 
@@ -72,7 +72,7 @@ def test_dot_structure():
 
 def test_dot_edge_count():
     aig = build_random_aig(2)
-    compacted, _ = aig.compact()
+    compacted = aig.compact()
     text = to_dot(aig)
     arrows = text.count("->")
     assert arrows == 2 * compacted.num_ands + compacted.num_pos

@@ -375,7 +375,7 @@ def _bench_doc(**overrides):
     return {"format": "repro.bench/1", "cases": [case]}
 
 
-def test_bench_report_gate_passes_and_fails():
+def test_bench_report_gate_passes_and_fails(tmp_path, capsys):
     bench_report = _load_script("scripts/bench_report.py")
     baseline = _bench_doc()
 
@@ -419,6 +419,35 @@ def test_bench_report_gate_passes_and_fails():
         _bench_doc(), {"format": "repro.bench/1", "cases": []}
     )
     assert any("new case" in msg for msg in notes)
+
+    # A serial-replay share above the ceiling is an advisory naming the
+    # serial lanes, counted apart from warnings; it never fails the
+    # gate, not even under --strict-wall.
+    base_path = tmp_path / "base.json"
+    base_path.write_text(json.dumps(baseline))
+    for serial, advisories in ((40, 1), (10, 0)):
+        run_path = tmp_path / f"run{serial}.json"
+        counters = {
+            "commit.bulk_nodes": 100 - serial,
+            "commit.serial_replays": serial,
+        }
+        run_path.write_text(json.dumps(_bench_doc(counters=counters)))
+        for strict in ([], ["--strict-wall"]):
+            argv = [str(run_path), "--baseline", str(base_path)] + strict
+            assert bench_report.main(argv) == 0
+            lines = capsys.readouterr().out.splitlines()
+            flagged = [line for line in lines if "serial-replay" in line]
+            assert len(flagged) == advisories
+            for line in flagged:
+                assert line.startswith("ADVISORY  voter [b]: ")
+                assert "(40/100 committed nodes)" in line
+                assert "rw's replace stage" in line
+                assert "rfc's serial lane" in line
+                assert "underused" not in line
+            assert lines[-1] == (
+                "bench gate: ok (1 case(s), 0 warning(s), "
+                f"{advisories} advisory(s))"
+            )
 
 
 def test_committed_baseline_matches_schema():

@@ -126,7 +126,7 @@ def test_dedup_is_conservative(seed):
     """Cleanup of an already-clean AIG only drops unreachable logic."""
     aig = build_random_aig(seed)
     reference = aig.clone()
-    compact_count = aig.compact()[0].num_ands
+    compact_count = aig.compact().num_ands
     result = dedup_and_dangling(aig, {})
     assert result.num_ands == compact_count
     assert_equivalent(reference, result)

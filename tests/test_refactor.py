@@ -1,5 +1,7 @@
 """Unit tests for sequential and parallel refactoring."""
 
+import importlib
+
 import pytest
 
 from repro.aig.aig import Aig
@@ -9,7 +11,11 @@ from repro.algorithms.par_refactor import par_refactor
 from repro.algorithms.seq_refactor import seq_refactor
 from repro.benchgen.arith import divider, multiplier
 from repro.parallel.machine import ParallelMachine, SeqMeter
-from tests.conftest import assert_equivalent, build_random_aig
+from tests.conftest import (
+    assert_equivalent,
+    build_random_aig,
+    capture_cleanup_input,
+)
 
 
 def redundant_aig():
@@ -205,9 +211,16 @@ def test_par_refactor_rejects_bad_mode():
         par_refactor(build_random_aig(0), replace_mode="warp")
 
 
-def test_par_refactor_without_cleanup_still_equivalent(seeded_aig):
-    result = par_refactor(seeded_aig, max_cut_size=8, run_cleanup=False)
-    assert_equivalent(seeded_aig, result.aig)
+def test_par_refactor_without_cleanup_still_equivalent(
+    seeded_aig, monkeypatch
+):
+    """The replace stage's graph and alias map are sound before dedup:
+    compacting them alone already gives an equivalent graph."""
+    module = importlib.import_module("repro.algorithms.par_refactor")
+    captured = capture_cleanup_input(monkeypatch, module)
+    par_refactor(seeded_aig, max_cut_size=8)
+    compacted = captured["aig"].compact(resolve=captured["alias"])
+    assert_equivalent(seeded_aig, compacted)
 
 
 def test_par_refactor_repeated_converges_downward():

@@ -25,7 +25,11 @@ from repro.commit import walk_cone
 from repro.logic.npn import npn_canon
 from repro.logic.truth import simulate_cone
 from repro.parallel.machine import ParallelMachine, SeqMeter
-from tests.conftest import assert_equivalent, build_random_aig
+from tests.conftest import (
+    assert_equivalent,
+    build_random_aig,
+    capture_cleanup_input,
+)
 from tests.pass_reference import (
     reference_cone_nodes,
     reference_instantiate_template,
@@ -431,9 +435,12 @@ def test_par_rewrite_trace_has_match_insert_and_host_parts():
     assert machine.host_time() > 0  # the sequential replacement loop
 
 
-def test_par_rewrite_without_cleanup(seeded_aig):
-    result = par_rewrite(seeded_aig, run_cleanup=False)
-    assert_equivalent(seeded_aig, result.aig)
+def test_par_rewrite_without_cleanup(seeded_aig, monkeypatch):
+    """The replace stage's graph and alias map are sound before dedup."""
+    captured = capture_cleanup_input(monkeypatch, _par_rewrite)
+    par_rewrite(seeded_aig)
+    compacted = captured["aig"].compact(resolve=captured["alias"])
+    assert_equivalent(seeded_aig, compacted)
 
 
 def test_par_rewrite_quality_tracks_seq():

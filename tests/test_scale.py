@@ -210,7 +210,7 @@ def test_facade_round_trips_exactly():
     _assert_facade_matches_arrays(aig)
     aig.revive(victims[0])
     _assert_facade_matches_arrays(aig)
-    compacted, _ = aig.compact()
+    compacted = aig.compact()
     _assert_facade_matches_arrays(compacted)
     _assert_facade_matches_arrays(aig.clone())
 
@@ -235,7 +235,7 @@ def test_scalar_gates_core_builds_identical_graphs():
 
     def build() -> Aig:
         doubled = enlarge(build_random_aig(23, num_ands=90), 2)
-        compacted, _ = doubled.compact()
+        compacted = doubled.compact()
         return compacted
 
     with forced_gates(0):
