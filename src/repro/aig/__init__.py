@@ -1,6 +1,6 @@
 """AIG data structure, analysis and I/O."""
 
-from repro.aig.aig import Aig, aig_from_pos, resolve_aliases
+from repro.aig.aig import Aig, resolve_aliases
 from repro.aig.cuts import CutResult, enumerate_cuts, reconv_cut
 from repro.aig.export import to_dot, to_verilog
 from repro.aig.io_aiger import (
@@ -33,10 +33,7 @@ from repro.aig.traversal import (
     fanout_counts,
     fanout_lists,
     po_fanout_mask,
-    reverse_topological_order,
-    topological_order,
     transitive_fanin,
-    transitive_fanout,
 )
 from repro.aig.validate import AigInvariantError, check_aig
 
@@ -48,7 +45,6 @@ __all__ = [
     "CONST1",
     "CutResult",
     "aig_depth",
-    "aig_from_pos",
     "aig_levels",
     "check_aig",
     "cone_nodes",
@@ -77,10 +73,7 @@ __all__ = [
     "resolve_aliases",
     "to_dot",
     "to_verilog",
-    "reverse_topological_order",
-    "topological_order",
     "transitive_fanin",
-    "transitive_fanout",
     "write_aag",
     "write_aig_binary",
 ]

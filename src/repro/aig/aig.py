@@ -17,22 +17,25 @@ views of the very same buffers.  Structural hashing uses the flat
 open-addressing :class:`repro.aig.store.FlatStrash`.
 
 Nodes are append-only.  Optimization passes that delete logic mark
-variables *dead* and finish with :meth:`Aig.compact`, which rebuilds the
-graph following the POs (optionally through a literal redirection map,
-which is how cone replacement is expressed).
+variables *dead* — the dead column is the one record of kills — and
+finish with :meth:`Aig.compact`, which rebuilds the graph following the
+POs (optionally through a literal redirection map, which is how cone
+replacement is expressed).  :meth:`Aig.post_order` is the one
+post-order walk of that (alias-resolved) graph: compaction numbers its
+output by it, and dedup levelizes over it
+(:func:`repro.engine.context.resolved_levels`).
 """
 
 from __future__ import annotations
 
 from array import array
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 
 import numpy as np
 
+from repro import observe
 from repro.aig.literals import (
     CONST0,
-    lit_compl,
-    lit_not_cond,
     lit_pair_key,
     lit_var,
     make_lit,
@@ -665,106 +668,42 @@ class Aig:
         Returns
         -------
         Aig
-            The compacted AIG.
+            The compacted AIG.  Its AND rows are numbered in the
+            completion order of :meth:`post_order`, which runs once:
+            a fold-free reachable set is built column-wise
+            (:meth:`_compact_bulk`), any other through ``add_and``
+            (:meth:`_compact_fold`).
         """
         final = (
             resolve_aliases(resolve, self._f0c.size) if resolve else None
         )
-        bulk = self._compact_bulk(final)
-        if bulk is not None:
-            return bulk
-        new = Aig(self.name, capacity=self._f0c.size)
-        new._strash.reserve(self._live_ands)
-        # Old variable id -> new literal, for every node built so far.
-        memo: dict[int, int] = {0: CONST0}
-        pi_names = self._pi_names
-        for index, var in enumerate(self._pic.slice()):
-            memo[var] = new.add_pi(pi_names[index])
-
-        fan0, fan1, pos = self._resolved_columns(final)
-        size = self._f0c.size
-
-        def build(lit: int) -> int:
-            root = lit_var(lit)
-            if root in memo:
-                return lit_not_cond(memo[root], lit_compl(lit))
-            # Iterative post-order DFS (recursion would overflow on
-            # deep arithmetic AIGs such as dividers).
-            stack = [root]
-            expanded: set[int] = set()
-            while stack:
-                var = stack[-1]
-                if var in memo:
-                    stack.pop()
-                    continue
-                if not 0 <= var < size:
-                    raise IndexError(f"variable {var} out of range")
-                f0 = fan0[var]
-                if f0 < 0:
-                    raise ValueError(
-                        f"reached non-AND unmapped variable {var}"
-                    )
-                f1 = fan1[var]
-                n0 = memo.get(f0 >> 1)
-                n1 = memo.get(f1 >> 1)
-                if n0 is None or n1 is None:
-                    # Everything pushed above a var's first visit is
-                    # built before it is reached again, unless the var
-                    # was pushed again from inside its own fanin cone.
-                    if var in expanded:
-                        raise ValueError(
-                            f"cycle through variable {var} in resolve map"
-                        )
-                    expanded.add(var)
-                    if n0 is None:
-                        stack.append(f0 >> 1)
-                    if n1 is None:
-                        stack.append(f1 >> 1)
-                    continue
-                stack.pop()
-                memo[var] = new.add_and(n0 ^ (f0 & 1), n1 ^ (f1 & 1))
-            return lit_not_cond(memo[root], lit_compl(lit))
-
-        po_names = self._po_names
-        for index, po_lit in enumerate(pos):
-            new.add_po(build(po_lit), po_names[index])
+        order = self.post_order(final)
+        new = self._compact_bulk(order, final)
+        if new is None:
+            if observe.enabled:
+                observe.count("path.compact.fold")
+            return self._compact_fold(order, final)
+        if observe.enabled:
+            observe.count("path.compact.bulk")
         return new
 
-    def _resolved_columns(self, final=None) -> tuple:
-        """Scalar twins ``(fanin0, fanin1, pos)``, resolved through ``final``.
+    def post_order(self, final=None) -> np.ndarray:
+        """Reachable AND variables in post-order from the POs.
 
-        ``final`` is a :func:`resolve_aliases` array or ``None``.  Without
-        it these are the live column views; with it, fresh arrays whose
-        AND-row fanins and PO literals point past every redirection
-        (PI and constant rows keep their sentinels).
-        """
-        if final is None:
-            return self._f0c.view, self._f1c.view, self._poc.slice()
-        fan0, fan1, _ = self.arrays()
-        pos = self._poc.nparray()
-        # Sentinel rows index final[-1]; they are restored below.
-        rf0 = final[fan0 >> 1] ^ (fan0 & 1)
-        rf1 = final[fan1 >> 1] ^ (fan1 & 1)
-        rows = fan0 < 0
-        rf0[rows] = fan0[rows]
-        rf1[rows] = fan1[rows]
-        rpos = final[pos >> 1] ^ (pos & 1)
-        return memoryview(rf0), memoryview(rf1), memoryview(rpos)
+        The one walk of the (alias-resolved) graph: :meth:`compact`
+        numbers its output by it, and dedup levelizes over it
+        (:func:`repro.engine.context.resolved_levels`).  ``final`` is
+        a :func:`resolve_aliases` array (``None`` without aliases);
+        the walk then reads resolved fanins and PO drivers.  POs are
+        walked in order, each one depth-first with the second fanin
+        completed before the first; every reachable AND appears once,
+        after both its fanins.  Returns an int64 array (a view of the
+        walk's ``array('q')``).
 
-    def _compact_bulk(self, final=None):
-        """Vectorized :meth:`compact`, or ``None``.
-
-        ``final`` is the :func:`resolve_aliases` array of the resolve
-        map (``None`` without one); the walk then reads resolved fanins
-        and additionally detects cycles through them.  Walks the
-        PO-reachable set with a lean scalar DFS reproducing the scalar
-        rebuild's exact completion order (= new variable numbering),
-        then replaces the per-node ``add_and`` loop with one gather
-        over the fanin columns and one bulk strash build.  Returns
-        ``None`` — caller falls back to the scalar rebuild — when the
-        reachable set is not fold-free/strash-clean (a constant fanin,
-        ``x & x`` / ``x & !x``, or a duplicate fanin key, any of which
-        would make a scalar ``add_and`` fold or reuse).
+        Raises ``ValueError`` when the walk reaches a non-AND variable
+        that is neither the constant nor a PI, or when a resolve map
+        closes a cycle through a fanin.  Recursion-free: deep chains
+        (dividers) are fine.
         """
         fan0, fan1, pos = self._resolved_columns(final)
         num = self._f0c.size
@@ -790,11 +729,11 @@ class Aig:
                 if mapped[var]:
                     stack.pop()
                     continue
-                if fan0[var] < 0:
+                var0 = fan0[var] >> 1
+                if var0 < 0:  # a PI or constant sentinel row
                     raise ValueError(
                         f"reached non-AND unmapped variable {var}"
                     )
-                var0 = fan0[var] >> 1
                 var1 = fan1[var] >> 1
                 ready0 = mapped[var0]
                 ready1 = mapped[var1]
@@ -803,6 +742,9 @@ class Aig:
                     mapped[var] = 1
                     complete(var)
                 else:
+                    # Everything pushed above a var's first visit is
+                    # completed before it is reached again, unless the
+                    # var was pushed again from inside its own cone.
                     if expanded is not None:
                         if expanded[var]:
                             raise ValueError(
@@ -814,23 +756,69 @@ class Aig:
                         push(var0)
                     if not ready1:
                         push(var1)
-        kept = len(order)
+        return np.frombuffer(order, dtype=np.int64)
+
+    def _resolved_columns(self, final=None) -> tuple:
+        """Scalar twins ``(fanin0, fanin1, pos)``, resolved through ``final``.
+
+        ``final`` is a :func:`resolve_aliases` array or ``None``.  Without
+        it these are the live column views; with it, fresh arrays whose
+        AND-row fanins and PO literals point past every redirection
+        (PI and constant rows keep their sentinels).
+        """
+        if final is None:
+            return self._f0c.view, self._f1c.view, self._poc.slice()
+        fan0, fan1, _ = self.arrays()
+        # Sentinel rows index final[-1]; they are restored below.
+        rf0 = final[fan0 >> 1] ^ (fan0 & 1)
+        rf1 = final[fan1 >> 1] ^ (fan1 & 1)
+        rows = fan0 < 0
+        rf0[rows] = fan0[rows]
+        rf1[rows] = fan1[rows]
+        return (
+            memoryview(rf0),
+            memoryview(rf1),
+            memoryview(self._resolved_pos(final)),
+        )
+
+    def _resolved_pos(self, final=None) -> np.ndarray:
+        """PO literals as an int64 array, resolved through ``final``."""
+        pos = self._poc.nparray()
+        return pos if final is None else final[pos >> 1] ^ (pos & 1)
+
+    def _order_fanins(self, order, final=None) -> tuple:
+        """Fanin literals of the AND rows ``order``, resolved through
+        ``final``, as two int64 arrays."""
+        fan0, fan1, _ = self.arrays()
+        lits0 = fan0[order]
+        lits1 = fan1[order]
+        if final is not None:
+            lits0 = final[lits0 >> 1] ^ (lits0 & 1)
+            lits1 = final[lits1 >> 1] ^ (lits1 & 1)
+        return lits0, lits1
+
+    def _compact_bulk(self, order, final=None):
+        """:meth:`compact`'s column build over ``order``, or ``None``.
+
+        ``order`` is :meth:`post_order`'s result under the same
+        ``final``.  Replaces the per-node ``add_and`` loop with one
+        gather over the fanin columns and one bulk strash build.
+        Returns ``None`` — the caller takes :meth:`_compact_fold` —
+        when the reachable set is not fold-free/strash-clean (a
+        constant fanin, ``x & x`` / ``x & !x``, or a duplicate fanin
+        key, any of which would make an ``add_and`` fold or reuse).
+        """
+        num = self._f0c.size
         num_pis = self._pic.size
-        f0a = np.asarray(fan0)[:num]
-        f1a = np.asarray(fan1)[:num]
-        old_vars = np.frombuffer(order, dtype=np.int64)
-        of0 = f0a[old_vars]
-        of1 = f1a[old_vars]
-        del f0a, f1a, fan0, fan1
+        kept = order.shape[0]
+        of0, of1 = self._order_fanins(order, final)
         if not fold_free(of0, of1):
             return None
         new_var = np.full(num, -1, dtype=np.int64)
         new_var[0] = 0
         pi_vars = self._pic.nparray()
         new_var[pi_vars] = 1 + np.arange(num_pis, dtype=np.int64)
-        new_var[old_vars] = (
-            1 + num_pis + np.arange(kept, dtype=np.int64)
-        )
+        new_var[order] = 1 + num_pis + np.arange(kept, dtype=np.int64)
         nf0 = (new_var[of0 >> 1] << 1) | (of0 & 1)
         nf1 = (new_var[of1 >> 1] << 1) | (of1 & 1)
         del of0, of1
@@ -845,7 +833,7 @@ class Aig:
         f1col[1 : 1 + num_pis] = PI_FANIN
         f0col[1 + num_pis :] = and_k0
         f1col[1 + num_pis :] = and_k1
-        old_pos = np.asarray(pos)
+        old_pos = self._resolved_pos(final)
         new_pos = (new_var[old_pos >> 1] << 1) | (old_pos & 1)
         new = Aig._from_flat(
             self.name,
@@ -859,6 +847,34 @@ class Aig:
             and_k1,
             1 + num_pis + np.arange(kept, dtype=np.int64),
         )
+        return new
+
+    def _compact_fold(self, order, final=None) -> "Aig":
+        """:meth:`compact` through ``add_and``, one node per ``order`` row.
+
+        The path for reachable sets that fold or repeat a strash key:
+        ``add_and`` folds constants and trivial pairs and returns the
+        first node of a repeated key, so the result may have fewer
+        nodes than ``order``.
+        """
+        new = Aig(self.name, capacity=self._f0c.size)
+        new._strash.reserve(self._live_ands)
+        # Old variable id -> new literal, for every node built so far.
+        lit_of = [CONST0] * self._f0c.size
+        pi_names = self._pi_names
+        for index, var in enumerate(self._pic.slice()):
+            lit_of[var] = new.add_pi(pi_names[index])
+        lits0, lits1 = self._order_fanins(order, final)
+        add_and = new.add_and
+        for var, f0, f1 in zip(
+            order.tolist(), lits0.tolist(), lits1.tolist()
+        ):
+            lit_of[var] = add_and(
+                lit_of[f0 >> 1] ^ (f0 & 1), lit_of[f1 >> 1] ^ (f1 & 1)
+            )
+        po_names = self._po_names
+        for index, lit in enumerate(self._resolved_pos(final).tolist()):
+            new.add_po(lit_of[lit >> 1] ^ (lit & 1), po_names[index])
         return new
 
     @classmethod
@@ -959,16 +975,3 @@ class Aig:
             f"pos={self.num_pos}, ands={self.num_ands})"
         )
 
-
-def aig_from_pos(
-    source: Aig, po_lits: Iterable[int], name: str | None = None
-) -> Aig:
-    """Extract the cone of the given PO literals into a fresh AIG."""
-    scratch = source.clone()
-    scratch.clear_pos()
-    for lit in po_lits:
-        scratch.add_po(lit)
-    new = scratch.compact()
-    if name is not None:
-        new.name = name
-    return new

@@ -59,6 +59,12 @@ class CutResult:
             f"cone_size={len(self.cone)})"
         )
 
+#: The paper's maximum refactoring cut size: the one definition that
+#: the refactoring passes, the command table and the experiment
+#: drivers all import (``log2`` runs at 11, see
+#: ``repro.experiments.tables.CUT_SIZE_OVERRIDES``).
+DEFAULT_CUT_SIZE = 12
+
 
 def reconv_cut(
     aig: Aig,

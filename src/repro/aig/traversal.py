@@ -158,18 +158,6 @@ def po_fanout_mask(aig: Aig) -> list[bool]:
     return mask
 
 
-def topological_order(aig: Aig) -> list[int]:
-    """Live AND variables in topological order (fanins first)."""
-    return list(aig.and_vars())
-
-
-def reverse_topological_order(aig: Aig) -> list[int]:
-    """Live AND variables in reverse topological order (fanouts first)."""
-    order = list(aig.and_vars())
-    order.reverse()
-    return order
-
-
 def transitive_fanin(aig: Aig, roots: list[int]) -> set[int]:
     """All variables in the transitive fanin of ``roots`` (inclusive)."""
     seen: set[int] = set()
@@ -184,21 +172,6 @@ def transitive_fanin(aig: Aig, roots: list[int]) -> set[int]:
             stack.append(lit_var(f0))
             stack.append(lit_var(f1))
     return seen
-
-
-def transitive_fanout(aig: Aig, roots: list[int]) -> set[int]:
-    """All variables in the transitive fanout of ``roots`` (inclusive)."""
-    in_tfo = [False] * aig.num_vars
-    root_set = set(roots)
-    for var in root_set:
-        in_tfo[var] = True
-    for var in aig.and_vars():
-        if in_tfo[var]:
-            continue
-        f0, f1 = aig.fanins(var)
-        if in_tfo[lit_var(f0)] or in_tfo[lit_var(f1)]:
-            in_tfo[var] = True
-    return {var for var, flag in enumerate(in_tfo) if flag}
 
 
 def cone_nodes(aig: Aig, root: int, cut: set[int]) -> set[int]:

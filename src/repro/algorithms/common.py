@@ -6,6 +6,10 @@ variable redirects to a replacement literal.  :class:`AliasView` makes
 an AIG-plus-aliases readable through the ordinary ``fanins``/``is_and``
 protocol, so cut computation, truth-table simulation and MFFC
 dereferencing all run unchanged on the partially rewritten graph.  The
+view holds only the alias map: killed nodes are the graph's own dead
+column, and :func:`resolved_fanout_counts` (re-exported from
+:mod:`repro.engine.context`) counts references over the resolved live
+graph from one :func:`repro.aig.aig.resolve_aliases` array.  The
 final :meth:`repro.aig.aig.Aig.compact` call resolves all aliases into
 a fresh, dense AIG.
 
@@ -44,14 +48,18 @@ __all__ = [
 
 
 class AliasView:
-    """Read-only view of an AIG through an alias (redirection) map."""
+    """Read-only view of an AIG through an alias (redirection) map.
 
-    __slots__ = ("aig", "alias", "dead")
+    Killed nodes are the graph's own dead column
+    (:meth:`~repro.aig.aig.Aig.mark_dead`); the view adds only the
+    alias map.
+    """
+
+    __slots__ = ("aig", "alias")
 
     def __init__(self, aig: Aig) -> None:
         self.aig = aig
         self.alias: dict[int, int] = {}
-        self.dead: set[int] = set()
 
     def resolve(self, lit: int) -> int:
         """Follow alias chains, composing complement flags."""
@@ -64,7 +72,8 @@ class AliasView:
 
     def is_and(self, var: int) -> bool:
         """True when ``var`` is a live (not killed) AND node."""
-        return self.aig.is_and(var) and var not in self.dead
+        aig = self.aig
+        return aig.is_and(var) and not aig._deadc.view[var]
 
     def is_pi(self, var: int) -> bool:
         """True when ``var`` is a primary input."""
@@ -86,16 +95,6 @@ class AliasView:
         if (resolved >> 1) == var:
             raise ValueError(f"alias of var {var} resolves to itself")
         self.alias[var] = resolved
-
-    def kill(self, var: int) -> None:
-        """Mark a variable dead in the view and in the AIG's strash."""
-        self.dead.add(var)
-        self.aig.mark_dead(var)
-
-    def revive(self, var: int) -> None:
-        """Undo :meth:`kill` for a speculatively deleted variable."""
-        self.dead.discard(var)
-        self.aig.revive(var)
 
 
 @dataclass

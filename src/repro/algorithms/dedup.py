@@ -34,7 +34,7 @@ import numpy as np
 
 from repro import observe
 from repro.aig.aig import Aig, resolve_aliases
-from repro.engine.context import resolved_levels
+from repro.engine.context import resolved_fanout_counts, resolved_levels
 from repro.parallel import backend
 from repro.parallel.machine import ParallelMachine
 from repro.parallel.hashtable import HashTable
@@ -99,7 +99,7 @@ def _merge_levels(
     alias: dict[int, int],
     final: np.ndarray,
     levels: np.ndarray,
-    order: list[int],
+    order: np.ndarray,
     machine: ParallelMachine,
 ) -> np.ndarray:
     """The level-wise fold/merge sweep; returns the resolved array.
@@ -110,8 +110,7 @@ def _merge_levels(
     second that root's fold/merge target.
     """
     fan0, fan1, dead = aig.arrays()
-    seq = np.fromiter(order, dtype=np.int64, count=len(order))
-    seq = seq[~dead[seq]]
+    seq = order[~dead[order]]
     if mutations.armed and mutations.active("dedup-stale-level"):
         _mutate_stale_level(aig, final, levels, seq)
     seq = seq[np.argsort(levels[seq], kind="stable")]
@@ -235,21 +234,13 @@ def _remove_dangling(
     machine: ParallelMachine,
 ) -> None:
     """Retire the MFFC of every zero-fanout node (one thread each)."""
-    fan0, fan1, dead = aig.arrays()
+    nref = resolved_fanout_counts(aig, final)
+    fan0, _, dead = aig.arrays()
     num_vars = fan0.shape[0]
+    # The live ANDs resolved_fanout_counts counted: not dead, unaliased.
     unaliased = (final >> 1) == np.arange(num_vars, dtype=np.int64)
     live = np.flatnonzero((fan0 >= 0) & ~dead & unaliased)
     del unaliased
-    nref = np.bincount(
-        np.concatenate(
-            (
-                final[fan0[live] >> 1] >> 1,
-                final[fan1[live] >> 1] >> 1,
-                final[aig.po_array() >> 1] >> 1,
-            )
-        ),
-        minlength=num_vars,
-    )
     machine.launch_batch(
         "dedup.count_refs", backend.const_profile(1, max(len(live), 1))
     )

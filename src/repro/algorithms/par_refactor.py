@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from repro import observe
 from repro.aig.aig import Aig
-from repro.aig.cuts import _PAIR_TABLES
+from repro.aig.cuts import _PAIR_TABLES, DEFAULT_CUT_SIZE
 from repro.aig.literals import lit_compl, lit_not_cond, lit_var, make_lit
 from repro.algorithms import kernels
 from repro.algorithms.common import (
@@ -49,9 +49,6 @@ from repro.parallel import backend
 from repro.parallel.machine import ParallelMachine
 
 __all__ = ["par_refactor"]
-
-#: The paper's maximum refactoring cut size.
-DEFAULT_CUT_SIZE = 12
 
 
 def par_refactor(

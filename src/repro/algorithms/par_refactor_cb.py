@@ -69,7 +69,7 @@ import numpy as np
 
 from repro import observe
 from repro.aig.aig import Aig, resolve_aliases
-from repro.aig.cuts import reconv_cut
+from repro.aig.cuts import DEFAULT_CUT_SIZE, reconv_cut
 from repro.aig.literals import lit_var, make_lit
 from repro.algorithms import kernels
 from repro.algorithms.common import AliasView, ConeJob, PassResult
@@ -93,9 +93,6 @@ from repro.parallel import backend
 from repro.parallel.frontier import gather_unique
 from repro.parallel.machine import ParallelMachine
 from repro.verify import sanitizer
-
-#: The paper's maximum refactoring cut size (shared with ``rf``).
-DEFAULT_CUT_SIZE = 12
 
 
 def par_refactor_cb(
@@ -179,7 +176,6 @@ def par_refactor_cb(
             working,
             [plan.tag for plan in serial] + retry,
             alias,
-            engine.deleted_all,
             machine,
             max_cut_size,
         )
@@ -389,7 +385,6 @@ def _commit_serial(
     aig: Aig,
     serial: list[ConeJob],
     alias: dict[int, int],
-    deleted_all: set[int],
     machine: ParallelMachine,
     max_cut_size: int,
 ) -> tuple[dict[int, int], int]:
@@ -406,19 +401,17 @@ def _commit_serial(
         return alias, 0
     view = AliasView(aig)
     view.alias.update(alias)
-    view.dead.update(deleted_all)
     # Retire unreachable survivors before anything strashes: a hit on a
     # dangling node would dodge the level caps below, and compaction
     # drops those nodes anyway.  ``resolved_levels`` doubles as the
     # reachability map and the cap seed (actual current levels).
-    levels, _ = resolved_levels(
-        aig, resolve_aliases(view.alias, aig.num_vars)
-    )
+    final = resolve_aliases(view.alias, aig.num_vars)
+    levels, _ = resolved_levels(aig, final)
     retire_unreachable(view, levels)
     reached = np.flatnonzero(levels >= 0)
     caps = dict(zip(reached.tolist(), levels[reached].tolist()))
     machine.host("rfc.serial_prep", aig.num_vars)
-    nref = resolved_fanout_counts(view)
+    nref = resolved_fanout_counts(aig, final).tolist()
     nref.extend([0] * 16)  # slack; grown as nodes are added
     committed = 0
     for job in serial:

@@ -28,7 +28,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro import observe
-from repro.aig.aig import Aig
+from repro.aig.aig import Aig, resolve_aliases
 from repro.aig.cuts import enumerate_cuts_with_tables
 from repro.algorithms import kernels
 from repro.algorithms.common import (
@@ -230,7 +230,9 @@ def _replace_stage(
     re-match needs.
     """
     view = AliasView(aig)
-    nref = resolved_fanout_counts(view)
+    nref = resolved_fanout_counts(
+        aig, resolve_aliases(view.alias, aig.num_vars)
+    ).tolist()
     # Committed MFFCs must never overlap: a cone reaching a node an
     # earlier commit deleted means the bookkeeping (alias resolution,
     # staleness filters) let two replacements race on the same logic.
@@ -242,7 +244,8 @@ def _replace_stage(
     host_work = aig.num_ands
 
     alias = view.alias
-    dead = view.dead
+    # The column object, not its view: appends may regrow the buffer.
+    deadc = aig._deadc
     for root in sorted(candidates):
         if not view.is_and(root) or root in alias or nref[root] == 0:
             host_work += 1
@@ -252,7 +255,7 @@ def _replace_stage(
         for var in candidates[root][0]:
             if var in alias:
                 var = view.resolve(var << 1) >> 1
-            if var in dead:
+            if deadc.view[var]:
                 stale = True
                 break
             if var not in resolved_leaves:

@@ -18,8 +18,8 @@ over one-pass parallel refactoring.
 
 from __future__ import annotations
 
-from repro.aig.aig import Aig
-from repro.aig.cuts import reconv_cut
+from repro.aig.aig import Aig, resolve_aliases
+from repro.aig.cuts import DEFAULT_CUT_SIZE, reconv_cut
 from repro.aig.literals import make_lit
 from repro.algorithms.common import (
     AliasView,
@@ -32,9 +32,6 @@ from repro.engine.context import clone_with_context, context_for
 from repro.logic.resyn import build_plan, plan_resynthesis
 from repro.logic.truth import simulate_cone
 from repro.parallel.machine import SeqMeter
-
-#: The paper's maximum refactoring cut size.
-DEFAULT_CUT_SIZE = 12
 
 
 def seq_refactor(
@@ -50,7 +47,9 @@ def seq_refactor(
     working = clone_with_context(aig)
 
     view = AliasView(working)
-    nref = resolved_fanout_counts(view)
+    nref = resolved_fanout_counts(
+        working, resolve_aliases(view.alias, working.num_vars)
+    ).tolist()
     nref.extend([0] * 16)  # slack; grown as nodes are added
     original_limit = working.num_vars
     min_gain = 0 if zero_gain else 1

@@ -14,7 +14,7 @@ visible to later nodes (DAG-aware, on-the-fly updating).
 
 from __future__ import annotations
 
-from repro.aig.aig import Aig
+from repro.aig.aig import Aig, resolve_aliases
 from repro.aig.cuts import enumerate_cuts
 from repro.aig.literals import lit_var, make_lit
 from repro.algorithms.common import (
@@ -64,7 +64,9 @@ def seq_rewrite(
     )
 
     view = AliasView(working)
-    nref = resolved_fanout_counts(view)
+    nref = resolved_fanout_counts(
+        working, resolve_aliases(view.alias, working.num_vars)
+    ).tolist()
     original_limit = working.num_vars
     min_gain = 0 if zero_gain else 1
 
@@ -152,7 +154,7 @@ def _evaluate_cut(
     for var in cut:
         resolved = view.resolve(make_lit(var))
         rvar = lit_var(resolved)
-        if view.aig.is_and(rvar) and rvar in view.dead:
+        if view.aig.is_dead(rvar):
             return None
         if rvar not in seen:
             seen.add(rvar)

@@ -210,10 +210,6 @@ class CommitEngine:
         self.insert_mutation = insert_mutation
         self.root_flip_mutation = root_flip_mutation
         self.pad_delete = pad_delete
-        #: Union of the committed plans' write footprints (after
-        #: :meth:`commit_wave`); the serial lane seeds its alias view
-        #: from this.
-        self.deleted_all: set[int] = set()
 
     # ------------------------------------------------------------------
     # Conflict resolution
@@ -296,7 +292,7 @@ class CommitEngine:
             "commit-cross-write"
         )
         delete_works = []
-        deleted_all: set[int] = set()
+        retired: set[int] = set()
         for index, plan in enumerate(plans):
             if sanitizer.enabled:
                 plan.footprint.register(guard, plan.root)
@@ -306,13 +302,13 @@ class CommitEngine:
                     # now claim the same writes, a race the sanitizer
                     # must flag.
                     plans[0].footprint.register(guard, plan.root)
-            deleted_all.update(plan.footprint.writes)
+            retired.update(plan.footprint.writes)
             delete_works.append(len(plan.footprint.writes))
         self.account(
             f"{prefix}.delete_old",
             (delete_works or [0]) if self.pad_delete else delete_works,
         )
-        aig.mark_dead_batch(list(deleted_all))
+        aig.mark_dead_batch(list(retired))
 
         # Seed the hash table with every surviving AND node.  This is a
         # parallel kernel in both replace modes — what [9] serializes
@@ -360,5 +356,4 @@ class CommitEngine:
                 alias[plan.root] = new_root
         self.account(f"{prefix}.redirect_roots", [1] * max(len(plans), 1))
         observe.count("commit.plans", len(plans))
-        self.deleted_all = deleted_all
         return alias

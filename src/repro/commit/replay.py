@@ -7,7 +7,10 @@ passes) use to land one replacement on an
 cone-restricted MFFC, kill it, build the replacement through the
 strash, and either commit (transfer references, alias the root) or
 roll back bit-exactly (truncate the speculative nodes, revive and
-re-reference the cone).
+re-reference the cone).  Kills and revivals go straight to the graph
+(:meth:`~repro.aig.aig.Aig.mark_dead` / :meth:`~repro.aig.aig.Aig.revive`,
+one node at a time), and the walks read its dead column: the view
+keeps no kill record of its own.
 
 :func:`deref_cone` / :func:`ref_cone_back` are the reference-count
 halves of that transaction.  Rewriting reads its cone once:
@@ -71,7 +74,7 @@ def walk_cone(
     fan0 = view.aig._f0c.view
     fan1 = view.aig._f1c.view
     alias = view.alias
-    dead = view.dead
+    dead = view.aig._deadc.view
     stack = [root]
     while stack:
         var = stack[-1]
@@ -81,7 +84,7 @@ def walk_cone(
         pair = cone.get(var)
         if pair is None:
             f0 = fan0[var]
-            if f0 < 0 or var in dead:  # constant, PI or killed AND
+            if f0 < 0 or dead[var]:  # constant, PI or killed AND
                 raise ValueError(f"cut does not cover var {var}")
             f1 = fan1[var]
             if f0 >> 1 in alias:
@@ -166,11 +169,11 @@ def retire_unreachable(view, levels) -> None:
     strash hit on an unreachable survivor would dodge the level caps,
     and compaction drops those nodes anyway.
     """
-    fan0, _, _ = view.aig.arrays()
-    dead = view.dead
-    for var in np.flatnonzero((fan0 >= 0) & (levels < 0)).tolist():
-        if var not in dead:
-            view.kill(var)
+    aig = view.aig
+    fan0, _, dead = aig.arrays()
+    unreached = (fan0 >= 0) & (levels < 0) & ~dead
+    for var in np.flatnonzero(unreached).tolist():
+        aig.mark_dead(var)
 
 
 def apply_replacement(
@@ -205,7 +208,7 @@ def apply_replacement(
     """
     aig = view.aig
     for var in deleted:
-        view.kill(var)
+        aig.mark_dead(var)
 
     snapshot = aig.num_vars
     new_root = build(aig.add_and)
@@ -229,7 +232,7 @@ def apply_replacement(
         # cone and restore its reference counts.
         aig.truncate(snapshot)
         for var in deleted:
-            view.revive(var)
+            aig.revive(var)
         ref_cone_back(view, deleted, nref)
         return None, created
 

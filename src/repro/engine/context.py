@@ -31,10 +31,13 @@ discipline of the MFFC walks qualifies).
 
 The module also owns the alias-aware helpers the passes share:
 :func:`resolved_levels` (dedup's levelization and the ``rfc`` serial
-lane's reachability and level caps) and :func:`resolved_fanout_counts`.
-Both read the alias map through one
-:func:`repro.aig.aig.resolve_aliases` array.  The alias map mutates
-without version bumps, so they are *not* memoized.
+lane's reachability and level caps: the graph's one post-order walk,
+:meth:`repro.aig.aig.Aig.post_order`, plus a level pass) and
+:func:`resolved_fanout_counts` (the pass lanes' reference counts and
+dedup's dangling removal).  Both read the alias map through one
+:func:`repro.aig.aig.resolve_aliases` array and killed nodes through
+the graph's dead column.  The alias map mutates without version
+bumps, so they are *not* memoized.
 """
 
 from __future__ import annotations
@@ -46,7 +49,6 @@ import numpy as np
 
 from repro import observe
 from repro.aig import traversal
-from repro.aig.aig import resolve_aliases
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.aig.aig import Aig
@@ -223,84 +225,51 @@ def clone_with_context(aig: "Aig") -> "Aig":
 # ----------------------------------------------------------------------
 
 
-def resolved_levels(aig: "Aig", final) -> tuple[np.ndarray, list[int]]:
+def resolved_levels(aig: "Aig", final) -> tuple[np.ndarray, np.ndarray]:
     """Levels and topological order of the alias-resolved live graph.
 
     ``final`` is the :func:`repro.aig.aig.resolve_aliases` array of the
     alias map.  Aliases may point *forward* (a replaced root redirects
     to a newer node id), so stored id order is not a topological order
-    of the resolved graph; an explicit DFS from the resolved POs is
-    required.  It runs over resolved fanin-variable arrays read through
-    memoryviews.  Returns ``(levels, order)``: an int64 array with the
-    level of every variable the DFS reached (constant and PIs at 0,
-    ``-1`` for unreached variables), and the reached AND variables in
-    DFS post-order.  A cycle through resolved fanins raises
-    ``ValueError``.
+    of the resolved graph: the order is
+    :meth:`~repro.aig.aig.Aig.post_order`'s walk from the resolved POs
+    (the numbering :meth:`~repro.aig.aig.Aig.compact` gives), and one
+    pass over it assigns the levels.  Returns ``(levels, order)``: an
+    int64 array with the level of every variable the walk reached
+    (constant and PIs at 0, ``-1`` for unreached variables), and the
+    reached AND variables in post-order (int64).  A cycle through
+    resolved fanins raises ``ValueError``.
     """
+    order = aig.post_order(final)
     fan0, fan1, _ = aig.arrays()
-    # Fanin variables past every redirection; sentinel rows (-1, -2)
-    # index final[-1] and are never read (their level is preset).
-    var0 = memoryview(final[fan0 >> 1] >> 1)
-    var1 = memoryview(final[fan1 >> 1] >> 1)
+    var0 = final[fan0[order] >> 1] >> 1
+    var1 = final[fan1[order] >> 1] >> 1
     levels = np.full(fan0.shape[0], -1, dtype=np.int64)
     levels[0] = 0
     levels[aig.pi_array()] = 0
     level = memoryview(levels)
-    expanded = bytearray(fan0.shape[0])
-    order: list[int] = []
-    complete = order.append
-    for po_lit in aig.po_array().tolist():
-        root = int(final[po_lit >> 1]) >> 1
-        if level[root] >= 0:
-            continue
-        stack = [root]
-        push = stack.append
-        while stack:
-            var = stack[-1]
-            if level[var] >= 0:
-                stack.pop()
-                continue
-            v0 = var0[var]
-            v1 = var1[var]
-            l0 = level[v0]
-            l1 = level[v1]
-            if l0 >= 0 and l1 >= 0:
-                stack.pop()
-                level[var] = (l0 if l0 > l1 else l1) + 1
-                complete(var)
-                continue
-            # A var re-expanded before completing was pushed again from
-            # inside its own fanin cone.
-            if expanded[var]:
-                raise ValueError(
-                    f"cycle through variable {var} in resolve map"
-                )
-            expanded[var] = 1
-            if l0 < 0:
-                push(v0)
-            if l1 < 0:
-                push(v1)
+    for var, v0, v1 in zip(order.tolist(), var0.tolist(), var1.tolist()):
+        l0 = level[v0]
+        l1 = level[v1]
+        level[var] = (l0 if l0 > l1 else l1) + 1
     return levels, order
 
 
-def resolved_fanout_counts(view) -> list[int]:
+def resolved_fanout_counts(aig: "Aig", final) -> np.ndarray:
     """Reference counts over the alias-resolved live structure.
 
-    ``view`` is an :class:`~repro.algorithms.common.AliasView` (duck
-    typed to avoid the import cycle).  Live ANDs are those neither dead
-    in the graph, nor killed in the view, nor aliased; each contributes
-    its two resolved fanin variables, and each PO its resolved driver —
-    one ``bincount`` over the three.
+    ``final`` is the :func:`repro.aig.aig.resolve_aliases` array of the
+    alias map.  Live ANDs are those neither dead in the graph nor
+    aliased (their entry of ``final`` points elsewhere); each
+    contributes its two resolved fanin variables, and each PO its
+    resolved driver — one ``bincount`` over the three.  Returns an
+    int64 array of ``aig.num_vars`` counts.
     """
-    aig = view.aig
-    num_vars = aig.num_vars
-    final = resolve_aliases(view.alias, num_vars)
     fan0, fan1, dead = aig.arrays()
-    live = (fan0 >= 0) & ~dead
-    for excluded in (view.dead, view.alias):
-        if excluded:
-            live[np.fromiter(excluded, np.int64, len(excluded))] = False
-    ands = np.flatnonzero(live)
+    num_vars = fan0.shape[0]
+    unaliased = (final >> 1) == np.arange(num_vars, dtype=np.int64)
+    ands = np.flatnonzero((fan0 >= 0) & ~dead & unaliased)
+    del unaliased
     refs = np.concatenate(
         (
             final[fan0[ands] >> 1] >> 1,
@@ -308,4 +277,4 @@ def resolved_fanout_counts(view) -> list[int]:
             final[aig.po_array() >> 1] >> 1,
         )
     )
-    return np.bincount(refs, minlength=num_vars).tolist()
+    return np.bincount(refs, minlength=num_vars)

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
+from repro.aig.cuts import DEFAULT_CUT_SIZE
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.aig.aig import Aig
     from repro.algorithms.common import PassResult
@@ -36,7 +38,7 @@ NAMED_SEQUENCES = {
 VALID_COMMANDS = ("b", "rw", "rwz", "rf", "rfz", "rfc")
 
 #: Default maximum refactoring cut size (the paper's setting).
-DEFAULT_MAX_CUT_SIZE = 12
+DEFAULT_MAX_CUT_SIZE = DEFAULT_CUT_SIZE
 
 
 class PassRow(NamedTuple):

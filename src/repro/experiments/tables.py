@@ -45,7 +45,7 @@ seq_balance = pass_fn("seq_balance")
 seq_refactor = pass_fn("seq_refactor")
 
 #: Default cut size for refactoring experiments (the paper's setting).
-CUT_SIZE = 12
+CUT_SIZE = DEFAULT_MAX_CUT_SIZE
 
 #: Per-benchmark overrides: the paper uses 11 for log2 ("due to
 #: insufficient thread-local memory").

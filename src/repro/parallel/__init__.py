@@ -1,9 +1,6 @@
 """Simulated parallel machine, batched hash table, frontier primitives."""
 
-from repro.parallel.frontier import (
-    gather_unique,
-    partition_by_flag,
-)
+from repro.parallel.frontier import gather_unique
 from repro.parallel.hashtable import HashTable
 from repro.parallel.machine import (
     HostRecord,
@@ -21,5 +18,4 @@ __all__ = [
     "ParallelMachine",
     "SeqMeter",
     "gather_unique",
-    "partition_by_flag",
 ]

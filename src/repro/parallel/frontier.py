@@ -46,16 +46,3 @@ def gather_unique(
         observe.count("frontier.unique", len(ordered))
     return ordered, len(items)
 
-
-def partition_by_flag(
-    items: list[int], flag: Callable[[int], bool]
-) -> tuple[list[int], list[int], int]:
-    """Stable partition (parallel stream compaction); returns work too."""
-    true_part: list[int] = []
-    false_part: list[int] = []
-    for item in items:
-        if flag(item):
-            true_part.append(item)
-        else:
-            false_part.append(item)
-    return true_part, false_part, len(items)

@@ -38,7 +38,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from repro import observe
-from repro.aig.aig import Aig
+from repro.aig.aig import Aig, resolve_aliases
 from repro.aig.cuts import reconv_cut
 from repro.aig.literals import lit_compl, lit_not_cond, lit_var, make_lit
 from repro.aig.traversal import fanout_lists
@@ -367,7 +367,9 @@ def reference_replace_stage(
     met, so a test can prove its pinned examples reach them.
     """
     view = AliasView(aig)
-    nref = common.resolved_fanout_counts(view)
+    nref = common.resolved_fanout_counts(
+        aig, resolve_aliases(view.alias, aig.num_vars)
+    ).tolist()
     guard = sanitizer.batch("rw.replace")
     insert_works: list[int] = []
     host_work = aig.num_ands
@@ -392,7 +394,7 @@ def reference_replace_stage(
                     hops += 1
                 if hops >= 2 and flips:
                     noted.add("complemented-alias-chain")
-            if rvar in view.dead:
+            if aig.is_dead(rvar):
                 stale = True
                 noted.add("dead-leaf")
                 break

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.aig.aig import Aig, aig_from_pos
+from repro.aig.aig import Aig
 from repro.aig.literals import CONST0, CONST1
 from repro.aig.validate import check_aig
 from tests.conftest import assert_equivalent, build_random_aig
@@ -240,20 +240,13 @@ def test_clone_is_independent():
     copy = aig.clone()
     copy.add_and(a, c)
     assert aig.num_vars != copy.num_vars
-    assert_equivalent(aig, aig_from_pos(copy, aig.pos))
+    assert_equivalent(aig, copy.compact())
 
 
 def test_stats_reports_depth():
     aig, _ = make_chain()
     stats = aig.stats()
     assert stats == {"pis": 3, "pos": 1, "ands": 2, "levels": 2}
-
-
-def test_aig_from_pos_extracts_cone():
-    aig, (a, b, c, ab, abc) = make_chain()
-    sub = aig_from_pos(aig, [ab], name="sub")
-    assert sub.num_ands == 1
-    assert sub.name == "sub"
 
 
 def test_po_redirect():

@@ -45,6 +45,15 @@ other than ``repro/parallel/hashtable.py`` may touch the table's slot
 arrays (``._table``, ``._akey0``, ``._akey1``, ``._avalue``), and none
 may import the per-item oracle ``tests/hashtable_reference.py``.
 
+The alias-resolved graph has one reading.  One post-order walk
+(``Aig.post_order`` in ``repro/aig/aig.py``) serves compaction and
+dedup's levelization, so no other function under ``src/`` may run a
+post-order stack walk over a ``resolve_aliases`` array or raise the
+walk's resolve-map cycle error.  Killed nodes live only in the graph's
+dead column: the commit engine's retired kill record
+(``deleted_all``) and a ``dead`` attribute of ``AliasView`` may not
+come back.
+
 A last rule keeps the counter table of ``docs/OBSERVABILITY.md``
 complete: every counter name ``src/`` passes to ``observe.count`` as a
 literal (f-string placeholders kept as ``{expr}``) must appear in it.
@@ -139,6 +148,16 @@ TABLE_MODULE = "src/repro/parallel/hashtable.py"
 #: An import of the hash table's per-item test oracle, which ``src/``
 #: must not use.
 TABLE_ORACLE = re.compile(r"^\s*(from|import)\s.*\bhashtable_reference\b")
+
+#: The one module that may walk the alias-resolved graph.
+RESOLVED_WALK_MODULE = "src/repro/aig/aig.py"
+
+#: The walk's resolve-map cycle error, which only that module raises.
+RESOLVED_WALK_ERROR = "in resolve map"
+
+#: The retired kill records: the commit engine's union of retired
+#: cones and the alias view's copy of the dead column.
+FORBIDDEN_KILL_RECORD = re.compile(r"\bdeleted_all\b|\bview\.dead\b")
 
 #: The forced-gates helper, the one place that lists the size gates.
 GATES_FILE = REPO_ROOT / "src" / "repro" / "verify" / "gates.py"
@@ -309,6 +328,81 @@ def find_table_reach_ins() -> list[str]:
     ] + _grep(TABLE_ORACLE, ("src",))
 
 
+def _reads_resolved_graph(function: ast.AST) -> bool:
+    """Whether ``function`` takes a ``final`` array or builds one."""
+    args = function.args
+    names = {
+        arg.arg for arg in args.posonlyargs + args.args + args.kwonlyargs
+    }
+    return "final" in names or any(
+        isinstance(node, ast.Call)
+        and ast.unparse(node.func).endswith("resolve_aliases")
+        for node in ast.walk(function)
+    )
+
+
+def _peeks_a_stack(function: ast.AST) -> bool:
+    """Whether a ``while`` loop in ``function`` reads ``x[-1]`` (the
+    top of a post-order DFS stack)."""
+    return any(
+        isinstance(loop, ast.While)
+        and any(
+            isinstance(node, ast.Subscript)
+            and ast.unparse(node.slice) == "-1"
+            for node in ast.walk(loop)
+        )
+        for loop in ast.walk(function)
+    )
+
+
+def find_resolved_walk_copies() -> list[str]:
+    """Resolved-graph DFS helpers in ``src/`` outside the one walk."""
+    violations: list[str] = []
+    for path in sorted((REPO_ROOT / "src").rglob("*.py")):
+        relative = path.relative_to(REPO_ROOT).as_posix()
+        if relative == RESOLVED_WALK_MODULE:
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            raises_cycle = any(
+                isinstance(const, ast.Constant)
+                and isinstance(const.value, str)
+                and RESOLVED_WALK_ERROR in const.value
+                for const in ast.walk(node)
+            )
+            if raises_cycle or (
+                _reads_resolved_graph(node) and _peeks_a_stack(node)
+            ):
+                violations.append(
+                    f"{relative}:{node.lineno}: def {node.name}"
+                )
+    return violations
+
+
+def find_kill_record_copies() -> list[str]:
+    """Kill records in ``src/`` beside the graph's dead column."""
+    violations = _grep(FORBIDDEN_KILL_RECORD, ("src",))
+    for path in sorted((REPO_ROOT / "src").rglob("*.py")):
+        relative = path.relative_to(REPO_ROOT).as_posix()
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and node.name == "AliasView":
+                # A ``__slots__`` entry, a ``self.dead`` or a method.
+                violations.extend(
+                    f"{relative}:{inner.lineno}: AliasView.dead"
+                    for inner in ast.walk(node)
+                    if "dead"
+                    in (
+                        getattr(inner, "value", None),
+                        getattr(inner, "attr", None),
+                        getattr(inner, "name", None),
+                    )
+                )
+    return violations
+
+
 def _counter_name(node: ast.expr) -> str | None:
     """A literal counter name, f-string placeholders as ``{expr}``."""
     if isinstance(node, ast.Constant) and isinstance(node.value, str):
@@ -456,6 +550,24 @@ def test_hash_table_state_stays_in_its_module() -> None:
     )
 
 
+def test_one_walk_of_the_resolved_graph() -> None:
+    violations = find_resolved_walk_copies()
+    assert not violations, (
+        "post-order walks of the alias-resolved graph outside "
+        f"{RESOLVED_WALK_MODULE} (use Aig.post_order):\n"
+        + "\n".join(violations)
+    )
+
+
+def test_kills_live_only_in_the_dead_column() -> None:
+    violations = find_kill_record_copies()
+    assert not violations, (
+        "kill records beside the graph's dead column (read "
+        "Aig.is_dead / the dead column instead):\n"
+        + "\n".join(violations)
+    )
+
+
 def test_every_counter_is_documented() -> None:
     assert find_counter_names()
     undocumented = find_undocumented_counters()
@@ -560,6 +672,27 @@ def main() -> int:
             print(f"  {violation}", file=sys.stderr)
         print(
             f"go through the public methods of {TABLE_MODULE}",
+            file=sys.stderr,
+        )
+    walk_copies = find_resolved_walk_copies()
+    if walk_copies:
+        failed = True
+        print("resolved-walk conformance FAILED:", file=sys.stderr)
+        for violation in walk_copies:
+            print(f"  {violation}", file=sys.stderr)
+        print(
+            f"walk the resolved graph with Aig.post_order "
+            f"({RESOLVED_WALK_MODULE})",
+            file=sys.stderr,
+        )
+    kill_records = find_kill_record_copies()
+    if kill_records:
+        failed = True
+        print("kill-record conformance FAILED:", file=sys.stderr)
+        for violation in kill_records:
+            print(f"  {violation}", file=sys.stderr)
+        print(
+            "keep kills only in the graph's dead column",
             file=sys.stderr,
         )
     undocumented = find_undocumented_counters()

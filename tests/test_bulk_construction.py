@@ -16,10 +16,13 @@ strash-clean graphs), the cases that fail it are checked to fall back.
 from __future__ import annotations
 
 import importlib
+import importlib.util
 import random
+from pathlib import Path
 
 import pytest
 
+from repro import observe
 from repro.aig import store
 from repro.aig.aig import Aig, fold_free, resolve_aliases
 from repro.aig.io_aiger import dump_aag
@@ -293,10 +296,15 @@ def test_fold_free_cases(pairs, expected):
 
 
 def _scalar_compact(aig: Aig, resolve=None):
-    """``aig.compact()`` through the scalar rebuild (bulk path refused)."""
+    """``aig.compact()`` through the ``add_and`` rebuild (bulk refused)."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(Aig, "_compact_bulk", lambda self, final=None: None)
+        patch.setattr(Aig, "_compact_bulk", lambda self, *args: None)
         return aig.compact(resolve=resolve)
+
+
+def _bulk(aig: Aig, final=None):
+    """The column build over the graph's walk, or ``None``."""
+    return aig._compact_bulk(aig.post_order(final), final)
 
 
 def _assert_same_compact(bulk_new, scalar_new) -> None:
@@ -321,7 +329,7 @@ def _compact_case(seed: int, kill: int) -> Aig:
 @pytest.mark.parametrize("seed,kill", [(31, 0), (33, 7), (35, 25)])
 def test_compact_bulk_matches_scalar(seed, kill):
     source = _compact_case(seed, kill)
-    bulk = source._compact_bulk()
+    bulk = _bulk(source)
     assert bulk is not None
     _assert_same_compact(bulk, _scalar_compact(source))
     _assert_same_compact(source.compact(), _scalar_compact(source))
@@ -335,14 +343,14 @@ def test_compact_bulk_falls_back_on_strash_dirty_graphs():
     b = aig.add_pi()
     aig.add_po(aig.add_raw_and(a, b))
     aig.add_po(aig.add_raw_and(a, b))
-    assert aig._compact_bulk() is None
+    assert _bulk(aig) is None
     compacted = aig.compact()
     assert compacted.num_ands == 1
     # Constant fanins fold away in the rebuild.
     folding = Aig("folds")
     a = folding.add_pi()
     folding.add_po(folding.add_raw_and(a, 1))
-    assert folding._compact_bulk() is None
+    assert _bulk(folding) is None
     compacted = folding.compact()
     assert compacted.num_ands == 0
     assert compacted.pos == [a]
@@ -377,7 +385,7 @@ def test_compact_scalar_rebuild_below_gate():
     cases.append(build_random_aig(41, num_pis=16, num_ands=2100))
     for aig in cases:
         reference = _scalar_compact(aig)
-        bulk = aig._compact_bulk()
+        bulk = _bulk(aig)
         assert bulk is not None
         _assert_same_compact(bulk, reference)
         _assert_same_compact(aig.compact(), reference)
@@ -425,7 +433,7 @@ def test_compact_resolve_bulk_matches_scalar(seed, mode):
     reference = reference_compact(aig, alias)
     _assert_same_compact(_scalar_compact(aig, alias), reference)
     _assert_same_compact(aig.compact(resolve=alias), reference)
-    bulk = aig._compact_bulk(resolve_aliases(alias, aig.num_vars))
+    bulk = _bulk(aig, resolve_aliases(alias, aig.num_vars))
     if mode == "forward":
         assert bulk is not None
     if bulk is not None:
@@ -445,7 +453,7 @@ def test_compact_resolve_falls_back_on_folds_and_duplicates():
         {ac >> 1: ab ^ 1},  # ab & !ab folds to 0
         {ac >> 1: ab},  # top = ab & ab, and ac & b duplicates ab & b
     ):
-        assert aig._compact_bulk(resolve_aliases(alias, aig.num_vars)) is None
+        assert _bulk(aig, resolve_aliases(alias, aig.num_vars)) is None
         reference = reference_compact(aig, alias)
         _assert_same_compact(aig.compact(resolve=alias), reference)
         _assert_same_compact(_scalar_compact(aig, alias), reference)
@@ -477,6 +485,67 @@ def test_compact_resolve_cycles_raise_identical_errors():
         }
         assert len(errors) == 1
         assert message in errors.pop()
+
+
+def _compact_paths(run) -> tuple[dict[str, int], int]:
+    """``path.compact.*`` counters and :meth:`Aig.post_order` calls
+    of ``run()``."""
+    walks = []
+    walk = Aig.post_order
+
+    def counted(self, final=None):
+        walks.append(final)
+        return walk(self, final)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Aig, "post_order", counted)
+        observe.enable()
+        try:
+            run()
+        finally:
+            _, registry = observe.disable()
+    counters = {
+        name: value
+        for name, value in registry.snapshot()["counters"].items()
+        if name.startswith("path.compact.")
+    }
+    return counters, len(walks)
+
+
+def test_compact_walks_once_on_either_path():
+    aig = Aig("paths")
+    a, b, c = aig.add_pi(), aig.add_pi(), aig.add_pi()
+    ab = aig.add_and(a, b)
+    ac = aig.add_and(a, c)
+    aig.add_po(aig.add_and(ab, ac))
+    aig.add_po(aig.add_and(ac, b))
+    # Constant fanin, complementary pair, duplicate key: each folds.
+    for alias in ({ac >> 1: 1}, {ac >> 1: ab ^ 1}, {ac >> 1: ab}):
+        counters, walks = _compact_paths(lambda: aig.compact(resolve=alias))
+        assert counters == {"path.compact.fold": 1}
+        assert walks == 1
+    for resolve in (None, {ac >> 1: c}):
+        counters, walks = _compact_paths(
+            lambda: aig.compact(resolve=resolve)
+        )
+        assert counters == {"path.compact.bulk": 1}
+        assert walks == 1
+
+
+def test_gpu_resyn2_on_a_golden_case_compacts_in_bulk():
+    from repro.engine import run_script
+
+    path = (
+        Path(__file__).parent.parent / "scripts/capture_engine_goldens.py"
+    )
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    capture = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(capture)
+    _, aig = capture.golden_cases()[0]
+    counters, _ = _compact_paths(
+        lambda: run_script(aig, "resyn2", engine="gpu")
+    )
+    assert set(counters) == {"path.compact.bulk"}
 
 
 # ----------------------------------------------------------------------

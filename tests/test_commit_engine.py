@@ -19,11 +19,12 @@ from __future__ import annotations
 import math
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import observe
-from repro.aig.aig import Aig
+from repro.aig.aig import Aig, resolve_aliases
 from repro.aig.io_aiger import dump_aag
 from repro.aig.literals import lit_var, make_lit
 from repro.algorithms.common import AliasView, resolved_fanout_counts
@@ -38,6 +39,7 @@ from repro.commit import (
 from repro.parallel import hashtable
 from repro.parallel.machine import ParallelMachine
 from repro.verify import forced_gates
+from tests.conftest import build_random_aig
 
 
 def plan(root: int, writes, reads=None, gain: int = 0) -> RewritePlan:
@@ -143,9 +145,21 @@ def chain_aig():
     return aig, (a, b, c, d), lit_var(n3)
 
 
+def view_counts(view) -> list[int]:
+    """The replay lanes' reference counts through ``view``'s aliases."""
+    aig = view.aig
+    final = resolve_aliases(view.alias, aig.num_vars)
+    return resolved_fanout_counts(aig, final).tolist()
+
+
+def dead_vars(aig) -> set[int]:
+    """AND variables the graph's dead column marks."""
+    return {var for var in aig.all_and_vars() if aig.is_dead(var)}
+
+
 def deref_root(aig, root):
     view = AliasView(aig)
-    nref = resolved_fanout_counts(view)
+    nref = view_counts(view)
     cone = {var for var in aig.and_vars()}
     deleted = deref_cone(view, root, cone, nref)
     return view, nref, deleted
@@ -175,7 +189,7 @@ def test_apply_replacement_commits_and_aliases():
 def test_apply_replacement_min_gain_rejects_and_rolls_back():
     aig, (a, b, c, d), root = chain_aig()
     before = dump_aag(aig)
-    nref_before = list(resolved_fanout_counts(AliasView(aig)))
+    nref_before = view_counts(AliasView(aig))
     view, nref, deleted = deref_root(aig, root)
     gain, _ = apply_replacement(
         view,
@@ -187,7 +201,7 @@ def test_apply_replacement_min_gain_rejects_and_rolls_back():
     )
     assert gain is None
     assert dump_aag(aig) == before
-    assert not view.dead and not view.alias
+    assert not dead_vars(aig) and not view.alias
     assert list(nref)[: len(nref_before)] == nref_before
 
 
@@ -408,4 +422,51 @@ def test_commit_wave_records_new_root_and_deleted():
     alias = engine.commit_wave([rewrite])
     assert rewrite.new_root is not None
     assert alias == {root: rewrite.new_root}
-    assert engine.deleted_all == cone
+    assert dead_vars(aig) == cone
+
+
+# ----------------------------------------------------------------------
+# Kills live only in the graph's dead column
+# ----------------------------------------------------------------------
+
+
+def _with_dead_and(base: Aig) -> Aig:
+    """``base`` rebuilt with one extra AND, killed at once, mid-graph.
+
+    The result compacts exactly like ``base``: the extra node is
+    unreachable, and every other node keeps its relative id order.
+    """
+    rebuilt = Aig(base.name)
+    lit_of = {0: 0}
+    for var in base.pis:
+        lit_of[var] = rebuilt.add_pi()
+    ands = list(base.and_vars())
+    middle = ands[len(ands) // 2]
+    first, second = (lit_of[var] for var in base.pis[:2])
+    for var in ands:
+        f0, f1 = base.fanins(var)
+        lit_of[var] = rebuilt.add_and(
+            lit_of[f0 >> 1] ^ (f0 & 1), lit_of[f1 >> 1] ^ (f1 & 1)
+        )
+        if var == middle:
+            extra = rebuilt.add_raw_and(lit_of[var] ^ 1, first ^ second)
+            rebuilt.mark_dead(extra >> 1)
+    for lit in base.pos:
+        rebuilt.add_po(lit_of[lit >> 1] ^ (lit & 1))
+    return rebuilt
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("pass_name", ["par_rewrite", "seq_refactor"])
+def test_graph_dead_input_and_gives_the_compacted_input_result(
+    pass_name, seed
+):
+    from repro.engine import pass_fn
+
+    base = build_random_aig(seed, num_pis=8, num_ands=140).compact()
+    carrying = _with_dead_and(base)
+    assert carrying.num_vars == base.num_vars + 1
+    assert dump_aag(carrying.compact()) == dump_aag(base.compact())
+    # The pass reads the dead AND as absent, as compaction does.
+    run = pass_fn(pass_name)
+    assert dump_aag(run(carrying).aig) == dump_aag(run(base).aig)

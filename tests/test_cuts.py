@@ -109,10 +109,10 @@ def _aliased_view(seed: int) -> AliasView:
     ands = list(aig.and_vars())
     for var in rng.sample(ands, 16):
         view.set_alias(var, rng.randrange(2, 2 * var))
-        view.kill(var)
+        aig.mark_dead(var)
     for var in rng.sample(ands, 6):
         if var not in view.alias:
-            view.kill(var)
+            aig.mark_dead(var)
     return view
 
 

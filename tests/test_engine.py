@@ -350,20 +350,19 @@ def test_resolved_helpers_match_pass_usage(small_aig):
     from repro.engine import resolved_fanout_counts, resolved_levels
 
     view = AliasView(small_aig)
-    levels, order = resolved_levels(
-        small_aig, resolve_aliases(view.alias, small_aig.num_vars)
-    )
+    final = resolve_aliases(view.alias, small_aig.num_vars)
+    levels, order = resolved_levels(small_aig, final)
     raw = traversal.aig_levels(small_aig)
     for var in order:
         assert levels[var] == raw[var]
-    counts = resolved_fanout_counts(view)
-    assert counts == traversal.fanout_counts(small_aig)
+    counts = resolved_fanout_counts(small_aig, final)
+    assert counts.tolist() == traversal.fanout_counts(small_aig)
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_resolved_helpers_match_scalar_references(seed):
-    """Random forward and backward aliases plus view-only kills (the
-    ``rfc`` serial lane's ``dead`` set) against the per-node loops."""
+    """Random forward and backward aliases plus graph kills (the
+    ``rfc`` serial lane's retired cones) against the per-node loops."""
     from repro.aig.aig import resolve_aliases
     from repro.algorithms.common import AliasView
     from repro.engine import resolved_fanout_counts, resolved_levels
@@ -382,18 +381,16 @@ def test_resolved_helpers_match_scalar_references(seed):
         else:
             lits = [2 * pi ^ rng.randint(0, 1) for pi in aig.pis]
             view.alias[var] = aig.add_raw_and(*rng.sample(lits, 2))
-    view.dead.update(rng.sample(ands, 6))
-    for var in rng.sample(ands, 3):
+    for var in rng.sample(ands, 9):
         aig.mark_dead(var)
 
     resolve = alias_resolver(view.alias)
-    levels, order = resolved_levels(
-        aig, resolve_aliases(view.alias, aig.num_vars)
-    )
+    final = resolve_aliases(view.alias, aig.num_vars)
+    levels, order = resolved_levels(aig, final)
     want_levels, want_order = reference_resolved_levels(
         aig, view.alias, resolve
     )
-    assert order == want_order
+    assert order.tolist() == want_order
     assert {
         var: level for var, level in enumerate(levels.tolist())
         if level >= 0
@@ -401,13 +398,13 @@ def test_resolved_helpers_match_scalar_references(seed):
 
     want_counts = [0] * aig.num_vars
     for var in aig.and_vars():
-        if var in view.dead or var in view.alias:
+        if var in view.alias:
             continue
         for fanin in aig.fanins(var):
             want_counts[resolve(fanin) >> 1] += 1
     for lit in aig.pos:
         want_counts[resolve(lit) >> 1] += 1
-    assert resolved_fanout_counts(view) == want_counts
+    assert resolved_fanout_counts(aig, final).tolist() == want_counts
 
 
 # ----------------------------------------------------------------------
@@ -490,6 +487,38 @@ def test_command_table_row(command, engine, monkeypatch):
     # Each step of a multi-pass command feeds the next.
     for (_, first), (_, second) in zip(result.steps, result.steps[1:]):
         assert second.nodes_before == first.nodes_after
+
+
+def test_the_paper_cut_size_has_one_definition():
+    """Every public cut-size name is the one value in repro.aig.cuts,
+    and so is every refactoring entry point's default."""
+    import inspect
+
+    from repro.aig import cuts
+
+    assert cuts.DEFAULT_CUT_SIZE == 12
+    names = (
+        ("repro.engine", "DEFAULT_MAX_CUT_SIZE"),
+        ("repro.engine.registry", "DEFAULT_MAX_CUT_SIZE"),
+        ("repro.experiments", "CUT_SIZE"),
+        ("repro.experiments.tables", "CUT_SIZE"),
+        ("repro.algorithms", "DEFAULT_CUT_SIZE"),
+        ("repro.algorithms.par_refactor", "DEFAULT_CUT_SIZE"),
+        ("repro.algorithms.par_refactor_cb", "DEFAULT_CUT_SIZE"),
+        ("repro.algorithms.seq_refactor", "DEFAULT_CUT_SIZE"),
+    )
+    for module_name, name in names:
+        module = importlib.import_module(module_name)
+        assert getattr(module, name) == cuts.DEFAULT_CUT_SIZE, module_name
+    for name in ("par_refactor", "par_refactor_cb", "seq_refactor"):
+        default = inspect.signature(pass_fn(name)).parameters[
+            "max_cut_size"
+        ].default
+        assert default == cuts.DEFAULT_CUT_SIZE, name
+    tables = importlib.import_module("repro.experiments.tables")
+    assert tables.CUT_SIZE_OVERRIDES == {"log2": 11}
+    assert tables.cut_size_for("log2") == 11
+    assert tables.cut_size_for("div") == cuts.DEFAULT_CUT_SIZE
 
 
 def test_unknown_engine_is_rejected():

@@ -3,7 +3,7 @@
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.parallel.frontier import gather_unique, partition_by_flag
+from repro.parallel.frontier import gather_unique
 
 
 def test_gather_unique_preserves_order():
@@ -26,15 +26,6 @@ def test_gather_unique_filter_applies_once():
 
     gather_unique([1, 1, 1, 2], keep=keep)
     assert seen == [1, 2]
-
-
-def test_partition_by_flag():
-    true_part, false_part, work = partition_by_flag(
-        [1, 2, 3, 4], lambda x: x > 2
-    )
-    assert true_part == [3, 4]
-    assert false_part == [1, 2]
-    assert work == 4
 
 
 # ----------------------------------------------------------------------

@@ -251,9 +251,9 @@ def _replay(aig: Aig, candidates: dict, min_gain: int, stage) -> tuple:
     counts = []
     original = common.resolved_fanout_counts
 
-    def capture(view):
-        counts.append(original(view))
-        return counts[-1]
+    def capture(aig, final):
+        counts.append(original(aig, final).tolist())
+        return original(aig, final)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(_par_rewrite, "resolved_fanout_counts", capture)

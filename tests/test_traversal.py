@@ -15,10 +15,7 @@ from repro.aig.traversal import (
     fanout_counts,
     fanout_lists,
     po_fanout_mask,
-    reverse_topological_order,
-    topological_order,
     transitive_fanin,
-    transitive_fanout,
 )
 from tests.conftest import build_random_aig
 
@@ -86,28 +83,10 @@ def test_po_fanout_mask(diamond):
     assert not mask[left >> 1]
 
 
-def test_topological_orders(diamond):
-    aig, _ = diamond
-    order = topological_order(aig)
-    positions = {var: index for index, var in enumerate(order)}
-    for var in order:
-        for fanin in aig.fanins(var):
-            fvar = lit_var(fanin)
-            if aig.is_and(fvar):
-                assert positions[fvar] < positions[var]
-    assert reverse_topological_order(aig) == order[::-1]
-
-
 def test_transitive_fanin(diamond):
     aig, (a, b, c, left, right, top) = diamond
     tfi = transitive_fanin(aig, [top >> 1])
     assert {a >> 1, b >> 1, c >> 1, left >> 1, right >> 1, top >> 1} <= tfi
-
-
-def test_transitive_fanout(diamond):
-    aig, (a, b, c, left, right, top) = diamond
-    tfo = transitive_fanout(aig, [a >> 1])
-    assert {a >> 1, left >> 1, right >> 1, top >> 1} == tfo
 
 
 def test_cone_nodes(diamond):
