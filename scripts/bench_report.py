@@ -20,8 +20,9 @@ engine + scale) with tolerance bands:
   is additionally cross-checked: the conflict-breaking pass must use
   strictly fewer rounds at equal-or-better ANDs/depth.
 * **Serial-replay share**: a case committing more than 20% of its
-  nodes one at a time (``commit.replay.apply_replacement``: ``rw``'s
-  replace stage, ``rfc``'s serial lane) gets an **ADVISORY** line,
+  nodes one at a time (``commit.replay``: ``rw``'s fused replace stage
+  ``replay_rewrites``, ``rfc``'s serial lane through
+  ``apply_replacement``) gets an **ADVISORY** line,
   counted apart from warnings in the summary; never a failure, and
   ``--strict-wall`` ignores it.
 
@@ -73,8 +74,9 @@ SCALE_FORMAT = "repro.bench-scale/1"
 SERIAL_REPLAY_ADVISORY_SHARE = 0.20
 
 #: The lanes whose nodes ``commit.serial_replays`` counts: every one
-#: is replayed by ``commit.replay.apply_replacement``, which has no
-#: bulk path.
+#: is replayed one node at a time by ``commit.replay``
+#: (``replay_rewrites`` / ``apply_replacement``), which has no bulk
+#: path.
 SERIAL_REPLAY_LANES = "rw's replace stage and rfc's serial lane"
 
 

@@ -227,12 +227,6 @@ class Aig:
         self._po_version += 1
         self._pos[index] = lit
 
-    def clear_pos(self) -> None:
-        """Drop every primary output (cone-extraction scratch use)."""
-        self._po_version += 1
-        self._poc.clear()
-        self._po_names = []
-
     def add_and(self, lit0: int, lit1: int) -> int:
         """Create (or reuse) the AND of two literals; returns its literal.
 

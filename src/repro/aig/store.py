@@ -132,9 +132,6 @@ class Column:
     def truncate(self, size: int) -> None:
         self.size = size
 
-    def clear(self) -> None:
-        self.truncate(0)
-
     # ------------------------------------------------------------------
     # Views
     # ------------------------------------------------------------------

@@ -32,7 +32,6 @@ from repro.aig.literals import lit_var
 from repro.aig.mffc import RefCounts
 from repro.engine.context import context_for, resolved_fanout_counts
 from repro.logic.resyn import ResynPlan
-from repro.parallel import backend
 from repro.parallel.frontier import gather_unique
 from repro.parallel.machine import ParallelMachine
 from repro.verify import mutations, sanitizer
@@ -169,17 +168,13 @@ def collapse_into_ffcs(
     ffc_cut = _ffc_cutter(
         aig, max_cut_size if early_stop else aig.num_vars + 2
     )
-    machine.launch_batch(
-        "rf.fanout_index", backend.const_profile(1, max(aig.num_vars, 1))
-    )
+    machine.launch_uniform("rf.fanout_index", 1, max(aig.num_vars, 1))
 
     owner: dict[int, int] = {}
     frontier, gather_work = gather_unique(
         (lit_var(lit) for lit in aig.pos), keep=aig.is_and
     )
-    machine.launch_batch(
-        "rf.init_frontier", backend.const_profile(1, max(gather_work, 1))
-    )
+    machine.launch_uniform("rf.init_frontier", 1, max(gather_work, 1))
     enqueued = set(frontier)
     cones: list[ConeJob] = []
     rounds = 0
@@ -217,9 +212,8 @@ def collapse_into_ffcs(
             keep=lambda var: aig.is_and(var) and var not in enqueued,
         )
         enqueued.update(frontier)
-        machine.launch_batch(
-            "rf.gather_frontier",
-            backend.const_profile(1, max(len(candidates), 1)),
+        machine.launch_uniform(
+            "rf.gather_frontier", 1, max(len(candidates), 1)
         )
     if observe.enabled:
         observe.count("rf.rounds", rounds)

@@ -35,7 +35,6 @@ import numpy as np
 from repro import observe
 from repro.aig.aig import Aig, resolve_aliases
 from repro.engine.context import resolved_fanout_counts, resolved_levels
-from repro.parallel import backend
 from repro.parallel.machine import ParallelMachine
 from repro.parallel.hashtable import HashTable
 from repro.verify import mutations, sanitizer
@@ -64,9 +63,7 @@ def dedup_and_dangling(
     with observe.span("dedup", "stage"):
         final = resolve_aliases(alias, aig.num_vars)
         levels, order = resolved_levels(aig, final)
-        machine.launch_batch(
-            "dedup.levelize", backend.const_profile(1, max(len(order), 1))
-        )
+        machine.launch_uniform("dedup.levelize", 1, max(len(order), 1))
         final = _merge_levels(aig, alias, final, levels, order, machine)
         del levels, order
         _remove_dangling(aig, alias, final, machine)
@@ -85,10 +82,7 @@ def dedup_and_dangling(
         result = aig.compact(resolve=alias)
         # Result compaction is the parallel dump of the hash table to a
         # dense array (Section III-E); host only stitches the PO list.
-        machine.launch_batch(
-            "dedup.compact",
-            backend.const_profile(1, max(result.num_ands, 1)),
-        )
+        machine.launch_uniform("dedup.compact", 1, max(result.num_ands, 1))
         machine.host("dedup.finalize", result.num_pos)
     machine.set_tag(outer_tag)
     return result
@@ -241,9 +235,7 @@ def _remove_dangling(
     unaliased = (final >> 1) == np.arange(num_vars, dtype=np.int64)
     live = np.flatnonzero((fan0 >= 0) & ~dead & unaliased)
     del unaliased
-    machine.launch_batch(
-        "dedup.count_refs", backend.const_profile(1, max(len(live), 1))
-    )
+    machine.launch_uniform("dedup.count_refs", 1, max(len(live), 1))
 
     roots = live[nref[live] == 0].tolist()
     del live

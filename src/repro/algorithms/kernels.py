@@ -48,7 +48,6 @@ from repro.algorithms.seq_balance import (
 )
 from repro.commit import InsertionSession
 from repro.engine.context import context_for
-from repro.parallel import backend
 from repro.parallel.machine import ParallelMachine
 from repro.verify import mutations, sanitizer
 
@@ -135,17 +134,15 @@ def balance_collapse(aig: Aig, machine: ParallelMachine) -> BalancePlan:
     internal, is_and = _internal_mask_array(aig)
     # All balance kernels charge BALANCE_WORK_SCALE probe-equivalents
     # per node operation, matching the sequential meter's units.
-    machine.launch_batch(
-        "b.mark_internal",
-        backend.const_profile(BALANCE_WORK_SCALE, max(aig.num_vars, 1)),
+    machine.launch_uniform(
+        "b.mark_internal", BALANCE_WORK_SCALE, max(aig.num_vars, 1)
     )
 
     frontier, gather_work = _gather_unique_array(
         aig.po_array() >> 1, is_and
     )
-    machine.launch_batch(
-        "b.init_frontier",
-        backend.const_profile(BALANCE_WORK_SCALE, max(gather_work, 1)),
+    machine.launch_uniform(
+        "b.init_frontier", BALANCE_WORK_SCALE, max(gather_work, 1)
     )
     enqueued = np.zeros(aig.num_vars, dtype=bool)
     enqueued[frontier] = True
@@ -213,11 +210,10 @@ def balance_collapse(aig: Aig, machine: ParallelMachine) -> BalancePlan:
             candidates, is_and & ~enqueued
         )
         enqueued[frontier] = True
-        machine.launch_batch(
+        machine.launch_uniform(
             "b.gather_frontier",
-            backend.const_profile(
-                BALANCE_WORK_SCALE, max(int(candidates.shape[0]), 1)
-            ),
+            BALANCE_WORK_SCALE,
+            max(int(candidates.shape[0]), 1),
         )
     if roots_parts:
         roots = np.concatenate(roots_parts)
@@ -326,11 +322,8 @@ def balance_reconstruct(
     per-old-variable array of new literals.
     """
     level = _levelize_collapsed(aig, plan)
-    machine.launch_batch(
-        "b.levelize",
-        backend.const_profile(
-            BALANCE_WORK_SCALE, max(plan.num_roots, 1)
-        ),
+    machine.launch_uniform(
+        "b.levelize", BALANCE_WORK_SCALE, max(plan.num_roots, 1)
     )
 
     new = Aig(aig.name)

@@ -45,7 +45,6 @@ from repro.commit import CommitEngine, Footprint, RewritePlan
 from repro.engine.context import clone_with_context, context_for
 from repro.logic.resyn import plan_resynthesis
 from repro.logic.truth import simulate_cone
-from repro.parallel import backend
 from repro.parallel.machine import ParallelMachine
 
 __all__ = ["par_refactor"]
@@ -72,9 +71,7 @@ def par_refactor(
         _resynthesize(working, cones, machine)
     kept = [job for job in cones if job.gain is not None and job.gain >= 0]
     # Gain filtering is a parallel stream compaction (Figure 1b).
-    machine.launch_batch(
-        "rf.filter", backend.const_profile(1, max(len(cones), 1))
-    )
+    machine.launch_uniform("rf.filter", 1, max(len(cones), 1))
     with observe.span("rf.refine", "stage"):
         refined = _semi_sharing_refine(working, cones, kept, machine)
     observe.count("rf.cones_refined", len(refined))

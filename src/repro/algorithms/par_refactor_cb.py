@@ -89,7 +89,6 @@ from repro.engine.context import (
 )
 from repro.logic.resyn import plan_resynthesis
 from repro.logic.truth import simulate_cone, tt_support
-from repro.parallel import backend
 from repro.parallel.frontier import gather_unique
 from repro.parallel.machine import ParallelMachine
 from repro.verify import sanitizer
@@ -141,9 +140,7 @@ def par_refactor_cb(
         key=lambda job: job.cut.root,
     )
     # Gain filtering is a parallel stream compaction (Figure 1b).
-    machine.launch_batch(
-        "rfc.filter", backend.const_profile(1, max(len(cones), 1))
-    )
+    machine.launch_uniform("rfc.filter", 1, max(len(cones), 1))
     # Kept candidates become declarative plans: deletable set = write
     # footprint, leaves = read footprint; the engine's resolver applies
     # the conflict-breaking rules and the wave lands through the shared
@@ -230,9 +227,7 @@ def _collect_overlapping(
     frontier, gather_work = gather_unique(
         (lit_var(lit) for lit in aig.pos), keep=aig.is_and
     )
-    machine.launch_batch(
-        "rfc.init_frontier", backend.const_profile(1, max(gather_work, 1))
-    )
+    machine.launch_uniform("rfc.init_frontier", 1, max(gather_work, 1))
     rooted = set(frontier)
     cones: list[ConeJob] = []
     rounds = 0
@@ -263,9 +258,8 @@ def _collect_overlapping(
             keep=lambda var: aig.is_and(var) and var not in rooted,
         )
         rooted.update(frontier)
-        machine.launch_batch(
-            "rfc.gather_frontier",
-            backend.const_profile(1, max(len(candidates), 1)),
+        machine.launch_uniform(
+            "rfc.gather_frontier", 1, max(len(candidates), 1)
         )
     return cones, rounds
 
@@ -289,9 +283,7 @@ def _deletable_sets(
     """
     if not cones:
         return
-    machine.launch_batch(
-        "rfc.ref_index", backend.const_profile(1, max(aig.num_vars, 1))
-    )
+    machine.launch_uniform("rfc.ref_index", 1, max(aig.num_vars, 1))
     sets = kernels.refactor_deleted_sets(
         aig,
         context_for(aig).fanout_counts_array(),

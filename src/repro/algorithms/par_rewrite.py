@@ -15,6 +15,10 @@ Kernel/host attribution:
 * ``rw.insert`` (kernel) — batched construction of the winning cones;
 * ``rw.replace_seq`` (host) — the topological-order dereference /
   re-evaluate / commit loop, the measured "sequential part" of Table I.
+  It runs as the commit layer's one fused replay loop,
+  :func:`~repro.commit.replay_rewrites`; this module only hands it the
+  candidates, the resolved reference counts and the library matcher
+  (:func:`~repro.algorithms.rewrite_lib.match_program`).
 
 The committed result is identical to
 :func:`repro.algorithms.seq_rewrite.seq_rewrite` run with the same
@@ -31,24 +35,15 @@ from repro import observe
 from repro.aig.aig import Aig, resolve_aliases
 from repro.aig.cuts import enumerate_cuts_with_tables
 from repro.algorithms import kernels
-from repro.algorithms.common import (
-    AliasView,
-    PassResult,
-    resolved_fanout_counts,
-)
+from repro.algorithms.common import PassResult, resolved_fanout_counts
 from repro.algorithms.dedup import dedup_and_dangling
-from repro.algorithms.rewrite_lib import instantiate_template, match_function
+from repro.algorithms.rewrite_lib import match_function, match_program
 from repro.algorithms.seq_rewrite import (
     CUT_EVAL_WORK,
     MAX_CUTS_PER_NODE,
     REWRITE_CUT_SIZE,
 )
-from repro.commit import (
-    Footprint,
-    apply_replacement,
-    deref_walked,
-    walk_cone,
-)
+from repro.commit import replay_rewrites
 from repro.engine.context import clone_with_context, context_for
 from repro.parallel.machine import ParallelMachine
 from repro.verify import sanitizer
@@ -224,72 +219,23 @@ def _replace_stage(
     the sequential pass.  Returns (alias map, per-commit insertion
     works, host work units).
 
-    Each candidate's resolved cone is read once
-    (:func:`~repro.commit.walk_cone`): the walk yields the cone's
-    fanin pairs, which the dereference reuses, and the function the
-    re-match needs.
+    The replay is the commit layer's one fused loop
+    (:func:`~repro.commit.replay_rewrites`); this stage hands it the
+    resolved reference counts, the library matcher and the sanitizer
+    batch, and charges the node scan.
     """
-    view = AliasView(aig)
     nref = resolved_fanout_counts(
-        aig, resolve_aliases(view.alias, aig.num_vars)
+        aig, resolve_aliases({}, aig.num_vars)
     ).tolist()
+    # The sequential pass walks the whole node array in topological
+    # order to find the inserted cone pairs — one unit per node scanned
+    # ([9]'s replacement loop), plus the per-pair evaluation.
+    scanned = aig.num_ands
     # Committed MFFCs must never overlap: a cone reaching a node an
     # earlier commit deleted means the bookkeeping (alias resolution,
     # staleness filters) let two replacements race on the same logic.
     guard = sanitizer.batch("rw.replace")
-    insert_works: list[int] = []
-    # The sequential pass walks the whole node array in topological
-    # order to find the inserted cone pairs — one unit per node scanned
-    # ([9]'s replacement loop), plus the per-pair evaluation below.
-    host_work = aig.num_ands
-
-    alias = view.alias
-    # The column object, not its view: appends may regrow the buffer.
-    deadc = aig._deadc
-    for root in sorted(candidates):
-        if not view.is_and(root) or root in alias or nref[root] == 0:
-            host_work += 1
-            continue
-        resolved_leaves: list[int] = []
-        stale = False
-        for var in candidates[root][0]:
-            if var in alias:
-                var = view.resolve(var << 1) >> 1
-            if deadc.view[var]:
-                stale = True
-                break
-            if var not in resolved_leaves:
-                resolved_leaves.append(var)
-        if stale or len(resolved_leaves) < 2 or root in resolved_leaves:
-            host_work += 2
-            continue
-        resolved_leaves.sort()
-        try:
-            cone, table = walk_cone(view, root, resolved_leaves)
-        except ValueError:
-            host_work += 4
-            continue
-        # Re-match when resolution changed the cut's function.
-        transform, template = match_function(table, resolved_leaves)
-        deleted = deref_walked(cone, root, nref)
-        leaf_lits = [var << 1 for var in resolved_leaves]
-        gain, created = apply_replacement(
-            view,
-            nref,
-            root,
-            deleted,
-            lambda add_and: instantiate_template(
-                template, transform, leaf_lits, add_and
-            ),
-            min_gain,
-            flip_mutation="rw-flip-root",
-        )
-        host_work += len(deleted) + 4
-        if gain is None:
-            continue
-        insert_works.append(created + 1)
-        if sanitizer.enabled:
-            # Committed MFFC = this lane's write footprint.
-            Footprint(deleted).register(guard, root)
-
-    return view.alias, insert_works, host_work
+    alias, insert_works, host_work = replay_rewrites(
+        aig, candidates, nref, min_gain, match_program, guard
+    )
+    return alias, insert_works, scanned + host_work

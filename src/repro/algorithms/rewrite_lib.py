@@ -25,6 +25,17 @@ TemplateProgram = tuple[
     int, tuple[tuple[int, int, int, int], ...], int, int
 ]
 
+#: A library match compiled for replay: one ``(leaf position,
+#: complement)`` source per canonical input (the NPN permutation and
+#: input phases applied), the template's AND steps, and the output slot
+#: and its complement (the NPN output phase folded in).
+ReplayProgram = tuple[
+    tuple[tuple[int, int], ...],
+    tuple[tuple[int, int, int, int], ...],
+    int,
+    int,
+]
+
 #: ``(canon, num_vars)`` -> the library template and its program.
 _TEMPLATES: dict[tuple[int, int], tuple[Aig, TemplateProgram]] = {}
 
@@ -74,6 +85,30 @@ def match_function(table: int, leaves: list[int]) -> tuple[NpnTransform, Aig]:
     transform = npn_canon(table, len(leaves))
     template = library_template(transform.canon, len(leaves))
     return transform, template
+
+
+def match_program(table: int, num_leaves: int) -> ReplayProgram:
+    """:func:`match_function` compiled into a :data:`ReplayProgram`.
+
+    Building the program with leaf literals ``leaves`` issues the same
+    ``add_and`` calls as :func:`instantiate_template` with the matched
+    transform and template.  Raises ``ValueError`` on the same width
+    mismatch.
+    """
+    transform, _ = match_function(table, list(range(num_leaves)))
+    num_inputs, steps, out_slot, out_compl = _TEMPLATES[
+        (transform.canon, num_leaves)
+    ][1]
+    if num_inputs != num_leaves:
+        raise ValueError(
+            f"template has {num_inputs} inputs, transform {num_leaves}"
+        )
+    perm, phase = transform.perm, transform.phase
+    sources = tuple(
+        (perm[index], phase >> perm[index] & 1)
+        for index in range(num_leaves)
+    )
+    return sources, steps, out_slot, out_compl ^ transform.out_neg
 
 
 def instantiate_template(

@@ -7,9 +7,11 @@ footprints, and applies the wave through the batched survivor-table
 protocol — bulk column-native allocation when available, bit-identical
 scalar replay otherwise.  The scalar side (:func:`apply_replacement`
 plus the ``deref_cone`` / ``ref_cone_back`` reference-count
-transaction, and ``walk_cone`` / ``deref_walked`` for rewriting's
-one-walk replay) is the same discipline one replacement at a time,
-shared by the sequential passes and the serial lanes.
+transaction, and ``walk_cone`` / ``deref_walked`` for sequential
+rewriting's one-walk evaluation) is the same discipline one
+replacement at a time, shared by the sequential passes and the serial
+lanes; :func:`replay_rewrites` runs parallel rewriting's whole replay
+as one fused loop of that discipline.
 
 Counters: ``commit.plans``, ``commit.bulk_nodes``,
 ``commit.serial_replays``, ``commit.conflicts`` — excluded from
@@ -28,6 +30,7 @@ from repro.commit.replay import (
     deref_cone,
     deref_walked,
     ref_cone_back,
+    replay_rewrites,
     retire_unreachable,
     walk_cone,
 )
@@ -42,6 +45,7 @@ __all__ = [
     "deref_walked",
     "insert_cone_templates",
     "ref_cone_back",
+    "replay_rewrites",
     "retire_unreachable",
     "seed_survivor_table",
     "walk_cone",

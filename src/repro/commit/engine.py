@@ -29,7 +29,6 @@ from repro import observe
 from repro.aig.aig import Aig
 from repro.aig.literals import lit_compl, lit_not_cond, lit_var, make_lit
 from repro.commit.plan import RewritePlan
-from repro.parallel import backend
 from repro.parallel.hashtable import HashTable
 from repro.parallel.machine import ParallelMachine
 from repro.verify import mutations, sanitizer
@@ -264,9 +263,8 @@ class CommitEngine:
                 wave_read.update(reads)
         # One thread per plan checks its footprints against the wave
         # prefix (stream compaction over the ranked order).
-        self.machine.launch_batch(
-            f"{self.prefix}.resolve",
-            backend.const_profile(1, max(len(ordered), 1)),
+        self.machine.launch_uniform(
+            f"{self.prefix}.resolve", 1, max(len(ordered), 1)
         )
         observe.count("commit.conflicts", len(deferred))
         return wave, deferred

@@ -13,11 +13,16 @@ one node at a time), and the walks read its dead column: the view
 keeps no kill record of its own.
 
 :func:`deref_cone` / :func:`ref_cone_back` are the reference-count
-halves of that transaction.  Rewriting reads its cone once:
-:func:`walk_cone` collects each member's resolved fanin pair and the
-root's truth table in one DFS, and :func:`deref_walked` dereferences
-from those pairs.  :func:`apply_replacement` is the gated
-commit (gain / same-root / level-cap rejection with full rollback).
+halves of that transaction.  :func:`walk_cone` collects each cone
+member's resolved fanin pair and the root's truth table in one DFS,
+and :func:`deref_walked` dereferences from those pairs.
+:func:`apply_replacement` is the gated commit (gain / same-root /
+level-cap rejection with full rollback).
+
+:func:`replay_rewrites` is parallel rewriting's whole keep/delete
+replay as one fused loop: the same walk, dereference, kills, template
+build, gates and commit, run inline on the graph's columns and a plain
+alias dict instead of through the per-candidate calls above.
 """
 
 from __future__ import annotations
@@ -29,14 +34,16 @@ import numpy as np
 from repro import observe
 from repro.aig.literals import lit_var
 from repro.aig.mffc import RefCounts
+from repro.commit.plan import Footprint
 from repro.logic.truth import full_mask, var_table
-from repro.verify import mutations
+from repro.verify import mutations, sanitizer
 
 __all__ = [
     "apply_replacement",
     "deref_cone",
     "deref_walked",
     "ref_cone_back",
+    "replay_rewrites",
     "retire_unreachable",
     "walk_cone",
 ]
@@ -185,7 +192,6 @@ def apply_replacement(
     min_gain: int,
     *,
     level_cap: dict[int, int] | None = None,
-    flip_mutation: str | None = None,
 ) -> tuple[int | None, int]:
     """Build one replacement and commit it if the gates pass.
 
@@ -202,9 +208,9 @@ def apply_replacement(
     rejected attempt's stale entries are overwritten when the ids are
     reused.
 
-    ``flip_mutation`` names the pass's seeded root-polarity bug; the
-    layer's own ``commit-replay-flip-root`` mutation flips here too, so
-    the CEC gate exercises the shared replay path directly.
+    The layer's seeded ``commit-replay-flip-root`` bug flips the new
+    root here, so the CEC gate exercises the shared replay path
+    directly.
     """
     aig = view.aig
     for var in deleted:
@@ -238,11 +244,8 @@ def apply_replacement(
 
     # Commit: account references of the new nodes, transfer the root's.
     _ref_created(aig, nref, snapshot)
-    if mutations.armed:
-        if flip_mutation is not None and mutations.active(flip_mutation):
-            new_root ^= 1
-        if mutations.active("commit-replay-flip-root"):
-            new_root ^= 1
+    if mutations.armed and mutations.active("commit-replay-flip-root"):
+        new_root ^= 1
     new_root_var = new_root >> 1
     nref[new_root_var] += nref[root]
     nref[root] = 0
@@ -261,3 +264,250 @@ def _ref_created(aig, nref: RefCounts, snapshot: int) -> None:
         f0, f1 = aig.fanins(var)
         nref[f0 >> 1] += 1
         nref[f1 >> 1] += 1
+
+
+def replay_rewrites(
+    aig,
+    candidates: dict[int, tuple],
+    nref: list[int],
+    min_gain: int,
+    match: Callable[[int, int], tuple],
+    guard,
+) -> tuple[dict[int, int], list[int], int]:
+    """Rewriting's keep/delete replay over ``candidates``, fused.
+
+    Visits the roots ascending and, for each, does inline what
+    resolving its cut's leaves, :func:`walk_cone`, a re-match,
+    :func:`deref_walked` and :func:`apply_replacement` (with the
+    template built through ``Aig.add_and``) do one call at a time: the
+    same ``add_and`` order, node ids, strash slots and tombstones,
+    ``_version`` and live count, ``nref`` updates and alias insertion
+    order (``tests/pass_reference.py::reference_replace_stage`` is that
+    chain).  A rejected candidate rolls back through ``Aig.truncate``
+    / ``Aig.revive``, leaving the graph bit-identical.
+
+    ``candidates[root][0]`` is the root's cut; ``nref`` the resolved
+    reference counts, grown in place; ``match(table, width)`` the
+    :data:`~repro.algorithms.rewrite_lib.ReplayProgram` of a cut
+    function (passed in: the commit layer does not import the
+    library), asked once per distinct ``(table, width)``; ``guard``
+    the sanitizer batch every commit's deleted cone registers on.
+    Returns ``(alias map, per-commit insertion works, host work)``,
+    the host work charging 1 / 2 / 4 units for a candidate skipped
+    at the root / leaf / walk check and ``|deleted| + 4`` for one
+    evaluated.
+    """
+    alias: dict[int, int] = {}
+    get_alias = alias.get
+    insert_works: list[int] = []
+    host_work = 0
+    programs: dict[tuple[int, int], tuple] = {}
+    projections: dict[int, tuple[int, list[int]]] = {}
+    # The column objects, not their views: appends may regrow the
+    # buffers, so each candidate reads the views afresh.
+    fan0c, fan1c, deadc = aig._f0c, aig._f1c, aig._deadc
+    strash = aig._strash
+    find = strash._find
+    release = strash.delete_entry
+
+    for root in sorted(candidates):
+        fan0 = fan0c.view
+        fan1 = fan1c.view
+        dead = deadc.view
+        if fan0[root] < 0 or dead[root] or root in alias or nref[root] == 0:
+            host_work += 1
+            continue
+        leaves: list[int] = []
+        stale = False
+        for var in candidates[root][0]:
+            target = get_alias(var)
+            while target is not None:
+                var = target >> 1
+                target = get_alias(var)
+            if dead[var]:
+                stale = True
+                break
+            if var not in leaves:
+                leaves.append(var)
+        if stale or len(leaves) < 2 or root in leaves:
+            host_work += 2
+            continue
+        leaves.sort()
+        width = len(leaves)
+
+        # walk_cone: resolved fanin pairs and the root's truth table.
+        basis = projections.get(width)
+        if basis is None:
+            basis = projections[width] = (
+                full_mask(width),
+                [var_table(position, width) for position in range(width)],
+            )
+        mask = basis[0]
+        tables = dict(zip(leaves, basis[1]))
+        cone: dict[int, tuple[int, int]] = {}
+        escaped = False
+        stack = [root]
+        while stack:
+            var = stack[-1]
+            if var in tables:
+                stack.pop()
+                continue
+            pair = cone.get(var)
+            if pair is None:
+                f0 = fan0[var]
+                if f0 < 0 or dead[var]:  # constant, PI or killed AND
+                    escaped = True
+                    break
+                f1 = fan1[var]
+                target = get_alias(f0 >> 1)
+                while target is not None:
+                    f0 = target ^ (f0 & 1)
+                    target = get_alias(f0 >> 1)
+                target = get_alias(f1 >> 1)
+                while target is not None:
+                    f1 = target ^ (f1 & 1)
+                    target = get_alias(f1 >> 1)
+                cone[var] = (f0, f1)
+                if len(cone) > MAX_CONE_MEMBERS:
+                    escaped = True
+                    break
+            else:
+                f0, f1 = pair
+            t0 = tables.get(f0 >> 1)
+            t1 = tables.get(f1 >> 1)
+            if t0 is None or t1 is None:
+                if t0 is None:
+                    stack.append(f0 >> 1)
+                if t1 is None:
+                    stack.append(f1 >> 1)
+                continue
+            stack.pop()
+            if f0 & 1:
+                t0 ^= mask
+            if f1 & 1:
+                t1 ^= mask
+            tables[var] = t0 & t1
+        if escaped:
+            host_work += 4
+            continue
+        # Re-match when resolution changed the cut's function.
+        key = (tables[root], width)
+        program = programs.get(key)
+        if program is None:
+            program = programs[key] = match(*key)
+        sources, steps, out_slot, out_flip = program
+
+        # deref_walked, from the collected pairs.
+        deleted: set[int] = set()
+        stack = [root]
+        while stack:
+            var = stack.pop()
+            if var in deleted:
+                continue
+            deleted.add(var)
+            f0, f1 = cone[var]
+            f0 >>= 1
+            nref[f0] -= 1
+            if nref[f0] == 0 and f0 in cone:
+                stack.append(f0)
+            f1 >>= 1
+            nref[f1] -= 1
+            if nref[f1] == 0 and f1 in cone:
+                stack.append(f1)
+
+        # Aig.mark_dead per member: every member is a live AND.
+        for var in deleted:
+            dead[var] = True
+            lit0 = fan0[var]
+            lit1 = fan1[var]
+            if lit0 > lit1:
+                lit0, lit1 = lit1, lit0
+            release(lit0, lit1, var)
+        killed = len(deleted)
+        aig._version += killed
+        aig._live_ands -= killed
+
+        # The template's Aig.add_and steps over the leaf literals.
+        snapshot = fan0c.size
+        lits = [0]
+        for position, flip in sources:
+            lits.append((leaves[position] << 1) ^ flip)
+        for slot0, compl0, slot1, compl1 in steps:
+            lit0 = lits[slot0] ^ compl0
+            lit1 = lits[slot1] ^ compl1
+            if lit0 > lit1:
+                lit0, lit1 = lit1, lit0
+            if lit0 < 2:  # constant fanin: false, or the other literal
+                lits.append(lit1 if lit0 else 0)
+                continue
+            if lit0 == lit1:
+                lits.append(lit0)
+                continue
+            if lit0 == lit1 ^ 1:
+                lits.append(0)
+                continue
+            # A live key match is reused; a dead one is rebound.
+            slot, free = find(lit0, lit1)
+            if slot >= 0:
+                existing = strash._value[slot]
+                if not deadc.view[existing]:
+                    lits.append(existing << 1)
+                    continue
+            var = fan0c.size
+            fan0c.append(lit0)
+            fan1c.append(lit1)
+            deadc.append(False)
+            if slot >= 0:
+                strash._value[slot] = var
+            else:
+                strash._insert(free, lit0, lit1, var)
+            lits.append(var << 1)
+        new_root = lits[out_slot] ^ out_flip
+        end = fan0c.size
+        created = end - snapshot
+        aig._version += created
+        aig._live_ands += created
+        host_work += killed + 4
+
+        if killed - created < min_gain or new_root >> 1 == root:
+            # Reject: retire the speculative nodes, revive the cone and
+            # restore its reference counts.
+            aig.truncate(snapshot)
+            for var in deleted:
+                aig.revive(var)
+            for var in deleted:
+                f0, f1 = cone[var]
+                nref[f0 >> 1] += 1
+                nref[f1 >> 1] += 1
+            continue
+
+        # Commit: reference the new nodes, transfer the root's count.
+        nref.extend([0] * (end - len(nref)))
+        fan0 = fan0c.view
+        fan1 = fan1c.view
+        for var in range(snapshot, end):
+            nref[fan0[var] >> 1] += 1
+            nref[fan1[var] >> 1] += 1
+        if mutations.armed:
+            if mutations.active("rw-flip-root"):
+                new_root ^= 1
+            if mutations.active("commit-replay-flip-root"):
+                new_root ^= 1
+        nref[new_root >> 1] += nref[root]
+        nref[root] = 0
+        target = get_alias(new_root >> 1)
+        while target is not None:
+            new_root = target ^ (new_root & 1)
+            target = get_alias(new_root >> 1)
+        if new_root >> 1 == root:
+            raise ValueError(f"alias of var {root} resolves to itself")
+        alias[root] = new_root
+        if observe.enabled:
+            observe.count("commit.plans")
+            observe.count("commit.serial_replays", created)
+        insert_works.append(created + 1)
+        if sanitizer.enabled:
+            # Committed MFFC = this lane's write footprint.
+            Footprint(deleted).register(guard, root)
+
+    return alias, insert_works, host_work

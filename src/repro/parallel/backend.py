@@ -11,19 +11,7 @@ modeled times.
 
 from __future__ import annotations
 
-import numpy as np
-
 
 def current_backend() -> str:
     """Name of the kernel backend, recorded in run manifests."""
     return "numpy"
-
-
-def const_profile(work: int, count: int):
-    """A work profile of ``count`` items, each charging ``work`` units.
-
-    An int64 array consumed by
-    :meth:`~repro.parallel.machine.ParallelMachine.launch_batch`
-    without a per-item loop.
-    """
-    return np.full(count, work, dtype=np.int64)

@@ -172,8 +172,7 @@ class ParallelMachine:
         """:meth:`launch` accepting an array work profile.
 
         NumPy arrays are reduced with whole-array operations — the fast
-        path for profiles produced by the batch kernels (see
-        :func:`repro.parallel.backend.const_profile`); any other
+        path for profiles produced by the batch kernels; any other
         sequence takes the scalar :meth:`launch` loop.  The recorded
         :class:`KernelRecord` is identical either way.
         """
@@ -189,6 +188,22 @@ class ParallelMachine:
                 sanitizer.current().on_launch(name, count, total)
             return
         self.launch(name, works)
+
+    def launch_uniform(self, name: str, work: int, count: int) -> None:
+        """A launch of ``count`` items charging ``work`` units each.
+
+        Records what ``launch_batch(name, np.full(count, work))`` does
+        without building the profile.
+        """
+        total = work * count
+        record = KernelRecord(
+            name, self._tag, count, total, work if count else 0
+        )
+        self.records.append(record)
+        if observe.enabled:
+            observe.machine_kernel(record, self.config)
+        if sanitizer.enabled:
+            sanitizer.current().on_launch(name, count, total)
 
     def host(self, name: str, work: int) -> None:
         """Record sequential host-side work (the "sequential part")."""

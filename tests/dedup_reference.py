@@ -21,7 +21,6 @@ from repro.aig.literals import (
     lit_pair_key,
     lit_var,
 )
-from repro.parallel import backend
 from repro.parallel.machine import ParallelMachine
 from repro.parallel.hashtable import HashTable
 from repro.verify import sanitizer
@@ -87,9 +86,7 @@ def reference_dedup(
 
     with observe.span("dedup", "stage"):
         levels, order = reference_resolved_levels(aig, alias, resolve)
-        machine.launch_batch(
-            "dedup.levelize", backend.const_profile(1, max(len(order), 1))
-        )
+        machine.launch_uniform("dedup.levelize", 1, max(len(order), 1))
         live = [
             var
             for var in order
@@ -141,10 +138,7 @@ def reference_dedup(
             check_dedup_complete(aig, alias, resolve)
             check_no_dead_refs(aig, alias, resolve)
         result = reference_compact(aig, alias)
-        machine.launch_batch(
-            "dedup.compact",
-            backend.const_profile(1, max(result.num_ands, 1)),
-        )
+        machine.launch_uniform("dedup.compact", 1, max(result.num_ands, 1))
         machine.host("dedup.finalize", result.num_pos)
     machine.set_tag(outer_tag)
     return result
@@ -171,9 +165,7 @@ def _remove_dangling(
             nref[lit_var(resolve(fanin))] += 1
     for po_lit in aig.pos:
         nref[lit_var(resolve(po_lit))] += 1
-    machine.launch_batch(
-        "dedup.count_refs", backend.const_profile(1, max(len(live), 1))
-    )
+    machine.launch_uniform("dedup.count_refs", 1, max(len(live), 1))
     roots = [var for var in live if nref[var] == 0]
     works = []
     removed = 0

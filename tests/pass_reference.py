@@ -60,10 +60,9 @@ from repro.commit import (
 from repro.engine.context import context_for
 from repro.logic.npn import npn_leaf_assignment
 from repro.logic.truth import simulate_cone
-from repro.parallel import backend
 from repro.parallel.frontier import gather_unique
 from repro.parallel.machine import ParallelMachine
-from repro.verify import sanitizer
+from repro.verify import mutations, sanitizer
 
 # ----------------------------------------------------------------------
 # b: the whole pass
@@ -109,16 +108,14 @@ def _collapse(
 ) -> tuple[list[int], dict[int, list[int]]]:
     """Frontier-driven cluster identification from POs towards PIs."""
     internal = _internal_mask(aig)
-    machine.launch_batch(
-        "b.mark_internal",
-        backend.const_profile(BALANCE_WORK_SCALE, max(aig.num_vars, 1)),
+    machine.launch_uniform(
+        "b.mark_internal", BALANCE_WORK_SCALE, max(aig.num_vars, 1)
     )
     frontier, gather_work = gather_unique(
         (lit_var(lit) for lit in aig.pos), keep=aig.is_and
     )
-    machine.launch_batch(
-        "b.init_frontier",
-        backend.const_profile(BALANCE_WORK_SCALE, max(gather_work, 1)),
+    machine.launch_uniform(
+        "b.init_frontier", BALANCE_WORK_SCALE, max(gather_work, 1)
     )
     enqueued = set(frontier)
     roots: list[int] = []
@@ -138,11 +135,9 @@ def _collapse(
             keep=lambda var: aig.is_and(var) and var not in enqueued,
         )
         enqueued.update(frontier)
-        machine.launch_batch(
+        machine.launch_uniform(
             "b.gather_frontier",
-            backend.const_profile(
-                BALANCE_WORK_SCALE, max(len(next_candidates), 1)
-            ),
+            BALANCE_WORK_SCALE, max(len(next_candidates), 1),
         )
     return roots, inputs_of
 
@@ -163,9 +158,8 @@ def _reconstruct(
         for fanin in inputs_of[root]:
             level = max(level, level_of[lit_var(fanin)])
         level_of[root] = level + 1
-    machine.launch_batch(
-        "b.levelize",
-        backend.const_profile(BALANCE_WORK_SCALE, max(len(roots), 1)),
+    machine.launch_uniform(
+        "b.levelize", BALANCE_WORK_SCALE, max(len(roots), 1)
     )
 
     batches: dict[int, list[int]] = {}
@@ -426,16 +420,19 @@ def reference_replace_stage(
         transform, template = match_function(table, resolved_leaves)
         deleted = deref_cone(view, root, cone, nref)
         leaf_lits = [make_lit(var) for var in resolved_leaves]
-        gain, created = apply_replacement(
-            view,
-            nref,
-            root,
-            deleted,
-            lambda add_and: reference_instantiate_template(
+
+        def build(add_and):
+            root_lit = reference_instantiate_template(
                 template, transform, leaf_lits, add_and
-            ),
-            min_gain,
-            flip_mutation="rw-flip-root",
+            )
+            # The pass's seeded bug flips only the variable-neutral bit,
+            # so flipping before the gates lands like flipping after.
+            if mutations.active("rw-flip-root"):
+                root_lit ^= 1
+            return root_lit
+
+        gain, created = apply_replacement(
+            view, nref, root, deleted, build, min_gain
         )
         host_work += len(deleted) + 4
         if gain is None:

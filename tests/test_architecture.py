@@ -54,6 +54,11 @@ dead column: the commit engine's retired kill record
 (``deleted_all``) and a ``dead`` attribute of ``AliasView`` may not
 come back.
 
+Parallel rewriting has one replay path: ``par_rewrite`` runs its
+keep/delete replay through the commit layer's fused loop
+(``repro.commit.replay_rewrites``), so it may not import or reach the
+per-candidate helpers (:data:`PER_CANDIDATE_REPLAY`).
+
 A last rule keeps the counter table of ``docs/OBSERVABILITY.md``
 complete: every counter name ``src/`` passes to ``observe.count`` as a
 literal (f-string placeholders kept as ``{expr}``) must appear in it.
@@ -158,6 +163,14 @@ RESOLVED_WALK_ERROR = "in resolve map"
 #: The retired kill records: the commit engine's union of retired
 #: cones and the alias view's copy of the dead column.
 FORBIDDEN_KILL_RECORD = re.compile(r"\bdeleted_all\b|\bview\.dead\b")
+
+#: The parallel rewriting pass, which replays through the fused loop.
+REWRITE_MODULE = "src/repro/algorithms/par_rewrite.py"
+
+#: The per-candidate replay helpers that pass may not use.
+PER_CANDIDATE_REPLAY = frozenset(
+    ("AliasView", "apply_replacement", "walk_cone", "deref_walked")
+)
 
 #: The forced-gates helper, the one place that lists the size gates.
 GATES_FILE = REPO_ROOT / "src" / "repro" / "verify" / "gates.py"
@@ -403,6 +416,28 @@ def find_kill_record_copies() -> list[str]:
     return violations
 
 
+def find_rewrite_replay_helpers() -> list[str]:
+    """Per-candidate replay helpers that ``par_rewrite`` imports or
+    reaches as an attribute."""
+    path = REPO_ROOT / REWRITE_MODULE
+    violations: list[str] = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [
+                alias.name.rpartition(".")[2] for alias in node.names
+            ]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        else:
+            continue
+        violations.extend(
+            f"{REWRITE_MODULE}:{node.lineno}: {name}"
+            for name in names
+            if name in PER_CANDIDATE_REPLAY
+        )
+    return violations
+
+
 def _counter_name(node: ast.expr) -> str | None:
     """A literal counter name, f-string placeholders as ``{expr}``."""
     if isinstance(node, ast.Constant) and isinstance(node.value, str):
@@ -568,6 +603,14 @@ def test_kills_live_only_in_the_dead_column() -> None:
     )
 
 
+def test_rewrite_replays_through_the_fused_loop() -> None:
+    violations = find_rewrite_replay_helpers()
+    assert not violations, (
+        "par_rewrite uses a per-candidate replay helper (replay "
+        "through repro.commit.replay_rewrites):\n" + "\n".join(violations)
+    )
+
+
 def test_every_counter_is_documented() -> None:
     assert find_counter_names()
     undocumented = find_undocumented_counters()
@@ -693,6 +736,16 @@ def main() -> int:
             print(f"  {violation}", file=sys.stderr)
         print(
             "keep kills only in the graph's dead column",
+            file=sys.stderr,
+        )
+    replay_helpers = find_rewrite_replay_helpers()
+    if replay_helpers:
+        failed = True
+        print("rewrite-replay conformance FAILED:", file=sys.stderr)
+        for violation in replay_helpers:
+            print(f"  {violation}", file=sys.stderr)
+        print(
+            "replay rewrites through repro.commit.replay_rewrites",
             file=sys.stderr,
         )
     undocumented = find_undocumented_counters()

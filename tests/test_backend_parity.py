@@ -23,7 +23,6 @@ from repro import observe
 from repro.aig.io_aiger import dump_aag, read_aig_binary, write_aig_binary
 from repro.benchgen.suite import load_benchmark
 from repro.engine import run_script
-from repro.parallel import backend
 from repro.parallel.machine import ParallelMachine
 from repro.verify import GATES, forced_gates
 from tests.conftest import build_random_aig
@@ -177,13 +176,3 @@ def test_forced_gates_switch_every_pass_path(tmp_path):
     assert vector_sites and vector_sites == scalar_sites
     assert all(f"{site}.vector" in vector for site in vector_sites)
     assert all(f"{site}.scalar" in scalar for site in scalar_sites)
-
-
-def test_const_profile_and_launch_batch_equivalence():
-    """launch_batch builds the same KernelRecord from array and list."""
-    from_array = ParallelMachine()
-    from_array.launch_batch("k", backend.const_profile(3, 17))
-    from_list = ParallelMachine()
-    from_list.launch_batch("k", [3] * 17)
-    assert from_array.records[0] == from_list.records[0]
-    assert from_array.total_time() == from_list.total_time()

@@ -1,5 +1,6 @@
 """Unit tests for the parallel machine and its cost model."""
 
+import numpy as np
 import pytest
 
 from repro.parallel.machine import (
@@ -28,6 +29,22 @@ def test_launch_records_profile():
     record = machine.records[-1]
     assert record.total_work == 8
     assert record.max_work == 5
+
+
+@pytest.mark.parametrize("work, count", [(3, 17), (5, 1), (0, 4), (2, 0)])
+def test_launch_uniform_matches_launch_batch(work, count):
+    """A uniform launch records what the array and list profiles do."""
+    machines = [ParallelMachine() for _ in range(3)]
+    for machine in machines:
+        machine.set_tag("t")
+    machines[0].launch_uniform("k", work, count)
+    machines[1].launch_batch("k", np.full(count, work, dtype=np.int64))
+    machines[2].launch_batch("k", [work] * count)
+    first, *others = (machine.records for machine in machines)
+    assert all(records == first for records in others)
+    assert first == [KernelRecord("k", "t", count, work * count,
+                                  work if count else 0)]
+    assert len({machine.total_time() for machine in machines}) == 1
 
 
 def test_empty_kernel_costs_nothing():

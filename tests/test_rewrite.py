@@ -21,6 +21,8 @@ from repro.algorithms.rewrite_lib import (
     match_function,
 )
 from repro.algorithms.seq_rewrite import seq_rewrite
+from repro.benchgen.control import random_control
+from repro.benchgen.enlarge import enlarge
 from repro.commit import walk_cone
 from repro.logic.npn import npn_canon
 from repro.logic.truth import simulate_cone
@@ -354,6 +356,32 @@ def test_replace_stage_matches_reference(
 @pytest.mark.parametrize("case, arguments", REPLAY_EXAMPLES)
 def test_replay_examples_reach_their_case(case, arguments):
     assert case in _replay_cases(**arguments)
+
+
+def test_replace_stage_matches_reference_at_benchmark_scale():
+    """The fused replay against the oracle on the resyn2-wide input.
+
+    ``enlarge(random_control(40, 4, 100, 1), 3)`` is the benchmark's
+    ``resyn2-wide`` graph at seed 1 (4,600 ANDs): one ``rw`` pass,
+    then the two rounds of an ``rwz``, each on the last one's result.
+    """
+    aig = enlarge(random_control(40, 4, 100, 1), 3)
+    for zero_gain in (False, True, True):
+        min_gain = 0 if zero_gain else 1
+        candidates = _par_rewrite._match_stage(
+            aig.clone(), ParallelMachine(), min_gain
+        )
+        assert candidates
+        production = _replay(aig, candidates, min_gain,
+                             _par_rewrite._replace_stage)
+        assert production[0]  # some candidate committed
+        assert production == _replay(
+            aig, candidates, min_gain, reference_replace_stage
+        )
+        assert _whole_pass(aig, zero_gain, _par_rewrite._replace_stage) == (
+            _whole_pass(aig, zero_gain, reference_replace_stage)
+        )
+        aig = par_rewrite(aig, zero_gain=zero_gain).aig
 
 
 # ----------------------------------------------------------------------

@@ -24,6 +24,8 @@ from repro.algorithms.par_balance import par_balance
 from repro.algorithms.par_refactor import par_refactor
 from repro.algorithms.par_refactor_cb import par_refactor_cb
 from repro.algorithms.par_rewrite import par_rewrite
+from repro.algorithms.seq_refactor import seq_refactor
+from repro.algorithms.seq_rewrite import seq_rewrite
 from repro.benchgen.random_aig import mtm_random
 from repro.cec.equivalence import CecStatus, check_equivalence
 from repro.verify import mutations, sanitizer
@@ -104,6 +106,19 @@ def test_cec_gate_catches(name):
     run_pass = PASS_FOR[name]
     aig = seeded_victim()
     mutations.arm(name)
+    result = run_pass(aig)
+    verdict = check_equivalence(aig, result.aig)
+    assert verdict.status is CecStatus.NOT_EQUIVALENT
+
+
+@pytest.mark.parametrize("run_pass", [seq_rewrite, seq_refactor])
+def test_cec_gate_catches_replay_flip_in_apply_replacement(run_pass):
+    """``commit-replay-flip-root`` has a second site: the scalar
+    transaction ``apply_replacement``, which the sequential passes and
+    ``rfc``'s serial lane replay through (``par_rewrite`` reaches only
+    the fused loop's site)."""
+    aig = seeded_victim()
+    mutations.arm("commit-replay-flip-root")
     result = run_pass(aig)
     verdict = check_equivalence(aig, result.aig)
     assert verdict.status is CecStatus.NOT_EQUIVALENT
