@@ -23,7 +23,7 @@ from repro.cec.simulate import random_patterns, simulate
 from repro.commit.engine import InsertionSession
 from repro.engine import pass_fn, run_script
 from repro.engine.context import clone_with_context
-from repro.logic.isop import isop
+from repro.logic.isop import isop_cover
 from repro.logic.npn import npn_canon
 from repro.logic.resyn import plan_resynthesis
 from repro.logic.truth import full_mask, var_table
@@ -63,7 +63,7 @@ def test_bench_isop_8var(benchmark):
 
     def run():
         for table in tables:
-            isop(table, 8)
+            isop_cover(table, table, 8, {})
 
     benchmark(run)
 

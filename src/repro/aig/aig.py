@@ -10,7 +10,7 @@ topological order** — every traversal in the library relies on this.
 The columns (:class:`repro.aig.store.Column`) are preallocated
 ``int64``/``bool`` buffers that grow in place geometrically.  Scalar
 access — the facade methods below and the ``_fanin0`` / ``_fanin1`` /
-``_dead`` / ``_pis`` / ``_pos`` properties — goes through
+``_pos`` properties — goes through
 ``memoryview`` twins that index at list speed and return plain Python
 ints, while :meth:`Aig.arrays` hands out zero-copy NumPy
 views of the very same buffers.  Structural hashing uses the flat
@@ -170,16 +170,6 @@ class Aig:
     def _fanin1(self):
         """Scalar view of the fanin1 column (list-like, live)."""
         return self._f1c.slice()
-
-    @property
-    def _dead(self):
-        """Scalar view of the dead-flag column (list-like, live)."""
-        return self._deadc.slice()
-
-    @property
-    def _pis(self):
-        """Scalar view of the PI variable-id column (list-like, live)."""
-        return self._pic.slice()
 
     @property
     def _pos(self):

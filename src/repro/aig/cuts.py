@@ -7,11 +7,13 @@ Two kinds of cuts are needed by the resynthesis passes:
   little as possible.  This is the cut refactoring resynthesizes
   (paper, Section II-B/III-B); with an ``expandable`` predicate it also
   implements the fanout-free traversal of the parallel collapse stage.
-* :func:`enumerate_cuts` — bottom-up k-feasible cut enumeration with a
-  per-node priority limit, as used by rewriting.
-  :func:`enumerate_cuts_with_tables` computes the same cut lists
-  level by level on NumPy columns (:class:`CutColumns`), with each
-  cut's truth table and cone, for the parallel rewriting match.
+* :func:`enumerate_cuts_with_tables` — bottom-up k-feasible cut
+  enumeration with a per-node priority limit, as used by rewriting:
+  every node's cut list, computed level by level on NumPy columns
+  (:class:`CutColumns`) with each cut's truth table and cone.  Both
+  rewriting passes read their cut lists from it; the per-node
+  dictionary dynamic program it replaced is the test oracle
+  ``tests/cut_reference.py``.
 """
 
 from __future__ import annotations
@@ -143,55 +145,6 @@ def reconv_cut(
     return CutResult(root, leaves, cone, work + len(cone))
 
 
-def enumerate_cuts(
-    aig: Aig,
-    k: int = 4,
-    max_cuts_per_node: int = 8,
-) -> dict[int, list[tuple[int, ...]]]:
-    """Enumerate k-feasible cuts for every live AND node.
-
-    Each node's cut set contains its trivial cut ``(node,)`` plus up to
-    ``max_cuts_per_node`` merged cuts, kept smallest-first (a simple
-    priority heuristic: smaller cuts subsume larger overlapping work in
-    rewriting).  PIs and the constant have only the trivial cut.
-
-    Returns a map from variable id to a list of sorted leaf tuples.
-    """
-    if k < 2:
-        raise ValueError("k must be at least 2")
-    cuts: dict[int, list[tuple[int, ...]]] = {0: [(0,)]}
-    for var in aig.pis:
-        cuts[var] = [(var,)]
-    for var in aig.and_vars():
-        f0, f1 = aig.fanins(var)
-        set0 = cuts.get(lit_var(f0), [(lit_var(f0),)])
-        set1 = cuts.get(lit_var(f1), [(lit_var(f1),)])
-        merged: set[tuple[int, ...]] = set()
-        for cut0 in set0:
-            for cut1 in set1:
-                union = set(cut0) | set(cut1)
-                if len(union) <= k:
-                    merged.add(tuple(sorted(union)))
-        ordered = sorted(merged, key=lambda cut: (len(cut), cut))
-        ordered = _filter_dominated(ordered)
-        node_cuts = [(var,)] + ordered[:max_cuts_per_node]
-        cuts[var] = node_cuts
-    return cuts
-
-
-def _filter_dominated(cuts: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """Drop cuts that are supersets of another cut in the list."""
-    kept: list[tuple[int, ...]] = []
-    kept_sets: list[set[int]] = []
-    for cut in cuts:
-        cut_set = set(cut)
-        if any(other <= cut_set for other in kept_sets):
-            continue
-        kept.append(cut)
-        kept_sets.append(cut_set)
-    return kept
-
-
 #: Leaf padding inside the dynamic program: larger than every variable
 #: id, so a row sort moves the real leaves to the front.
 _PAD = np.iinfo(np.int32).max
@@ -303,19 +256,24 @@ def enumerate_cuts_with_tables(
     k: int = 4,
     max_cuts_per_node: int = 8,
 ) -> CutColumns:
-    """:func:`enumerate_cuts` plus per-cut truth tables and cones, as columns.
+    """Enumerate k-feasible cuts of every live AND, as columns.
 
-    The cut lists are exactly :func:`enumerate_cuts`'s; each row's
-    table equals ``simulate_cone(aig, 2 * root, list(cut))`` and its
-    cone is the node set the rewriting cone walk visits, without its
-    size cap (see :class:`CutColumns`).
+    Each live AND's list holds its trivial cut ``(var,)`` plus up to
+    ``max_cuts_per_node`` merged cuts: the unions of a fanin-0 cut and
+    a fanin-1 cut with at most ``k`` leaves, kept smallest-first
+    (ordered by ``(len, leaves)``), with any union that is a superset
+    of an earlier one dropped.  The constant, PIs and dead ANDs own
+    only their trivial cut.  Each row's table equals
+    ``simulate_cone(aig, 2 * root, list(cut))`` and its cone is the
+    node set the rewriting cone walk visits, without its size cap (see
+    :class:`CutColumns`).
 
     The dynamic program is level-synchronous: each wave takes every
     AND whose fanins are settled and builds all of their (fanin-0 cut
     x fanin-1 cut) pairs at once.  A union is an 8-wide row sort plus a
     duplicate mask; one lexsort on (node, size, leaves) dedupes each
-    node's unions in the scalar ``(len, tuple)`` order, keeping the
-    first pair per union; an entry dominated by any earlier entry of
+    node's unions in ``(len, tuple)`` order, keeping the first pair per
+    union; an entry dominated by any earlier entry of
     its node is dropped (a dropped dominator is itself dominated by a
     kept one, so this keeps the same set as filtering against kept
     entries only) before the per-node truncation.
@@ -395,9 +353,9 @@ def enumerate_cuts_with_tables(
         v1 = lit1 >> 1
 
         # Every (fanin-0 cut x fanin-1 cut) pair of the wave, node-major
-        # and fanin-0-major: the scalar merge's scan order.  Pairs whose
-        # leaf signature already has more than k bits set are dropped
-        # before any union is built.
+        # and fanin-0-major: the per-node merge's scan order.  Pairs
+        # whose leaf signature already has more than k bits set are
+        # dropped before any union is built.
         c1 = count[v1]
         npairs = count[v0] * c1
         node_of = np.repeat(np.arange(num_nodes), npairs)

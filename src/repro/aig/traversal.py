@@ -134,66 +134,9 @@ def fanout_counts_array(aig: Aig):
     return counts
 
 
-def fanout_lists(aig: Aig) -> list[list[int]]:
-    """Fanout adjacency: for each variable, the AND variables reading it.
-
-    PO fanouts are not included (use :func:`po_fanout_mask` for those).
-    A double edge (same node in both fanins) appears once.
-    """
-    fanouts: list[list[int]] = [[] for _ in range(aig.num_vars)]
-    for var in aig.and_vars():
-        f0, f1 = aig.fanins(var)
-        v0, v1 = lit_var(f0), lit_var(f1)
-        fanouts[v0].append(var)
-        if v1 != v0:
-            fanouts[v1].append(var)
-    return fanouts
-
-
 def po_fanout_mask(aig: Aig) -> list[bool]:
     """True for every variable directly driving at least one PO."""
     mask = [False] * aig.num_vars
     for lit in aig.pos:
         mask[lit_var(lit)] = True
     return mask
-
-
-def transitive_fanin(aig: Aig, roots: list[int]) -> set[int]:
-    """All variables in the transitive fanin of ``roots`` (inclusive)."""
-    seen: set[int] = set()
-    stack = list(roots)
-    while stack:
-        var = stack.pop()
-        if var in seen:
-            continue
-        seen.add(var)
-        if aig.is_and(var):
-            f0, f1 = aig.fanins(var)
-            stack.append(lit_var(f0))
-            stack.append(lit_var(f1))
-    return seen
-
-
-def cone_nodes(aig: Aig, root: int, cut: set[int]) -> set[int]:
-    """AND variables of the logic cone of ``root`` w.r.t. ``cut``.
-
-    The cone includes ``root`` and every node on a path from a cut node
-    to ``root``; the cut nodes themselves are *not* part of the cone
-    (they are its inputs), matching the paper's Definition of a logic
-    cone associated with a cut.
-    """
-    cone: set[int] = set()
-    stack = [root]
-    while stack:
-        var = stack.pop()
-        if var in cone or var in cut:
-            continue
-        if not aig.is_and(var):
-            raise ValueError(
-                f"cut {sorted(cut)} does not cover PI/const var {var}"
-            )
-        cone.add(var)
-        f0, f1 = aig.fanins(var)
-        stack.append(lit_var(f0))
-        stack.append(lit_var(f1))
-    return cone

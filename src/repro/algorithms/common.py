@@ -29,7 +29,7 @@ from repro import observe
 from repro.aig.aig import Aig
 from repro.aig.cuts import CutResult, reconv_cut
 from repro.aig.literals import lit_var
-from repro.aig.mffc import RefCounts
+from repro.commit.replay import RefCounts
 from repro.engine.context import context_for, resolved_fanout_counts
 from repro.logic.resyn import ResynPlan
 from repro.parallel.frontier import gather_unique

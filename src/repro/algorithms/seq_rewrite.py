@@ -15,7 +15,7 @@ visible to later nodes (DAG-aware, on-the-fly updating).
 from __future__ import annotations
 
 from repro.aig.aig import Aig, resolve_aliases
-from repro.aig.cuts import enumerate_cuts
+from repro.aig.cuts import enumerate_cuts_with_tables
 from repro.aig.literals import lit_var, make_lit
 from repro.algorithms.common import (
     AliasView,
@@ -58,10 +58,22 @@ def seq_rewrite(
     levels_before = context_for(aig).depth()
     working = clone_with_context(aig)
 
-    cuts = enumerate_cuts(working, REWRITE_CUT_SIZE, MAX_CUTS_PER_NODE)
-    meter.add(
-        sum(len(cut_set) for cut_set in cuts.values()), "rw.cut_enum"
+    cols = enumerate_cuts_with_tables(
+        working, REWRITE_CUT_SIZE, MAX_CUTS_PER_NODE
     )
+    # Every cut of the constant, the PIs and the live ANDs: a dead AND
+    # owns a trivial row in the columns but is not enumerated.
+    dead_ands = (
+        working.num_vars - 1 - working.num_pis - working.num_ands
+    )
+    meter.add(int(cols.count.sum()) - dead_ands, "rw.cut_enum")
+    # One ``tolist`` per column; a root's rows become cut lists only
+    # when the loop reaches it (building every row's list up front
+    # costs more than the enumeration itself).
+    first = cols.first.tolist()
+    count = cols.count.tolist()
+    cut_leaves = cols.leaves.tolist()
+    cut_size = cols.size.tolist()
 
     view = AliasView(working)
     nref = resolved_fanout_counts(
@@ -78,8 +90,13 @@ def seq_rewrite(
         if nref[root] == 0:
             continue
         attempted += 1
+        start = first[root]
+        cut_list = [
+            cut_leaves[row][: cut_size[row]]
+            for row in range(start, start + count[root])
+        ]
         committed, work = _rewrite_node(
-            view, nref, root, cuts.get(root, []), min_gain
+            view, nref, root, cut_list, min_gain
         )
         meter.add(work, "rw.node")
         if committed:
@@ -100,7 +117,7 @@ def _rewrite_node(
     view: AliasView,
     nref: RefCounts,
     root: int,
-    cut_list: list[tuple[int, ...]],
+    cut_list: list[list[int]],
     min_gain: int,
 ) -> tuple[bool, int]:
     """Try to rewrite one node; returns (committed, work_units)."""
@@ -140,7 +157,7 @@ def _evaluate_cut(
     view: AliasView,
     nref: RefCounts,
     root: int,
-    cut: tuple[int, ...],
+    cut: list[int],
 ):
     """Estimate the gain of rewriting ``root`` against one cut.
 

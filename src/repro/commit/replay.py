@@ -33,7 +33,6 @@ import numpy as np
 
 from repro import observe
 from repro.aig.literals import lit_var
-from repro.aig.mffc import RefCounts
 from repro.commit.plan import Footprint
 from repro.logic.truth import full_mask, var_table
 from repro.verify import mutations, sanitizer
@@ -48,6 +47,14 @@ __all__ = [
     "walk_cone",
 ]
 
+
+#: Mutable reference-count storage accepted by every walk here: a plain
+#: list or a cached NumPy array (the int64 ndarray from
+#: ``GraphContext.fanout_counts_array`` or its memoryview twin from
+#: ``GraphContext.fanout_counts``) — anything indexable with in-place
+#: integer updates.  Walks mutate counts element-wise, so nothing is
+#: copied into a list.
+RefCounts = list[int] | np.ndarray | memoryview
 
 #: Cone members past which a rewriting cut counts as blown up (stale).
 MAX_CONE_MEMBERS = 64

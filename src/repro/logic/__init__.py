@@ -3,97 +3,49 @@
 from repro.logic.factor import (
     FactorNode,
     count_factored_ands,
-    factor_cover,
+    factor_masks,
     factored_to_aig,
 )
-from repro.logic.isop import isop, isop_verified, isop_with_dc
+from repro.logic.isop import isop_cover
 from repro.logic.npn import (
     MAX_NPN_VARS,
     NpnTransform,
-    npn_apply,
     npn_canon,
-    npn_class_count,
     npn_leaf_assignment,
 )
 from repro.logic.resyn import ResynPlan, build_plan, plan_resynthesis
-from repro.logic.sop import (
-    Cover,
-    Cube,
-    TRUE_CUBE,
-    common_cube,
-    cover_num_literals,
-    cover_support,
-    cover_to_string,
-    cover_tt,
-    cube_tt,
-    divide,
-    divide_by_cube,
-    is_cube_free,
-    literal_counts,
-    make_cube,
-    make_cube_free,
-)
 from repro.logic.truth import (
     MAX_TT_VARS,
     full_mask,
     simulate_cone,
     tt_cofactor0,
     tt_cofactor1,
-    tt_count_ones,
     tt_depends_on,
-    tt_flip,
-    tt_is_const0,
-    tt_is_const1,
     tt_not,
-    tt_permute,
     tt_support,
     var_table,
 )
 
 __all__ = [
-    "Cover",
-    "Cube",
     "FactorNode",
     "MAX_NPN_VARS",
     "MAX_TT_VARS",
     "NpnTransform",
     "ResynPlan",
-    "TRUE_CUBE",
     "build_plan",
-    "common_cube",
     "count_factored_ands",
-    "cover_num_literals",
-    "cover_support",
-    "cover_to_string",
-    "cover_tt",
-    "cube_tt",
-    "divide",
-    "divide_by_cube",
-    "factor_cover",
+    "factor_masks",
     "factored_to_aig",
     "full_mask",
-    "is_cube_free",
-    "isop",
-    "isop_verified",
-    "isop_with_dc",
-    "literal_counts",
-    "make_cube",
-    "make_cube_free",
-    "npn_apply",
+    "isop_cover",
     "npn_canon",
-    "npn_class_count",
     "npn_leaf_assignment",
     "plan_resynthesis",
     "simulate_cone",
     "tt_cofactor0",
     "tt_cofactor1",
-    "tt_count_ones",
     "tt_depends_on",
-    "tt_flip",
-    "tt_is_const0",
-    "tt_is_const1",
     "tt_not",
-    "tt_permute",
     "tt_support",
     "var_table",
 ]

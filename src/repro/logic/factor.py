@@ -12,8 +12,9 @@ GFACTOR runs on mask cubes (:mod:`repro.logic.sop`): each cover's
 literal counts are bit-sliced count planes, the most frequent literal
 is found by narrowing a literal pool from the top plane down (its
 lowest set bit breaks count ties toward the smallest literal), and
-division is ``c & d == d`` / ``c & ~d``.  :func:`factor_cover` takes a
-frozenset cover and converts it; :func:`factor_masks` is the core.
+division is ``c & d == d`` / ``c & ~d``.  :func:`factor_masks` is the
+one entry point; the frozenset GFACTOR it replaced is the test oracle
+``tests/factor_reference.py``.
 
 The result is a :class:`FactorNode` expression tree over the cover's
 variables; :func:`factored_to_aig` lowers the tree to AND-inverter
@@ -26,10 +27,8 @@ from __future__ import annotations
 from collections.abc import Callable
 
 from repro.logic.sop import (
-    Cover,
     common_mask,
     count_planes,
-    cover_masks,
     cube_free_masks,
     divide_by_mask,
     divide_masks,
@@ -85,12 +84,6 @@ class FactorNode:
             return flat[0]
         return FactorNode("or", children=flat)
 
-    def num_literals(self) -> int:
-        """Literal count of the factored form (the classic cost)."""
-        if self.kind == "lit":
-            return 1
-        return sum(child.num_literals() for child in self.children)
-
     def __repr__(self) -> str:
         return f"FactorNode({self.to_string()})"
 
@@ -130,13 +123,9 @@ def _flatten(children: list[FactorNode], kind: str) -> list[FactorNode]:
     return flat
 
 
-def factor_cover(cover: Cover) -> FactorNode:
-    """Factor a cover into a multi-level expression tree."""
-    return factor_masks(cover_masks(cover))
-
-
 def factor_masks(cover: list[int]) -> FactorNode:
-    """:func:`factor_cover` over mask cubes (see :mod:`repro.logic.sop`)."""
+    """Factor a mask cover (see :mod:`repro.logic.sop`) into a
+    multi-level expression tree."""
     if not cover:
         return FactorNode("const0")
     if not all(cover):

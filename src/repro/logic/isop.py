@@ -5,7 +5,10 @@ This is the SOP-generation step of refactoring's resynthesis pipeline
 generation and algebraic factoring").  The recursion computes, for a
 lower bound L and upper bound U (L ⊆ f ⊆ U allowed), an irredundant
 cover sitting between the bounds; calling it with L = U = f yields an
-ISOP of f.
+ISOP of f, which is how the resynthesis planner
+(:func:`repro.logic.resyn.plan_resynthesis`) calls :func:`isop_cover`,
+the one entry point.  The frozenset formulation this replaced is the
+test oracle ``tests/factor_reference.py``.
 
 The recursion runs on narrow tables and emits mask cubes (see
 :mod:`repro.logic.sop`).  A subproblem's bounds are truncated to the
@@ -23,7 +26,6 @@ repeated recursion would have rebuilt, cube order included.
 
 from __future__ import annotations
 
-from repro.logic.sop import Cover, cover_tt, mask_cover
 from repro.logic.truth import MAX_TT_VARS, full_mask
 
 #: All-ones table of each width (``_FULL[w]`` has ``2^w`` bits).
@@ -37,30 +39,12 @@ _TRUE_CUBE_ONLY: list[int] = [0]
 IsopMemo = dict[tuple[int, int, int], tuple[list[int], int]]
 
 
-def isop(table: int, num_vars: int) -> Cover:
-    """Compute an irredundant SOP cover of ``table``.
-
-    The returned cover's truth table equals ``table`` exactly (verified
-    cheaply by callers via :func:`repro.logic.sop.cover_tt`); no cube or
-    literal can be removed without changing the function.
-    """
-    return mask_cover(isop_cover(table, table, num_vars, {}))
-
-
-def isop_with_dc(lower: int, upper: int, num_vars: int) -> Cover:
-    """ISOP of any function f with ``lower ⊆ f ⊆ upper`` (don't-cares)."""
-    full_mask(num_vars)  # an unsupported width raises before bad bounds
-    if lower & ~upper:
-        raise ValueError("lower bound is not contained in upper bound")
-    return mask_cover(isop_cover(lower, upper, num_vars, {}))
-
-
 def isop_cover(
     lower: int, upper: int, num_vars: int, memo: IsopMemo
 ) -> list[int]:
     """ISOP between the bounds as mask cubes; ``ValueError`` if the
-    width is unsupported.  Memoised covers are shared: never mutate
-    them."""
+    width is unsupported.  ``lower`` must be contained in ``upper``.
+    Memoised covers are shared: never mutate them."""
     full_mask(num_vars)
     cover, _ = _isop(lower, upper, num_vars, memo)
     return cover
@@ -122,14 +106,3 @@ def _isop(
         table |= table << (1 << width)
         width += 1
     return cover, table
-
-
-def isop_verified(table: int, num_vars: int) -> Cover:
-    """ISOP with an equivalence assertion — used in tests and debugging."""
-    cover = isop(table, num_vars)
-    realized = cover_tt(cover, num_vars)
-    if realized != table:
-        raise AssertionError(
-            f"ISOP mismatch: wanted {table:#x}, produced {realized:#x}"
-        )
-    return cover

@@ -123,22 +123,6 @@ def npn_canon(table: int, num_vars: int) -> NpnTransform:
     )
 
 
-def npn_apply(transform: NpnTransform, table: int) -> int:
-    """Apply ``transform`` to ``table`` (sanity-check helper)."""
-    size = 1 << transform.num_vars
-    mask = full_mask(transform.num_vars)
-    out = 0
-    for minterm in range(size):
-        source = 0
-        for index in range(transform.num_vars):
-            if minterm >> index & 1:
-                source |= 1 << transform.perm[index]
-        source ^= transform.phase
-        if table >> source & 1:
-            out |= 1 << minterm
-    return out ^ mask if transform.out_neg else out
-
-
 def npn_leaf_assignment(
     transform: NpnTransform, leaf_lits: list[int]
 ) -> tuple[list[int], bool]:
@@ -158,14 +142,3 @@ def npn_leaf_assignment(
             literal ^= 1
         inputs.append(literal)
     return inputs, transform.out_neg
-
-
-def npn_class_count(num_vars: int) -> int:
-    """Number of distinct NPN classes (exhaustive; for tests/docs).
-
-    Calls the uncached canonicalizer, so counting does not fill the
-    process-wide cache with every table of the width.
-    """
-    canon = npn_canon.__wrapped__
-    mask = full_mask(num_vars)
-    return len({canon(table, num_vars).canon for table in range(mask + 1)})

@@ -6,8 +6,7 @@ this per identified cone).  Both polarities of the function are
 factored and the cheaper factored form wins, mirroring ABC's practice
 of resynthesizing whichever of f / f' factors better.  The planner
 runs the mask-cube core (:func:`repro.logic.isop.isop_cover` with one
-memo for both polarities, then :func:`repro.logic.factor.factor_masks`)
-without converting cubes to frozensets.
+memo for both polarities, then :func:`repro.logic.factor.factor_masks`).
 
 :func:`plan_resynthesis` keeps the last :data:`PLAN_CACHE_ENTRIES`
 plans in one :func:`functools.lru_cache`; the script runner empties it

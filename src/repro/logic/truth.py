@@ -80,51 +80,6 @@ def tt_support(table: int, num_vars: int) -> list[int]:
     ]
 
 
-def tt_count_ones(table: int) -> int:
-    """Number of minterms in the on-set."""
-    return table.bit_count()
-
-
-def tt_is_const0(table: int) -> bool:
-    """True for the constant-false table."""
-    return table == 0
-
-
-def tt_is_const1(table: int, num_vars: int) -> bool:
-    """True for the constant-true table."""
-    return table == full_mask(num_vars)
-
-
-def tt_permute(table: int, perm: tuple[int, ...], num_vars: int) -> int:
-    """Reorder inputs: output variable ``i`` reads old variable ``perm[i]``.
-
-    Returns the table of ``g(x_0..x_{n-1}) = f(x at positions perm)``;
-    formally ``g(m) = f(m')`` where minterm bit ``perm[i]`` of ``m'``
-    equals bit ``i`` of ``m``.
-    """
-    if sorted(perm) != list(range(num_vars)):
-        raise ValueError(f"{perm} is not a permutation of 0..{num_vars - 1}")
-    size = 1 << num_vars
-    out = 0
-    for minterm in range(size):
-        source = 0
-        for new_index in range(num_vars):
-            if minterm >> new_index & 1:
-                source |= 1 << perm[new_index]
-        if table >> source & 1:
-            out |= 1 << minterm
-    return out
-
-
-def tt_flip(table: int, index: int, num_vars: int) -> int:
-    """Negate input ``x_index`` (swap its cofactors)."""
-    half = 1 << index
-    mask = var_table(index, num_vars)
-    high = table & mask
-    low = table & ~mask
-    return (high >> half) | (low << half)
-
-
 def simulate_cone(view, root_lit: int, leaves: list[int]) -> int:
     """Truth table of ``root_lit`` as a function of the ``leaves`` variables.
 

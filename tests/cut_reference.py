@@ -61,10 +61,14 @@ def reference_cuts_with_tables(
     dict[int, list[int]],
     dict[int, list[frozenset[int]]],
 ]:
-    """``enumerate_cuts`` plus per-cut truth tables and cone sets.
+    """Every variable's cut list plus per-cut truth tables and cone sets.
 
-    Returns ``(cuts, tables, cones)``: ``cuts`` is bit-identical to
-    ``enumerate_cuts`` with the same arguments; ``tables[var][i]``
+    Returns ``(cuts, tables, cones)``, keyed by the constant, the PIs
+    and the live ANDs: ``cuts[var]`` is the trivial cut ``(var,)``
+    followed by the merged cuts smallest-first, as sorted leaf tuples
+    (the lists the columns of
+    :func:`repro.aig.cuts.enumerate_cuts_with_tables` hold);
+    ``tables[var][i]``
     equals ``simulate_cone(aig, 2 * var, list(cuts[var][i]))``;
     ``cones[var][i]`` is the frozenset of AND variables strictly between
     the cut and the root (root included, leaves excluded) — the exact

@@ -41,7 +41,6 @@ from repro import observe
 from repro.aig.aig import Aig, resolve_aliases
 from repro.aig.cuts import reconv_cut
 from repro.aig.literals import lit_compl, lit_not_cond, lit_var, make_lit
-from repro.aig.traversal import fanout_lists
 from repro.algorithms import common, kernels
 from repro.algorithms.common import AliasView, PassResult
 from repro.algorithms.rewrite_lib import match_function
@@ -63,6 +62,7 @@ from repro.logic.truth import simulate_cone
 from repro.parallel.frontier import gather_unique
 from repro.parallel.machine import ParallelMachine
 from repro.verify import mutations, sanitizer
+from tests.graph_reference import fanout_lists
 
 # ----------------------------------------------------------------------
 # b: the whole pass

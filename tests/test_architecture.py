@@ -59,6 +59,14 @@ keep/delete replay through the commit layer's fused loop
 (``repro.commit.replay_rewrites``), so it may not import or reach the
 per-candidate helpers (:data:`PER_CANDIDATE_REPLAY`).
 
+Three rules keep one implementation per resynthesis job in ``src/``:
+one cut enumerator (no ``def enumerate_cuts(`` beside
+``enumerate_cuts_with_tables``), one cube encoding under
+``repro/logic/`` (no frozenset cube alias and no ``mask_cover``
+converter: covers are mask cubes), and one MFFC dereference (no
+``repro/aig/mffc.py`` beside the commit layer's ``deref_cone``).  The
+second formulations live on only as test oracles under ``tests/``.
+
 A last rule keeps the counter table of ``docs/OBSERVABILITY.md``
 complete: every counter name ``src/`` passes to ``observe.count`` as a
 literal (f-string placeholders kept as ``{expr}``) must appear in it.
@@ -171,6 +179,22 @@ REWRITE_MODULE = "src/repro/algorithms/par_rewrite.py"
 PER_CANDIDATE_REPLAY = frozenset(
     ("AliasView", "apply_replacement", "walk_cone", "deref_walked")
 )
+
+#: A second cut enumerator beside ``enumerate_cuts_with_tables``.
+SECOND_CUT_ENUMERATOR = re.compile(r"\bdef enumerate_cuts\(")
+
+#: The retired frozenset cube layer: a module-level name bound to a
+#: frozenset (the ``Cube`` alias, the constant-true cube) or the
+#: mask-to-frozenset converter.
+FROZENSET_CUBE_LAYER = re.compile(
+    r"^\w+(\s*:[^=]+)?\s*=\s*frozenset\b|\bmask_cover\b"
+)
+
+#: The package the cube-encoding guard scans.
+LOGIC_PACKAGE = "src/repro/logic"
+
+#: The retired MFFC walk module.
+MFFC_MODULE = "src/repro/aig/mffc.py"
 
 #: The forced-gates helper, the one place that lists the size gates.
 GATES_FILE = REPO_ROOT / "src" / "repro" / "verify" / "gates.py"
@@ -288,6 +312,23 @@ def find_extension_references() -> list[str]:
 def find_registry_references() -> list[str]:
     """References to the retired plugin registry in the scanned trees."""
     return _grep(FORBIDDEN_REGISTRY, EXTENSION_SCAN)
+
+
+def find_second_cut_enumerators() -> list[str]:
+    """Cut enumerators in ``src/`` beside the column enumerator."""
+    return _grep(SECOND_CUT_ENUMERATOR, ("src",))
+
+
+def find_frozenset_cube_layer() -> list[str]:
+    """Frozenset cube aliases and converters under ``repro/logic/``."""
+    return _grep(FROZENSET_CUBE_LAYER, (LOGIC_PACKAGE,))
+
+
+def find_mffc_module() -> list[str]:
+    """The retired MFFC walk module, if it is back."""
+    if (REPO_ROOT / MFFC_MODULE).exists():
+        return [MFFC_MODULE]
+    return []
 
 
 def _engine_imports(tree: ast.AST) -> list[tuple[int, str]]:
@@ -611,6 +652,32 @@ def test_rewrite_replays_through_the_fused_loop() -> None:
     )
 
 
+def test_one_cut_enumerator() -> None:
+    violations = find_second_cut_enumerators()
+    assert not violations, (
+        "a second cut enumerator in src/ (read cut lists from "
+        "repro.aig.cuts.enumerate_cuts_with_tables):\n"
+        + "\n".join(violations)
+    )
+
+
+def test_one_cube_encoding() -> None:
+    violations = find_frozenset_cube_layer()
+    assert not violations, (
+        f"frozenset cubes under {LOGIC_PACKAGE} (covers are mask "
+        "cubes; the frozenset form is tests/factor_reference.py):\n"
+        + "\n".join(violations)
+    )
+
+
+def test_one_mffc_dereference() -> None:
+    violations = find_mffc_module()
+    assert not violations, (
+        "a second MFFC walk module (dereference with "
+        "repro.commit.deref_cone):\n" + "\n".join(violations)
+    )
+
+
 def test_every_counter_is_documented() -> None:
     assert find_counter_names()
     undocumented = find_undocumented_counters()
@@ -748,6 +815,17 @@ def main() -> int:
             "replay rewrites through repro.commit.replay_rewrites",
             file=sys.stderr,
         )
+    one_implementation = (
+        ("cut-enumerator", find_second_cut_enumerators()),
+        ("cube-encoding", find_frozenset_cube_layer()),
+        ("MFFC-walk", find_mffc_module()),
+    )
+    for rule, found in one_implementation:
+        if found:
+            failed = True
+            print(f"{rule} conformance FAILED:", file=sys.stderr)
+            for violation in found:
+                print(f"  {violation}", file=sys.stderr)
     undocumented = find_undocumented_counters()
     if undocumented:
         failed = True

@@ -8,13 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.aig.aig import Aig
-from repro.aig.cuts import (
-    enumerate_cuts,
-    enumerate_cuts_with_tables,
-    reconv_cut,
-)
+from repro.aig.cuts import enumerate_cuts_with_tables, reconv_cut
 from repro.aig.literals import make_lit
-from repro.aig.traversal import cone_nodes, fanout_lists
 from repro.algorithms.common import AliasView
 from repro.algorithms.seq_rewrite import (
     MAX_CUTS_PER_NODE,
@@ -25,6 +20,7 @@ from repro.commit import walk_cone
 from repro.logic.truth import simulate_cone
 from tests.conftest import build_random_aig
 from tests.cut_reference import reference_cuts_with_tables
+from tests.graph_reference import cone_nodes, fanout_lists
 
 
 def test_reconv_cut_of_simple_node():
@@ -160,24 +156,31 @@ def test_reconv_cut_digest_is_pinned():
     assert reconv_cut_digest() == RECONV_DIGEST
 
 
+def cuts_of(aig: Aig, k: int, max_cuts_per_node: int = 8):
+    """The cut lists of :func:`enumerate_cuts_with_tables`, by variable."""
+    cols = enumerate_cuts_with_tables(aig, k, max_cuts_per_node)
+    return cut_lists(aig, cols)[0]
+
+
 def test_enumerate_cuts_contains_trivial_cut():
     aig = build_random_aig(2, num_ands=40)
-    cuts = enumerate_cuts(aig, 4)
+    cuts = cuts_of(aig, 4)
     for var in aig.and_vars():
-        assert (var,) in cuts[var]
+        assert cuts[var][0] == (var,)
 
 
 def test_enumerate_cuts_respects_k():
     aig = build_random_aig(2, num_ands=40)
-    cuts = enumerate_cuts(aig, 4)
-    for var in aig.and_vars():
-        for cut in cuts[var]:
-            assert len(cut) <= 4
+    for k in (2, 3, 4):
+        cuts = cuts_of(aig, k)
+        for var in aig.and_vars():
+            for cut in cuts[var]:
+                assert len(cut) <= k
 
 
 def test_enumerate_cuts_are_valid_cuts():
     aig = build_random_aig(4, num_ands=40)
-    cuts = enumerate_cuts(aig, 4)
+    cuts = cuts_of(aig, 4)
     for var in list(aig.and_vars())[-10:]:
         for cut in cuts[var]:
             if cut == (var,):
@@ -187,7 +190,7 @@ def test_enumerate_cuts_are_valid_cuts():
 
 def test_enumerate_cuts_no_dominated_cut():
     aig = build_random_aig(6, num_ands=40)
-    cuts = enumerate_cuts(aig, 4)
+    cuts = cuts_of(aig, 4)
     for var in aig.and_vars():
         non_trivial = [set(c) for c in cuts[var] if c != (var,)]
         for i, cut_a in enumerate(non_trivial):
@@ -198,7 +201,7 @@ def test_enumerate_cuts_no_dominated_cut():
 
 def test_enumerate_cuts_respects_budget():
     aig = build_random_aig(8, num_ands=60)
-    cuts = enumerate_cuts(aig, 4, max_cuts_per_node=3)
+    cuts = cuts_of(aig, 4, max_cuts_per_node=3)
     for var in aig.and_vars():
         assert len(cuts[var]) <= 4  # trivial + 3
 
@@ -206,7 +209,7 @@ def test_enumerate_cuts_respects_budget():
 def test_enumerate_cuts_rejects_k1():
     aig = build_random_aig(1, num_ands=10)
     with pytest.raises(ValueError):
-        enumerate_cuts(aig, 1)
+        cuts_of(aig, 1)
 
 
 def cut_lists(aig: Aig, cols) -> tuple[dict, dict, dict]:
@@ -321,7 +324,6 @@ def test_enumerate_cuts_with_tables_matches_cone_walks(
         assert cuts[var] == ref_cuts[var], var
         assert tables[var] == ref_tables[var], var
         assert cones[var] == ref_cones[var], var
-    assert cuts == enumerate_cuts(aig, REWRITE_CUT_SIZE, MAX_CUTS_PER_NODE)
     # Every row belongs to exactly one variable's list.
     assert int(cols.count.sum()) == cols.size.size
     view = AliasView(aig)

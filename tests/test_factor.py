@@ -9,19 +9,24 @@ from repro.aig.aig import Aig
 from repro.logic.factor import (
     FactorNode,
     count_factored_ands,
-    factor_cover,
+    factor_masks,
     factored_to_aig,
 )
-from repro.logic.isop import isop
 from repro.logic.resyn import plan_resynthesis
-from repro.logic.sop import cover_num_literals, make_cube
 from repro.logic.truth import full_mask, simulate_cone
 from tests import factor_reference as reference
-from tests.test_sop_isop import cone_tables
+from tests.test_sop_isop import cone_tables, cover_masks, isop
 
 
 def tables(num_vars: int):
     return st.integers(min_value=0, max_value=full_mask(num_vars))
+
+
+def num_literals(tree: FactorNode) -> int:
+    """Literal count of a factored form (the classic cost)."""
+    if tree.kind == "lit":
+        return 1
+    return sum(num_literals(child) for child in tree.children)
 
 
 def realize(tree: FactorNode, num_vars: int) -> int:
@@ -35,31 +40,27 @@ def realize(tree: FactorNode, num_vars: int) -> int:
 
 
 def test_factor_constants():
-    assert factor_cover([]).kind == "const0"
-    assert factor_cover([frozenset()]).kind == "const1"
+    assert factor_masks([]).kind == "const0"
+    assert factor_masks([0]).kind == "const1"
 
 
 def test_factor_single_cube():
-    tree = factor_cover([make_cube([0, 2])])
+    tree = factor_masks(cover_masks([[0, 2]]))
     assert realize(tree, 2) == 0b1000
 
 
 def test_factor_extracts_common_literal():
     # ab + ac  ->  a(b + c): 5 literals down to 3.
-    cover = [make_cube([0, 2]), make_cube([0, 4])]
-    tree = factor_cover(cover)
-    assert tree.num_literals() == 3
+    tree = factor_masks(cover_masks([[0, 2], [0, 4]]))
+    assert num_literals(tree) == 3
     assert realize(tree, 3) == (0b10001000 | 0b10100000)
 
 
 def test_factor_kernel_extraction():
     # ac + ad + bc + bd = (a + b)(c + d): 8 literals down to 4.
-    cover = [
-        make_cube([0, 4]), make_cube([0, 6]),
-        make_cube([2, 4]), make_cube([2, 6]),
-    ]
-    tree = factor_cover(cover)
-    assert tree.num_literals() == 4
+    cover = cover_masks([[0, 4], [0, 6], [2, 4], [2, 6]])
+    tree = factor_masks(cover)
+    assert num_literals(tree) == 4
     assert realize(tree, 4) == realize(
         FactorNode.or_([FactorNode.and_([FactorNode.lit(a), FactorNode.lit(c)])
                         for a in (0, 2) for c in (4, 6)]),
@@ -74,21 +75,21 @@ def test_factored_never_more_literals_than_sop():
     for _ in range(60):
         table = rng.getrandbits(16)
         cover = isop(table, 4)
-        tree = factor_cover(cover)
-        assert tree.num_literals() <= cover_num_literals(cover)
+        tree = factor_masks(cover)
+        assert num_literals(tree) <= sum(c.bit_count() for c in cover)
 
 
 @settings(max_examples=120, deadline=None)
 @given(table=tables(4))
 def test_factoring_preserves_function_4vars(table):
-    tree = factor_cover(isop(table, 4))
+    tree = factor_masks(isop(table, 4))
     assert realize(tree, 4) == table
 
 
 @settings(max_examples=30, deadline=None)
 @given(table=tables(6))
 def test_factoring_preserves_function_6vars(table):
-    tree = factor_cover(isop(table, 6))
+    tree = factor_masks(isop(table, 6))
     assert realize(tree, 6) == table
 
 
@@ -96,7 +97,7 @@ def test_factoring_preserves_function_6vars(table):
 @given(table=tables(4))
 def test_count_factored_ands_matches_fresh_build(table):
     """The predicted AND count bounds the strash-free build."""
-    tree = factor_cover(isop(table, 4))
+    tree = factor_masks(isop(table, 4))
     counted = count_factored_ands(tree)
     aig = Aig()
     leaves = [aig.add_pi() for _ in range(4)]
@@ -123,7 +124,7 @@ def test_or_identity_and_absorber():
 
 
 def test_to_string_renders():
-    tree = factor_cover([make_cube([0, 2]), make_cube([0, 5])])
+    tree = factor_masks(cover_masks([[0, 2], [0, 5]]))
     text = tree.to_string()
     assert "a" in text and "+" in text
 
@@ -149,7 +150,7 @@ def test_factoring_matches_reference_node_for_node(case):
     for function in (table, table ^ full_mask(num_vars)):
         cover = reference.reference_isop(function, num_vars)
         trees[function] = shape(reference.reference_factor(cover))
-        assert shape(factor_cover(cover)) == trees[function]
+        assert shape(factor_masks(cover_masks(cover))) == trees[function]
     plan = plan_resynthesis.__wrapped__(table, num_vars)
     if plan is not None:
         function = table ^ full_mask(num_vars) if plan.output_neg else table
@@ -171,9 +172,9 @@ def covers(max_literal: int = 11):
 @example(cover=[frozenset(), frozenset({0})])
 @example(cover=[frozenset({0, 2}), frozenset({0, 2}), frozenset({4})])
 def test_factoring_arbitrary_covers_matches_reference(cover):
-    assert reference.tree_shape(factor_cover(cover)) == reference.tree_shape(
-        reference.reference_factor(cover)
-    )
+    assert reference.tree_shape(
+        factor_masks(cover_masks(cover))
+    ) == reference.tree_shape(reference.reference_factor(cover))
 
 
 def test_reference_never_takes_the_empty_divisor_fallback(monkeypatch):

@@ -1,17 +1,31 @@
 """Unit and property tests for MFFC computation.
 
-Property 2 of the paper — MFFCs of different nodes are laminar (nested
-or disjoint, never partially overlapping) — is checked on randomized
-AIGs with hypothesis.
+The passes dereference cones with the commit layer's
+:func:`~repro.commit.deref_cone` / :func:`~repro.commit.ref_cone_back`
+pair; restricted to the set of live ANDs, the cone it dereferences is
+the root's MFFC.  Property 2 of the paper — MFFCs of different nodes
+are laminar (nested or disjoint, never partially overlapping) — is
+checked on that walk, on randomized AIGs with hypothesis.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.aig.aig import Aig
-from repro.aig.mffc import deref_mffc, mffc_nodes, mffc_size, ref_cone
 from repro.aig.traversal import fanout_counts
+from repro.commit import deref_cone, ref_cone_back
 from tests.conftest import build_random_aig
+
+
+def mffc_nodes(aig: Aig, root: int, nref=None) -> set[int]:
+    """The MFFC of ``root``: ``deref_cone`` over every live AND, with
+    the reference counts restored afterwards."""
+    if nref is None:
+        nref = fanout_counts(aig)
+    cone = deref_cone(aig, root, set(aig.and_vars()), nref)
+    ref_cone_back(aig, cone, nref)
+    return cone
 
 
 def make_chain():
@@ -26,7 +40,6 @@ def make_chain():
 def test_mffc_of_chain_root_contains_chain():
     aig, ab_var, abc_var = make_chain()
     assert mffc_nodes(aig, abc_var) == {ab_var, abc_var}
-    assert mffc_size(aig, abc_var) == 2
 
 
 def test_mffc_excludes_shared_nodes():
@@ -54,17 +67,15 @@ def test_deref_and_ref_roundtrip():
     aig, _, abc_var = make_chain()
     nref = fanout_counts(aig)
     before = list(nref)
-    cone = deref_mffc(aig, abc_var, nref)
+    cone = deref_cone(aig, abc_var, set(aig.and_vars()), nref)
     assert nref != before
-    ref_cone(aig, abc_var, nref, cone)
+    ref_cone_back(aig, cone, nref)
     assert nref == before
 
 
 def test_mffc_rejects_pi():
     aig = Aig()
     a = aig.add_pi()
-    import pytest
-
     with pytest.raises(ValueError):
         mffc_nodes(aig, a >> 1)
 
@@ -90,7 +101,9 @@ def test_property2_mffcs_are_laminar(seed):
 @given(seed=st.integers(min_value=0, max_value=10_000))
 def test_mffc_membership_definition(seed):
     """Every MFFC member's paths to POs all pass through the root."""
-    from repro.aig.traversal import fanout_lists, po_fanout_mask
+    from repro.aig.traversal import po_fanout_mask
+
+    from tests.graph_reference import fanout_lists
 
     aig = build_random_aig(seed, num_pis=6, num_ands=50)
     nref = fanout_counts(aig)

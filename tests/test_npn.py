@@ -11,18 +11,38 @@ from repro.aig.aig import Aig
 from repro.logic.npn import (
     MAX_NPN_VARS,
     NpnTransform,
-    npn_apply,
     npn_canon,
-    npn_class_count,
     npn_leaf_assignment,
 )
-from repro.logic.truth import (
-    full_mask,
-    simulate_cone,
-    tt_flip,
-    tt_not,
-    tt_permute,
-)
+from repro.logic.truth import full_mask, simulate_cone, tt_not
+from tests.test_truth import tt_flip, tt_permute
+
+
+def npn_apply(transform: NpnTransform, table: int) -> int:
+    """Apply ``transform`` to ``table``, minterm by minterm."""
+    size = 1 << transform.num_vars
+    mask = full_mask(transform.num_vars)
+    out = 0
+    for minterm in range(size):
+        source = 0
+        for index in range(transform.num_vars):
+            if minterm >> index & 1:
+                source |= 1 << transform.perm[index]
+        source ^= transform.phase
+        if table >> source & 1:
+            out |= 1 << minterm
+    return out ^ mask if transform.out_neg else out
+
+
+def npn_class_count(num_vars: int) -> int:
+    """Number of distinct canonical forms over every table of the width.
+
+    Calls the uncached canonicalizer, so counting does not fill the
+    process-wide cache with every table of the width.
+    """
+    canon = npn_canon.__wrapped__
+    mask = full_mask(num_vars)
+    return len({canon(table, num_vars).canon for table in range(mask + 1)})
 
 
 def reference_npn_canon(table: int, num_vars: int) -> NpnTransform:
@@ -138,14 +158,15 @@ def test_rejects_wide_table():
 
 def test_leaf_assignment_roundtrip():
     """Instantiating the canonical structure realizes the original."""
-    from repro.logic.factor import factor_cover, factored_to_aig
-    from repro.logic.isop import isop
+    from repro.logic.factor import factor_masks, factored_to_aig
+    from repro.logic.isop import isop_cover
 
     rng = random.Random(11)
     for _ in range(40):
         table = rng.getrandbits(16)
         transform = npn_canon(table, 4)
-        tree = factor_cover(isop(transform.canon, 4))
+        canon = transform.canon
+        tree = factor_masks(isop_cover(canon, canon, 4, {}))
         aig = Aig()
         leaves = [aig.add_pi() for _ in range(4)]
         inputs, out_neg = npn_leaf_assignment(transform, leaves)

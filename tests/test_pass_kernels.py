@@ -23,9 +23,9 @@ from hypothesis import strategies as st
 from repro import observe
 from repro.aig.cuts import reconv_cut
 from repro.aig.io_aiger import dump_aag
-from repro.aig.mffc import mffc_size
-from repro.aig.traversal import fanout_counts, fanout_lists
+from repro.aig.traversal import fanout_counts
 from repro.algorithms import common, kernels
+from repro.commit import deref_cone, ref_cone_back
 from repro.algorithms.par_balance import par_balance
 from repro.engine import run_script
 from repro.engine.context import context_for
@@ -33,6 +33,7 @@ from repro.parallel.machine import ParallelMachine
 from repro.verify import sanitizer
 from repro.verify.sanitizer import Sanitizer
 from tests.conftest import build_random_aig
+from tests.graph_reference import fanout_lists
 from tests.pass_reference import (
     oracle_paths,
     reference_deleted_sets,
@@ -281,15 +282,17 @@ def _batched_sizes(aig, nref, roots, cones) -> list[int]:
 @given(seed=aig_seeds)
 @settings(max_examples=10, deadline=None)
 def test_rewrite_batched_mffc_matches_mffc_size(seed):
-    # Full MFFC cones: batched sizing must reproduce the reference
-    # reference-count walk for every root at once.
-    from repro.aig.mffc import mffc_nodes
-
+    # Full MFFC cones: batched sizing must reproduce the scalar
+    # reference-count walk for every root at once.  ``deref_cone``
+    # over the live-AND set walks the whole MFFC.
     aig = build_random_aig(seed, num_ands=80)
     nref = fanout_counts(aig)
     roots = list(aig.and_vars())
-    cones = [mffc_nodes(aig, root, nref) for root in roots]
-    expected = [mffc_size(aig, root, nref) for root in roots]
+    cones = []
+    for root in roots:
+        cones.append(deref_cone(aig, root, set(roots), nref))
+        ref_cone_back(aig, cones[-1], nref)
+    expected = [len(cone) for cone in cones]
     assert _batched_sizes(aig, nref, roots, cones) == expected
 
 

@@ -90,27 +90,19 @@ def test_seq_refactor_on_arithmetic():
 def test_collapse_produces_disjoint_partition(seeded_aig):
     """Theorem 1: FFC cones are pairwise disjoint (asserted inside),
     and together they cover all PO-reachable AND nodes."""
-    from repro.aig.traversal import transitive_fanin
-    from repro.aig.literals import lit_var
-
     cones = collapse_into_ffcs(seeded_aig, 8, ParallelMachine())
     covered: set[int] = set()
     for job in cones:
         assert not (covered & job.cut.cone)
         covered |= job.cut.cone
-    reachable = {
-        var
-        for var in transitive_fanin(
-            seeded_aig, [lit_var(lit) for lit in seeded_aig.pos]
-        )
-        if seeded_aig.is_and(var)
-    }
-    assert covered == reachable
+    assert covered == set(seeded_aig.post_order().tolist())
 
 
 def test_collapse_cones_are_fanout_free(seeded_aig):
     """Definition 1: every non-root cone member's fanouts stay inside."""
-    from repro.aig.traversal import fanout_lists, po_fanout_mask
+    from repro.aig.traversal import po_fanout_mask
+
+    from tests.graph_reference import fanout_lists
 
     cones = collapse_into_ffcs(seeded_aig, 8, ParallelMachine())
     fanouts = fanout_lists(seeded_aig)
@@ -132,15 +124,13 @@ def test_collapse_respects_cut_limit(seeded_aig):
 
 def test_collapse_without_early_stop_yields_mffcs(seeded_aig):
     """With no cut limit the identified FFCs are exactly MFFCs."""
-    from repro.aig.mffc import mffc_nodes
-    from repro.aig.traversal import fanout_counts
+    from tests.test_mffc import mffc_nodes
 
     cones = collapse_into_ffcs(
         seeded_aig, 8, ParallelMachine(), early_stop=False
     )
-    nref = fanout_counts(seeded_aig)
     for job in cones:
-        assert job.cut.cone == mffc_nodes(seeded_aig, job.cut.root, nref)
+        assert job.cut.cone == mffc_nodes(seeded_aig, job.cut.root)
 
 
 def test_collapse_with_unlimited_cut_size_yields_mffcs(seeded_aig):
@@ -151,14 +141,12 @@ def test_collapse_with_unlimited_cut_size_yields_mffcs(seeded_aig):
     leaf count, the early-stop predicate never fires, so the collected
     cones are again exactly the MFFCs of their roots.
     """
-    from repro.aig.mffc import mffc_nodes
-    from repro.aig.traversal import fanout_counts
+    from tests.test_mffc import mffc_nodes
 
     unlimited = seeded_aig.num_vars + 2
     cones = collapse_into_ffcs(seeded_aig, unlimited, ParallelMachine())
-    nref = fanout_counts(seeded_aig)
     for job in cones:
-        assert job.cut.cone == mffc_nodes(seeded_aig, job.cut.root, nref)
+        assert job.cut.cone == mffc_nodes(seeded_aig, job.cut.root)
 
 
 # ----------------------------------------------------------------------

